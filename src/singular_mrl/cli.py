@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .distribution import EvalConfig, PSingularParams, gap_intervals, point_cloud
+from .distribution import (EvalConfig, PSingularParams, cdf_with_bound,
+                           gap_intervals, point_cloud)
 from .errors import DomainError, ParameterError, SingularMrlError
-from .fixedpoint import fixed_point_solve, verify_uniqueness
-from .integration import cdf_integral
-from .mrl import gmrl, mrl, mrl_many
+from .fixedpoint import fixed_point_solve
+from .mrl import mrl, mrl_many
 from .pricing import comparative_statics, optimal_price
 from .verify import run_all
-from .distribution import cdf_with_bound
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -126,12 +125,13 @@ def _cmd_point(args, config) -> str:
     if args.command == "cdf":
         value, bound = cdf_with_bound(params, args.x, config)
         return _scalar_output(args, "F", args.x, value, bound)
+    v = mrl(params, args.x, config)
     if args.command == "mrl":
-        v = mrl(params, args.x, config)
         return _scalar_output(args, "m", args.x, v.value, v.error_bound)
-    v = mrl(params, args.x, config)  # gmrl shares the error accounting
-    value = gmrl(params, args.x, config)
-    return _scalar_output(args, "e", args.x, value, v.error_bound / args.x)
+    # gmrl: e = m/x, with m's error accounting
+    if args.x == 0:
+        raise DomainError("gmrl is undefined at x = 0 (m(x)/x diverges)")
+    return _scalar_output(args, "e", args.x, v.value / args.x, v.error_bound / args.x)
 
 
 def _cmd_fixpoint(args, config) -> str:

@@ -1,8 +1,9 @@
 """Fixed point of the mean residual life function: m(x) = x.
 
-On [1/3, 2/3] the CDF is flat, so m is exactly linear with slope -1 and
-g(x) = m(x) - x is strictly decreasing with slope -2; bisection there is
-guaranteed to converge.  The closed form
+On [1/3, 2/3] the CDF is flat, so m is exactly linear with slope -1:
+m(x) = m(1/3) - (x - 1/3).  Its fixed point there is therefore
+x* = (m(1/3) + 1/3) / 2, taken from one evaluation of m(1/3) with half
+of its error bound; no iteration is needed.  The closed form
 
     x* = 1/6 + (5p+4) / (12 (2p+1))
 
@@ -43,37 +44,27 @@ def fixed_point_closed_form(params: PSingularParams) -> float:
 
 def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
                       scan_grid_n: int = 1000) -> FixedPointResult:
-    """Bisect g(x) = m(x) - x on [1/3, 2/3] to |g| <= config.tolerance.
+    """x* = (m(1/3) + 1/3) / 2 from the plateau linearity of m.
 
-    Fills `closed_form` for comparison and `sign_changes` from a
-    uniqueness scan over [0, 1] with `scan_grid_n` grid points
-    (set scan_grid_n=0 to skip the scan; sign_changes is then -1).
+    `bracket` is x* plus or minus half of m(1/3)'s error bound and
+    `residual` is m(x*) - x*.  Fills `closed_form` for comparison and
+    `sign_changes` from a uniqueness scan over [0, 1] with `scan_grid_n`
+    grid points (set scan_grid_n=0 to skip the scan; sign_changes is
+    then -1).
     """
-    lo, hi = ONE_THIRD, TWO_THIRDS
-    g = lambda x: mrl(params, x, config).value - x
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo > 0.0 > g_hi):
+    m = mrl(params, ONE_THIRD, config)
+    x_star = 0.5 * (m.value + ONE_THIRD)
+    if not ONE_THIRD <= x_star <= TWO_THIRDS:
         raise ConvergenceError(
-            f"no sign change of m(x) - x on [1/3, 2/3]: g(1/3)={g_lo}, g(2/3)={g_hi}; "
+            f"x* = (m(1/3) + 1/3)/2 = {x_star} lies outside the plateau [1/3, 2/3]; "
             "the MRL evaluator is inconsistent")
-    mid, g_mid = 0.5 * (lo + hi), None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) <= config.tolerance:
-            break
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise ConvergenceError(f"bisection failed to reach |m(x)-x| <= {config.tolerance}")
-
+    half = 0.5 * m.error_bound
+    residual = mrl(params, x_star, config).value - x_star
     if scan_grid_n > 0:
-        changes = _sign_change_scan(params, max(scan_grid_n, 100), config, mid)
+        changes = _sign_change_scan(params, max(scan_grid_n, 100), config, x_star)
     else:
         changes = -1
-    return FixedPointResult(x_star=mid, residual=g_mid, bracket=(lo, hi),
+    return FixedPointResult(x_star=x_star, residual=residual, bracket=(x_star - half, x_star + half),
                             closed_form=fixed_point_closed_form(params),
                             sign_changes=changes)
 

@@ -7,18 +7,25 @@ The self-similar recursion mirrors the CDF's functional equations:
     J(x) = I1 + (x - 1/3)/(p+1)                     for x in [1/3, 2/3],
     J(x) = J(2/3) + (x - 2/3) - p (I1 - J(1-x))     for x >= 2/3,
 
-anchored at I1 = (p+2) / (6 (p+1)(2p+1)).
+anchored at I1 = (p+2) / (6 (p+1)(2p+1)) and J(1) = 1 - E[X].  J is not
+walked on its own: the fused descent in `distribution` carries J's affine
+accumulator along F's ternary path.  For x > 2/3 the reflected point 1 - x
+lies below 1/3, so J's right step is always followed by a left step, and
+the pair is exactly one F right step x -> 3(1 - x).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
-                           PSingularParams, _check_unit_interval)
-from .errors import DomainError
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
+                           _check_unit_interval, _descend, _descend_many,
+                           i1_closed_form, mean)
+
+__all__ = ["IntegralValue", "cdf_integral", "cdf_integral_many", "i1_closed_form", "mean"]
 
 
 @dataclass(frozen=True)
@@ -29,113 +36,21 @@ class IntegralValue:
     error_bound: float
 
 
-def i1_closed_form(params: PSingularParams) -> float:
-    """I1 = int_0^{1/3} F_p = (p+2) / (6 (p+1)(2p+1))."""
-    p = params.p
-    return (p + 2.0) / (6.0 * (p + 1.0) * (2.0 * p + 1.0))
-
-
-def mean(params: PSingularParams) -> float:
-    """E[X_p] = 3p / (2 (2p+1)); equals 1 - J(1)."""
-    p = params.p
-    return 1.5 * p / (2.0 * p + 1.0)
-
-
-def _anchors(params: PSingularParams) -> tuple[float, float, float]:
-    p = params.p
-    i1 = i1_closed_form(params)
-    j_two_thirds = i1 + 1.0 / (3.0 * (p + 1.0))
-    j_one = 1.0 - mean(params)
-    return i1, j_two_thirds, j_one
-
-
 def cdf_integral(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> IntegralValue:
     """J(x) with error <= config.tolerance.
 
-    Same affine-accumulator scheme as the CDF evaluator; the residual
-    subproblem J(y) lies in [0, y], so b*y bounds the remaining width
-    and the midpoint is returned on truncation.
+    The residual subproblem J(y) lies in [0, y], so b_J y bounds the
+    remaining width and the midpoint is returned on truncation.
     """
-    x = _check_unit_interval(x)
-    p = params.p
-    i1, j23, j1 = _anchors(params)
-    shrink = 1.0 / (3.0 * (p + 1.0))
-    q = 1.0 / (p + 1.0)
-    a, b, y = 0.0, 1.0, x
-    for _ in range(config.effective_depth(params)):
-        if b * y <= 2.0 * config.tolerance:
-            break
-        if y <= 0.0:
-            return IntegralValue(a, 0.0)
-        if y >= 1.0:
-            return IntegralValue(a + b * j1, 0.0)
-        if ONE_THIRD <= y <= TWO_THIRDS:
-            return IntegralValue(a + b * (i1 + (y - ONE_THIRD) * q), 0.0)
-        if y < ONE_THIRD:
-            b *= shrink
-            y *= 3.0
-        else:
-            a += b * (j23 + (y - TWO_THIRDS) - p * i1)
-            b *= p
-            y = 1.0 - y
-    half = 0.5 * b * y
-    return IntegralValue(a + half, half)
+    _, _, j, bound = _descend(params, _check_unit_interval(x), math.inf,
+                              config.tolerance, config.max_depth)
+    return IntegralValue(j, bound)
 
 
 def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized J over an array of points in [0, 1]."""
-    return _integral_array(params, np.asarray(xs, dtype=float), config)[0]
-
-
-def _integral_array(params: PSingularParams, xs: np.ndarray, config: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise DomainError("all evaluation points must lie in [0, 1]")
-    p = params.p
-    i1, j23, j1 = _anchors(params)
-    shrink = 1.0 / (3.0 * (p + 1.0))
-    q = 1.0 / (p + 1.0)
-    tol2 = 2.0 * config.tolerance
-
-    flat = xs.ravel()
-    vals = np.empty(flat.shape, dtype=float)
-    bounds = np.zeros(flat.shape, dtype=float)
-
-    idx = np.arange(flat.size)
-    a = np.zeros(flat.size)
-    b = np.ones(flat.size)
-    y = flat.copy()
-
-    for _ in range(config.effective_depth(params)):
-        if idx.size == 0:
-            break
-        small = b * y <= tol2
-        at_zero = ~small & (y <= 0.0)
-        at_one = ~small & (y >= 1.0)
-        plateau = ~small & ~at_zero & ~at_one & (y >= ONE_THIRD) & (y <= TWO_THIRDS)
-        if small.any():
-            half = 0.5 * b[small] * y[small]
-            vals[idx[small]] = a[small] + half
-            bounds[idx[small]] = half
-        if at_zero.any():
-            vals[idx[at_zero]] = a[at_zero]
-        if at_one.any():
-            vals[idx[at_one]] = a[at_one] + b[at_one] * j1
-        if plateau.any():
-            vals[idx[plateau]] = a[plateau] + b[plateau] * (i1 + (y[plateau] - ONE_THIRD) * q)
-
-        keep = ~(small | at_zero | at_one | plateau)
-        if not keep.all():
-            idx, a, b, y = idx[keep], a[keep], b[keep], y[keep]
-        left = y < ONE_THIRD
-        right = ~left
-        b[left] *= shrink
-        y[left] *= 3.0
-        a[right] += b[right] * (j23 + (y[right] - TWO_THIRDS) - p * i1)
-        b[right] *= p
-        y[right] = 1.0 - y[right]
-
-    if idx.size:
-        half = 0.5 * b * y
-        vals[idx] = a + half
-        bounds[idx] = half
-    return vals.reshape(xs.shape), bounds.reshape(xs.shape)
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(xs.size)
+    for k, _, _, j, _ in _descend_many(params, xs, math.inf, config.tolerance, config.max_depth):
+        out[k] = j
+    return out.reshape(xs.shape)

@@ -5,11 +5,14 @@ For x >= 1/3 the evaluator uses the reflection form
 
     m(x) = J(1-x) / F(1-x),
 
-obtained from 1 - F(u) = p F(1-u) on u in [1/3, 1]; both numerator and
-denominator are computed multiplicatively, so the quotient keeps its
-relative accuracy even as the survival probability vanishes at x -> 1.
+obtained from 1 - F(u) = p F(1-u) on u in [1/3, 1].  Numerator and
+denominator come from one fused descent at 1 - x with a relative stop
+test: it ends once the brackets of F and J are both within the tolerance
+times the running midpoint of F.  The quotient's bound (e_J + m e_F) / F
+is then at most (1 + m) tolerance <= 2 tolerance in a single pass, however
+small the survival probability F(1-x) gets as x -> 1.
 For x < 1/3 the direct form [(1-x) - (J(1) - J(x))] / (1 - F(x)) is safe
-because the denominator stays >= p/(p+1).
+with absolute tolerances because the denominator stays >= p/(p+1).
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
-                           PSingularParams, _cdf_array, _check_unit_interval,
-                           cdf_with_bound)
+from .distribution import (DEFAULT_CONFIG, ONE_THIRD, EvalConfig,
+                           PSingularParams, _branch_many, _check_unit_interval,
+                           _descend, _reflect, mean)
 from .errors import DomainError
-from .integration import _integral_array, cdf_integral, mean
 
 
 @dataclass(frozen=True)
@@ -35,17 +37,6 @@ class MrlValue:
     error_bound: float
 
 
-def _reflect(x: float) -> float:
-    # 1 - x, snapped back onto the plateau when x lies on it: the bare
-    # float difference can overshoot the plateau edge by one ulp, and
-    # just outside the plateau the CDF is genuinely steep (the Hoelder
-    # exponent vanishes as p -> 0), so that ulp is not benign
-    z = 1.0 - x
-    if ONE_THIRD <= x <= TWO_THIRDS:
-        return min(max(z, ONE_THIRD), TWO_THIRDS)
-    return z
-
-
 def mrl_at_one_third(params: PSingularParams) -> float:
     """Closed form m(1/3) = (5p+4) / (6 (2p+1)); always > 1/3."""
     p = params.p
@@ -55,37 +46,19 @@ def mrl_at_one_third(params: PSingularParams) -> float:
 def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> MrlValue:
     """m(x) for x in [0, 1]; exactly 0 at x = 1."""
     x = _check_unit_interval(x)
-    if x >= 1.0:
-        return MrlValue(0.0, x, params.p, 0.0)
+    tol = config.tolerance
     if x >= ONE_THIRD:
-        z = _reflect(x)
-        den, den_bound = cdf_with_bound(params, z, config)
-        while den_bound > 0.1 * den:
-            # the survival probability is truncation-dominated; retighten
-            # at the scale of the current estimate and repeat until the
-            # bracket resolves (each pass shrinks the scale by ~tolerance)
-            tol = max(den * config.tolerance, 1e-300)
-            den, den_bound = cdf_with_bound(
-                params, z, EvalConfig(tolerance=tol, max_depth=config.max_depth))
-            if tol <= 1e-300:
-                break
+        den, den_bound, num, num_bound = _descend(params, _reflect(x), tol, tol,
+                                                  config.max_depth, relative=True)
         if den <= 0.0:
-            # survival underflowed; m is indeterminate but bounded by 1 - x
+            # survival underflowed (or x = 1); m is bounded by 1 - x
             return MrlValue(0.0, x, params.p, 1.0 - x)
-        # the quotient's error is num_bound / den, so the numerator
-        # tolerance must scale with the denominator
-        num = cdf_integral(params, z, EvalConfig(
-            tolerance=max(den * config.tolerance, 1e-300), max_depth=config.max_depth))
-        value = num.value / den
-        bound = (num.error_bound + value * den_bound) / den
-        return MrlValue(value, x, params.p, bound)
-    j = cdf_integral(params, x, config)
-    f, f_bound = cdf_with_bound(params, x, config)
-    j1 = 1.0 - mean(params)
-    den = 1.0 - f
-    value = ((1.0 - x) - (j1 - j.value)) / den
-    bound = (j.error_bound + value * f_bound) / den
-    return MrlValue(value, x, params.p, bound)
+    else:
+        f, den_bound, j, num_bound = _descend(params, x, tol, tol, config.max_depth)
+        den = 1.0 - f
+        num = (1.0 - x) - ((1.0 - mean(params)) - j)
+    value = num / den
+    return MrlValue(value, x, params.p, (num_bound + value * den_bound) / den)
 
 
 def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -96,37 +69,11 @@ def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG)
 
 
 def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorized m over an array of points in [0, 1]."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise DomainError("all evaluation points must lie in [0, 1]")
-    flat = xs.ravel()
-    out = np.zeros(flat.shape, dtype=float)
-
-    upper = (flat >= ONE_THIRD) & (flat < 1.0)
-    if upper.any():
-        xu = flat[upper]
-        z = 1.0 - xu
-        # same plateau snapping as the scalar `_reflect`
-        on_plateau = xu <= TWO_THIRDS
-        z[on_plateau] = np.clip(z[on_plateau], ONE_THIRD, TWO_THIRDS)
-        num, _ = _integral_array(params, z, config)
-        den, den_bounds = _cdf_array(params, z, config)
-        vals = num / den
-        # where the survival probability is truncation-dominated the
-        # quotient is unreliable; redo those few points with the scalar
-        # evaluator, which tightens the tolerance adaptively
-        shaky = den_bounds > 0.1 * den
-        if shaky.any():
-            sub = np.flatnonzero(upper)[shaky]
-            vals[shaky] = [mrl(params, flat[i], config).value for i in sub]
-        out[upper] = vals
-
-    lower = flat < ONE_THIRD
-    if lower.any():
-        xl = flat[lower]
-        j, _ = _integral_array(params, xl, config)
-        f, _ = _cdf_array(params, xl, config)
-        j1 = 1.0 - mean(params)
-        out[lower] = ((1.0 - xl) - (j1 - j)) / (1.0 - f)
-    return out.reshape(xs.shape)
+    """Vectorized m over an array of points in [0, 1], equal to `mrl` at
+    every point."""
+    j1 = 1.0 - mean(params)
+    tol = config.tolerance
+    return _branch_many(
+        params, xs, tol, tol, config.max_depth,
+        upper=lambda x, f, j: np.divide(j, f, out=np.zeros_like(f), where=f > 0.0),
+        lower=lambda x, f, j: ((1.0 - x) - (j1 - j)) / (1.0 - f), relative=True)

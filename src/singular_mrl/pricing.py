@@ -9,16 +9,16 @@ price.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, ONE_THIRD, EvalConfig,
-                           PSingularParams, _check_unit_interval)
+                           PSingularParams, _branch_many, _check_unit_interval,
+                           _descend, _reflect, mean)
 from .errors import ParameterError
 from .fixedpoint import FixedPointResult, fixed_point_solve
-from .integration import _integral_array, cdf_integral, mean
-from .mrl import _reflect
 
 
 @dataclass(frozen=True)
@@ -30,35 +30,25 @@ class PricingResult:
     fixed_point: FixedPointResult | None = None
 
 
-def _residual_demand_integral(params: PSingularParams, price: float, config: EvalConfig) -> float:
-    # int_price^1 (1 - F); for price >= 1/3 use the reflection identity
-    # 1 - F(u) = p F(1-u), which avoids cancellation entirely
-    if price >= ONE_THIRD:
-        return params.p * cdf_integral(params, _reflect(price), config).value
-    j1 = 1.0 - mean(params)
-    return (1.0 - price) - (j1 - cdf_integral(params, price, config).value)
-
-
 def expected_payoff(params: PSingularParams, price: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """Pi(price) = price * E(X - price)_+ for price in [0, 1]."""
     price = _check_unit_interval(price)
-    return price * _residual_demand_integral(params, price, config)
+    if price >= ONE_THIRD:
+        # E(X - price)_+ = int_price^1 (1 - F); the reflection identity
+        # 1 - F(u) = p F(1-u) makes it p J(1 - price), free of cancellation
+        j = _descend(params, _reflect(price), math.inf, config.tolerance, config.max_depth)[2]
+        return price * (params.p * j)
+    j = _descend(params, price, math.inf, config.tolerance, config.max_depth)[2]
+    return price * ((1.0 - price) - ((1.0 - mean(params)) - j))
 
 
 def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorized Pi over an array of prices in [0, 1]."""
-    prices = np.asarray(prices, dtype=float)
-    out = np.empty(prices.shape, dtype=float)
-    upper = prices >= ONE_THIRD
-    if upper.any():
-        j, _ = _integral_array(params, 1.0 - prices[upper], config)
-        out[upper] = prices[upper] * params.p * j
-    lower = ~upper
-    if lower.any():
-        j, _ = _integral_array(params, prices[lower], config)
-        j1 = 1.0 - mean(params)
-        out[lower] = prices[lower] * ((1.0 - prices[lower]) - (j1 - j))
-    return out
+    """Vectorized Pi over an array of prices in [0, 1], equal to
+    `expected_payoff` at every price."""
+    p, j1 = params.p, 1.0 - mean(params)
+    return _branch_many(params, prices, math.inf, config.tolerance, config.max_depth,
+                        upper=lambda x, f, j: x * (p * j),
+                        lower=lambda x, f, j: x * ((1.0 - x) - (j1 - j)))
 
 
 def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,

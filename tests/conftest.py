@@ -1,0 +1,19 @@
+import numpy as np
+import pytest
+
+from singular_mrl import PSingularParams, gap_intervals
+
+
+@pytest.fixture(scope="session")
+def twin_params():
+    """The values of p at which the scalar and vector evaluators are compared."""
+    return [PSingularParams(p) for p in (0.01, 1.0, 100.0)]
+
+
+@pytest.fixture(scope="session")
+def twin_points():
+    """Uniform points, points within 1e-6 of 1, the rounded endpoints of
+    every gap of level <= 8, and the plateau edges and endpoints."""
+    rng = np.random.default_rng(3)
+    return np.concatenate((rng.random(200), 1.0 - rng.random(50) * 1e-6,
+                           np.ravel(gap_intervals(8)), [0.0, 1 / 3, 0.5, 2 / 3, 1.0]))

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, ResourceLimitError, cdf, cdf_many,
-                          cdf_with_bound, gap_intervals, point_cloud, sample,
+                          cdf_integral_many, cdf_with_bound, gap_intervals,
+                          mrl_many, payoff_curve, point_cloud, sample,
                           survival)
+from singular_mrl.distribution import _CHUNK, _descend, _descend_many
 
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
@@ -45,13 +47,9 @@ class TestParams:
         with pytest.raises(ParameterError):
             EvalConfig(max_depth=0)
 
-    def test_effective_depth_contracts_to_tolerance(self):
-        cfg = EvalConfig(tolerance=1e-12)
-        for p in (0.01, 1.0, 100.0):
-            params = PSingularParams(p)
-            d = cfg.effective_depth(params)
-            q = max(1.0, p) / (p + 1.0)
-            assert q ** d <= 1e-12
+    def test_max_depth_caps_the_descent(self):
+        # one left step from 1/4 leaves the bracket [0, 1/2] for F(1/4) = 1/3
+        assert cdf_with_bound(P1, 0.25, EvalConfig(max_depth=1)) == (0.25, 0.25)
 
 
 class TestCdf:
@@ -87,11 +85,10 @@ class TestCdf:
         assert abs(value - tight) <= bound + 1e-13
         assert bound <= 1e-8
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        xs = rng.random(200)
-        vec = cdf_many(P2, xs)
-        assert vec == pytest.approx([cdf(P2, x) for x in xs], abs=1e-12)
+    def test_vectorized_matches_scalar(self, twin_params, twin_points):
+        for params in twin_params:
+            vec = cdf_many(params, twin_points)
+            np.testing.assert_array_equal(vec, [cdf(params, x) for x in twin_points])
 
     @given(x=st.floats(min_value=0.0, max_value=1.0),
            y=st.floats(min_value=0.0, max_value=1.0))
@@ -110,6 +107,42 @@ class TestCdf:
     def test_functional_equation_reflection(self, x):
         cfg = EvalConfig(tolerance=1e-10 / 3.0)
         assert cdf(P2, 1.0 - x, cfg) == pytest.approx(1.0 - 2.0 * cdf(P2, x, cfg), abs=2e-10)
+
+
+class TestDescent:
+    @pytest.mark.parametrize("tol_f,tol_j,relative", [
+        (1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10, False),
+        (1e-6, 1e-12, False), (1e-10, 1e-10, True)])
+    def test_twins_agree_bit_for_bit(self, twin_params, twin_points, tol_f, tol_j, relative):
+        # F, J and both error bounds, from the scalar and the vector loop
+        for params in twin_params:
+            chunks = list(_descend_many(params, twin_points, tol_f, tol_j, 100_000, relative))
+            vec = np.concatenate([np.stack(c[1:]) for c in chunks], axis=1)
+            scalar = np.array([_descend(params, x, tol_f, tol_j, 100_000, relative)
+                               for x in twin_points.tolist()]).T
+            np.testing.assert_array_equal(vec, scalar)
+
+    @given(x=st.floats(min_value=0.0, max_value=1.0),
+           p=st.sampled_from([0.01, 0.5, 1.0, 2.0, 100.0]), relative=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_twins_agree_on_any_double(self, x, p, relative):
+        params = PSingularParams(p)
+        [(_, *vec)] = _descend_many(params, [x], 1e-10, 1e-10, 100_000, relative)
+        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, 1e-10, 100_000, relative))
+
+    def test_twins_agree_across_chunks(self):
+        xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
+        chunks = list(_descend_many(P2, xs, 1e-10, 1e-10, 100_000))
+        assert [c[0] for c in chunks] == [slice(0, _CHUNK), slice(_CHUNK, 2 * _CHUNK),
+                                          slice(2 * _CHUNK, xs.size)]
+        f = np.concatenate([c[1] for c in chunks])
+        np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
+
+    @pytest.mark.parametrize("fn", [cdf_many, cdf_integral_many, mrl_many, payoff_curve])
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
+    def test_array_domain_error(self, fn, bad):
+        with pytest.raises(DomainError):
+            fn(PSingularParams(0.01), [0.2, 0.5, bad])
 
 
 class TestSurvival:

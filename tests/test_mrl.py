@@ -73,20 +73,27 @@ class TestShape:
 
 
 class TestEvaluator:
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        xs = np.concatenate((rng.random(200), [0.0, 1 / 3, 0.5, 2 / 3, 1.0]))
-        vec = mrl_many(P2, xs)
-        assert vec == pytest.approx([mrl(P2, x).value for x in xs], abs=1e-9)
+    def test_vectorized_matches_scalar(self, twin_params, twin_points):
+        for params in twin_params:
+            vec = mrl_many(params, twin_points)
+            np.testing.assert_array_equal(vec, [mrl(params, x).value for x in twin_points])
+
+    def test_bound_within_twice_tolerance(self, twin_params, twin_points):
+        # the relative stop test keeps the quotient's bound at <= 2 tolerance
+        # on [1/3, 1), where F(1-x) does not underflow at these points
+        for params in twin_params:
+            for x in twin_points[(twin_points >= 1 / 3) & (twin_points < 1.0)]:
+                assert mrl(params, x).error_bound <= 2e-10
 
     def test_extreme_p_near_one(self):
-        # survival probability ~1e-4 here for p = 100; the adaptive
-        # tightening must keep the quotient accurate
+        # survival probability ~1e-4 at 0.9998 for p = 100; the relative
+        # stop test must keep the quotient accurate
         params = PSingularParams(100.0)
-        x = 0.9998
-        v = mrl(params, x)
-        assert 0.0 < v.value < 1.0 - x
-        assert mrl_many(params, np.array([x]))[0] == pytest.approx(v.value, abs=1e-8)
+        for x in (0.9998, 0.9752309144024423):
+            v = mrl(params, x)
+            assert 0.0 < v.value < 1.0 - x
+            assert v.error_bound <= 2e-10
+            assert mrl_many(params, np.array([x]))[0] == v.value
 
     def test_error_bound_honored(self):
         x = 0.789

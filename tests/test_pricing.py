@@ -32,10 +32,11 @@ class TestExpectedPayoff:
         se = float(payoff.std(ddof=1)) / math.sqrt(n)
         assert abs(expected_payoff(P1, price) - float(payoff.mean())) <= 4.0 * se
 
-    def test_curve_matches_scalar(self):
-        prices = np.linspace(0.0, 1.0, 101)
-        curve = payoff_curve(P1, prices)
-        assert curve == pytest.approx([expected_payoff(P1, x) for x in prices], abs=1e-11)
+    def test_curve_matches_scalar(self, twin_params, twin_points):
+        prices = np.concatenate((np.linspace(0.0, 1.0, 101), twin_points))
+        for params in twin_params:
+            curve = payoff_curve(params, prices)
+            np.testing.assert_array_equal(curve, [expected_payoff(params, x) for x in prices])
 
 
 class TestOptimalPrice:
