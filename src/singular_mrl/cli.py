@@ -13,11 +13,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .distribution import (EvalConfig, PSingularParams, cdf_with_bound,
-                           gap_intervals, point_cloud)
+                           gap_grid, point_cloud)
 from .errors import DomainError, ParameterError, SingularMrlError
 from .fixedpoint import fixed_point_solve
 from .mrl import mrl, mrl_many
@@ -195,8 +193,7 @@ def _cmd_plot_data(args, config) -> int:
         rows = "".join(f"{_fmt(x)},{_fmt(F)}\n" for x, F in zip(cloud.x, cloud.F))
         sections.append(("cdf", "x,F\n" + rows))
     if args.what in ("mrl", "both"):
-        grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, args.grid),
-                                         np.ravel(gap_intervals(8)))))
+        grid = gap_grid(args.grid)
         m = mrl_many(params, grid, config)
         rows = "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(grid, m))
         sections.append(("mrl", "x,m\n" + rows))

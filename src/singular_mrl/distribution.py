@@ -14,10 +14,15 @@ max(1, p)/(p+1) per level until the requested tolerance is met.  This
 module owns that descent, once as a scalar loop and once as a numpy loop:
 it carries F and its integral J (module `integration`) along the same
 path, and every evaluated quantity of the package is a formula over it.
+The numpy loop uses no boolean masks: each level splits the live points
+once by integer index into those that go on and those that end, and the
+stop test is chosen per point, so a quantity that reflects x >= 1/3 (the
+MRL, the payoff) runs both of its branches in one descent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,7 +118,8 @@ def _reflect(x):
 
 
 def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
-             max_depth: int, relative: bool = False) -> tuple[float, float, float, float]:
+             max_depth: int, relative: bool = False,
+             scale: float = 1.0) -> tuple[float, float, float, float]:
     """F(y) and J(y) from one walk down the ternary structure.
 
     Returns (F, F's error bound, J, J's error bound).  Both are carried as
@@ -124,10 +130,10 @@ def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
     a_J += b_J (J(2/3) - 2/3 - p I1 + y) and b_J *= r/3.  The walk ends
     exactly on the plateau or at an endpoint; otherwise the residuals
     F(y) in [0, 1] and J(y) in [0, y] bound the error, and it stops once
-    |b_F|/2 <= tol_f and b_J y/2 <= tol_j (absolute tolerances, inf for a
-    quantity the caller does not use) or, with `relative`, once both are
-    within their tolerance times the running midpoint of F.  The float
-    path is followed as is: y -> 3y and y -> 3(1-y) round.
+    |b_F|/2 <= tol_f scale and b_J y/2 <= tol_j scale (absolute tolerances,
+    inf for a quantity the caller does not use) or, with `relative`, once
+    both are within their (finite) tolerance times the running midpoint of
+    F.  The float path is followed as is: y -> 3y and y -> 3(1-y) round.
     """
     q, r = params.left_mass, params.right_mass
     i1, j1, c = _anchors(params)
@@ -135,7 +141,7 @@ def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
     lim_f, lim_j = 2.0 * tol_f, 2.0 * tol_j
     af, bf, aj, bj = 0.0, 1.0, 0.0, 1.0
     for _ in range(max_depth):
-        s = af + 0.5 * bf if relative else 1.0
+        s = af + 0.5 * bf if relative else scale
         if abs(bf) <= lim_f * s and bj * y <= lim_j * s:
             break
         if y <= 0.0:
@@ -159,84 +165,130 @@ def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
 
 
 def _descend_many(params: PSingularParams, ys, tol_f: float, tol_j: float,
-                  max_depth: int, relative: bool = False):
+                  max_depth: int, relative=False, scale: float = 1.0):
     """Vector twin of `_descend`, equal to it bit for bit at every point.
 
     Rejects any point outside [0, 1], NaN included, then yields
     (slice, F, F bounds, J, J bounds) for successive _CHUNK-point slices
-    of the flattened `ys`.
+    of the flattened `ys`.  `relative` is one flag or a flag per point, so
+    one descent serves points with either stop test; `scale` is that of
+    the absolute test, as in `_descend`.
     """
     ys = np.asarray(ys, dtype=float).ravel()
     if ys.size and not (ys.min() >= 0.0 and ys.max() <= 1.0):
         raise DomainError("all evaluation points must lie in [0, 1]")
+    rel = np.broadcast_to(np.ravel(relative), ys.shape)
+    for start in range(0, ys.size, _CHUNK):
+        k = slice(start, min(start + _CHUNK, ys.size))
+        yield k, *_descend_slice(params, ys[k], tol_f, tol_j, max_depth, rel[k], scale)
+
+
+def _descend_slice(params: PSingularParams, ys: np.ndarray, tol_f: float, tol_j: float,
+                   max_depth: int, rel: np.ndarray, scale: float) -> np.ndarray:
+    """F, F's bound, J and J's bound at the points ys, as the rows of one
+    array; `rel` flags the points with the relative stop test.
+
+    Each level partitions the live points once with `np.flatnonzero` into
+    those that step on and those that end there.  The state of the ending
+    ones is set aside and the rest is compacted with `take`.  The step
+    needs no mask either: with a 0/1 right-step factor R, a_F += R b_F,
+    a_J += R b_J (c + y) and y -> 3|R - y|, and the multipliers come from
+    two-entry tables.  Once every point has ended, one select over them by
+    kind (stopped bracket, y = 0, y = 1 or plateau; a stopped bracket wins,
+    as in `_descend`) gives F, J and both bounds.  Adding +-0 and
+    multiplying by 1 are exact, so the values are those of the scalar loop.
+    """
     q, r = params.left_mass, params.right_mass
     i1, j1, c = _anchors(params)
-    shrink, r3 = q / 3.0, r / 3.0
+    step_f, step_j = np.array([q, -r]), np.array([q / 3.0, r / 3.0])
     lim_f, lim_j = 2.0 * tol_f, 2.0 * tol_j
-    for start in range(0, ys.size, _CHUNK):
-        y = ys[start:start + _CHUNK].copy()
-        n = y.size
-        f, ef, j, ej = np.empty(n), np.zeros(n), np.empty(n), np.zeros(n)
-        idx = np.arange(n)
-        af, bf, aj, bj = np.zeros(n), np.ones(n), np.zeros(n), np.ones(n)
-        for _ in range(max_depth):
-            s = af + 0.5 * bf if relative else 1.0
-            stop = (np.abs(bf) <= lim_f * s) & (bj * y <= lim_j * s)
-            zero, one = y <= 0.0, y >= 1.0
-            flat = (y >= ONE_THIRD) & (y <= TWO_THIRDS)
-            done = stop | zero | one | flat
-            if done.any():
-                # the exact ends first, then the stopped brackets, which
-                # take precedence as in `_descend`
-                k = idx[zero]
-                f[k], j[k] = af[zero], aj[zero]
-                k = idx[one]
-                f[k], j[k] = af[one] + bf[one], aj[one] + bj[one] * j1
-                k = idx[flat]
-                f[k] = af[flat] + bf[flat] * q
-                j[k] = aj[flat] + bj[flat] * (i1 + (y[flat] - ONE_THIRD) * q)
-                k = idx[stop]
-                half = 0.5 * bj[stop] * y[stop]
-                f[k], ef[k] = af[stop] + 0.5 * bf[stop], 0.5 * np.abs(bf[stop])
-                j[k], ej[k] = aj[stop] + half, half
-                keep = ~done
-                idx, y, af, bf, aj, bj = idx[keep], y[keep], af[keep], bf[keep], aj[keep], bj[keep]
-                if not idx.size:
-                    break
-            left = y < ONE_THIRD
-            right = ~left
-            np.add(af, bf, out=af, where=right)
-            np.add(aj, bj * (c + y), out=aj, where=right)
-            bf *= np.where(left, q, -r)
-            bj *= np.where(left, shrink, r3)
-            np.subtract(1.0, y, out=y, where=right)
-            y *= 3.0
-        else:
-            half = 0.5 * bj * y
-            f[idx], ef[idx] = af + 0.5 * bf, 0.5 * np.abs(bf)
-            j[idx], ej[idx] = aj + half, half
-        yield slice(start, start + n), f, ef, j, ej
+    n = ys.size
+    idx = np.arange(n)
+    # the state, one row per quantity: y, a_F, b_F, a_J, b_J and, where some
+    # point is relative, R and A of the stop test's scale s = (a_F + b_F/2) R
+    # + A, which is the running midpoint of F where relative (R = 1, A = 0)
+    # and `scale` elsewhere (R = 0, A = scale)
+    per_point = rel.any()
+    state = np.empty((7 if per_point else 5, n))
+    state[0] = ys
+    state[0] += 0.0  # -0 as +0, so that J's bound at y = 0 is +0 as in `_descend`
+    state[1:5] = ((0.0,), (1.0,), (0.0,), (1.0,))
+    if per_point:
+        state[5] = rel
+        state[6] = np.where(rel, 0.0, scale)
+    y, af, bf, aj, bj = state[:5]
+    # the points in the order they end: where they sit in ys, their final
+    # state, and whether the stop test ended them
+    at, ended, stopped = np.empty(n, dtype=np.intp), np.empty((5, n)), np.ones(n, dtype=bool)
+    done = 0
+    for _ in range(max_depth):
+        s = (af + 0.5 * bf) * state[5] + state[6] if per_point else scale
+        stop = (np.abs(bf) <= lim_f * s) & (bj * y <= lim_j * s)
+        left, right = y < ONE_THIRD, y > TWO_THIRDS
+        go = ((left & (y > 0.0)) | (right & (y < 1.0))) & ~stop
+        keep = np.flatnonzero(go)
+        if keep.size < y.size:
+            end = np.flatnonzero(~go)
+            k = slice(done, done + end.size)
+            at[k], ended[:, k], stopped[k] = idx.take(end), state[:5].take(end, axis=1), stop.take(end)
+            done += end.size
+            if not keep.size:
+                break
+            idx, state, right = idx.take(keep), state.take(keep, axis=1), right.take(keep)
+            y, af, bf, aj, bj = state[:5]
+        r_idx = right.view(np.int8)
+        r_f = right.astype(float)
+        af += bf * r_f
+        aj += bj * (c + y) * r_f
+        bf *= step_f.take(r_idx)
+        bj *= step_j.take(r_idx)
+        np.subtract(r_f, y, out=y)
+        np.abs(y, out=y)
+        y *= 3.0
+    else:
+        at[done:], ended[:, done:] = idx, state[:5]  # depth cap: brackets
+    # the select, in place.  Per kind of end (0 stopped, 1 at y = 0, 2 at
+    # y = 1, 3 on the plateau) F = a_F + b_F w_F with bound |b_F| e_F, and
+    # J = a_J + h with h = (b_J w_J) u and bound h e_J, where u is J's
+    # plateau term on the plateau and y elsewhere
+    y, af, bf, aj, bj = ended
+    kind = (3 - 2 * (y <= 0.0) - (y >= 1.0)) * ~stopped
+    w_f, e_f, w_j, e_j = np.array([[0.5, 0.0, 1.0, q], [0.5, 0.0, 0.0, 0.0],
+                                   [0.5, 1.0, j1, 1.0], [1.0, 0.0, 0.0, 0.0]]).take(kind, axis=1)
+    np.copyto(y, i1 + (y - ONE_THIRD) * q, where=kind == 3)
+    bj *= w_j
+    bj *= y
+    w_f *= bf
+    af += w_f
+    np.abs(bf, out=bf)
+    bf *= e_f
+    aj += bj
+    e_j *= bj
+    out = np.empty((4, n))
+    for row, vals in zip(out, (af, bf, aj, e_j)):
+        row[at] = vals
+    return out
 
 
 def _branch_many(params: PSingularParams, xs, tol_f: float, tol_j: float, max_depth: int,
-                 upper, lower, relative: bool = False) -> np.ndarray:
+                 upper, lower, relative: bool = False, scale: float = 1.0) -> np.ndarray:
     """A quantity over the array xs that, like its scalar form, descends
     from `_reflect(x)` for x >= 1/3 (with the `relative` stop test if
-    asked) and from x itself below 1/3; upper(x, F, J) and lower(x, F, J)
-    turn each slice of the descent into values.  NaN fails x >= 1/3 and
-    goes below, where the descent rejects it; x > 1 reflects below 0,
-    where it is rejected too."""
+    asked) and from x itself below 1/3.  The absolute stop test, wherever
+    it applies, has its tolerances scaled by `scale`.  Both branches share
+    one descent over the combined start points, with `relative` set per
+    point; upper(x, F, J) and lower(x, F, J) turn each slice of it into
+    values.  NaN fails x >= 1/3 and starts from itself, where the descent
+    rejects it; x > 1 reflects below 0, where it is rejected too."""
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     above = flat >= ONE_THIRD
-    for mask, formula, rel in ((above, upper, relative), (~above, lower, False)):
-        x = flat[mask]
-        vals = np.empty(x.size)
-        start = _reflect(x) if formula is upper else x
-        for k, f, _, j, _ in _descend_many(params, start, tol_f, tol_j, max_depth, rel):
-            vals[k] = formula(x[k], f, j)
-        out[mask] = vals
+    start = _reflect(flat)
+    np.copyto(start, flat, where=~above)
+    for k, f, _, j, _ in _descend_many(params, start, tol_f, tol_j, max_depth,
+                                       above & relative, scale):
+        out[k] = np.where(above[k], upper(flat[k], f, j), lower(flat[k], f, j))
     return out.reshape(xs.shape)
 
 
@@ -371,3 +423,16 @@ def gap_intervals(max_level: int) -> list[tuple[float, float]]:
         gaps.extend(level)
     gaps.sort()
     return [(float(a), float(b)) for a, b in gaps]
+
+
+@functools.lru_cache(maxsize=8)
+def gap_grid(grid_n: int, gap_level: int = 8) -> np.ndarray:
+    """The sorted union of grid_n evenly spaced points on [0, 1] and the
+    rounded endpoints of every gap of level <= gap_level: the points where
+    the uniqueness scan, the pricing check and `plot-data --what mrl`
+    evaluate.  Built once per argument pair, so the array is read-only.
+    """
+    xs = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_n),
+                                   np.ravel(gap_intervals(gap_level)))))
+    xs.flags.writeable = False
+    return xs

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
-                           PSingularParams, gap_intervals)
+                           PSingularParams, gap_grid)
 from .errors import ConvergenceError, ParameterError
 from .mrl import mrl, mrl_many
 
@@ -88,9 +88,7 @@ def verify_uniqueness(params: PSingularParams, grid_n: int,
 
 def _sign_change_scan(params: PSingularParams, grid_n: int, config: EvalConfig,
                       root: float, gap_level: int = 8, strict: bool = False) -> int:
-    grid = np.linspace(0.0, 1.0, grid_n)
-    ends = np.array([e for gap in gap_intervals(gap_level) for e in gap])
-    xs = np.unique(np.concatenate((grid, ends, [ONE_THIRD, TWO_THIRDS])))
+    xs = gap_grid(grid_n, gap_level)
     xs = xs[xs < 1.0]  # m(1) = 0 by definition, not informative for the scan
     g = mrl_many(params, xs, config) - xs
 

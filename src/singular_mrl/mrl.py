@@ -11,8 +11,10 @@ test: it ends once the brackets of F and J are both within the tolerance
 times the running midpoint of F.  The quotient's bound (e_J + m e_F) / F
 is then at most (1 + m) tolerance <= 2 tolerance in a single pass, however
 small the survival probability F(1-x) gets as x -> 1.
-For x < 1/3 the direct form [(1-x) - (J(1) - J(x))] / (1 - F(x)) is safe
-with absolute tolerances because the denominator stays >= p/(p+1).
+For x < 1/3 the direct form [(1-x) - (J(1) - J(x))] / (1 - F(x)) is used.
+Its denominator stays >= p/(p+1) but can be small for small p, so F and J
+are descended with absolute tolerances scaled by p/(p+1); the quotient's
+bound is then again at most (1 + m) tolerance <= 2 tolerance.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
             # survival underflowed (or x = 1); m is bounded by 1 - x
             return MrlValue(0.0, x, params.p, 1.0 - x)
     else:
-        f, den_bound, j, num_bound = _descend(params, x, tol, tol, config.max_depth)
+        f, den_bound, j, num_bound = _descend(params, x, tol, tol, config.max_depth,
+                                              scale=params.right_mass)
         den = 1.0 - f
         num = (1.0 - x) - ((1.0 - mean(params)) - j)
     value = num / den
@@ -76,4 +79,5 @@ def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
     return _branch_many(
         params, xs, tol, tol, config.max_depth,
         upper=lambda x, f, j: np.divide(j, f, out=np.zeros_like(f), where=f > 0.0),
-        lower=lambda x, f, j: ((1.0 - x) - (j1 - j)) / (1.0 - f), relative=True)
+        lower=lambda x, f, j: ((1.0 - x) - (j1 - j)) / (1.0 - f),
+        relative=True, scale=params.right_mass)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import distribution as dist
 from . import integration as integ
-from .distribution import EvalConfig, PSingularParams, gap_intervals
+from .distribution import EvalConfig, PSingularParams, gap_grid, gap_intervals
 from .fixedpoint import fixed_point_closed_form, fixed_point_solve, verify_uniqueness
 from .mrl import mrl, mrl_at_one_third, mrl_many
 from .pricing import expected_payoff, payoff_curve
@@ -192,8 +192,7 @@ def check_lemma_sandwich(params, config, rng, n=300):
 def check_pricing(params, config, grid_n=1000):
     fp = fixed_point_solve(params, config, scan_grid_n=0)
     foc = abs(mrl(params, fp.x_star, config).value - fp.x_star)
-    grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_n),
-                                     np.ravel(gap_intervals(8)))))
+    grid = gap_grid(grid_n)
     best = expected_payoff(params, fp.x_star, config)
     curve = payoff_curve(params, grid, config)
     dominance = float(np.max(curve) - best)

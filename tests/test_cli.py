@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from singular_mrl import PSingularParams, gap_intervals, mrl_many
 from singular_mrl.cli import main
 
 
@@ -147,6 +149,14 @@ class TestPlotData:
         run(capsys, "plot-data", "--n-initial", "10", "--iterations", "3",
             "--grid", "100", "--out", str(out_path))
         assert (tmp_path / "fig.cdf.csv").read_text() == cdf_text
+
+    def test_mrl_section_is_the_grid_union_byte_for_byte(self, capsys):
+        # the cached grid is the union plot-data has always evaluated on
+        code, out, _ = run(capsys, "plot-data", "--what", "mrl", "--p", "0.5", "--grid", "200")
+        assert code == 0
+        grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, 200), np.ravel(gap_intervals(8)))))
+        m = mrl_many(PSingularParams(0.5), grid)
+        assert out == "x,m\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(grid.tolist(), m.tolist()))
 
     def test_single_section_uses_out_directly(self, capsys, tmp_path):
         out_path = tmp_path / "cdf.csv"

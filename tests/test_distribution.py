@@ -7,13 +7,22 @@ from hypothesis import strategies as st
 
 from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, ResourceLimitError, cdf, cdf_many,
-                          cdf_integral_many, cdf_with_bound, gap_intervals,
-                          mrl_many, payoff_curve, point_cloud, sample,
-                          survival)
-from singular_mrl.distribution import _CHUNK, _descend, _descend_many
+                          cdf_integral_many, cdf_with_bound, expected_payoff,
+                          gap_intervals, mrl, mrl_many, payoff_curve,
+                          point_cloud, sample, survival)
+from singular_mrl.distribution import _CHUNK, _descend, _descend_many, gap_grid
 
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
+
+# (tol_f, tol_j, relative): F alone, J alone, both, mixed, and the MRL's
+STOP_MODES = [(1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10, False),
+              (1e-6, 1e-12, False), (1e-10, 1e-10, True)]
+
+
+def bits(values):
+    """The IEEE bit patterns of float values, so that equality is bit for bit."""
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def cdf_oracle(p, x, depth=60):
@@ -130,6 +139,50 @@ class TestDescent:
         [(_, *vec)] = _descend_many(params, [x], 1e-10, 1e-10, 100_000, relative)
         assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, 1e-10, 100_000, relative))
 
+    @pytest.mark.parametrize("max_depth", [1, 7])
+    @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
+    def test_twins_agree_under_depth_cap(self, twin_params, twin_points, tol_f, tol_j,
+                                         relative, max_depth):
+        # the loop runs out before the points end, so the vector loop's
+        # exhausted-depth branch writes the brackets
+        for params in twin_params:
+            chunks = list(_descend_many(params, twin_points, tol_f, tol_j, max_depth, relative))
+            vec = np.concatenate([np.stack(c[1:]) for c in chunks], axis=1)
+            scalar = np.array([_descend(params, x, tol_f, tol_j, max_depth, relative)
+                               for x in twin_points.tolist()]).T
+            np.testing.assert_array_equal(bits(vec), bits(scalar))
+
+    @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                       min_size=1, max_size=64),
+           p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), mode=st.sampled_from(STOP_MODES),
+           max_depth=st.sampled_from([1, 7, 100_000]), scale=st.sampled_from([1.0, 0.5, 1e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, mode, max_depth, scale):
+        # the relative test scales finite tolerances only: inf times a
+        # midpoint of F that underflowed to 0 has no value
+        params, (tol_f, tol_j, _) = PSingularParams(p), mode
+        relative = data.draw(st.lists(st.booleans() if math.isfinite(tol_f + tol_j) else st.just(False),
+                                      min_size=len(xs), max_size=len(xs)))
+        [(_, *vec)] = _descend_many(params, xs, tol_f, tol_j, max_depth, np.array(relative), scale)
+        scalar = [_descend(params, x, tol_f, tol_j, max_depth, rel, scale)
+                  for x, rel in zip(xs, relative)]
+        np.testing.assert_array_equal(bits(np.stack(vec)), bits(np.array(scalar).T))
+
+    @pytest.mark.parametrize("p", [0.01, 100.0])
+    def test_branch_quantities_across_chunks(self, p):
+        # one descent over both branches of mrl_many and payoff_curve, over
+        # three slices, equals the scalars; a 2-D input keeps its shape
+        params = PSingularParams(p)
+        xs = np.random.default_rng(11).random(2 * _CHUNK + 1000)
+        m, pay = mrl_many(params, xs), payoff_curve(params, xs)
+        np.testing.assert_array_equal(bits(m), bits([mrl(params, x).value for x in xs.tolist()]))
+        np.testing.assert_array_equal(bits(pay), bits([expected_payoff(params, x)
+                                                       for x in xs.tolist()]))
+        square = xs[:1200].reshape(40, 30)
+        np.testing.assert_array_equal(bits(mrl_many(params, square)), bits(m[:1200].reshape(40, 30)))
+        np.testing.assert_array_equal(bits(payoff_curve(params, square)),
+                                      bits(pay[:1200].reshape(40, 30)))
+
     def test_twins_agree_across_chunks(self):
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
         chunks = list(_descend_many(P2, xs, 1e-10, 1e-10, 100_000))
@@ -244,6 +297,16 @@ class TestGapIntervals:
 
     def test_count(self):
         assert len(gap_intervals(8)) == 2 ** 8 - 1
+
+    def test_gap_grid_is_cached_and_read_only(self):
+        xs = gap_grid(1000)
+        assert gap_grid(1000) is xs
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 0.5
+        ends = [e for gap in gap_intervals(8) for e in gap]
+        np.testing.assert_array_equal(
+            xs, np.unique(np.concatenate((np.linspace(0.0, 1.0, 1000), ends, [1 / 3, 2 / 3]))))
 
     def test_cdf_constant_on_gaps(self):
         for a, b in gap_intervals(4):

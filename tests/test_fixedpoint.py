@@ -42,6 +42,18 @@ class TestSolver:
         assert lo <= fp.x_star <= hi
         assert lo >= 1 / 3 and hi <= 2 / 3
 
+    @pytest.mark.parametrize("p,x_star,residual", [
+        (0.01, 0.49754901960784315, -1.1102230246251565e-16),
+        (1.0, 0.41666666666666663, 1.1102230246251565e-16),
+        (100.0, 0.3756218905472637, 0.0)])
+    def test_unchanged_by_the_cached_scan_grid(self, p, x_star, residual):
+        # the values the solver gave while the scan rebuilt its grid on every
+        # call; the second call reads the cached grid
+        for _ in range(2):
+            fp = fixed_point_solve(PSingularParams(p))
+            assert (fp.x_star, fp.residual, fp.bracket, fp.sign_changes) == (
+                x_star, residual, (x_star, x_star), 1)
+
     def test_scan_populates_sign_changes(self):
         fp = fixed_point_solve(PSingularParams(1.0), scan_grid_n=1000)
         assert fp.sign_changes == 1

@@ -79,11 +79,20 @@ class TestEvaluator:
             np.testing.assert_array_equal(vec, [mrl(params, x).value for x in twin_points])
 
     def test_bound_within_twice_tolerance(self, twin_params, twin_points):
-        # the relative stop test keeps the quotient's bound at <= 2 tolerance
-        # on [1/3, 1), where F(1-x) does not underflow at these points
+        # the quotient's bound stays <= 2 tolerance on [0, 1): on [1/3, 1)
+        # through the relative stop test, where F(1-x) does not underflow at
+        # these points, and below 1/3 through tolerances scaled by p/(p+1)
         for params in twin_params:
-            for x in twin_points[(twin_points >= 1 / 3) & (twin_points < 1.0)]:
+            for x in twin_points[twin_points < 1.0]:
                 assert mrl(params, x).error_bound <= 2e-10
+
+    def test_bound_below_one_third_at_small_p(self):
+        # 1 - F(x) can fall to p/(p+1) below 1/3; unscaled absolute
+        # tolerances gave a bound of 1.04e-9 at the first point
+        params = PSingularParams(0.01)
+        xs = np.random.default_rng(2000).random(2000) / 3.0
+        for x in [0.23159337822711346, *xs.tolist()]:
+            assert mrl(params, x).error_bound <= 2e-10
 
     def test_extreme_p_near_one(self):
         # survival probability ~1e-4 at 0.9998 for p = 100; the relative
