@@ -71,6 +71,8 @@ class EvalConfig:
 
 DEFAULT_CONFIG = EvalConfig()
 
+GAP_LEVEL = 8  # the deepest Cantor gaps whose rounded endpoints `gap_grid` adds
+
 # points per slice of the vector descent: bounds its working set, and is
 # large enough that per-iteration overhead stays amortised
 _CHUNK = 16_384
@@ -117,9 +119,8 @@ def _reflect(x):
     return min(max(z, ONE_THIRD), TWO_THIRDS) if x <= TWO_THIRDS else z
 
 
-def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
-             max_depth: int, relative: bool = False,
-             scale: float = 1.0) -> tuple[float, float, float, float]:
+def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
+             on_j: bool = False, relative: bool = False) -> tuple[float, float, float, float]:
     """F(y) and J(y) from one walk down the ternary structure.
 
     Returns (F, F's error bound, J, J's error bound).  Both are carried as
@@ -129,20 +130,19 @@ def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
     y -> 1-y followed by its forced left step, which together give
     a_J += b_J (J(2/3) - 2/3 - p I1 + y) and b_J *= r/3.  The walk ends
     exactly on the plateau or at an endpoint; otherwise the residuals
-    F(y) in [0, 1] and J(y) in [0, y] bound the error, and it stops once
-    |b_F|/2 <= tol_f scale and b_J y/2 <= tol_j scale (absolute tolerances,
-    inf for a quantity the caller does not use) or, with `relative`, once
-    both are within their (finite) tolerance times the running midpoint of
-    F.  The float path is followed as is: y -> 3y and y -> 3(1-y) round.
+    F(y) in [0, 1] and J(y) in [0, y] bound the error.  It stops once one
+    bracket, |b_F| or with `on_j` b_J y, is <= 2 tol (times F's running
+    midpoint with `relative`); each step scales b_J by at most b_F's
+    factor, so b_J y <= |b_F| and F's test covers J.  The float path is
+    followed as is: y -> 3y and y -> 3(1-y) round.
     """
     q, r = params.left_mass, params.right_mass
     i1, j1, c = _anchors(params)
     shrink, r3 = q / 3.0, r / 3.0
-    lim_f, lim_j = 2.0 * tol_f, 2.0 * tol_j
+    lim = 2.0 * tol
     af, bf, aj, bj = 0.0, 1.0, 0.0, 1.0
     for _ in range(max_depth):
-        s = af + 0.5 * bf if relative else scale
-        if abs(bf) <= lim_f * s and bj * y <= lim_j * s:
+        if (bj * y if on_j else abs(bf)) <= (lim * (af + 0.5 * bf) if relative else lim):
             break
         if y <= 0.0:
             return af, 0.0, aj, 0.0
@@ -164,34 +164,36 @@ def _descend(params: PSingularParams, y: float, tol_f: float, tol_j: float,
     return af + 0.5 * bf, 0.5 * abs(bf), aj + half, half
 
 
-def _descend_many(params: PSingularParams, ys, tol_f: float, tol_j: float,
-                  max_depth: int, relative=False, scale: float = 1.0):
+def _descend_many(params: PSingularParams, ys, tol, max_depth: int,
+                  on_j: bool = False, relative=False):
     """Vector twin of `_descend`, equal to it bit for bit at every point.
 
     Rejects any point outside [0, 1], NaN included, then yields
     (slice, F, F bounds, J, J bounds) for successive _CHUNK-point slices
-    of the flattened `ys`.  `relative` is one flag or a flag per point, so
-    one descent serves points with either stop test; `scale` is that of
-    the absolute test, as in `_descend`.
+    of the flattened `ys`.  `tol` and `relative` are each one value for
+    all points or a flat array with one per point, so one descent serves
+    points with different stop tests.
     """
     ys = np.asarray(ys, dtype=float).ravel()
     if ys.size and not (ys.min() >= 0.0 and ys.max() <= 1.0):
         raise DomainError("all evaluation points must lie in [0, 1]")
-    rel = np.broadcast_to(np.ravel(relative), ys.shape)
     for start in range(0, ys.size, _CHUNK):
         k = slice(start, min(start + _CHUNK, ys.size))
-        yield k, *_descend_slice(params, ys[k], tol_f, tol_j, max_depth, rel[k], scale)
+        tol_k, rel_k = (v[k] if np.ndim(v) else v for v in (tol, relative))
+        yield k, *_descend_slice(params, ys[k], tol_k, max_depth, on_j, rel_k)
 
 
-def _descend_slice(params: PSingularParams, ys: np.ndarray, tol_f: float, tol_j: float,
-                   max_depth: int, rel: np.ndarray, scale: float) -> np.ndarray:
+def _descend_slice(params: PSingularParams, ys: np.ndarray, tol, max_depth: int,
+                   on_j: bool, rel) -> np.ndarray:
     """F, F's bound, J and J's bound at the points ys, as the rows of one
-    array; `rel` flags the points with the relative stop test.
+    array; `tol` and `rel` are scalars or one entry per point.
 
     Each level partitions the live points once with `np.flatnonzero` into
     those that step on and those that end there.  The state of the ending
-    ones is set aside and the rest is compacted with `take`.  The step
-    needs no mask either: with a 0/1 right-step factor R, a_F += R b_F,
+    ones is set aside and the rest is compacted with `take`.  The stop test
+    is one comparison of the chosen bracket with its limit, which costs a
+    multiply-add where the limit is set per point.  The step needs no mask
+    either: with a 0/1 right-step factor R, a_F += R b_F,
     a_J += R b_J (c + y) and y -> 3|R - y|, and the multipliers come from
     two-entry tables.  Once every point has ended, one select over them by
     kind (stopped bracket, y = 0, y = 1 or plateau; a stopped bracket wins,
@@ -201,29 +203,28 @@ def _descend_slice(params: PSingularParams, ys: np.ndarray, tol_f: float, tol_j:
     q, r = params.left_mass, params.right_mass
     i1, j1, c = _anchors(params)
     step_f, step_j = np.array([q, -r]), np.array([q / 3.0, r / 3.0])
-    lim_f, lim_j = 2.0 * tol_f, 2.0 * tol_j
+    lim = 2.0 * tol
     n = ys.size
     idx = np.arange(n)
-    # the state, one row per quantity: y, a_F, b_F, a_J, b_J and, where some
-    # point is relative, R and A of the stop test's scale s = (a_F + b_F/2) R
-    # + A, which is the running midpoint of F where relative (R = 1, A = 0)
-    # and `scale` elsewhere (R = 0, A = scale)
-    per_point = rel.any()
+    # the state, one row per quantity: y, a_F, b_F, a_J, b_J and, where the
+    # stop test differs between points, L and A of the limit (a_F + b_F/2) L
+    # + A: L = 2 tol, A = 0 where relative, and L = 0, A = 2 tol elsewhere
+    per_point = np.ndim(lim) > 0 or np.any(rel)
     state = np.empty((7 if per_point else 5, n))
     state[0] = ys
     state[0] += 0.0  # -0 as +0, so that J's bound at y = 0 is +0 as in `_descend`
     state[1:5] = ((0.0,), (1.0,), (0.0,), (1.0,))
     if per_point:
-        state[5] = rel
-        state[6] = np.where(rel, 0.0, scale)
+        np.multiply(lim, rel, out=state[5])
+        np.subtract(lim, state[5], out=state[6])
     y, af, bf, aj, bj = state[:5]
     # the points in the order they end: where they sit in ys, their final
     # state, and whether the stop test ended them
     at, ended, stopped = np.empty(n, dtype=np.intp), np.empty((5, n)), np.ones(n, dtype=bool)
     done = 0
     for _ in range(max_depth):
-        s = (af + 0.5 * bf) * state[5] + state[6] if per_point else scale
-        stop = (np.abs(bf) <= lim_f * s) & (bj * y <= lim_j * s)
+        width = bj * y if on_j else np.abs(bf)
+        stop = width <= ((af + 0.5 * bf) * state[5] + state[6] if per_point else lim)
         left, right = y < ONE_THIRD, y > TWO_THIRDS
         go = ((left & (y > 0.0)) | (right & (y < 1.0))) & ~stop
         keep = np.flatnonzero(go)
@@ -270,24 +271,34 @@ def _descend_slice(params: PSingularParams, ys: np.ndarray, tol_f: float, tol_j:
     return out
 
 
-def _branch_many(params: PSingularParams, xs, tol_f: float, tol_j: float, max_depth: int,
-                 upper, lower, relative: bool = False, scale: float = 1.0) -> np.ndarray:
-    """A quantity over the array xs that, like its scalar form, descends
-    from `_reflect(x)` for x >= 1/3 (with the `relative` stop test if
-    asked) and from x itself below 1/3.  The absolute stop test, wherever
-    it applies, has its tolerances scaled by `scale`.  Both branches share
-    one descent over the combined start points, with `relative` set per
-    point; upper(x, F, J) and lower(x, F, J) turn each slice of it into
-    values.  NaN fails x >= 1/3 and starts from itself, where the descent
-    rejects it; x > 1 reflects below 0, where it is rejected too."""
+def _branch(params: PSingularParams, x: float, tol_above: float, tol_below: float,
+            max_depth: int, on_j: bool = False,
+            relative: bool = False) -> tuple[bool, float, float, float, float]:
+    """(x >= 1/3, F, F's bound, J, J's bound) for a quantity that descends
+    from `_reflect(x)` at `tol_above` (`relative` if asked) for x >= 1/3
+    and from x itself at `tol_below` below; `on_j` as in `_descend`."""
+    if x >= ONE_THIRD:
+        return True, *_descend(params, _reflect(x), tol_above, max_depth, on_j, relative)
+    return False, *_descend(params, x, tol_below, max_depth, on_j)
+
+
+def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float,
+                 max_depth: int, upper, lower, on_j: bool = False,
+                 relative: bool = False) -> np.ndarray:
+    """Vector twin of `_branch`: both branches share one descent over the
+    combined start points, with each point's tolerance and `relative` flag
+    those of its branch, and upper(x, F, J) and lower(x, F, J) turn each
+    slice of it into values.  NaN fails x >= 1/3 and starts from itself,
+    where the descent rejects it; x > 1 reflects below 0, where it is
+    rejected too."""
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     above = flat >= ONE_THIRD
     start = _reflect(flat)
     np.copyto(start, flat, where=~above)
-    for k, f, _, j, _ in _descend_many(params, start, tol_f, tol_j, max_depth,
-                                       above & relative, scale):
+    tol = tol_above if tol_above == tol_below else np.where(above, tol_above, tol_below)
+    for k, f, _, j, _ in _descend_many(params, start, tol, max_depth, on_j, above & relative):
         out[k] = np.where(above[k], upper(flat[k], f, j), lower(flat[k], f, j))
     return out.reshape(xs.shape)
 
@@ -299,8 +310,7 @@ def cdf_with_bound(params: PSingularParams, x: float, config: EvalConfig = DEFAU
     is 0 where the walk ends on a plateau or an endpoint, else <=
     config.tolerance unless the depth cap cut it short.
     """
-    f, bound, _, _ = _descend(params, _check_unit_interval(x), config.tolerance,
-                              math.inf, config.max_depth)
+    f, bound, _, _ = _descend(params, _check_unit_interval(x), config.tolerance, config.max_depth)
     return f, bound
 
 
@@ -313,7 +323,7 @@ def cdf_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
     """Vectorized F_p over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
-    for k, f, _, _, _ in _descend_many(params, xs, config.tolerance, math.inf, config.max_depth):
+    for k, f, _, _, _ in _descend_many(params, xs, config.tolerance, config.max_depth):
         out[k] = f
     return out.reshape(xs.shape)
 
@@ -326,12 +336,10 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
     keeps full relative accuracy near the right endpoint, where the naive
     difference would cancel catastrophically.
     """
-    x = _check_unit_interval(x)
-    tol = config.tolerance
-    if x >= ONE_THIRD:
-        p = params.p
-        return p * _descend(params, _reflect(x), min(tol, tol / p), math.inf, config.max_depth)[0]
-    return 1.0 - _descend(params, x, tol, math.inf, config.max_depth)[0]
+    tol, p = config.tolerance, params.p
+    above, f, _, _, _ = _branch(params, _check_unit_interval(x), min(tol, tol / p), tol,
+                                config.max_depth)
+    return p * f if above else 1.0 - f
 
 
 def sample(params: PSingularParams, rng_seed: int, n: int, levels: int = 50) -> np.ndarray:
@@ -426,13 +434,13 @@ def gap_intervals(max_level: int) -> list[tuple[float, float]]:
 
 
 @functools.lru_cache(maxsize=8)
-def gap_grid(grid_n: int, gap_level: int = 8) -> np.ndarray:
+def gap_grid(grid_n: int) -> np.ndarray:
     """The sorted union of grid_n evenly spaced points on [0, 1] and the
-    rounded endpoints of every gap of level <= gap_level: the points where
+    rounded endpoints of every gap of level <= GAP_LEVEL: the points where
     the uniqueness scan, the pricing check and `plot-data --what mrl`
-    evaluate.  Built once per argument pair, so the array is read-only.
+    evaluate.  Built once per grid size, so the array is read-only.
     """
     xs = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_n),
-                                   np.ravel(gap_intervals(gap_level)))))
+                                   np.ravel(gap_intervals(GAP_LEVEL)))))
     xs.flags.writeable = False
     return xs

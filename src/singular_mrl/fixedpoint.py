@@ -50,7 +50,8 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison and
     `sign_changes` from a uniqueness scan over [0, 1] with `scan_grid_n`
     grid points (set scan_grid_n=0 to skip the scan; sign_changes is
-    then -1).
+    then -1).  Any other scan_grid_n below 100 raises ParameterError, as
+    in `verify_uniqueness`.
     """
     m = mrl(params, ONE_THIRD, config)
     x_star = 0.5 * (m.value + ONE_THIRD)
@@ -60,35 +61,33 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
             "the MRL evaluator is inconsistent")
     half = 0.5 * m.error_bound
     residual = mrl(params, x_star, config).value - x_star
-    if scan_grid_n > 0:
-        changes = _sign_change_scan(params, max(scan_grid_n, 100), config, x_star)
-    else:
-        changes = -1
+    changes = _sign_change_scan(params, scan_grid_n, config, x_star) if scan_grid_n else -1
     return FixedPointResult(x_star=x_star, residual=residual, bracket=(x_star - half, x_star + half),
                             closed_form=fixed_point_closed_form(params),
                             sign_changes=changes)
 
 
 def verify_uniqueness(params: PSingularParams, grid_n: int,
-                      config: EvalConfig = DEFAULT_CONFIG, gap_level: int = 8) -> int:
-    """Count sign changes of m(x) - x on a grid over [0, 1].
+                      config: EvalConfig = DEFAULT_CONFIG) -> int:
+    """Count sign changes of m(x) - x on a grid of grid_n >= 100 points
+    over [0, 1].
 
-    The uniform grid is augmented with Cantor-gap endpoints up to
-    `gap_level`, where the non-monotone jumps of m occur.  Contract:
+    The uniform grid is augmented with the Cantor-gap endpoints of
+    `gap_grid`, where the non-monotone jumps of m occur.  Contract:
     exactly one sign change, with m(x) - x > 0 on [0, 1/3] and < 0 on
     (2/3, 1).  Raises ConvergenceError if either side check fails or if
     an indeterminate sign (|g| below tolerance) appears away from the
     solved root.
     """
-    if grid_n < 100:
-        raise ParameterError(f"grid_n must be >= 100, got {grid_n}")
     root = fixed_point_solve(params, config, scan_grid_n=0).x_star
-    return _sign_change_scan(params, grid_n, config, root, gap_level, strict=True)
+    return _sign_change_scan(params, grid_n, config, root, strict=True)
 
 
 def _sign_change_scan(params: PSingularParams, grid_n: int, config: EvalConfig,
-                      root: float, gap_level: int = 8, strict: bool = False) -> int:
-    xs = gap_grid(grid_n, gap_level)
+                      root: float, strict: bool = False) -> int:
+    if grid_n < 100:
+        raise ParameterError(f"the uniqueness scan needs >= 100 grid points, got {grid_n}")
+    xs = gap_grid(grid_n)
     xs = xs[xs < 1.0]  # m(1) = 0 by definition, not informative for the scan
     g = mrl_many(params, xs, config) - xs
 

@@ -16,7 +16,6 @@ the pair is exactly one F right step x -> 3(1 - x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,8 @@ def cdf_integral(params: PSingularParams, x: float, config: EvalConfig = DEFAULT
     The residual subproblem J(y) lies in [0, y], so b_J y bounds the
     remaining width and the midpoint is returned on truncation.
     """
-    _, _, j, bound = _descend(params, _check_unit_interval(x), math.inf,
-                              config.tolerance, config.max_depth)
+    _, _, j, bound = _descend(params, _check_unit_interval(x), config.tolerance,
+                              config.max_depth, on_j=True)
     return IntegralValue(j, bound)
 
 
@@ -51,6 +50,6 @@ def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_
     """Vectorized J over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
-    for k, _, _, j, _ in _descend_many(params, xs, math.inf, config.tolerance, config.max_depth):
+    for k, _, _, j, _ in _descend_many(params, xs, config.tolerance, config.max_depth, on_j=True):
         out[k] = j
     return out.reshape(xs.shape)

@@ -9,14 +9,12 @@ price.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, ONE_THIRD, EvalConfig,
-                           PSingularParams, _branch_many, _check_unit_interval,
-                           _descend, _reflect, mean)
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
+                           _branch, _branch_many, _check_unit_interval, mean)
 from .errors import ParameterError
 from .fixedpoint import FixedPointResult, fixed_point_solve
 
@@ -33,22 +31,22 @@ class PricingResult:
 def expected_payoff(params: PSingularParams, price: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """Pi(price) = price * E(X - price)_+ for price in [0, 1]."""
     price = _check_unit_interval(price)
-    if price >= ONE_THIRD:
+    tol = config.tolerance
+    above, _, _, j, _ = _branch(params, price, tol, tol, config.max_depth, on_j=True)
+    if above:
         # E(X - price)_+ = int_price^1 (1 - F); the reflection identity
         # 1 - F(u) = p F(1-u) makes it p J(1 - price), free of cancellation
-        j = _descend(params, _reflect(price), math.inf, config.tolerance, config.max_depth)[2]
         return price * (params.p * j)
-    j = _descend(params, price, math.inf, config.tolerance, config.max_depth)[2]
     return price * ((1.0 - price) - ((1.0 - mean(params)) - j))
 
 
 def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized Pi over an array of prices in [0, 1], equal to
     `expected_payoff` at every price."""
-    p, j1 = params.p, 1.0 - mean(params)
-    return _branch_many(params, prices, math.inf, config.tolerance, config.max_depth,
+    p, j1, tol = params.p, 1.0 - mean(params), config.tolerance
+    return _branch_many(params, prices, tol, tol, config.max_depth,
                         upper=lambda x, f, j: x * (p * j),
-                        lower=lambda x, f, j: x * ((1.0 - x) - (j1 - j)))
+                        lower=lambda x, f, j: x * ((1.0 - x) - (j1 - j)), on_j=True)
 
 
 def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,

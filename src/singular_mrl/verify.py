@@ -120,13 +120,12 @@ def check_gap_slope(params, config, level=6, samples=5):
     # reference and sample points are taken strictly inside each gap:
     # the float nearest a gap edge can fall just outside the real gap,
     # where F (hence m) genuinely moves by far more than the tolerance
-    worst = 0.0
-    for a, b in gap_intervals(level):
-        lo, hi = np.nextafter(a, 1.0), np.nextafter(b, 0.0)
-        xs = np.concatenate(([lo], np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), samples), [hi]))
-        m0 = mrl(params, xs[0], config).value
-        for x in xs[1:]:
-            worst = max(worst, abs(mrl(params, x, config).value - (m0 - (x - xs[0]))))
+    a, b = np.array(gap_intervals(level)).T
+    xs = np.column_stack((np.nextafter(a, 1.0),
+                          np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), samples, axis=1),
+                          np.nextafter(b, 0.0)))
+    m = mrl_many(params, xs, config)
+    worst = float(np.max(np.abs(m[:, 1:] - (m[:, :1] - (xs[:, 1:] - xs[:, :1])))))
     ok = worst <= 2.0 * config.tolerance
     return _result(f"slope -1 on gap intervals (p={params.p})", ok, f"max deviation {worst:.3e}")
 
@@ -172,19 +171,16 @@ def check_uniqueness(params, config, grid_n=1000):
 
 def check_lemma_sandwich(params, config, rng, n=300):
     slack = 4.0 * config.tolerance
-    worst = 0.0
-    for _ in range(n):
-        y = rng.random()
-        delta = rng.random() * 0.5 + 1e-9
-        gy = mrl(params, y, config).value - y
-        # (i): g(x) > g(y) - 2 delta for y <= x < y + delta
-        x_hi = min(y + rng.random() * delta * 0.999, 1.0)
-        g_hi = mrl(params, x_hi, config).value - x_hi
-        worst = min(worst, g_hi - (gy - 2.0 * delta))
-        # (ii): g(x) < g(y) + 2 delta for y - delta < x <= y
-        x_lo = max(y - rng.random() * delta * 0.999, 0.0)
-        g_lo = mrl(params, x_lo, config).value - x_lo
-        worst = min(worst, (gy + 2.0 * delta) - g_lo)
+    y, delta, u_hi, u_lo = rng.random((n, 4)).T
+    delta = delta * 0.5 + 1e-9
+    x_hi = np.minimum(y + u_hi * delta * 0.999, 1.0)
+    x_lo = np.maximum(y - u_lo * delta * 0.999, 0.0)
+    xs = np.stack((y, x_hi, x_lo))
+    gy, g_hi, g_lo = mrl_many(params, xs, config) - xs
+    # (i): g(x) > g(y) - 2 delta for y <= x < y + delta
+    # (ii): g(x) < g(y) + 2 delta for y - delta < x <= y
+    worst = min(0.0, float(np.min(g_hi - (gy - 2.0 * delta))),
+                float(np.min((gy + 2.0 * delta) - g_lo)))
     ok = worst >= -slack
     return _result(f"MRL sandwich inequalities (p={params.p})", ok, f"min margin {worst:.3e}")
 

@@ -106,6 +106,11 @@ class TestFixpointAndPricing:
         assert payload["closed_form"] == pytest.approx(5 / 12, abs=1e-15)
         assert payload["sign_changes"] == 1
 
+    def test_fixpoint_rejects_small_grid(self, capsys):
+        code, out, err = run(capsys, "fixpoint", "--p", "1", "--grid", "50")
+        assert code == 4
+        assert out == "" and "parameter error" in err
+
     def test_price(self, capsys):
         code, out, _ = run(capsys, "price", "--p", "1", "--format", "json")
         assert code == 0

@@ -15,9 +15,31 @@ from singular_mrl.distribution import _CHUNK, _descend, _descend_many, gap_grid
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
 
-# (tol_f, tol_j, relative): F alone, J alone, both, mixed, and the MRL's
+# stop requests (tol_f, tol_j, relative), inf where a bracket is not asked
+# for: F alone and J alone at 1e-10, both at 1e-10, F at 1e-6 with J at
+# 1e-12, and the relative test at 1e-10
 STOP_MODES = [(1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10, False),
               (1e-6, 1e-12, False), (1e-10, 1e-10, True)]
+
+
+def descents(tol_f, tol_j, relative):
+    """The (tol, on_j, relative) stop tests that meet a request: the kernel
+    checks one bracket per descent, so a request runs one per finite
+    tolerance."""
+    return [(tol, on_j, relative) for tol, on_j in ((tol_f, False), (tol_j, True))
+            if tol < math.inf]
+
+
+def twins(params, xs, max_depth, tol_f, tol_j, relative):
+    """F, J and both bounds from the vector and from the scalar loop, each
+    as one array per request."""
+    vec, scalar = [], []
+    for tol, on_j, rel in descents(tol_f, tol_j, relative):
+        chunks = _descend_many(params, xs, tol, max_depth, on_j, rel)
+        vec.append(np.concatenate([np.stack(c[1:]) for c in chunks], axis=1))
+        scalar.append(np.array([_descend(params, x, tol, max_depth, on_j, rel)
+                                for x in xs.tolist()]).T)
+    return np.stack(vec), np.stack(scalar)
 
 
 def bits(values):
@@ -119,16 +141,11 @@ class TestCdf:
 
 
 class TestDescent:
-    @pytest.mark.parametrize("tol_f,tol_j,relative", [
-        (1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10, False),
-        (1e-6, 1e-12, False), (1e-10, 1e-10, True)])
+    @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
     def test_twins_agree_bit_for_bit(self, twin_params, twin_points, tol_f, tol_j, relative):
         # F, J and both error bounds, from the scalar and the vector loop
         for params in twin_params:
-            chunks = list(_descend_many(params, twin_points, tol_f, tol_j, 100_000, relative))
-            vec = np.concatenate([np.stack(c[1:]) for c in chunks], axis=1)
-            scalar = np.array([_descend(params, x, tol_f, tol_j, 100_000, relative)
-                               for x in twin_points.tolist()]).T
+            vec, scalar = twins(params, twin_points, 100_000, tol_f, tol_j, relative)
             np.testing.assert_array_equal(vec, scalar)
 
     @given(x=st.floats(min_value=0.0, max_value=1.0),
@@ -136,8 +153,8 @@ class TestDescent:
     @settings(max_examples=200, deadline=None)
     def test_twins_agree_on_any_double(self, x, p, relative):
         params = PSingularParams(p)
-        [(_, *vec)] = _descend_many(params, [x], 1e-10, 1e-10, 100_000, relative)
-        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, 1e-10, 100_000, relative))
+        [(_, *vec)] = _descend_many(params, [x], 1e-10, 100_000, relative=relative)
+        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, 100_000, relative=relative))
 
     @pytest.mark.parametrize("max_depth", [1, 7])
     @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
@@ -146,27 +163,55 @@ class TestDescent:
         # the loop runs out before the points end, so the vector loop's
         # exhausted-depth branch writes the brackets
         for params in twin_params:
-            chunks = list(_descend_many(params, twin_points, tol_f, tol_j, max_depth, relative))
-            vec = np.concatenate([np.stack(c[1:]) for c in chunks], axis=1)
-            scalar = np.array([_descend(params, x, tol_f, tol_j, max_depth, relative)
-                               for x in twin_points.tolist()]).T
+            vec, scalar = twins(params, twin_points, max_depth, tol_f, tol_j, relative)
             np.testing.assert_array_equal(bits(vec), bits(scalar))
 
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
-           p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), mode=st.sampled_from(STOP_MODES),
-           max_depth=st.sampled_from([1, 7, 100_000]), scale=st.sampled_from([1.0, 0.5, 1e-3]))
+           p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), on_j=st.booleans(),
+           max_depth=st.sampled_from([1, 7, 100_000]))
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, mode, max_depth, scale):
-        # the relative test scales finite tolerances only: inf times a
-        # midpoint of F that underflowed to 0 has no value
-        params, (tol_f, tol_j, _) = PSingularParams(p), mode
-        relative = data.draw(st.lists(st.booleans() if math.isfinite(tol_f + tol_j) else st.just(False),
-                                      min_size=len(xs), max_size=len(xs)))
-        [(_, *vec)] = _descend_many(params, xs, tol_f, tol_j, max_depth, np.array(relative), scale)
-        scalar = [_descend(params, x, tol_f, tol_j, max_depth, rel, scale)
-                  for x, rel in zip(xs, relative)]
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, max_depth):
+        # a tolerance and a relative flag per point, as `_branch_many` sets them
+        params = PSingularParams(p)
+        tol = data.draw(st.lists(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]),
+                                 min_size=len(xs), max_size=len(xs)))
+        relative = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+        [(_, *vec)] = _descend_many(params, xs, np.array(tol), max_depth, on_j, np.array(relative))
+        scalar = [_descend(params, x, t, max_depth, on_j, rel)
+                  for x, t, rel in zip(xs, tol, relative)]
         np.testing.assert_array_equal(bits(np.stack(vec)), bits(np.array(scalar).T))
+
+    @given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from([0.01, 1.0, 7.0, 100.0]),
+           max_depth=st.sampled_from([1, 7, 100_000]), on_j=st.booleans(), relative=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_j_bound_within_f_bound(self, x, p, max_depth, on_j, relative):
+        # every step scales J's bracket by at most F's factor, and y <= 1,
+        # so a test on F's bracket alone bounds J as well
+        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, max_depth, on_j, relative)
+        assert j_bound <= f_bound
+
+    @pytest.mark.parametrize("p,x,values", [
+        (0.01, 0.3, (0.01951266862944645, 0.3690294520875967, 8.3918660180446e-12,
+                     0.0021602248287300617)),
+        (0.01, 0.4, (0.009900990099009901, 0.5950980392156862, 0.0, 0.002356823917685886)),
+        (0.01, 1 - 1e-9, (0.008277399150406683, 9.87347154111631e-10, 0.0,
+                          8.172666486427405e-12)),
+        (1.0, 0.3, (0.6000000000349246, 0.44761904761470506, 2.1712381451427677e-11,
+                    0.08057142858265089)),
+        (1.0, 1 - 1e-9, (1.9073486328125e-06, 5.698041730992018e-10, 0.0,
+                         6.249999816987929e-11)),
+        (100.0, 0.3, (0.9901951267315589, 0.45120053821420647, 2.0833895139318987e-11,
+                      0.13403297223588756)),
+        (100.0, 0.4, (0.9900990099009901, 0.35124378109452736, 0.0, 0.13910644795822866)),
+        (100.0, 1 - 1e-9, (4.710226176271034e-11, 3.579166901973728e-10, 0.0,
+                           4.950494904544894e-10))])
+    def test_reflected_quantities_pinned(self, p, x, values):
+        # survival, m with its bound and the payoff, as they were while each
+        # scalar branched at 1/3 on its own and the kernel took two tolerances
+        params = PSingularParams(p)
+        m = mrl(params, x)
+        assert (survival(params, x), m.value, m.error_bound, expected_payoff(params, x)) == values
 
     @pytest.mark.parametrize("p", [0.01, 100.0])
     def test_branch_quantities_across_chunks(self, p):
@@ -185,7 +230,7 @@ class TestDescent:
 
     def test_twins_agree_across_chunks(self):
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
-        chunks = list(_descend_many(P2, xs, 1e-10, 1e-10, 100_000))
+        chunks = list(_descend_many(P2, xs, 1e-10, 100_000))
         assert [c[0] for c in chunks] == [slice(0, _CHUNK), slice(_CHUNK, 2 * _CHUNK),
                                           slice(2 * _CHUNK, xs.size)]
         f = np.concatenate([c[1] for c in chunks])

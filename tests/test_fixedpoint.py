@@ -54,6 +54,13 @@ class TestSolver:
             assert (fp.x_star, fp.residual, fp.bracket, fp.sign_changes) == (
                 x_star, residual, (x_star, x_star), 1)
 
+    @pytest.mark.parametrize("scan_grid_n", [50, 1, -1])
+    def test_rejects_small_scan_grid(self, scan_grid_n):
+        # the scan needs the same >= 100 points as `verify_uniqueness`; only
+        # 0 skips it
+        with pytest.raises(ParameterError):
+            fixed_point_solve(PSingularParams(1.0), scan_grid_n=scan_grid_n)
+
     def test_scan_populates_sign_changes(self):
         fp = fixed_point_solve(PSingularParams(1.0), scan_grid_n=1000)
         assert fp.sign_changes == 1
