@@ -351,7 +351,9 @@ def sample(params: PSingularParams, rng_seed: int, n: int, levels: int = 50) -> 
     pair, so the right branch is a *reflected* copy -- the digit
     processes are not independent for p != 1.  After `levels` steps the
     draw is pinned to an interval of width 3^-levels (~1.4e-24 for 50)
-    and its midpoint is returned.  Deterministic given the seed.
+    and its midpoint is returned.  Deterministic given the seed.  The
+    fixed depth limits small p: at p=0.01, q^50 = 0.608 of the mass lands
+    on the single value 0.5 * 3^-50 ~ 7e-25, so the draws fail a DKW test.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -439,7 +441,10 @@ def gap_grid(grid_n: int) -> np.ndarray:
     rounded endpoints of every gap of level <= GAP_LEVEL: the points where
     the uniqueness scan, the pricing check and `plot-data --what mrl`
     evaluate.  Built once per grid size, so the array is read-only.
+    grid_n = 0 gives the gap endpoints alone.
     """
+    if grid_n < 0:
+        raise ParameterError(f"grid_n must be >= 0, got {grid_n}")
     xs = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_n),
                                    np.ravel(gap_intervals(GAP_LEVEL)))))
     xs.flags.writeable = False

@@ -54,8 +54,10 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
     """Optimal price = the MRL fixed point, with its payoff.
 
     If curve_points is given, attaches Pi over that many evenly spaced
-    prices for plotting / dominance checks.
+    prices for plotting / dominance checks (0 attaches an empty curve).
     """
+    if curve_points is not None and curve_points < 0:
+        raise ParameterError(f"curve_points must be >= 0, got {curve_points}")
     fp = fixed_point_solve(params, config)
     price = fp.x_star
     payoff = expected_payoff(params, price, config)

@@ -1,9 +1,11 @@
-"""Self-contained invariant suite behind the `verify` CLI subcommand.
+"""The invariant checks behind `singular-mrl verify` and the acceptance gate.
 
-Each check returns a CheckResult; `run_all` collects them so the CLI and
-CI share one entry point.  The checks cross-validate the deterministic
-evaluators against closed forms, functional-equation residuals, Monte
-Carlo sampling, and grid dominance of the pricing objective.
+Each check returns a CheckResult.  `run_all` collects them for `verify`;
+the acceptance gate and the unit tests call the same checks with their own
+p values, seeds, sample sizes and grids.  The checks cross-validate the
+deterministic evaluators against closed forms, functional-equation
+residuals, Monte Carlo sampling, and grid dominance of the pricing
+objective.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import distribution as dist
 from . import integration as integ
 from .distribution import EvalConfig, PSingularParams, gap_grid, gap_intervals
-from .fixedpoint import fixed_point_closed_form, fixed_point_solve, verify_uniqueness
+from .fixedpoint import fixed_point_solve, verify_uniqueness
 from .mrl import mrl, mrl_at_one_third, mrl_many
 from .pricing import expected_payoff, payoff_curve
 
@@ -50,6 +52,8 @@ def check_functional_equation_i(params, config, rng, n=2000):
 
 
 def check_functional_equation_ii(params, config, rng, n=2000):
+    # the reflection condition pins F on [1/3, 1] from [0, 2/3];
+    # for p != 1 it only holds with x restricted to [0, 2/3]
     hi = 1.0 if params.p == 1.0 else 2.0 / 3.0
     xs = rng.random(n) * hi
     inner = EvalConfig(tolerance=config.tolerance / (1.0 + params.p), max_depth=config.max_depth)
@@ -147,7 +151,8 @@ def check_boundary(params, config):
 
 def check_fixed_point_bounds(config):
     ps = np.logspace(-3, 3, 25)
-    stars = np.array([fixed_point_closed_form(PSingularParams(p)) for p in ps])
+    stars = np.array([fixed_point_solve(PSingularParams(p), config, scan_grid_n=0).x_star
+                      for p in ps])
     ok = bool(np.all(stars > 0.375) and np.all(stars < 0.5) and np.all(np.diff(stars) < 0))
     return _result("x*(p) in (3/8, 1/2), decreasing", ok,
                    f"range [{stars.min():.6f}, {stars.max():.6f}]")
@@ -171,7 +176,7 @@ def check_uniqueness(params, config, grid_n=1000):
 
 def check_lemma_sandwich(params, config, rng, n=300):
     slack = 4.0 * config.tolerance
-    y, delta, u_hi, u_lo = rng.random((n, 4)).T
+    y, delta, u_hi, u_lo = rng.random((4, n))
     delta = delta * 0.5 + 1e-9
     x_hi = np.minimum(y + u_hi * delta * 0.999, 1.0)
     x_lo = np.maximum(y - u_lo * delta * 0.999, 0.0)
@@ -179,7 +184,7 @@ def check_lemma_sandwich(params, config, rng, n=300):
     gy, g_hi, g_lo = mrl_many(params, xs, config) - xs
     # (i): g(x) > g(y) - 2 delta for y <= x < y + delta
     # (ii): g(x) < g(y) + 2 delta for y - delta < x <= y
-    worst = min(0.0, float(np.min(g_hi - (gy - 2.0 * delta))),
+    worst = min(float(np.min(g_hi - (gy - 2.0 * delta))),
                 float(np.min((gy + 2.0 * delta) - g_lo)))
     ok = worst >= -slack
     return _result(f"MRL sandwich inequalities (p={params.p})", ok, f"min margin {worst:.3e}")
@@ -197,11 +202,12 @@ def check_pricing(params, config, grid_n=1000):
                    f"|FOC| {foc:.3e}, max dominance gap {dominance:.3e}")
 
 
-def check_pricing_mc(params, config, seed, n=1_000_000, n_prices=10):
-    rng = np.random.default_rng(seed)
+def check_pricing_mc(params, config, seed, n=1_000_000, prices=None):
+    if prices is None:
+        prices = np.random.default_rng(seed).random(10)
     draws = dist.sample(params, seed + 1, n)
-    worst = 0.0
-    for price in rng.random(n_prices):
+    worst = -math.inf
+    for price in prices:
         payoff = price * np.maximum(draws - price, 0.0)
         se = float(payoff.std(ddof=1)) / math.sqrt(n)
         dev = abs(float(payoff.mean()) - expected_payoff(params, price, config))

@@ -4,20 +4,23 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines inline;
 plain `pytest` captures them but still enforces every assertion.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from singular_mrl import (EvalConfig, PSingularParams, ResourceLimitError,
-                          cdf_many, expected_payoff, fixed_point_closed_form,
-                          fixed_point_solve, gap_intervals, mrl,
-                          mrl_at_one_third, mrl_many, payoff_curve,
-                          point_cloud, sample, verify_uniqueness)
+                          cdf_many, fixed_point_closed_form, fixed_point_solve,
+                          gap_intervals, mrl, mrl_at_one_third, mrl_many,
+                          point_cloud)
 from singular_mrl.integration import cdf_integral, mean
+from singular_mrl.verify import (check_functional_equation_i,
+                                 check_functional_equation_ii, check_gap_slope,
+                                 check_lemma_sandwich, check_mc_mean,
+                                 check_pricing, check_pricing_mc,
+                                 check_uniqueness)
 
 P_FAMILY = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
+CONFIG = EvalConfig(tolerance=1e-10)
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -25,6 +28,12 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[{status}] criterion {number}: {description}{suffix}")
     assert ok, f"criterion {number} failed: {description}{suffix}"
+
+
+def _checked(results) -> tuple[bool, str]:
+    """Whether every `verify` check passed, and their details on one line."""
+    return (all(r.passed for r in results),
+            "; ".join(f"{r.name}: {r.detail}" for r in results))
 
 
 def test_criterion_01_fixed_point_p1():
@@ -72,84 +81,37 @@ def test_criterion_04_mean_identities():
     for p in P_FAMILY:
         params = PSingularParams(p)
         worst = max(worst, abs(mean(params) - (1.0 - cdf_integral(params, 1.0).value)))
-    n = 10 ** 6
-    mc_ok = True
-    mc_detail = []
-    for p in (0.5, 1.0, 2.0):
-        params = PSingularParams(p)
-        draws = sample(params, 20240 + int(10 * p), n)
-        se = float(draws.std(ddof=1)) / math.sqrt(n)
-        dev = abs(float(draws.mean()) - mean(params))
-        mc_ok &= dev <= 4.0 * se
-        mc_detail.append(f"p={p}: {dev / se:.2f} SE")
+    mc_ok, mc_detail = _checked([check_mc_mean(PSingularParams(p), CONFIG, 20240 + int(10 * p))
+                                 for p in (0.5, 1.0, 2.0)])
     ok = worst <= 1e-10 and mc_ok
     _report(4, "mean = 3p/(2(2p+1)) = 1 - J(1) within 1e-10; "
                "Monte Carlo mean of 1e6 draws within 4 SE", ok,
-            f"max identity dev {worst:.3e}; " + ", ".join(mc_detail))
+            f"max identity dev {worst:.3e}; " + mc_detail)
 
 
 def test_criterion_05_functional_equation_residuals():
     rng = np.random.default_rng(42)
-    n = 10 ** 4
-    worst_i = worst_ii = 0.0
+    results = []
     for p in (0.5, 1.0, 3.0):
         params = PSingularParams(p)
-        config = EvalConfig(tolerance=1e-10)
-        xs = rng.random(n)
-        lhs = cdf_many(params, xs / 3.0, config)
-        rhs = cdf_many(params, xs, config) / (p + 1.0)
-        worst_i = max(worst_i, float(np.max(np.abs(lhs - rhs))))
-        # the reflection condition pins F on [1/3, 1] from [0, 2/3];
-        # for p != 1 it only holds with x restricted to [0, 2/3]
-        hi = 1.0 if p == 1.0 else 2.0 / 3.0
-        xs2 = rng.random(n) * hi
-        inner = EvalConfig(tolerance=1e-10 / (1.0 + p))
-        lhs2 = cdf_many(params, 1.0 - xs2, inner)
-        rhs2 = 1.0 - p * cdf_many(params, xs2, inner)
-        worst_ii = max(worst_ii, float(np.max(np.abs(lhs2 - rhs2))))
-    ok = worst_i <= 2e-10 and worst_ii <= 2e-10
+        results += [check_functional_equation_i(params, CONFIG, rng, n=10 ** 4),
+                    check_functional_equation_ii(params, CONFIG, rng, n=10 ** 4)]
+    ok, detail = _checked(results)
     _report(5, "defining equations (i) and (ii) hold within 2e-10 at 1e4 "
-               "random points for p in {0.5, 1, 3}", ok,
-            f"max residuals (i) {worst_i:.3e}, (ii) {worst_ii:.3e}")
+               "random points for p in {0.5, 1, 3}", ok, detail)
 
 
 def test_criterion_06_sandwich_and_gap_slope():
-    params = PSingularParams(1.0)
-    config = EvalConfig(tolerance=1e-10)
-    rng = np.random.default_rng(7)
-    n = 10 ** 3
-    y = rng.random(n)
-    delta = rng.random(n) * 0.5 + 1e-9
-    x_hi = np.minimum(y + rng.random(n) * delta * 0.999, 1.0)
-    x_lo = np.maximum(y - rng.random(n) * delta * 0.999, 0.0)
-    gy = mrl_many(params, y, config) - y
-    g_hi = mrl_many(params, x_hi, config) - x_hi
-    g_lo = mrl_many(params, x_lo, config) - x_lo
-    # (i): g(x) > g(y) - 2 delta on [y, y + delta)
-    margin_i = float(np.min(g_hi - (gy - 2.0 * delta)))
-    # (ii): g(x) < g(y) + 2 delta on (y - delta, y]
-    margin_ii = float(np.min((gy + 2.0 * delta) - g_lo))
-    slack = 4.0 * config.tolerance
-    # (iii): slope exactly -1 inside every gap of level <= 6; points are
-    # taken strictly inside the gap since the nearest float to an edge
-    # can fall outside, where m genuinely moves
-    worst = 0.0
-    for a, b in gap_intervals(6):
-        lo, hi = np.nextafter(a, 1.0), np.nextafter(b, 0.0)
-        xs = np.concatenate(([lo], np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5), [hi]))
-        ms = mrl_many(params, xs, config)
-        worst = max(worst, float(np.max(np.abs(ms - (ms[0] - (xs - xs[0]))))))
-    ok = margin_i >= -slack and margin_ii >= -slack and worst <= 2e-10
+    one = PSingularParams(1.0)
+    ok, detail = _checked([check_lemma_sandwich(one, CONFIG, np.random.default_rng(7), n=10 ** 3),
+                           check_gap_slope(one, CONFIG)])
     _report(6, "sandwich inequalities hold at 1e3 random triples; "
-               "slope -1 exact on all level-<=6 gaps within 2e-10", ok,
-            f"margins {margin_i:.3e}, {margin_ii:.3e}; max slope dev {worst:.3e}")
+               "slope -1 exact on all level-<=6 gaps within 2e-10", ok, detail)
 
 
 def test_criterion_07_uniqueness_scan():
-    changes = {}
-    for p in (0.01, 0.1, 1.0, 10.0, 100.0):
-        changes[p] = verify_uniqueness(PSingularParams(p), 5000)
-    scan_ok = all(c == 1 for c in changes.values())
+    scan_ok, scan_detail = _checked([check_uniqueness(PSingularParams(p), CONFIG, 5000)
+                                     for p in (0.01, 0.1, 1.0, 10.0, 100.0)])
     # explicit left-side positivity, including the plateau edge x = 1/3
     params = PSingularParams(0.01)
     xs = np.linspace(0.0, 1.0 / 3.0, 2000)
@@ -158,31 +120,17 @@ def test_criterion_07_uniqueness_scan():
     ok = scan_ok and left_ok
     _report(7, "exactly one sign change of m(x) - x on grid 5000 + gap "
                "endpoints for 5 p values; m(x) - x > 0 on [0, 1/3]", ok,
-            f"sign changes {sorted(changes.values())}, min left margin {float(g.min()):.3e}")
+            f"{scan_detail}; min left margin {float(g.min()):.3e}")
 
 
 def test_criterion_08_pricing():
+    # the check samples with seed + 1, so the draws come from seed 987654
     one = PSingularParams(1.0)
-    price = 5.0 / 12.0
-    n = 10 ** 7
-    draws = sample(one, 987654, n)
-    payoff = price * np.maximum(draws - price, 0.0)
-    se = float(payoff.std(ddof=1)) / math.sqrt(n)
-    dev = abs(expected_payoff(one, price) - float(payoff.mean()))
-    mc_ok = dev <= 4.0 * se
-    dominance = 0.0
-    for p in (0.5, 1.0, 2.0):
-        params = PSingularParams(p)
-        fp = fixed_point_solve(params, scan_grid_n=0)
-        grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, 1000),
-                                         np.ravel(gap_intervals(8)))))
-        gap = float(np.max(payoff_curve(params, grid))) - expected_payoff(params, fp.x_star)
-        dominance = max(dominance, gap)
-    dom_ok = dominance <= 2e-10
-    ok = mc_ok and dom_ok
+    ok, detail = _checked([check_pricing_mc(one, CONFIG, 987653, n=10 ** 7, prices=[5.0 / 12.0])]
+                          + [check_pricing(PSingularParams(p), CONFIG) for p in (0.5, 1.0, 2.0)])
     _report(8, "payoff at 5/12 matches 1e7-sample Monte Carlo within 4 SE; "
-               "payoff at x* dominates 1000-point grid + gap endpoints", ok,
-            f"MC dev {dev / se:.2f} SE, max dominance gap {dominance:.3e}")
+               "|m(x*) - x*| within the tolerance and payoff at x* dominates "
+               "1000-point grid + gap endpoints", ok, detail)
 
 
 def test_criterion_09_point_cloud():

@@ -69,6 +69,13 @@ class TestExitCodes:
         assert code == 4
         assert "parameter error" in err
 
+    @pytest.mark.parametrize("argv", [("plot-data", "--what", "mrl", "--grid", "-1"),
+                                      ("price", "--curve-points", "-3")])
+    def test_negative_count(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "parameter error" in err
+
     def test_runtime_error(self, capsys):
         code, _, err = run(capsys, "plot-data", "--what", "cdf",
                            "--n-initial", "1000", "--iterations", "17",

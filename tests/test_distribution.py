@@ -11,6 +11,7 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           gap_intervals, mrl, mrl_many, payoff_curve,
                           point_cloud, sample, survival)
 from singular_mrl.distribution import _CHUNK, _descend, _descend_many, gap_grid
+from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
@@ -285,13 +286,7 @@ class TestSample:
         assert abs(draws.mean() - expected) <= 3.0 * se
 
     def test_dkw_band_against_cdf(self):
-        n = 10 ** 6
-        draws = np.sort(sample(P1, 99, n))
-        f = cdf_many(P1, draws)
-        i = np.arange(1, n + 1)
-        sup = max(np.max(i / n - f), np.max(f - (i - 1) / n))
-        band = math.sqrt(math.log(2.0 / 0.001) / (2.0 * n))
-        assert sup <= band
+        assert check_dkw(P1, EvalConfig(), 99).passed
 
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
@@ -352,6 +347,9 @@ class TestGapIntervals:
         ends = [e for gap in gap_intervals(8) for e in gap]
         np.testing.assert_array_equal(
             xs, np.unique(np.concatenate((np.linspace(0.0, 1.0, 1000), ends, [1 / 3, 2 / 3]))))
+        np.testing.assert_array_equal(gap_grid(0), np.unique(ends))
+        with pytest.raises(ParameterError):
+            gap_grid(-1)
 
     def test_cdf_constant_on_gaps(self):
         for a, b in gap_intervals(4):

@@ -1,12 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
-from singular_mrl import (DomainError, ParameterError, PSingularParams,
-                          comparative_statics, expected_payoff,
-                          fixed_point_closed_form, gap_intervals,
-                          optimal_price, payoff_curve, sample)
+from singular_mrl import (DomainError, EvalConfig, ParameterError,
+                          PSingularParams, comparative_statics,
+                          expected_payoff, fixed_point_closed_form,
+                          optimal_price, payoff_curve)
+from singular_mrl.verify import check_pricing_mc
 
 P1 = PSingularParams(1.0)
 
@@ -26,11 +25,8 @@ class TestExpectedPayoff:
 
     @pytest.mark.parametrize("price", [0.15, 0.41, 0.7, 0.93])
     def test_against_monte_carlo(self, price):
-        n = 10 ** 6
-        draws = sample(P1, 555, n)
-        payoff = price * np.maximum(draws - price, 0.0)
-        se = float(payoff.std(ddof=1)) / math.sqrt(n)
-        assert abs(expected_payoff(P1, price) - float(payoff.mean())) <= 4.0 * se
+        # a 1e6-sample from seed 555 (the check samples with seed + 1)
+        assert check_pricing_mc(P1, EvalConfig(), 554, prices=[price]).passed
 
     def test_curve_matches_scalar(self, twin_params, twin_points):
         prices = np.concatenate((np.linspace(0.0, 1.0, 101), twin_points))
@@ -46,18 +42,13 @@ class TestOptimalPrice:
         assert result.expected_payoff == pytest.approx(25 / 288, abs=1e-9)
         assert result.fixed_point is not None
 
-    def test_grid_dominance(self):
-        for p in (0.5, 1.0, 2.0):
-            params = PSingularParams(p)
-            result = optimal_price(params)
-            grid = np.unique(np.concatenate((np.linspace(0.0, 1.0, 1000),
-                                             np.ravel(gap_intervals(8)))))
-            assert float(payoff_curve(params, grid).max()) <= result.expected_payoff + 2e-10
-
     def test_curve_attachment(self):
         result = optimal_price(P1, curve_points=11)
         assert len(result.payoff_curve) == 11
         assert result.payoff_curve[0] == (0.0, 0.0)
+        assert optimal_price(P1, curve_points=0).payoff_curve == []
+        with pytest.raises(ParameterError):
+            optimal_price(P1, curve_points=-3)
 
 
 class TestComparativeStatics:

@@ -1,8 +1,13 @@
+import inspect
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from singular_mrl import EvalConfig, PSingularParams, gap_intervals, mrl
-from singular_mrl.verify import check_gap_slope, check_lemma_sandwich
+from singular_mrl import (EvalConfig, PSingularParams, expected_payoff,
+                          gap_intervals, mrl, sample)
+from singular_mrl import verify
 
 CONFIG = EvalConfig()
 
@@ -20,26 +25,60 @@ def gap_slope_reference(params, config, level=6, samples=5):
 
 
 def sandwich_reference(params, config, rng, n=300):
-    # four scalar draws and three scalar `mrl` calls per trial
-    worst = 0.0
-    for _ in range(n):
-        y = rng.random()
-        delta = rng.random() * 0.5 + 1e-9
+    # n draws each of y, delta, u_hi and u_lo, then three scalar `mrl` calls per trial
+    ys, deltas, u_his, u_los = (rng.random(n) for _ in range(4))
+    worst = math.inf
+    for y, delta, u_hi, u_lo in zip(ys, deltas * 0.5 + 1e-9, u_his, u_los):
         gy = mrl(params, y, config).value - y
-        x_hi = min(y + rng.random() * delta * 0.999, 1.0)
+        x_hi = min(y + u_hi * delta * 0.999, 1.0)
         worst = min(worst, mrl(params, x_hi, config).value - x_hi - (gy - 2.0 * delta))
-        x_lo = max(y - rng.random() * delta * 0.999, 0.0)
+        x_lo = max(y - u_lo * delta * 0.999, 0.0)
         worst = min(worst, (gy + 2.0 * delta) - (mrl(params, x_lo, config).value - x_lo))
     return worst >= -4.0 * config.tolerance, f"min margin {worst:.3e}"
+
+
+def pricing_mc_reference(params, config, seed, prices, n):
+    # one sample from seed + 1, one 4-SE test per price
+    draws = sample(params, seed + 1, n)
+    worst = -math.inf
+    for price in prices:
+        payoff = price * np.maximum(draws - price, 0.0)
+        se = float(payoff.std(ddof=1)) / math.sqrt(n)
+        dev = abs(float(payoff.mean()) - expected_payoff(params, price, config))
+        worst = max(worst, dev - 4.0 * se)
+    return worst <= 0.0, f"max (dev - 4 SE) {worst:.3e}"
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 def test_vector_checks_match_scalar_loops(p):
     params = PSingularParams(p)
-    slope = check_gap_slope(params, CONFIG)
+    slope = verify.check_gap_slope(params, CONFIG)
     assert (slope.passed, slope.detail) == gap_slope_reference(params, CONFIG)
     rng, ref_rng = np.random.default_rng(12345), np.random.default_rng(12345)
-    sandwich = check_lemma_sandwich(params, CONFIG, rng)
+    sandwich = verify.check_lemma_sandwich(params, CONFIG, rng)
     assert (sandwich.passed, sandwich.detail) == sandwich_reference(params, CONFIG, ref_rng)
     # the shared generator is left where the scalar draws leave it
     assert rng.random() == ref_rng.random()
+    prices = [0.15, 0.41, 0.7, 0.93]
+    priced = verify.check_pricing_mc(params, CONFIG, 554, n=10 ** 5, prices=prices)
+    assert (priced.passed, priced.detail) == pricing_mc_reference(params, CONFIG, 554, prices, 10 ** 5)
+
+
+def test_fixed_point_bounds_checks_the_solver(monkeypatch):
+    assert verify.check_fixed_point_bounds(CONFIG).passed
+    monkeypatch.setattr(verify, "fixed_point_solve",
+                        lambda params, config, scan_grid_n: SimpleNamespace(x_star=0.6))
+    assert not verify.check_fixed_point_bounds(CONFIG).passed
+
+
+@pytest.mark.parametrize("name, args", [
+    ("check_mc_mean", ("P", "config", 12345)),
+    ("check_gap_slope", ("P", "config")),
+    ("check_uniqueness", ("P", "config", 1000)),
+    ("check_lemma_sandwich", ("P", "config", "rng")),
+    ("check_dkw", ("one", "config", 12345)),
+    ("check_pricing_mc", ("one", "config", 12345)),
+])
+def test_benchmark_call_signatures(name, args):
+    # perfbench/layers.py::verify_checks calls these checks positionally
+    inspect.signature(getattr(verify, name)).bind(*args)
