@@ -9,13 +9,17 @@ round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from . import __version__
-from .distribution import (EvalConfig, PSingularParams, cdf_with_bound,
-                           gap_grid, point_cloud)
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
+                           cdf_with_bound, gap_grid, point_cloud)
 from .errors import DomainError, ParameterError, SingularMrlError
 from .fixedpoint import fixed_point_solve
 from .mrl import mrl, mrl_many
@@ -31,15 +35,17 @@ EXIT_RUNTIME = 5
 
 ENV_TOLERANCE = "SINGULAR_MRL_TOLERANCE"
 
+# CSV rows formatted per write: the text held at once stays a few MB,
+# so a large export's peak memory is that of its arrays
+PIECE_ROWS = 65_536
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
 def _default_tolerance() -> float:
-    raw = os.environ.get(ENV_TOLERANCE)
-    if raw is None:
-        return 1e-10
+    raw = os.environ.get(ENV_TOLERANCE, DEFAULT_CONFIG.tolerance)
     try:
         return float(raw)
     except ValueError:
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=float, default=1.0, help="family parameter p > 0 (default 1)")
     common.add_argument("--tolerance", type=float, default=None,
-                        help=f"absolute tolerance (default 1e-10, or ${ENV_TOLERANCE})")
+                        help=f"absolute tolerance (default {DEFAULT_CONFIG.tolerance:g}, or ${ENV_TOLERANCE})")
     common.add_argument("--format", choices=("csv", "json", "text"), default="text")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -101,152 +107,136 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+def _csv(header: str, columns) -> Iterator[str]:
+    """The header line, then the rows of the equal-length `columns` in
+    pieces of PIECE_ROWS rows, every number as %.17g (the bytes of `_fmt`)."""
+    yield header + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), PIECE_ROWS):
+        piece = (np.asarray(c[start:start + PIECE_ROWS]).tolist() for c in columns)
+        yield "".join(map(row.__mod__, zip(*piece)))
 
 
-def _scalar_output(args, label: str, x: float, value: float, bound: float) -> str:
+def _write(path, sections: Iterable[Iterable[str]]) -> None:
+    """Send the sections' pieces to stdout, or to the file at `path`, with
+    one blank line between sections."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="")) as fh:
+        for i, pieces in enumerate(sections):
+            if i:
+                fh.write("\n")
+            fh.writelines(pieces)
+
+
+def _render(args, payload, text: str, header: str | None = None, columns=(),
+            code: int = EXIT_OK):
+    """One section in the chosen --format, and the exit code: `payload` as JSON, the CSV
+    `header` and `columns`, or `text` (also for csv if the command has no CSV form)."""
     if args.format == "json":
-        return json.dumps({"p": args.p, "x": x, "value": value, "error_bound": bound},
-                          indent=None) + "\n"
-    if args.format == "csv":
-        return f"x,value,error_bound\n{_fmt(x)},{_fmt(value)},{_fmt(bound)}\n"
-    return f"{label}({_fmt(x)}) = {_fmt(value)} (error bound {_fmt(bound)})\n"
+        pieces = [json.dumps(payload) + "\n"]
+    elif args.format == "csv" and header is not None:
+        pieces = _csv(header, columns)
+    else:
+        pieces = [text]
+    return {args.command: pieces}, code
 
 
-def _cmd_point(args, config) -> str:
+def _cmd_point(args, config):
     params = PSingularParams(args.p)
     if args.command == "cdf":
-        value, bound = cdf_with_bound(params, args.x, config)
-        return _scalar_output(args, "F", args.x, value, bound)
-    v = mrl(params, args.x, config)
-    if args.command == "mrl":
-        return _scalar_output(args, "m", args.x, v.value, v.error_bound)
-    # gmrl: e = m/x, with m's error accounting
-    if args.x == 0:
-        raise DomainError("gmrl is undefined at x = 0 (m(x)/x diverges)")
-    return _scalar_output(args, "e", args.x, v.value / args.x, v.error_bound / args.x)
+        label, (value, bound) = "F", cdf_with_bound(params, args.x, config)
+    else:
+        v = mrl(params, args.x, config)
+        label, value, bound = "m", v.value, v.error_bound
+        if args.command == "gmrl":
+            # e = m/x, with m's error accounting
+            if args.x == 0:
+                raise DomainError("gmrl is undefined at x = 0 (m(x)/x diverges)")
+            label, value, bound = "e", value / args.x, bound / args.x
+    return _render(args, {"p": args.p, "x": args.x, "value": value, "error_bound": bound},
+                   f"{label}({_fmt(args.x)}) = {_fmt(value)} (error bound {_fmt(bound)})\n",
+                   "x,value,error_bound", [[args.x], [value], [bound]])
 
 
-def _cmd_fixpoint(args, config) -> str:
-    params = PSingularParams(args.p)
-    fp = fixed_point_solve(params, config, scan_grid_n=args.grid)
-    fields = {
-        "p": args.p,
-        "x_star": fp.x_star,
-        "residual": fp.residual,
-        "bracket": list(fp.bracket),
-        "closed_form": fp.closed_form,
-        "sign_changes": fp.sign_changes,
-    }
-    if args.format == "json":
-        return json.dumps(fields) + "\n"
-    if args.format == "csv":
-        return ("x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                f"{_fmt(fp.x_star)},{_fmt(fp.residual)},{_fmt(fp.bracket[0])},"
-                f"{_fmt(fp.bracket[1])},{_fmt(fp.closed_form)},{fp.sign_changes}\n")
-    return (f"x* = {_fmt(fp.x_star)} (residual {_fmt(fp.residual)}, "
-            f"closed form {_fmt(fp.closed_form)}, "
-            f"{fp.sign_changes} sign change(s) on [0, 1])\n")
+def _cmd_fixpoint(args, config):
+    fp = fixed_point_solve(PSingularParams(args.p), config, scan_grid_n=args.grid)
+    payload = {"p": args.p, "x_star": fp.x_star, "residual": fp.residual,
+               "bracket": list(fp.bracket), "closed_form": fp.closed_form,
+               "sign_changes": fp.sign_changes}
+    row = (fp.x_star, fp.residual, *fp.bracket, fp.closed_form, fp.sign_changes)
+    return _render(args, payload,
+                   f"x* = {_fmt(fp.x_star)} (residual {_fmt(fp.residual)}, "
+                   f"closed form {_fmt(fp.closed_form)}, "
+                   f"{fp.sign_changes} sign change(s) on [0, 1])\n",
+                   "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes",
+                   [[v] for v in row])
 
 
-def _cmd_price(args, config) -> str:
-    params = PSingularParams(args.p)
-    result = optimal_price(params, config, curve_points=args.curve_points)
-    if args.format == "json":
-        payload = {"p": result.p, "optimal_price": result.optimal_price,
-                   "expected_payoff": result.expected_payoff}
-        if result.payoff_curve is not None:
-            payload["payoff_curve"] = result.payoff_curve
-        return json.dumps(payload) + "\n"
-    if args.format == "csv":
-        if result.payoff_curve is not None:
-            rows = "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in result.payoff_curve)
-            return "price,payoff\n" + rows
-        return ("p,optimal_price,expected_payoff\n"
-                f"{_fmt(result.p)},{_fmt(result.optimal_price)},{_fmt(result.expected_payoff)}\n")
-    return (f"optimal price = {_fmt(result.optimal_price)}, "
-            f"expected payoff = {_fmt(result.expected_payoff)}\n")
+def _cmd_price(args, config):
+    r = optimal_price(PSingularParams(args.p), config, curve_points=args.curve_points)
+    payload = {"p": r.p, "optimal_price": r.optimal_price, "expected_payoff": r.expected_payoff}
+    header, columns = "p,optimal_price,expected_payoff", [[v] for v in payload.values()]
+    if r.payoff_curve is not None:
+        payload["payoff_curve"] = r.payoff_curve
+        header, columns = "price,payoff", [[x for x, _ in r.payoff_curve],
+                                           [v for _, v in r.payoff_curve]]
+    return _render(args, payload,
+                   f"optimal price = {_fmt(r.optimal_price)}, "
+                   f"expected payoff = {_fmt(r.expected_payoff)}\n", header, columns)
 
 
-def _cmd_statics(args, config) -> str:
+def _cmd_statics(args, config):
     results = comparative_statics(_parse_p_list(args.p_list), config)
-    if args.format == "json":
-        return json.dumps([{"p": r.p, "optimal_price": r.optimal_price,
-                            "expected_payoff": r.expected_payoff} for r in results]) + "\n"
     rows = [(r.p, r.optimal_price, r.expected_payoff) for r in results]
-    if args.format == "csv":
-        return ("p,optimal_price,expected_payoff\n"
-                + "".join(f"{_fmt(p)},{_fmt(x)},{_fmt(v)}\n" for p, x, v in rows))
-    return "".join(f"p = {_fmt(p)}: price {_fmt(x)}, payoff {_fmt(v)}\n" for p, x, v in rows)
+    return _render(args, [{"p": p, "optimal_price": x, "expected_payoff": v} for p, x, v in rows],
+                   "".join(f"p = {_fmt(p)}: price {_fmt(x)}, payoff {_fmt(v)}\n"
+                           for p, x, v in rows),
+                   "p,optimal_price,expected_payoff", list(zip(*rows)))
 
 
-def _cmd_plot_data(args, config) -> int:
+def _cmd_plot_data(args, config):
+    # every array is computed before the first byte is written, so a
+    # failure leaves no partial output; only the formatting streams
     params = PSingularParams(args.p)
-    sections = []
+    sections = {}
     if args.what in ("cdf", "both"):
         cloud = point_cloud(params, args.n_initial, args.iterations, args.max_points)
-        rows = "".join(f"{_fmt(x)},{_fmt(F)}\n" for x, F in zip(cloud.x, cloud.F))
-        sections.append(("cdf", "x,F\n" + rows))
+        sections["cdf"] = _csv("x,F", (cloud.x, cloud.F))
     if args.what in ("mrl", "both"):
         grid = gap_grid(args.grid)
-        m = mrl_many(params, grid, config)
-        rows = "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(grid, m))
-        sections.append(("mrl", "x,m\n" + rows))
-
-    if args.out is None:
-        sys.stdout.write("\n".join(text for _, text in sections))
-    elif len(sections) == 1:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(sections[0][1])
-    else:
-        root, ext = os.path.splitext(args.out)
-        for name, text in sections:
-            with open(f"{root}.{name}{ext or '.csv'}", "w", newline="") as fh:
-                fh.write(text)
-    return EXIT_OK
+        sections["mrl"] = _csv("x,m", (grid, mrl_many(params, grid, config)))
+    return sections, EXIT_OK
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args, config):
     results = run_all(p_values=tuple(_parse_p_list(args.p_list)),
                       tolerance=config.tolerance, seed=args.seed, grid_n=args.grid)
-    lines = []
-    for r in results:
-        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     failed = sum(not r.passed for r in results)
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    if args.format == "json":
-        _emit(args, json.dumps([r.__dict__ for r in results]) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if failed == 0 else EXIT_FAILED
+    text = "".join(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n" for r in results)
+    return _render(args, [r.__dict__ for r in results],
+                   text + f"{len(results) - failed}/{len(results)} checks passed\n",
+                   code=EXIT_OK if failed == 0 else EXIT_FAILED)
+
+
+_COMMANDS = {"cdf": _cmd_point, "mrl": _cmd_point, "gmrl": _cmd_point,
+             "fixpoint": _cmd_fixpoint, "price": _cmd_price, "statics": _cmd_statics,
+             "plot-data": _cmd_plot_data, "verify": _cmd_verify}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tolerance = args.tolerance if args.tolerance is not None else _default_tolerance()
-        config = EvalConfig(tolerance=tolerance)
-        if args.command in ("cdf", "mrl", "gmrl"):
-            _emit(args, _cmd_point(args, config))
-            return EXIT_OK
-        if args.command == "fixpoint":
-            _emit(args, _cmd_fixpoint(args, config))
-            return EXIT_OK
-        if args.command == "price":
-            _emit(args, _cmd_price(args, config))
-            return EXIT_OK
-        if args.command == "statics":
-            _emit(args, _cmd_statics(args, config))
-            return EXIT_OK
-        if args.command == "plot-data":
-            return _cmd_plot_data(args, config)
-        return _cmd_verify(args, config)
+        config = EvalConfig(tolerance=_default_tolerance() if args.tolerance is None else args.tolerance)
+        sections, code = _COMMANDS[args.command](args, config)
+        if args.out is None or len(sections) == 1:
+            _write(args.out, sections.values())
+        else:
+            # one file per section: fig.csv -> fig.cdf.csv, fig.mrl.csv
+            root, ext = os.path.splitext(args.out)
+            for name, pieces in sections.items():
+                _write(f"{root}.{name}{ext or '.csv'}", [pieces])
+        return code
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

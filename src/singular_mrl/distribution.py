@@ -342,6 +342,13 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
     return p * f if above else 1.0 - f
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for a seed >= 0; ParameterError otherwise."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sample(params: PSingularParams, rng_seed: int, n: int, levels: int = 50) -> np.ndarray:
     """Draw n i.i.d. variates by descending the ternary branching.
 
@@ -357,7 +364,7 @@ def sample(params: PSingularParams, rng_seed: int, n: int, levels: int = 50) -> 
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(rng_seed)
+    rng = seeded_rng(rng_seed)
     left = params.left_mass
     a = np.zeros(n)
     s = np.ones(n)
@@ -394,8 +401,8 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     [1/3, 2/3] at height 1/(p+1), plus the endpoints (0,0) and (1,1).
     Each iteration replaces the set S by {x/3} + S + {1 - x/3} with
     heights {F/(p+1)} + {F} + {1 - p F/(p+1)}, then deduplicates
-    identical x values.  Raises ResourceLimitError once the cloud
-    exceeds `max_points` (the count roughly doubles per iteration).
+    identical x values.  Raises ResourceLimitError once the cloud, the
+    initial one included, exceeds `max_points` (it about doubles per step).
     """
     if n_initial < 2:
         raise ParameterError(f"n_initial must be >= 2, got {n_initial}")
@@ -405,16 +412,17 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     v = params.left_mass
     x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
     F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
-    for k in range(iterations):
+    for k in range(iterations + 1):
+        if x.size > max_points:
+            raise ResourceLimitError(
+                f"point cloud exceeded cap of {max_points} points "
+                f"({x.size} after iteration {k} of {iterations})")
+        if k == iterations:
+            return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
         cx = np.concatenate((x / 3.0, x, 1.0 - x / 3.0))
         cF = np.concatenate((F * v, F, 1.0 - F * (p * v)))
         x, first = np.unique(cx, return_index=True)
         F = cF[first]
-        if x.size > max_points:
-            raise ResourceLimitError(
-                f"point cloud exceeded cap of {max_points} points "
-                f"({x.size} after iteration {k + 1} of {iterations})")
-    return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
 
 
 def gap_intervals(max_level: int) -> list[tuple[float, float]]:

@@ -50,8 +50,9 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison and
     `sign_changes` from a uniqueness scan over [0, 1] with `scan_grid_n`
     grid points (set scan_grid_n=0 to skip the scan; sign_changes is
-    then -1).  Any other scan_grid_n below 100 raises ParameterError, as
-    in `verify_uniqueness`.
+    then -1).  Any other scan_grid_n below 100 raises ParameterError; the
+    scan raises ConvergenceError if m(x) - x is not > 0 on [0, 1/3] and
+    < 0 on (2/3, 1) (see `verify_uniqueness`).
     """
     m = mrl(params, ONE_THIRD, config)
     x_star = 0.5 * (m.value + ONE_THIRD)
@@ -70,7 +71,7 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
 def verify_uniqueness(params: PSingularParams, grid_n: int,
                       config: EvalConfig = DEFAULT_CONFIG) -> int:
     """Count sign changes of m(x) - x on a grid of grid_n >= 100 points
-    over [0, 1].
+    over [0, 1]: the `sign_changes` of `fixed_point_solve`'s scan.
 
     The uniform grid is augmented with the Cantor-gap endpoints of
     `gap_grid`, where the non-monotone jumps of m occur.  Contract:
@@ -79,12 +80,13 @@ def verify_uniqueness(params: PSingularParams, grid_n: int,
     an indeterminate sign (|g| below tolerance) appears away from the
     solved root.
     """
-    root = fixed_point_solve(params, config, scan_grid_n=0).x_star
-    return _sign_change_scan(params, grid_n, config, root, strict=True)
+    if grid_n == 0:  # fixed_point_solve reads 0 as "skip the scan"
+        raise ParameterError("the uniqueness scan needs >= 100 grid points, got 0")
+    return fixed_point_solve(params, config, grid_n).sign_changes
 
 
 def _sign_change_scan(params: PSingularParams, grid_n: int, config: EvalConfig,
-                      root: float, strict: bool = False) -> int:
+                      root: float) -> int:
     if grid_n < 100:
         raise ParameterError(f"the uniqueness scan needs >= 100 grid points, got {grid_n}")
     xs = gap_grid(grid_n)
@@ -96,14 +98,10 @@ def _sign_change_scan(params: PSingularParams, grid_n: int, config: EvalConfig,
     if stray.any():
         raise ConvergenceError(
             f"indeterminate sign of m(x) - x away from the root at x = {xs[stray][:5]}")
-
-    if strict:
-        left = xs <= ONE_THIRD
-        if not (g[left] > 0.0).all():
-            raise ConvergenceError("m(x) - x <= 0 somewhere on [0, 1/3]")
-        right = (xs > TWO_THIRDS) & ~indeterminate
-        if not (g[right] < 0.0).all():
-            raise ConvergenceError("m(x) - x >= 0 somewhere on (2/3, 1)")
+    if not (g[xs <= ONE_THIRD] > 0.0).all():
+        raise ConvergenceError("m(x) - x <= 0 somewhere on [0, 1/3]")
+    if not (g[(xs > TWO_THIRDS) & ~indeterminate] < 0.0).all():
+        raise ConvergenceError("m(x) - x >= 0 somewhere on (2/3, 1)")
 
     signs = np.sign(g[~indeterminate])
     return int(np.count_nonzero(np.diff(signs) != 0))

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import distribution as dist
 from . import integration as integ
-from .distribution import EvalConfig, PSingularParams, gap_grid, gap_intervals
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, gap_grid,
+                           gap_intervals, seeded_rng)
 from .fixedpoint import fixed_point_solve, verify_uniqueness
 from .mrl import mrl, mrl_at_one_third, mrl_many
 from .pricing import expected_payoff, payoff_curve
@@ -192,7 +193,7 @@ def check_lemma_sandwich(params, config, rng, n=300):
 
 def check_pricing(params, config, grid_n=1000):
     fp = fixed_point_solve(params, config, scan_grid_n=0)
-    foc = abs(mrl(params, fp.x_star, config).value - fp.x_star)
+    foc = abs(fp.residual)
     grid = gap_grid(grid_n)
     best = expected_payoff(params, fp.x_star, config)
     curve = payoff_curve(params, grid, config)
@@ -204,7 +205,7 @@ def check_pricing(params, config, grid_n=1000):
 
 def check_pricing_mc(params, config, seed, n=1_000_000, prices=None):
     if prices is None:
-        prices = np.random.default_rng(seed).random(10)
+        prices = seeded_rng(seed).random(10)
     draws = dist.sample(params, seed + 1, n)
     worst = -math.inf
     for price in prices:
@@ -217,11 +218,11 @@ def check_pricing_mc(params, config, seed, n=1_000_000, prices=None):
                    f"max (dev - 4 SE) {worst:.3e}")
 
 
-def run_all(p_values=(0.5, 1.0, 2.0), tolerance=1e-10, seed=12345,
+def run_all(p_values=(0.5, 1.0, 2.0), tolerance=DEFAULT_CONFIG.tolerance, seed=12345,
             grid_n=1000) -> list[CheckResult]:
     """Run the full invariant suite; returns one CheckResult per property."""
     config = EvalConfig(tolerance=tolerance)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     results = [
         check_mean_identity(config),
         check_mrl_anchor(config),

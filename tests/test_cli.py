@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from singular_mrl import PSingularParams, gap_intervals, mrl_many
-from singular_mrl.cli import main
+from singular_mrl import (EvalConfig, PSingularParams, cdf_with_bound,
+                          comparative_statics, fixed_point_solve, gap_intervals,
+                          mrl, mrl_many, optimal_price, point_cloud)
+from singular_mrl.cli import PIECE_ROWS, main
+from singular_mrl.distribution import gap_grid
+
+P1 = PSingularParams(1.0)
 
 
 def run(capsys, *argv):
@@ -83,6 +88,17 @@ class TestExitCodes:
         assert code == 5
         assert "error" in err
 
+    def test_cap_on_initial_cloud(self, capsys):
+        code, out, err = run(capsys, "plot-data", "--what", "cdf", "--iterations", "0",
+                             "--max-points", "5")
+        assert code == 5
+        assert out == "" and "exceeded cap of 5 points" in err
+
+    def test_negative_seed(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 4
+        assert out == "" and err == "parameter error: seed must be >= 0, got -1\n"
+
 
 class TestTolerance:
     def test_env_var_override(self, capsys, monkeypatch):
@@ -97,6 +113,14 @@ class TestTolerance:
                            "--tolerance", "1e-12", "--format", "json")
         assert code == 0
         assert json.loads(out)["error_bound"] <= 1e-12
+
+    def test_default_is_the_library_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("SINGULAR_MRL_TOLERANCE", raising=False)
+        with pytest.raises(SystemExit):
+            main(["cdf", "--help"])
+        assert f"(default {EvalConfig().tolerance:g}, or" in " ".join(capsys.readouterr().out.split())
+        code, out, _ = run(capsys, "cdf", "--x", "0.1234", "--format", "json")
+        assert json.loads(out)["value"] == cdf_with_bound(P1, 0.1234, EvalConfig())[0]
 
     def test_bad_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SINGULAR_MRL_TOLERANCE", "banana")
@@ -188,3 +212,72 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+
+
+def csv_rows(rows):
+    """An independent rendering of CSV rows, every number as .17g."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+class TestWriter:
+    # 1,002 initial points doubling over 6 iterations: 127,008 CDF rows,
+    # written in two pieces
+    PLOT = ("plot-data", "--n-initial", "1000", "--iterations", "6", "--grid", "100")
+
+    @pytest.fixture(scope="class")
+    def sections(self):
+        cloud = point_cloud(P1, 1000, 6)
+        assert PIECE_ROWS < len(cloud) <= 2 * PIECE_ROWS
+        grid = gap_grid(100)
+        return ("x,F\n" + csv_rows(zip(cloud.x.tolist(), cloud.F.tolist())),
+                "x,m\n" + csv_rows(zip(grid.tolist(), mrl_many(P1, grid).tolist())))
+
+    def test_plot_data_in_pieces_to_stdout(self, capsys, sections):
+        code, out, _ = run(capsys, *self.PLOT)
+        assert code == 0
+        assert out == sections[0] + "\n" + sections[1]
+
+    def test_plot_data_in_pieces_to_files(self, capsys, tmp_path, sections):
+        code, out, _ = run(capsys, *self.PLOT, "--out", str(tmp_path / "fig.csv"))
+        assert code == 0 and out == ""
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["fig.cdf.csv", "fig.mrl.csv"]
+        assert (tmp_path / "fig.cdf.csv").read_bytes() == sections[0].encode()
+        assert (tmp_path / "fig.mrl.csv").read_bytes() == sections[1].encode()
+
+    def test_empty_curve(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "price", "--curve-points", "0", "--format", "csv")
+        assert (code, out) == (0, "price,payoff\n")
+        code, _, _ = run(capsys, "price", "--curve-points", "0", "--format", "csv",
+                         "--out", str(tmp_path / "curve.csv"))
+        assert (tmp_path / "curve.csv").read_bytes() == b"price,payoff\n"
+
+    @staticmethod
+    def _expected(command):
+        if command == "cdf":
+            return "x,value,error_bound", [(0.25, *cdf_with_bound(P1, 0.25))]
+        if command in ("mrl", "gmrl"):
+            v = mrl(PSingularParams(2.0), 0.4)
+            scale = 0.4 if command == "gmrl" else 1.0
+            return "x,value,error_bound", [(0.4, v.value / scale, v.error_bound / scale)]
+        if command == "fixpoint":
+            fp = fixed_point_solve(PSingularParams(2.0))
+            return ("x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes",
+                    [(fp.x_star, fp.residual, *fp.bracket, fp.closed_form, fp.sign_changes)])
+        results = ([optimal_price(PSingularParams(2.0))] if command == "price"
+                   else comparative_statics([0.5, 1.0, 2.0]))
+        return ("p,optimal_price,expected_payoff",
+                [(r.p, r.optimal_price, r.expected_payoff) for r in results])
+
+    @pytest.mark.parametrize("argv", [
+        ("cdf", "--p", "1", "--x", "0.25"),
+        ("mrl", "--p", "2", "--x", "0.4"),
+        ("gmrl", "--p", "2", "--x", "0.4"),
+        ("fixpoint", "--p", "2"),
+        ("price", "--p", "2"),
+        ("statics", "--p-list", "0.5,1,2"),
+    ], ids=lambda argv: argv[0])
+    def test_scalar_commands_csv(self, capsys, argv):
+        header, expected = self._expected(argv[0])
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == header + "\n" + csv_rows(expected)

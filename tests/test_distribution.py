@@ -292,6 +292,10 @@ class TestSample:
         with pytest.raises(ParameterError):
             sample(P1, 0, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            sample(P1, -1, 10)
+
 
 class TestPointCloud:
     def test_initialization_only(self):
@@ -322,6 +326,12 @@ class TestPointCloud:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             point_cloud(P1, n_initial=1000, iterations=17, max_points=100_000)
+
+    def test_resource_cap_on_initial_cloud(self):
+        # the 1,002 initial points already exceed a cap of 5
+        with pytest.raises(ResourceLimitError, match="1002 after iteration 0 of 0"):
+            point_cloud(P1, n_initial=1000, iterations=0, max_points=5)
+        assert len(point_cloud(P1, n_initial=1000, iterations=0, max_points=1002)) == 1002
 
     def test_rejects_bad_args(self):
         with pytest.raises(ParameterError):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from singular_mrl import (EvalConfig, ParameterError, PSingularParams,
-                          fixed_point_closed_form, fixed_point_solve,
-                          mrl, verify_uniqueness)
+from singular_mrl import (ConvergenceError, EvalConfig, ParameterError,
+                          PSingularParams, fixed_point_closed_form,
+                          fixed_point_solve, mrl, mrl_many, optimal_price,
+                          verify_uniqueness)
+from singular_mrl import fixedpoint
 
 
 class TestClosedForm:
@@ -76,6 +78,30 @@ class TestUniqueness:
     def test_rejects_small_grid(self):
         with pytest.raises(ParameterError):
             verify_uniqueness(PSingularParams(1.0), 50)
+
+    def test_rejects_zero_grid(self):
+        # 0 skips the solver's scan, but a uniqueness check needs one
+        with pytest.raises(ParameterError):
+            verify_uniqueness(PSingularParams(1.0), 0)
+
+    @pytest.mark.parametrize("x_bad", [0.2, 0.9])
+    def test_solver_applies_the_side_checks(self, monkeypatch, x_bad):
+        # a faulty evaluator that flips the sign of m(x) - x at the grid
+        # point nearest x_bad, once on [0, 1/3] and once on (2/3, 1): both
+        # add sign changes, and the solver's scan rejects both
+        def faulty(params, xs, config):
+            m = mrl_many(params, xs, config)
+            i = np.argmin(np.abs(xs - x_bad))
+            m[i] = 2.0 * xs[i] - m[i]
+            return m
+
+        monkeypatch.setattr(fixedpoint, "mrl_many", faulty)
+        with pytest.raises(ConvergenceError, match="somewhere on"):
+            fixed_point_solve(PSingularParams(1.0))
+        with pytest.raises(ConvergenceError, match="somewhere on"):
+            optimal_price(PSingularParams(1.0))
+        with pytest.raises(ConvergenceError, match="somewhere on"):
+            verify_uniqueness(PSingularParams(1.0), 1000)
 
     def test_positive_before_one_third(self):
         # g(x) = m(x) - x stays positive up to and including 1/3

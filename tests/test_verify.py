@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from singular_mrl import (EvalConfig, PSingularParams, expected_payoff,
+from singular_mrl import (EvalConfig, ParameterError, PSingularParams, expected_payoff,
                           gap_intervals, mrl, sample)
 from singular_mrl import verify
 
@@ -69,6 +69,11 @@ def test_fixed_point_bounds_checks_the_solver(monkeypatch):
     monkeypatch.setattr(verify, "fixed_point_solve",
                         lambda params, config, scan_grid_n: SimpleNamespace(x_star=0.6))
     assert not verify.check_fixed_point_bounds(CONFIG).passed
+
+
+def test_run_all_rejects_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        verify.run_all(p_values=(1.0,), seed=-1)
 
 
 @pytest.mark.parametrize("name, args", [
