@@ -71,35 +71,37 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p", type=float, default=1.0, help="family parameter p > 0 (default 1)")
     common.add_argument("--tolerance", type=float, default=None,
                         help=f"absolute tolerance (default {DEFAULT_CONFIG.tolerance:g}, or ${ENV_TOLERANCE})")
-    common.add_argument("--format", choices=("csv", "json", "text"), default="text")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    def command(name, help_text, formats=("text", "csv", "json")):
+        # the forms the command can write; the first is the default
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        sp.add_argument("--format", choices=formats, default=formats[0])
+        return sp
 
     for name, help_text in (("cdf", "evaluate the CDF at x"),
                             ("mrl", "evaluate the mean residual life at x"),
                             ("gmrl", "evaluate the generalized MRL m(x)/x at x")):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("--x", type=float, required=True)
+        command(name, help_text).add_argument("--x", type=float, required=True)
 
-    sp = sub.add_parser("fixpoint", parents=[common], help="solve m(x) = x")
+    sp = command("fixpoint", "solve m(x) = x")
     sp.add_argument("--grid", type=int, default=1000, help="uniqueness-scan grid size")
 
-    sp = sub.add_parser("price", parents=[common], help="optimal monopoly price")
+    sp = command("price", "optimal monopoly price")
     sp.add_argument("--curve-points", type=int, default=None,
                     help="attach a payoff curve over this many prices")
 
-    sp = sub.add_parser("statics", parents=[common],
-                        help="comparative statics of the optimal price over p values")
+    sp = command("statics", "comparative statics of the optimal price over p values")
     sp.add_argument("--p-list", required=True, help="comma-separated p values")
 
-    sp = sub.add_parser("plot-data", parents=[common],
-                        help="emit CSV point cloud of the CDF and of the MRL grid")
+    sp = command("plot-data", "emit CSV point cloud of the CDF and of the MRL grid", ("csv",))
     sp.add_argument("--n-initial", type=int, default=1000)
     sp.add_argument("--iterations", type=int, default=17)
     sp.add_argument("--grid", type=int, default=1000, help="MRL grid size")
     sp.add_argument("--max-points", type=int, default=5_000_000)
     sp.add_argument("--what", choices=("cdf", "mrl", "both"), default="both")
 
-    sp = sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    sp = command("verify", "run the invariant suite", ("text", "json"))
     sp.add_argument("--grid", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=12345)
     sp.add_argument("--p-list", default="0.5,1,2")
@@ -131,10 +133,10 @@ def _write(path, sections: Iterable[Iterable[str]]) -> None:
 def _render(args, payload, text: str, header: str | None = None, columns=(),
             code: int = EXIT_OK):
     """One section in the chosen --format, and the exit code: `payload` as JSON, the CSV
-    `header` and `columns`, or `text` (also for csv if the command has no CSV form)."""
+    `header` and `columns`, or `text`."""
     if args.format == "json":
         pieces = [json.dumps(payload) + "\n"]
-    elif args.format == "csv" and header is not None:
+    elif args.format == "csv":
         pieces = _csv(header, columns)
     else:
         pieces = [text]
@@ -243,7 +245,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except SingularMrlError as exc:
+    except (SingularMrlError, OSError) as exc:
+        # OSError: an --out path that cannot be opened or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -315,7 +315,10 @@ def cdf_with_bound(params: PSingularParams, x: float, config: EvalConfig = DEFAU
 
 
 def cdf(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """F_p(x) with absolute error <= config.tolerance."""
+    """F_p(x) with absolute error <= config.tolerance, unless config.max_depth
+    cuts the descent short: the error can then be larger (with max_depth=1,
+    F(0.1) at p=1 returns 0.25), and `cdf_with_bound` reports the bound
+    actually achieved."""
     return cdf_with_bound(params, x, config)[0]
 
 
@@ -349,29 +352,38 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample(params: PSingularParams, rng_seed: int, n: int, levels: int = 50) -> np.ndarray:
-    """Draw n i.i.d. variates by descending the ternary branching.
+# Levels `sample` walks after the first right step.  From there on X lies
+# in [2a/3, a] and |s| shrinks by a factor of 3 per level whichever branch
+# is taken, so after D levels the midpoint a + s/2 is within
+# |s|/2 = a / (2 3^(D+1)) of X: a relative 1/(4 3^D).  Half an ulp is at
+# least 2^-54 relative, so D >= 33 (3^33 >= 2^52) pins X for every p;
+# D = 34 keeps the truncation under a third of that half ulp.
+_SAMPLE_LEVELS = 34
 
-    Each level picks the left branch x -> x/3 with probability 1/(p+1)
-    (ternary digit 0) or the right branch x -> 1 - x/3 with probability
-    p/(p+1) (digit 2); the measure is invariant under this inverted-V
-    pair, so the right branch is a *reflected* copy -- the digit
-    processes are not independent for p != 1.  After `levels` steps the
-    draw is pinned to an interval of width 3^-levels (~1.4e-24 for 50)
-    and its midpoint is returned.  Deterministic given the seed.  The
-    fixed depth limits small p: at p=0.01, q^50 = 0.608 of the mass lands
-    on the single value 0.5 * 3^-50 ~ 7e-25, so the draws fail a DKW test.
+
+def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
+    """Draw n i.i.d. variates, deterministic given the seed, by descending
+    the ternary branching: the left branch x -> x/3 with probability
+    q = 1/(p+1) (digit 0) or the right branch x -> 1 - x/3, a *reflected*
+    copy, with probability r = p/(p+1) (digit 2), so the digits are not
+    independent for p != 1.  The draw lies between a and a + s: a left
+    step sends s -> s/3, a right step a -> a + s and s -> -s/3.  Neither
+    depends on a, so the run of K left steps before the first right one is
+    geometric, P(K >= k) = q^k, and drawn in closed form (Devroye 1986,
+    ch. 2); it leaves a = 3^-K and s = -a/3, both 0 where r is so small that
+    numpy caps K at 2^63 - 1.  `_SAMPLE_LEVELS` more levels pin the draw to
+    half an ulp.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rng = seeded_rng(rng_seed)
-    left = params.left_mass
-    a = np.zeros(n)
-    s = np.ones(n)
-    for _ in range(levels):
-        right = rng.random(n) >= left
-        a[right] += s[right]
-        s = np.where(right, -s, s) / 3.0
+    a = 3.0 ** (1 - rng.geometric(params.right_mass, n))
+    s = a / -3.0
+    divisor = np.array([3.0, -3.0])
+    for _ in range(_SAMPLE_LEVELS):
+        right = rng.random(n) >= params.left_mass
+        a += s * right
+        s /= divisor.take(right.view(np.int8))
     return a + 0.5 * s
 
 

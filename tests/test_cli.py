@@ -99,6 +99,23 @@ class TestExitCodes:
         assert code == 4
         assert out == "" and err == "parameter error: seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("argv", [("cdf", "--x", "0.5"),
+                                      ("plot-data", "--iterations", "2", "--grid", "50")],
+                             ids=lambda argv: argv[0])
+    def test_out_in_missing_directory(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "fig.csv"))
+        assert code == 5
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [("plot-data", "--format", "json"),
+                                      ("verify", "--format", "csv")], ids=lambda argv: argv[0])
+    def test_format_the_command_cannot_write(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestTolerance:
     def test_env_var_override(self, capsys, monkeypatch):

@@ -288,6 +288,31 @@ class TestSample:
     def test_dkw_band_against_cdf(self):
         assert check_dkw(P1, EvalConfig(), 99).passed
 
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    def test_dkw_band_off_the_classical_case(self, p):
+        # at these p the largest jump of F between adjacent doubles is
+        # below the band, so a double sampler can meet it
+        assert check_dkw(PSingularParams(p), EvalConfig(), 99).passed
+
+    def test_leading_run_of_left_steps(self):
+        # at p=0.01 most of the mass sits in long runs of left steps:
+        # F(3^-k) = q^k is 0.370 at k=100 and 0.050 at k=300.  F is flat on
+        # the gap (3^-k, 2 3^-k), so the share of draws below its midpoint
+        # estimates q^k whichever way a draw near 3^-k rounds
+        n, params = 10 ** 6, PSingularParams(0.01)
+        draws = sample(params, 7, n)
+        for k in (1, 50, 100, 300):
+            qk = params.left_mass ** k
+            share = np.count_nonzero(draws < 1.5 * 3.0 ** -k) / n
+            assert abs(share - qk) <= 4.0 * math.sqrt(qk * (1.0 - qk) / n), k
+
+    @pytest.mark.parametrize("p", [1e-300, 5e-324, 1e300])
+    def test_extreme_p(self, p):
+        # r so small that numpy caps the geometric run and 3^-K is 0, or q so
+        # small that every step goes right
+        draws = sample(PSingularParams(p), 3, 1000)
+        assert np.all(np.isfinite(draws)) and draws.min() >= 0.0 and draws.max() <= 1.0
+
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             sample(P1, 0, 0)

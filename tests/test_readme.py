@@ -11,7 +11,7 @@ from singular_mrl.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# plot-data and verify take 8-12 s each, so their examples are only parsed
+# plot-data takes 7-9 s and verify about 4 s, so their examples are only parsed
 SLOW = {"plot-data", "verify"}
 # how close each commented value must hold
 COMMENT_TOLERANCE = {"cdf": 1e-10, "fixpoint": 1e-9}
