@@ -352,13 +352,60 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-# Levels `sample` walks after the first right step.  From there on X lies
+# levels per word of `sample`'s alias table: its 2^12 words of four
+# 8-byte fields take 128 kB, so the table stays in cache
+_WORD_LEVELS = 12
+# Words `sample` draws after the first right step.  From there on X lies
 # in [2a/3, a] and |s| shrinks by a factor of 3 per level whichever branch
 # is taken, so after D levels the midpoint a + s/2 is within
 # |s|/2 = a / (2 3^(D+1)) of X: a relative 1/(4 3^D).  Half an ulp is at
 # least 2^-54 relative, so D >= 33 (3^33 >= 2^52) pins X for every p;
-# D = 34 keeps the truncation under a third of that half ulp.
-_SAMPLE_LEVELS = 34
+# three words give D = 36, the least multiple of 12 that does.
+_SAMPLE_WORDS = 3
+# draws per block of `sample`: its working set is the result plus a few
+# arrays of this size
+_SAMPLE_BLOCK = 65_536
+
+
+@functools.lru_cache(maxsize=8)
+def _alias_table(params: PSingularParams) -> tuple[np.ndarray, ...]:
+    """The alias table over the 2^k words of k = `_WORD_LEVELS` levels at p:
+    (threshold P_i, alias, a_w, s_w) with one entry per word.
+
+    Bit j of word w is level j + 1, 1 for a right step.  The word has
+    probability q^#left r^#right and sends (a, s) to (a + s a_w, s s_w):
+    a_w = sum over its right steps i of the product of the earlier levels'
+    factors (+1/3 left, -1/3 right), an integer over 3^(k-1), and
+    s_w = +-3^-k, each one correctly rounded division.  Column i of the
+    table is word i with probability P_i and word alias_i otherwise; Vose's
+    construction (Vose 1991, IEEE TSE) fills it in one pass.  Built once
+    per p, so the arrays are read-only.
+    """
+    k = _WORD_LEVELS
+    size = 1 << k
+    words = np.arange(size)
+    rights = np.zeros(size, dtype=np.int64)
+    numerator = np.zeros(size, dtype=np.int64)
+    for j in range(k):
+        bit = (words >> j) & 1
+        numerator += bit * (-1) ** rights * 3 ** (k - 1 - j)
+        rights += bit
+    prob = (params.left_mass ** (k - rights) * params.right_mass ** rights * size).tolist()
+    alias = list(range(size))
+    small = [i for i, v in enumerate(prob) if v < 1.0]
+    large = [i for i, v in enumerate(prob) if v >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        alias[lo] = hi
+        prob[hi] = (prob[hi] + prob[lo]) - 1.0
+        (small if prob[hi] < 1.0 else large).append(hi)
+    for i in small + large:
+        prob[i] = 1.0
+    table = (np.array(prob), np.array(alias), numerator / 3.0 ** (k - 1),
+             (-1.0) ** rights / 3.0 ** k)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
@@ -371,20 +418,31 @@ def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
     depends on a, so the run of K left steps before the first right one is
     geometric, P(K >= k) = q^k, and drawn in closed form (Devroye 1986,
     ch. 2); it leaves a = 3^-K and s = -a/3, both 0 where r is so small that
-    numpy caps K at 2^63 - 1.  `_SAMPLE_LEVELS` more levels pin the draw to
-    half an ulp.
+    numpy caps K at 2^63 - 1.  The levels after it are i.i.d., so
+    `_SAMPLE_WORDS` words of `_WORD_LEVELS` levels each, one uniform per
+    word from `_alias_table` (Walker's alias method), pin the draw to half
+    an ulp.  The draws are made in blocks of `_SAMPLE_BLOCK`.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rng = seeded_rng(rng_seed)
-    a = 3.0 ** (1 - rng.geometric(params.right_mass, n))
-    s = a / -3.0
-    divisor = np.array([3.0, -3.0])
-    for _ in range(_SAMPLE_LEVELS):
-        right = rng.random(n) >= params.left_mass
-        a += s * right
-        s /= divisor.take(right.view(np.int8))
-    return a + 0.5 * s
+    threshold, alias, a_w, s_w = _alias_table(params)
+    out = np.empty(n)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        m = min(_SAMPLE_BLOCK, n - start)
+        a = 3.0 ** (1 - rng.geometric(params.right_mass, m))
+        s = a / -3.0
+        for _ in range(_SAMPLE_WORDS):
+            # the top 12 bits of a uniform pick the column, the rest the coin
+            u = rng.random(m)
+            u *= threshold.size
+            column = u.astype(np.intp)
+            u -= column
+            word = np.where(u < threshold.take(column), column, alias.take(column))
+            a += s * a_w.take(word)
+            s *= s_w.take(word)
+        out[start:start + m] = a + 0.5 * s
+    return out
 
 
 @dataclass(frozen=True)
@@ -412,9 +470,17 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     Initialization: n_initial evenly spaced points on the plateau
     [1/3, 2/3] at height 1/(p+1), plus the endpoints (0,0) and (1,1).
     Each iteration replaces the set S by {x/3} + S + {1 - x/3} with
-    heights {F/(p+1)} + {F} + {1 - p F/(p+1)}, then deduplicates
-    identical x values.  Raises ResourceLimitError once the cloud, the
-    initial one included, exceeds `max_points` (it about doubles per step).
+    heights {F/(p+1)} + {F} + {1 - p F/(p+1)}, keeping one height per
+    distinct x: that of {x/3} where x/3 is there, else that of S, else that
+    of {1 - x/3}, and within one part that of the least x.
+
+    No sort is needed.  S's points at or below fl(1/3) are all in {x/3}
+    and those at or above 1 - fl(1/3) all in {1 - x/3} (by induction from
+    the initial cloud), so the new cloud is x/3 ascending, the initial
+    plateau points strictly inside (fl(1/3), 1 - fl(1/3)), and 1 - x/3
+    descending, each run of equal values cut to one point.  Raises
+    ResourceLimitError, before building it, once a cloud (the initial one
+    included) would exceed `max_points`; it about doubles per step.
     """
     if n_initial < 2:
         raise ParameterError(f"n_initial must be >= 2, got {n_initial}")
@@ -424,17 +490,31 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     v = params.left_mass
     x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
     F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
-    for k in range(iterations + 1):
-        if x.size > max_points:
+    plateau = x[(x > ONE_THIRD) & (x < 1.0 - ONE_THIRD)]
+
+    def check_cap(size, k):
+        if size > max_points:
             raise ResourceLimitError(
                 f"point cloud exceeded cap of {max_points} points "
-                f"({x.size} after iteration {k} of {iterations})")
-        if k == iterations:
-            return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
-        cx = np.concatenate((x / 3.0, x, 1.0 - x / 3.0))
-        cF = np.concatenate((F * v, F, 1.0 - F * (p * v)))
-        x, first = np.unique(cx, return_index=True)
-        F = cF[first]
+                f"({size} after iteration {k} of {iterations})")
+
+    check_cap(x.size, 0)
+    for k in range(1, iterations + 1):
+        left = x / 3.0
+        right = 1.0 - left[::-1]
+        # the first point of each run of equal x/3, the last of each run of
+        # equal 1 - x/3: the least x that gives it
+        keep_left = np.concatenate(([True], left[1:] != left[:-1]))
+        keep_right = np.concatenate((right[1:] != right[:-1], [True]))
+        check_cap(np.count_nonzero(keep_left) + plateau.size + np.count_nonzero(keep_right), k)
+        right = right[keep_right]
+        rise = 1.0 - F[::-1][keep_right] * (p * v)
+        # where 1 - x/3 is already in S, S's height stays
+        old = np.searchsorted(x, 1.0 - ONE_THIRD)
+        rise[np.searchsorted(right, x[old:])] = F[old:]
+        x = np.concatenate((left[keep_left], plateau, right))
+        F = np.concatenate(((F * v)[keep_left], np.full(plateau.size, v), rise))
+    return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
 
 
 def gap_intervals(max_level: int) -> list[tuple[float, float]]:

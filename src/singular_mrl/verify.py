@@ -185,10 +185,15 @@ def check_lemma_sandwich(params, config, rng, n=300):
     gy, g_hi, g_lo = mrl_many(params, xs, config) - xs
     # (i): g(x) > g(y) - 2 delta for y <= x < y + delta
     # (ii): g(x) < g(y) + 2 delta for y - delta < x <= y
-    worst = min(float(np.min(g_hi - (gy - 2.0 * delta))),
-                float(np.min((gy + 2.0 * delta) - g_lo)))
+    margin = np.minimum(g_hi - (gy - 2.0 * delta), (gy + 2.0 * delta) - g_lo)
+    worst = float(np.min(margin))
+    # inside one gap g has slope -2 and the margin is 2 delta (1 - 0.999 u)
+    # whatever p is; the lemma has content where [x_lo, x_hi] holds mass
+    f_lo, f_hi = dist.cdf_many(params, np.stack((x_lo, x_hi)), config)
+    across = float(np.min(margin[f_lo < f_hi], initial=math.inf))
     ok = worst >= -slack
-    return _result(f"MRL sandwich inequalities (p={params.p})", ok, f"min margin {worst:.3e}")
+    return _result(f"MRL sandwich inequalities (p={params.p})", ok,
+                   f"min margin {worst:.3e}, {across:.3e} across the Cantor set")
 
 
 def check_pricing(params, config, grid_n=1000):

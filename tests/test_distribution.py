@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           cdf_integral_many, cdf_with_bound, expected_payoff,
                           gap_intervals, mrl, mrl_many, payoff_curve,
                           point_cloud, sample, survival)
-from singular_mrl.distribution import _CHUNK, _descend, _descend_many, gap_grid
+from singular_mrl.distribution import (_CHUNK, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
+                                      _alias_table, _descend, _descend_many, gap_grid)
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -61,6 +64,18 @@ def cdf_oracle(p, x, depth=60):
     if x < 1.0 / 3.0:
         return cdf_oracle(p, 3.0 * x, depth - 1) / (p + 1.0)
     return 1.0 - p * cdf_oracle(p, 3.0 * (1.0 - x), depth - 1) / (p + 1.0)
+
+
+def cloud_oracle(params, n_initial, iterations):
+    # the shrink-flip iteration as a sort: np.unique keeps, for each distinct
+    # x, the height of its first copy in the concatenation
+    p, v = params.p, params.left_mass
+    x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
+    F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
+    for _ in range(iterations):
+        x, first = np.unique(np.concatenate((x / 3.0, x, 1.0 - x / 3.0)), return_index=True)
+        F = np.concatenate((F * v, F, 1.0 - F * (p * v)))[first]
+    return x, F
 
 
 class TestParams:
@@ -313,6 +328,61 @@ class TestSample:
         draws = sample(PSingularParams(p), 3, 1000)
         assert np.all(np.isfinite(draws)) and draws.min() >= 0.0 and draws.max() <= 1.0
 
+    @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e-300, 1e300])
+    def test_alias_table_probabilities(self, p):
+        # word w comes from its own column with probability P_w and from
+        # every column j aliased to it with 1 - P_j, each column 2^-k
+        params = PSingularParams(p)
+        threshold, alias, _, _ = _alias_table(params)
+        k = int(threshold.size).bit_length() - 1
+        implied = [Fraction(t) for t in threshold.tolist()]
+        for j, (t, i) in enumerate(zip(threshold.tolist(), alias.tolist())):
+            if i != j:
+                implied[i] += 1 - Fraction(t)
+        q, r = Fraction(params.left_mass), Fraction(params.right_mass)
+        by_count = [q ** (k - c) * r ** c for c in range(k + 1)]
+        exact = [by_count[bin(w).count("1")] for w in range(1 << k)]
+        tv = math.fsum(abs(float(m / (1 << k) - e)) for m, e in zip(implied, exact)) / 2
+        assert np.all((threshold >= 0.0) & (threshold <= 1.0))
+        assert tv <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e-300, 1e300])
+    def test_alias_table_maps(self, p):
+        # each word's (a_w, s_w) within an ulp of its exact composition:
+        # bit j is level j + 1, a left step s -> s/3, a right one a -> a + s
+        # and s -> -s/3
+        _, _, a_w, s_w = _alias_table(PSingularParams(p))
+        k = int(a_w.size).bit_length() - 1
+        for w, (a_got, s_got) in enumerate(zip(a_w.tolist(), s_w.tolist())):
+            a, s = Fraction(0), Fraction(1)
+            for j in range(k):
+                if w >> j & 1:
+                    a, s = a + s, -s / 3
+                else:
+                    s = s / 3
+            assert abs(Fraction(a_got) - a) <= math.ulp(float(a)), w
+            assert abs(Fraction(s_got) - s) <= math.ulp(float(s)), w
+
+    def test_alias_table_is_cached_and_read_only(self):
+        table = _alias_table(P2)
+        assert _alias_table(PSingularParams(2.0)) is table
+        assert not any(arr.flags.writeable for arr in table)
+
+    def test_draws_in_blocks(self):
+        # the first block's draws do not depend on how many blocks follow,
+        # and the working set is the result plus a fixed number of blocks
+        # (about 7), not a multiple of n
+        n = 16 * _SAMPLE_BLOCK
+        head = sample(P1, 3, _SAMPLE_BLOCK)
+        tracemalloc.start()
+        try:
+            draws = sample(P1, 3, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(draws[:_SAMPLE_BLOCK], head)
+        assert peak <= draws.nbytes + 16 * 8 * _SAMPLE_BLOCK
+
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             sample(P1, 0, 0)
@@ -348,9 +418,26 @@ class TestPointCloud:
         dev = np.abs(cdf_many(params, cloud.x) - cloud.F)
         assert dev.max() <= 1e-4
 
+    @pytest.mark.parametrize("n_initial,iterations", [(2, 0), (2, 1), (2, 2), (2, 19), (3, 12),
+                                                      (17, 3), (1000, 10)])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 1.0, 7.3, 100.0, 1e-6, 1e6])
+    def test_byte_identical_to_sorting_oracle(self, p, n_initial, iterations):
+        # p = 7.3 needs the right-side rule: keeping the first of a run of
+        # equal 1 - x/3, with no regard to the cloud's own copy, is 1 ulp off
+        # at x ~ 7/9 from iteration 2; n_initial = 2 needs the plateau cut
+        # strictly inside (fl(1/3), 1 - fl(1/3)), as fl(2/3) and 1 - fl(1/3)
+        # are adjacent doubles
+        params = PSingularParams(p)
+        x, F = cloud_oracle(params, n_initial, iterations)
+        cloud = point_cloud(params, n_initial, iterations)
+        assert cloud.x.tobytes() == x.tobytes()
+        assert cloud.F.tobytes() == F.tobytes()
+
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             point_cloud(P1, n_initial=1000, iterations=17, max_points=100_000)
+        with pytest.raises(ResourceLimitError, match=r"\(8191009 after iteration 12 of 17\)"):
+            point_cloud(P1, n_initial=1000, iterations=17)
 
     def test_resource_cap_on_initial_cloud(self):
         # the 1,002 initial points already exceed a cap of 5

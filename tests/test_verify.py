@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from singular_mrl import (EvalConfig, ParameterError, PSingularParams, expected_payoff,
+from singular_mrl import (EvalConfig, ParameterError, PSingularParams, cdf, expected_payoff,
                           gap_intervals, mrl, sample)
 from singular_mrl import verify
 
@@ -25,16 +25,21 @@ def gap_slope_reference(params, config, level=6, samples=5):
 
 
 def sandwich_reference(params, config, rng, n=300):
-    # n draws each of y, delta, u_hi and u_lo, then three scalar `mrl` calls per trial
+    # n draws each of y, delta, u_hi and u_lo, then three scalar `mrl` calls
+    # per trial, and two scalar `cdf` calls for whether it holds mass
     ys, deltas, u_his, u_los = (rng.random(n) for _ in range(4))
-    worst = math.inf
+    worst = across = math.inf
     for y, delta, u_hi, u_lo in zip(ys, deltas * 0.5 + 1e-9, u_his, u_los):
         gy = mrl(params, y, config).value - y
         x_hi = min(y + u_hi * delta * 0.999, 1.0)
-        worst = min(worst, mrl(params, x_hi, config).value - x_hi - (gy - 2.0 * delta))
+        margin = mrl(params, x_hi, config).value - x_hi - (gy - 2.0 * delta)
         x_lo = max(y - u_lo * delta * 0.999, 0.0)
-        worst = min(worst, (gy + 2.0 * delta) - (mrl(params, x_lo, config).value - x_lo))
-    return worst >= -4.0 * config.tolerance, f"min margin {worst:.3e}"
+        margin = min(margin, (gy + 2.0 * delta) - (mrl(params, x_lo, config).value - x_lo))
+        worst = min(worst, margin)
+        if cdf(params, x_lo, config) < cdf(params, x_hi, config):
+            across = min(across, margin)
+    return (worst >= -4.0 * config.tolerance,
+            f"min margin {worst:.3e}, {across:.3e} across the Cantor set")
 
 
 def pricing_mc_reference(params, config, seed, prices, n):
