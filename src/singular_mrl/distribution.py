@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -345,8 +346,19 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
     return p * f if above else 1.0 - f
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int (a Python or numpy integer); ParameterError for
+    anything else, a float with an integral value included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's default generator for a seed >= 0; ParameterError otherwise."""
+    """numpy's default generator for an integer seed >= 0; ParameterError
+    otherwise."""
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -423,6 +435,7 @@ def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
     word from `_alias_table` (Walker's alias method), pin the draw to half
     an ulp.  The draws are made in blocks of `_SAMPLE_BLOCK`.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     rng = seeded_rng(rng_seed)
@@ -474,23 +487,30 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     distinct x: that of {x/3} where x/3 is there, else that of S, else that
     of {1 - x/3}, and within one part that of the least x.
 
-    No sort is needed.  S's points at or below fl(1/3) are all in {x/3}
-    and those at or above 1 - fl(1/3) all in {1 - x/3} (by induction from
-    the initial cloud), so the new cloud is x/3 ascending, the initial
-    plateau points strictly inside (fl(1/3), 1 - fl(1/3)), and 1 - x/3
-    descending, each run of equal values cut to one point.  Raises
-    ResourceLimitError, before building it, once a cloud (the initial one
-    included) would exceed `max_points`; it about doubles per step.
+    No sort is needed, and no search after the first iteration.  S's
+    points at or below fl(1/3) are all in {x/3} and those at or above
+    1 - fl(1/3) all in {1 - x/3} (by induction from the initial cloud), so
+    the new cloud is x/3 ascending, the initial plateau points strictly
+    inside (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending, each run of
+    equal values cut to one point.  Every cloud holds the one before it,
+    so a mask carried from each iteration to the next marks the points
+    that were in the previous cloud: 1 - x/3 is a point of S where its run
+    holds such a point (S's points at or above 1 - fl(1/3) are the
+    previous right part), and there S's height stays.  Only the initial
+    cloud is searched.  Each iteration is written into one buffer per
+    array and its rare runs are dropped in place, so the returned arrays
+    are views of buffers a few elements longer.
+
+    Raises ResourceLimitError, before building it, once a cloud (the
+    initial one included) would exceed `max_points`; it about doubles per
+    step.  n_initial and iterations must be integers.
     """
+    n_initial = _integer("n_initial", n_initial)
+    iterations = _integer("iterations", iterations)
     if n_initial < 2:
         raise ParameterError(f"n_initial must be >= 2, got {n_initial}")
     if iterations < 0:
         raise ParameterError(f"iterations must be >= 0, got {iterations}")
-    p = params.p
-    v = params.left_mass
-    x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
-    F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
-    plateau = x[(x > ONE_THIRD) & (x < 1.0 - ONE_THIRD)]
 
     def check_cap(size, k):
         if size > max_points:
@@ -498,23 +518,83 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
                 f"point cloud exceeded cap of {max_points} points "
                 f"({size} after iteration {k} of {iterations})")
 
-    check_cap(x.size, 0)
+    check_cap(n_initial + 2, 0)
+    p = params.p
+    v = params.left_mass
+    x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
+    F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
+    plateau = x[(x > ONE_THIRD) & (x < 1.0 - ONE_THIRD)]
+    m = plateau.size
+    # whether x/3 and whether 1 - x/3 is a point of the cloud, per x: a
+    # search in the initial cloud, then the carried mask for both
+    was_left = np.isin(x / 3.0, x)
+    was_right = np.isin(1.0 - x / 3.0, x)
     for k in range(1, iterations + 1):
-        left = x / 3.0
-        right = 1.0 - left[::-1]
-        # the first point of each run of equal x/3, the last of each run of
-        # equal 1 - x/3: the least x that gives it
-        keep_left = np.concatenate(([True], left[1:] != left[:-1]))
-        keep_right = np.concatenate((right[1:] != right[:-1], [True]))
-        check_cap(np.count_nonzero(keep_left) + plateau.size + np.count_nonzero(keep_right), k)
-        right = right[keep_right]
-        rise = 1.0 - F[::-1][keep_right] * (p * v)
-        # where 1 - x/3 is already in S, S's height stays
-        old = np.searchsorted(x, 1.0 - ONE_THIRD)
-        rise[np.searchsorted(right, x[old:])] = F[old:]
-        x = np.concatenate((left[keep_left], plateau, right))
-        F = np.concatenate(((F * v)[keep_left], np.full(plateau.size, v), rise))
+        n = x.size
+        size = 2 * n + m
+        if size > max_points:
+            # the bound is exact but for the few equal neighbours
+            third = x / 3.0
+            check_cap(size - _equal_neighbours(third).size
+                      - _equal_neighbours(1.0 - third).size, k)
+            del third
+        new_x, new_F, was = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        left, right, rise = new_x[:n], new_x[n + m:], new_F[n + m:]
+        np.divide(x, 3.0, out=left)
+        new_x[n:n + m] = plateau
+        np.subtract(1.0, left[::-1], out=right)
+        np.multiply(F, v, out=new_F[:n])
+        new_F[n:n + m] = v
+        np.multiply(F[::-1], p * v, out=rise)
+        np.subtract(1.0, rise, out=rise)
+        was[:n] = was_left
+        was[n:n + m] = True
+        was[n + m:] = was_right[::-1]
+        # a run keeps its first x/3 and its last 1 - x/3, the least x either
+        # way, marked if any point of the run is marked
+        drop_left = _equal_neighbours(left) + 1
+        drop_right = _equal_neighbours(right) + (n + m)
+        _fold_runs(was, drop_left, -1)
+        _fold_runs(was, drop_right, 1)
+        was[drop_right] = False
+        # where 1 - x/3 is already in S, S's height stays: the marked points
+        # of the right part are S's points at or above 1 - fl(1/3), in order
+        old = was[n + m:]
+        rise[old] = F[n - np.count_nonzero(old):]
+        x, F, was = _drop(drop_left, drop_right, new_x, new_F, was)
+        was_left = was_right = was
     return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
+
+
+def _equal_neighbours(values: np.ndarray) -> np.ndarray:
+    """The positions i with values[i] == values[i + 1]."""
+    return np.flatnonzero(values[1:] == values[:-1])
+
+
+def _fold_runs(flags: np.ndarray, drop: np.ndarray, step: int) -> None:
+    """OR the flag of each dropped point into its run's kept point, `step`
+    (-1 or 1) past the run's dropped points.  Runs are rare, a handful
+    per iteration, so this loops."""
+    for i in drop[::step].tolist():
+        flags[i + step] |= flags[i]
+
+
+def _drop(front: np.ndarray, back: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Remove sorted positions from equal-length 1-D arrays in place: those
+    in `front` by moving the stretches before them up, those in `back` by
+    moving the stretches after them down, so that only the points between
+    a position and its end of the arrays move.  Returns views of the rest."""
+    size = arrays[0].size
+    front, back = front.tolist(), back.tolist()
+    tops = front[::-1] + [-1]
+    for shift, (end, start) in enumerate(zip(tops, tops[1:]), start=1):
+        for arr in arrays:
+            arr[start + 1 + shift:end + shift] = arr[start + 1:end]
+    ends = back + [size]
+    for shift, (start, end) in enumerate(zip(ends, ends[1:]), start=1):
+        for arr in arrays:
+            arr[start + 1 - shift:end - shift] = arr[start + 1:end]
+    return [arr[len(front):size - len(back)] for arr in arrays]
 
 
 def gap_intervals(max_level: int) -> list[tuple[float, float]]:

@@ -94,6 +94,15 @@ class TestExitCodes:
         assert code == 5
         assert out == "" and "exceeded cap of 5 points" in err
 
+    def test_cap_before_the_initial_cloud(self, capsys, tmp_path):
+        # 10^12 initial points are refused on their count, not by the allocator
+        code, out, err = run(capsys, "plot-data", "--n-initial", "1000000000000",
+                             "--iterations", "0", "--out", str(tmp_path / "x.csv"))
+        assert code == 5
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "1000000000002 after iteration 0 of 0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", "-1")
         assert code == 4

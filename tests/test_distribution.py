@@ -13,7 +13,8 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           gap_intervals, mrl, mrl_many, payoff_curve,
                           point_cloud, sample, survival)
 from singular_mrl.distribution import (_CHUNK, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
-                                      _alias_table, _descend, _descend_many, gap_grid)
+                                      _alias_table, _descend, _descend_many, _drop,
+                                      _fold_runs, gap_grid)
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -76,6 +77,9 @@ def cloud_oracle(params, n_initial, iterations):
         x, first = np.unique(np.concatenate((x / 3.0, x, 1.0 - x / 3.0)), return_index=True)
         F = np.concatenate((F * v, F, 1.0 - F * (p * v)))[first]
     return x, F
+
+
+CLOUD_SIZES = [(2, 0), (2, 1), (2, 2), (2, 19), (3, 12), (5, 14), (17, 3), (1000, 10)]
 
 
 class TestParams:
@@ -418,9 +422,8 @@ class TestPointCloud:
         dev = np.abs(cdf_many(params, cloud.x) - cloud.F)
         assert dev.max() <= 1e-4
 
-    @pytest.mark.parametrize("n_initial,iterations", [(2, 0), (2, 1), (2, 2), (2, 19), (3, 12),
-                                                      (17, 3), (1000, 10)])
-    @pytest.mark.parametrize("p", [0.01, 0.3, 1.0, 7.3, 100.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("n_initial,iterations", CLOUD_SIZES)
+    @pytest.mark.parametrize("p", [0.01, 0.3, 1.0, 7.3, 100.0, 1e-6, 1e6, 1e-300, 1e300])
     def test_byte_identical_to_sorting_oracle(self, p, n_initial, iterations):
         # p = 7.3 needs the right-side rule: keeping the first of a run of
         # equal 1 - x/3, with no regard to the cloud's own copy, is 1 ulp off
@@ -432,6 +435,63 @@ class TestPointCloud:
         cloud = point_cloud(params, n_initial, iterations)
         assert cloud.x.tobytes() == x.tobytes()
         assert cloud.F.tobytes() == F.tobytes()
+
+    def test_oracle_grid_has_runs_on_both_sides(self):
+        # the cloud's x does not depend on p, and in the last iteration of
+        # some grid size both x/3 and 1 - x/3 hold runs of equal values, so
+        # the byte-identity grid drops points on both sides
+        def runs_on_both_sides(n_initial, iterations):
+            x, _ = cloud_oracle(P1, n_initial, iterations - 1)
+            return all(np.any(part[1:] == part[:-1]) for part in (x / 3.0, 1.0 - x / 3.0))
+
+        assert any(runs_on_both_sides(*size) for size in CLOUD_SIZES if size[1])
+
+    def test_fold_runs(self):
+        # a run keeps its first point on the left and its last on the right,
+        # marked if any point of it is marked
+        flags = np.array([False, False, True, False, True, False, False])
+        _fold_runs(flags, np.array([1, 2, 3]), -1)
+        assert flags.tolist() == [True, True, True, False, True, False, False]
+        flags = np.array([True, False, False, False, False, False, False])
+        _fold_runs(flags, np.array([0, 1, 4, 5]), 1)
+        assert flags.tolist() == [True, True, True, False, False, False, False]
+
+    def test_drop_in_place(self):
+        values = np.arange(20.0)
+        marks = np.arange(20) % 3 == 0
+        front, back = np.array([0, 2, 3, 7]), np.array([11, 15, 16, 19])
+        kept = np.delete(np.arange(20), np.concatenate((front, back)))
+        x, m = _drop(front, back, values, marks)
+        assert x.base is values and m.base is marks
+        np.testing.assert_array_equal(x, kept)
+        np.testing.assert_array_equal(m, kept % 3 == 0)
+        x, = _drop(np.array([], dtype=np.intp), np.array([], dtype=np.intp), np.arange(4.0))
+        np.testing.assert_array_equal(x, np.arange(4.0))
+
+    def test_memory(self):
+        # the working set of the last iteration is the cloud before it, the
+        # new buffers and byte masks; what stays is the result itself
+        tracemalloc.start()
+        try:
+            cloud = point_cloud(P1, 1000, 10)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = cloud.x.nbytes + cloud.F.nbytes
+        assert peak <= 2 * result
+        assert held <= 1.01 * result
+
+    def test_cap_at_the_exact_size(self):
+        # the last iteration drops equal neighbours, so its exact size N is
+        # below the bound 2n + 999 (the plateau points); a cap of N is met,
+        # N - 1 is not
+        n = len(point_cloud(P1, 1000, 9))
+        size = len(point_cloud(P1, 1000, 10))
+        assert size < 2 * n + 999
+        assert len(point_cloud(P1, 1000, 10, max_points=size)) == size
+        with pytest.raises(ResourceLimitError,
+                           match=rf"cap of {size - 1} points \({size} after iteration 10 of 10\)"):
+            point_cloud(P1, 1000, 10, max_points=size - 1)
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -445,11 +505,34 @@ class TestPointCloud:
             point_cloud(P1, n_initial=1000, iterations=0, max_points=5)
         assert len(point_cloud(P1, n_initial=1000, iterations=0, max_points=1002)) == 1002
 
+    def test_resource_cap_before_the_initial_cloud(self):
+        # refused on its size alone: 10^12 points would not fit in memory
+        with pytest.raises(ResourceLimitError, match="1000000000002 after iteration 0 of 0"):
+            point_cloud(P1, n_initial=10**12, iterations=0)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ParameterError):
             point_cloud(P1, n_initial=1, iterations=1)
         with pytest.raises(ParameterError):
             point_cloud(P1, n_initial=10, iterations=-1)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: point_cloud(P1, 10.5, 2), "n_initial"),
+    (lambda: point_cloud(P1, 10, 2.0), "iterations"),
+    (lambda: sample(P1, 0, 2.5), "n"),
+    (lambda: sample(P1, 1.5, 10), "seed"),
+    (lambda: sample(P1, np.float64(1.0), 10), "seed"),
+], ids=["n_initial", "iterations", "n", "seed", "numpy-float-seed"])
+def test_generators_reject_non_integers(call, name):
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_generators_take_numpy_integers():
+    assert point_cloud(P1, np.int64(10), np.int32(2)).x.tobytes() == \
+        point_cloud(P1, 10, 2).x.tobytes()
+    np.testing.assert_array_equal(sample(P1, np.uint8(3), np.int16(5)), sample(P1, 3, 5))
 
 
 class TestGapIntervals:
