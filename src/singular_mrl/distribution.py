@@ -12,18 +12,25 @@ which force F = 1/(p+1) on the whole plateau [1/3, 2/3].  Evaluation
 descends this ternary structure, contracting the value uncertainty by
 max(1, p)/(p+1) per level until the requested tolerance is met.  This
 module owns that descent, once as a scalar loop and once as a numpy loop:
-it carries F and its integral J (module `integration`) along the same
+it can carry F and its integral J (module `integration`) along the same
 path, and every evaluated quantity of the package is a formula over it.
 The numpy loop uses no boolean masks: each level splits the live points
-once by integer index into those that go on and those that end, and the
-stop test is chosen per point, so a quantity that reflects x >= 1/3 (the
-MRL, the payoff) runs both of its branches in one descent.
+once by integer index into those that go on and those that end.  It
+carries only the rows its caller reads (F for `cdf_many`, J for
+`cdf_integral_many` and the payoff, both for the MRL) plus those its stop
+test reads, and the stop test is chosen per point, so a quantity that
+reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in one
+descent.  Most points end within a few levels, so a long input walks its
+first `_HEAD` levels one slice at a time and pools the survivors of every
+slice into one tail walk: the deep, nearly empty levels, where numpy's
+per-call cost outweighs the arithmetic, are paid about once per call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +43,15 @@ ONE_THIRD = 1.0 / 3.0
 TWO_THIRDS = 2.0 / 3.0
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int (a Python or numpy integer); ParameterError for
+    anything else, a float with an integral value included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PSingularParams:
     """Family parameter p > 0 (p = 1 is the classical Cantor distribution)."""
@@ -43,7 +59,7 @@ class PSingularParams:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p > 0):
+        if not (isinstance(self.p, numbers.Real) and math.isfinite(self.p) and self.p > 0):
             raise ParameterError(f"family parameter p must be a finite positive real, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
@@ -66,6 +82,7 @@ class EvalConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ParameterError(f"tolerance must be positive, got {self.tolerance!r}")
+        object.__setattr__(self, "max_depth", _integer("max_depth", self.max_depth))
         if self.max_depth < 1:
             raise ParameterError(f"max_depth must be >= 1, got {self.max_depth!r}")
 
@@ -77,6 +94,9 @@ GAP_LEVEL = 8  # the deepest Cantor gaps whose rounded endpoints `gap_grid` adds
 # points per slice of the vector descent: bounds its working set, and is
 # large enough that per-iteration overhead stays amortised
 _CHUNK = 16_384
+# levels each slice of a multi-slice input walks alone before its live
+# points join the pooled tail (see `_descend_many`)
+_HEAD = 8
 
 
 def i1_closed_form(params: PSingularParams) -> float:
@@ -111,13 +131,15 @@ def _reflect(x):
     Where x lies on the plateau [1/3, 2/3] the float difference is clipped
     back onto it: 1 - x can overshoot the plateau edge by one ulp, and just
     outside the plateau F is genuinely steep (the Hoelder exponent vanishes
-    as p -> 0), so that ulp is not benign.  Takes a float or an array.
+    as p -> 0), so that ulp is not benign.  Only the upper edge needs it:
+    for x in [1/2, 2/3] the difference is exact (Sterbenz), so at least
+    1 - fl(2/3) > fl(1/3), and below 1/2 it exceeds 1/2; for x > 2/3 it is
+    below 1/3 and untouched.  Takes a float or an array.
     """
     z = 1.0 - x
     if isinstance(z, np.ndarray):
-        np.clip(z, ONE_THIRD, TWO_THIRDS, out=z, where=x <= TWO_THIRDS)
-        return z
-    return min(max(z, ONE_THIRD), TWO_THIRDS) if x <= TWO_THIRDS else z
+        return np.minimum(z, TWO_THIRDS, out=z)
+    return min(z, TWO_THIRDS)
 
 
 def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
@@ -165,29 +187,119 @@ def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
     return af + 0.5 * bf, 0.5 * abs(bf), aj + half, half
 
 
-def _descend_many(params: PSingularParams, ys, tol, max_depth: int,
-                  on_j: bool = False, relative=False):
+def _descend_many(params: PSingularParams, ys, tol: float, max_depth: int,
+                  on_j: bool = False, relative: bool = False, reads: str = "FJ",
+                  tol_below: float | None = None):
     """Vector twin of `_descend`, equal to it bit for bit at every point.
 
-    Rejects any point outside [0, 1], NaN included, then yields
-    (slice, F, F bounds, J, J bounds) for successive _CHUNK-point slices
-    of the flattened `ys`.  `tol` and `relative` are each one value for
-    all points or a flat array with one per point, so one descent serves
-    points with different stop tests.
+    Rejects any point outside [0, 1], NaN included, then yields groups
+    (positions, F, F bounds, J, J bounds) that together cover the flattened
+    `ys` once, in no fixed order: a caller scatters each group with
+    out[positions] = values.  `reads` names the quantities the caller
+    reads, "F", "J" or "FJ"; the walk carries only those and what its stop
+    test needs, and yields None for a quantity it did not carry.  With
+    `tol_below`, each point follows `_branch`'s rule instead: x >= 1/3
+    descends from `_reflect(x)` at `tol` (and `relative`), x < 1/3 from
+    itself at `tol_below`, so both branches share one descent.
+
+    The input is cut into `_CHUNK`-point slices.  A lone slice walks to the
+    end.  Otherwise each slice walks its first `_HEAD` levels alone, which
+    end most of its points, and its survivors join a pool that walks the
+    remaining levels whenever it holds `_CHUNK` points, and once more after
+    the last slice.  The near-empty deep levels are then paid about once per
+    call, not once per slice, the working set stays a few slices wide, and
+    every pooled point has walked the same `_HEAD` levels, so `max_depth`
+    counts exactly as in `_descend` (with max_depth <= `_HEAD` the pool
+    walks no level, and its points end as brackets).
     """
     ys = np.asarray(ys, dtype=float).ravel()
-    if ys.size and not (ys.min() >= 0.0 and ys.max() <= 1.0):
+    n = ys.size
+    if n and not (ys.min() >= 0.0 and ys.max() <= 1.0):
         raise DomainError("all evaluation points must lie in [0, 1]")
-    for start in range(0, ys.size, _CHUNK):
-        k = slice(start, min(start + _CHUNK, ys.size))
-        tol_k, rel_k = (v[k] if np.ndim(v) else v for v in (tol, relative))
-        yield k, *_descend_slice(params, ys[k], tol_k, max_depth, on_j, rel_k)
+    walk = _Walk(params, tol, on_j, relative, reads, tol_below)
+    if n <= _CHUNK:
+        if n:
+            yield _descend_slice(walk, *walk.start(ys, 0), max_depth)[0]
+        return
+    head = min(_HEAD, max_depth)
+    pool, pooled = [], 0
+    for start in range(0, n, _CHUNK):
+        group, live = _descend_slice(walk, *walk.start(ys[start:start + _CHUNK], start),
+                                     head, cap=False)
+        yield group
+        if live is not None:
+            pool.append(live)
+            pooled += live[0].size
+        if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
+            idx, state = (np.concatenate(part, axis=-1) for part in zip(*pool))
+            pool, pooled = [], 0
+            yield _descend_slice(walk, idx, state, max_depth - head)[0]
 
 
-def _descend_slice(params: PSingularParams, ys: np.ndarray, tol, max_depth: int,
-                   on_j: bool, rel) -> np.ndarray:
-    """F, F's bound, J and J's bound at the points ys, as the rows of one
-    array; `tol` and `rel` are scalars or one entry per point.
+class _Walk:
+    """One call's vector descent: its constants, its stop test and the rows
+    of state it carries.
+
+    The state of a point is one column: y, then a_F and b_F where F is
+    carried, then a_J and b_J where J is, then L and A of a per-point limit
+    (a_F + b_F/2) L + A where the stop test differs between points (L = 2
+    tol and A = 0 where it is relative, L = 0 and A = 2 tol elsewhere).  F
+    is carried where the caller reads it or the stop test does (F's
+    bracket, or a per-point limit); J where the caller reads it or the test
+    is on J's bracket.
+    """
+
+    def __init__(self, params: PSingularParams, tol: float, on_j: bool, relative: bool,
+                 reads: str, tol_below: float | None):
+        q, r = params.left_mass, params.right_mass
+        self.q = q
+        self.i1, j1, self.c = _anchors(params)
+        # each step's multipliers of b_F and b_J, by 0/1 right step, and
+        # `_select`'s (w, e) of F and of J, by kind of end
+        self.step_f, self.step_j = np.array([q, -r]), np.array([q / 3.0, r / 3.0])
+        self.ends_f = np.array([[0.5, 0.0, 1.0, q], [0.5, 0.0, 0.0, 0.0]])
+        self.ends_j = np.array([[0.5, 1.0, j1, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        self.on_j, self.relative, self.branch = on_j, relative, tol_below is not None
+        self.lim = 2.0 * tol
+        self.lim_below = self.lim if tol_below is None else 2.0 * tol_below
+        self.per_point = bool(relative) or self.lim_below != self.lim
+        carry_f = "F" in reads or not on_j or self.per_point
+        carry_j = "J" in reads or on_j
+        # the row of a_F and of a_J, 0 where that quantity is not carried
+        self.f = 1 if carry_f else 0
+        self.j = 1 + 2 * carry_f if carry_j else 0
+        self.rows = 1 + 2 * carry_f + 2 * carry_j
+
+    def start(self, x: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
+        """The positions and the initial state of the slice x of the input,
+        which starts at `offset`."""
+        state = np.empty((self.rows + 2 * self.per_point, x.size))
+        lim, rel = self.lim, self.relative
+        if self.branch:
+            above = x >= ONE_THIRD
+            state[0] = np.where(above, _reflect(x), x)
+            if self.lim_below != lim:
+                lim = np.where(above, lim, self.lim_below)
+            rel = above & rel
+        else:
+            state[0] = x
+        state[0] += 0.0  # -0 as +0, so that J's bound at y = 0 is +0 as in `_descend`
+        state[1:self.rows:2] = 0.0
+        state[2:self.rows:2] = 1.0
+        if self.per_point:
+            np.multiply(lim, rel, out=state[self.rows])
+            np.subtract(lim, state[self.rows], out=state[self.rows + 1])
+        return np.arange(offset, offset + x.size), state
+
+
+def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray, levels: int,
+                   cap: bool = True):
+    """Walk the points with positions `idx` and state columns `state` for
+    at most `levels` levels.  Returns the group (positions, F, F bounds, J,
+    J bounds) of the points that ended, None for a quantity not carried,
+    and the (positions, state) of those still live after the last level,
+    or None where none is; with `cap` those end as brackets instead, as
+    the depth cap ends them in `_descend`.
 
     Each level partitions the live points once with `np.flatnonzero` into
     those that step on and those that end there.  The state of the ending
@@ -196,80 +308,84 @@ def _descend_slice(params: PSingularParams, ys: np.ndarray, tol, max_depth: int,
     multiply-add where the limit is set per point.  The step needs no mask
     either: with a 0/1 right-step factor R, a_F += R b_F,
     a_J += R b_J (c + y) and y -> 3|R - y|, and the multipliers come from
-    two-entry tables.  Once every point has ended, one select over them by
-    kind (stopped bracket, y = 0, y = 1 or plateau; a stopped bracket wins,
-    as in `_descend`) gives F, J and both bounds.  Adding +-0 and
-    multiplying by 1 are exact, so the values are those of the scalar loop.
+    two-entry tables.  Once the walk is over, one select over the ended
+    points by kind (stopped bracket, y = 0, y = 1 or plateau; a stopped
+    bracket wins, as in `_descend`) gives F, J and their bounds.  Adding
+    +-0 and multiplying by 1 are exact, so the values are those of the
+    scalar loop.
     """
-    q, r = params.left_mass, params.right_mass
-    i1, j1, c = _anchors(params)
-    step_f, step_j = np.array([q, -r]), np.array([q / 3.0, r / 3.0])
-    lim = 2.0 * tol
-    n = ys.size
-    idx = np.arange(n)
-    # the state, one row per quantity: y, a_F, b_F, a_J, b_J and, where the
-    # stop test differs between points, L and A of the limit (a_F + b_F/2) L
-    # + A: L = 2 tol, A = 0 where relative, and L = 0, A = 2 tol elsewhere
-    per_point = np.ndim(lim) > 0 or np.any(rel)
-    state = np.empty((7 if per_point else 5, n))
-    state[0] = ys
-    state[0] += 0.0  # -0 as +0, so that J's bound at y = 0 is +0 as in `_descend`
-    state[1:5] = ((0.0,), (1.0,), (0.0,), (1.0,))
-    if per_point:
-        np.multiply(lim, rel, out=state[5])
-        np.subtract(lim, state[5], out=state[6])
-    y, af, bf, aj, bj = state[:5]
-    # the points in the order they end: where they sit in ys, their final
-    # state, and whether the stop test ended them
-    at, ended, stopped = np.empty(n, dtype=np.intp), np.empty((5, n)), np.ones(n, dtype=bool)
+    f, j, rows, per_point = walk.f, walk.j, walk.rows, walk.per_point
+    lim, c, step_f, step_j = walk.lim, walk.c, walk.step_f, walk.step_j
+    n = idx.size
+    # the points in the order they end: where they sit in the input, their
+    # final state, and whether the stop test ended them
+    at, ended, stopped = np.empty(n, dtype=np.intp), np.empty((rows, n)), np.ones(n, dtype=bool)
     done = 0
-    for _ in range(max_depth):
-        width = bj * y if on_j else np.abs(bf)
-        stop = width <= ((af + 0.5 * bf) * state[5] + state[6] if per_point else lim)
-        left, right = y < ONE_THIRD, y > TWO_THIRDS
-        go = ((left & (y > 0.0)) | (right & (y < 1.0))) & ~stop
+    for _ in range(levels):
+        y = state[0]
+        width = state[j + 1] * y if walk.on_j else np.abs(state[f + 1])
+        if per_point:
+            lim = (state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1]
+        stop = width <= lim
+        right = y > TWO_THIRDS
+        go = (((y < ONE_THIRD) & (y > 0.0)) | (right & (y < 1.0))) & ~stop
         keep = np.flatnonzero(go)
         if keep.size < y.size:
             end = np.flatnonzero(~go)
             k = slice(done, done + end.size)
-            at[k], ended[:, k], stopped[k] = idx.take(end), state[:5].take(end, axis=1), stop.take(end)
+            at[k], ended[:, k], stopped[k] = idx.take(end), state[:rows].take(end, axis=1), stop.take(end)
             done += end.size
             if not keep.size:
                 break
             idx, state, right = idx.take(keep), state.take(keep, axis=1), right.take(keep)
-            y, af, bf, aj, bj = state[:5]
+            y = state[0]
         r_idx = right.view(np.int8)
         r_f = right.astype(float)
-        af += bf * r_f
-        aj += bj * (c + y) * r_f
-        bf *= step_f.take(r_idx)
-        bj *= step_j.take(r_idx)
+        if f:
+            af, bf = state[f], state[f + 1]
+            af += bf * r_f
+            bf *= step_f.take(r_idx)
+        if j:
+            aj, bj = state[j], state[j + 1]
+            aj += bj * (c + y) * r_f
+            bj *= step_j.take(r_idx)
         np.subtract(r_f, y, out=y)
         np.abs(y, out=y)
         y *= 3.0
-    else:
-        at[done:], ended[:, done:] = idx, state[:5]  # depth cap: brackets
-    # the select, in place.  Per kind of end (0 stopped, 1 at y = 0, 2 at
-    # y = 1, 3 on the plateau) F = a_F + b_F w_F with bound |b_F| e_F, and
-    # J = a_J + h with h = (b_J w_J) u and bound h e_J, where u is J's
-    # plateau term on the plateau and y elsewhere
-    y, af, bf, aj, bj = ended
+    live = (idx, state) if done < n else None
+    if live is not None and cap:
+        at[done:], ended[:, done:] = idx, state[:rows]  # depth cap: brackets
+        done, live = n, None
+    return _select(walk, at[:done], ended[:, :done], stopped[:done]), live
+
+
+def _select(walk: _Walk, at: np.ndarray, ended: np.ndarray, stopped: np.ndarray):
+    """The group (positions, F, F bounds, J, J bounds) of ended points, in
+    place over their final state.  Per kind of end (0 stopped, 1 at y = 0,
+    2 at y = 1, 3 on the plateau) F = a_F + b_F w_F with bound |b_F| e_F,
+    and J = a_J + h with h = (b_J w_J) u and bound h e_J, where u is J's
+    plateau term on the plateau and y elsewhere."""
+    y = ended[0]
     kind = (3 - 2 * (y <= 0.0) - (y >= 1.0)) * ~stopped
-    w_f, e_f, w_j, e_j = np.array([[0.5, 0.0, 1.0, q], [0.5, 0.0, 0.0, 0.0],
-                                   [0.5, 1.0, j1, 1.0], [1.0, 0.0, 0.0, 0.0]]).take(kind, axis=1)
-    np.copyto(y, i1 + (y - ONE_THIRD) * q, where=kind == 3)
-    bj *= w_j
-    bj *= y
-    w_f *= bf
-    af += w_f
-    np.abs(bf, out=bf)
-    bf *= e_f
-    aj += bj
-    e_j *= bj
-    out = np.empty((4, n))
-    for row, vals in zip(out, (af, bf, aj, e_j)):
-        row[at] = vals
-    return out
+    group = [at, None, None, None, None]
+    if walk.f:
+        af, bf = ended[walk.f], ended[walk.f + 1]
+        w_f, e_f = walk.ends_f.take(kind, axis=1)
+        w_f *= bf
+        af += w_f
+        np.abs(bf, out=bf)
+        bf *= e_f
+        group[1:3] = af, bf
+    if walk.j:
+        aj, bj = ended[walk.j], ended[walk.j + 1]
+        w_j, e_j = walk.ends_j.take(kind, axis=1)
+        np.copyto(y, walk.i1 + (y - ONE_THIRD) * walk.q, where=kind == 3)
+        bj *= w_j
+        bj *= y
+        aj += bj
+        e_j *= bj
+        group[3:] = aj, e_j
+    return tuple(group)
 
 
 def _branch(params: PSingularParams, x: float, tol_above: float, tol_below: float,
@@ -284,23 +400,19 @@ def _branch(params: PSingularParams, x: float, tol_above: float, tol_below: floa
 
 
 def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float,
-                 max_depth: int, upper, lower, on_j: bool = False,
-                 relative: bool = False) -> np.ndarray:
-    """Vector twin of `_branch`: both branches share one descent over the
-    combined start points, with each point's tolerance and `relative` flag
-    those of its branch, and upper(x, F, J) and lower(x, F, J) turn each
-    slice of it into values.  NaN fails x >= 1/3 and starts from itself,
-    where the descent rejects it; x > 1 reflects below 0, where it is
-    rejected too."""
+                 max_depth: int, value, on_j: bool = False, relative: bool = False,
+                 reads: str = "FJ") -> np.ndarray:
+    """Vector twin of `_branch`: both branches share one descent (see
+    `_descend_many`), and value(x, x >= 1/3, F, J) turns each group of it
+    into values.  The domain check runs on x itself, before any point is
+    reflected."""
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     out = np.empty(flat.shape)
-    above = flat >= ONE_THIRD
-    start = _reflect(flat)
-    np.copyto(start, flat, where=~above)
-    tol = tol_above if tol_above == tol_below else np.where(above, tol_above, tol_below)
-    for k, f, _, j, _ in _descend_many(params, start, tol, max_depth, on_j, above & relative):
-        out[k] = np.where(above[k], upper(flat[k], f, j), lower(flat[k], f, j))
+    for at, f, _, j, _ in _descend_many(params, flat, tol_above, max_depth, on_j, relative,
+                                        reads, tol_below):
+        x = flat.take(at)
+        out[at] = value(x, x >= ONE_THIRD, f, j)
     return out.reshape(xs.shape)
 
 
@@ -327,8 +439,9 @@ def cdf_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
     """Vectorized F_p over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
-    for k, f, _, _, _ in _descend_many(params, xs, config.tolerance, config.max_depth):
-        out[k] = f
+    for at, f, _, _, _ in _descend_many(params, xs, config.tolerance, config.max_depth,
+                                        reads="F"):
+        out[at] = f
     return out.reshape(xs.shape)
 
 
@@ -344,15 +457,6 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
     above, f, _, _, _ = _branch(params, _check_unit_interval(x), min(tol, tol / p), tol,
                                 config.max_depth)
     return p * f if above else 1.0 - f
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int (a Python or numpy integer); ParameterError for
-    anything else, a float with an integral value included."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -604,6 +708,7 @@ def gap_intervals(max_level: int) -> list[tuple[float, float]]:
     (a/3, b/3) and ((2+a)/3, (2+b)/3).  Returns all gaps of level
     <= max_level, sorted, as machine floats.
     """
+    max_level = _integer("max_level", max_level)
     if max_level < 1:
         raise ParameterError(f"max_level must be >= 1, got {max_level}")
     level = [(Fraction(1, 3), Fraction(2, 3))]
@@ -623,6 +728,7 @@ def gap_grid(grid_n: int) -> np.ndarray:
     evaluate.  Built once per grid size, so the array is read-only.
     grid_n = 0 gives the gap endpoints alone.
     """
+    grid_n = _integer("grid_n", grid_n)
     if grid_n < 0:
         raise ParameterError(f"grid_n must be >= 0, got {grid_n}")
     xs = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_n),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
-                           PSingularParams, gap_grid)
+                           PSingularParams, _integer, gap_grid)
 from .errors import ConvergenceError, ParameterError
 from .mrl import mrl, mrl_many
 
@@ -50,10 +50,12 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison and
     `sign_changes` from a uniqueness scan over [0, 1] with `scan_grid_n`
     grid points (set scan_grid_n=0 to skip the scan; sign_changes is
-    then -1).  Any other scan_grid_n below 100 raises ParameterError; the
-    scan raises ConvergenceError if m(x) - x is not > 0 on [0, 1/3] and
-    < 0 on (2/3, 1) (see `verify_uniqueness`).
+    then -1).  Any other scan_grid_n below 100, or one that is not an
+    integer, raises ParameterError; the scan raises ConvergenceError if
+    m(x) - x is not > 0 on [0, 1/3] and < 0 on (2/3, 1) (see
+    `verify_uniqueness`).
     """
+    scan_grid_n = _integer("scan_grid_n", scan_grid_n)
     m = mrl(params, ONE_THIRD, config)
     x_star = 0.5 * (m.value + ONE_THIRD)
     if not ONE_THIRD <= x_star <= TWO_THIRDS:
@@ -80,6 +82,7 @@ def verify_uniqueness(params: PSingularParams, grid_n: int,
     an indeterminate sign (|g| below tolerance) appears away from the
     solved root.
     """
+    grid_n = _integer("grid_n", grid_n)
     if grid_n == 0:  # fixed_point_solve reads 0 as "skip the scan"
         raise ParameterError("the uniqueness scan needs >= 100 grid points, got 0")
     return fixed_point_solve(params, config, grid_n).sign_changes

@@ -50,6 +50,7 @@ def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_
     """Vectorized J over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
-    for k, _, _, j, _ in _descend_many(params, xs, config.tolerance, config.max_depth, on_j=True):
-        out[k] = j
+    for at, _, _, j, _ in _descend_many(params, xs, config.tolerance, config.max_depth,
+                                        on_j=True, reads="J"):
+        out[at] = j
     return out.reshape(xs.shape)

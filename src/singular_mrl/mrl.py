@@ -15,6 +15,8 @@ For x < 1/3 the direct form [(1-x) - (J(1) - J(x))] / (1 - F(x)) is used.
 Its denominator stays >= p/(p+1) but can be small for small p, so the
 descent stops on F's bracket at the tolerance times p/(p+1); the
 quotient's bound is then again at most (1 + m) tolerance <= 2 tolerance.
+Once p/(p+1) is below about 2^-53 the computed 1 - F(x) is 0 there, and
+the evaluators raise ParameterError instead of dividing by it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
                            _branch, _branch_many, _check_unit_interval, mean)
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ def mrl_at_one_third(params: PSingularParams) -> float:
 
 
 def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> MrlValue:
-    """m(x) for x in [0, 1]; exactly 0 at x = 1."""
+    """m(x) for x in [0, 1]; exactly 0 at x = 1.  ParameterError where
+    x < 1/3 and 1 - F(x) rounds to 0 (p below about 2^-53)."""
     x = _check_unit_interval(x)
     tol = config.tolerance
     above, f, f_bound, j, j_bound = _branch(params, x, tol, tol * params.right_mass,
@@ -54,6 +57,8 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
         # survival underflowed (or x = 1); m is bounded by 1 - x
         return MrlValue(0.0, x, params.p, 1.0 - x)
     den, num = (f, j) if above else (1.0 - f, (1.0 - x) - ((1.0 - mean(params)) - j))
+    if den == 0.0:
+        raise _unresolved(params, x)
     value = num / den
     return MrlValue(value, x, params.p, (j_bound + value * f_bound) / den)
 
@@ -67,11 +72,27 @@ def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG)
 
 def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized m over an array of points in [0, 1], equal to `mrl` at
-    every point."""
+    every point, and raising its ParameterError if any point does."""
     j1 = 1.0 - mean(params)
     tol = config.tolerance
-    return _branch_many(
-        params, xs, tol, tol * params.right_mass, config.max_depth,
-        upper=lambda x, f, j: np.divide(j, f, out=np.zeros_like(f), where=f > 0.0),
-        lower=lambda x, f, j: ((1.0 - x) - (j1 - j)) / (1.0 - f),
-        relative=True)
+
+    def value(x, above, f, j):
+        den = np.where(above, f, 1.0 - f)
+        if not den.all():
+            zero = ~above & (den == 0.0)
+            if zero.any():
+                raise _unresolved(params, x[zero][0])
+        # m = 0 where the survival F(1-x) underflowed, as in `mrl`
+        return np.divide(np.where(above, j, (1.0 - x) - (j1 - j)), den,
+                         out=np.zeros_like(den), where=den > 0.0)
+
+    return _branch_many(params, xs, tol, tol * params.right_mass, config.max_depth, value,
+                        relative=True)
+
+
+def _unresolved(params: PSingularParams, x: float) -> ParameterError:
+    # below 1/3 m divides by 1 - F(x), which rounds to 0 once p/(p+1) is
+    # below about 2^-53
+    return ParameterError(
+        f"p = {params.p!r} is too small: 1 - F(x) rounds to 0 at x = {float(x)!r}, so "
+        "double precision cannot resolve the survival there")

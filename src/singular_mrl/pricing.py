@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
-                           _branch, _branch_many, _check_unit_interval, mean)
+                           _branch, _branch_many, _check_unit_interval, _integer, mean)
 from .errors import ParameterError
 from .fixedpoint import FixedPointResult, fixed_point_solve
 
@@ -45,8 +45,8 @@ def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_C
     `expected_payoff` at every price."""
     p, j1, tol = params.p, 1.0 - mean(params), config.tolerance
     return _branch_many(params, prices, tol, tol, config.max_depth,
-                        upper=lambda x, f, j: x * (p * j),
-                        lower=lambda x, f, j: x * ((1.0 - x) - (j1 - j)), on_j=True)
+                        lambda x, above, f, j: x * np.where(above, p * j, (1.0 - x) - (j1 - j)),
+                        on_j=True, reads="J")
 
 
 def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
@@ -56,8 +56,10 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
     If curve_points is given, attaches Pi over that many evenly spaced
     prices for plotting / dominance checks (0 attaches an empty curve).
     """
-    if curve_points is not None and curve_points < 0:
-        raise ParameterError(f"curve_points must be >= 0, got {curve_points}")
+    if curve_points is not None:
+        curve_points = _integer("curve_points", curve_points)
+        if curve_points < 0:
+            raise ParameterError(f"curve_points must be >= 0, got {curve_points}")
     fp = fixed_point_solve(params, config)
     price = fp.x_star
     payoff = expected_payoff(params, price, config)
@@ -70,10 +72,11 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
 
 
 def comparative_statics(p_values, config: EvalConfig = DEFAULT_CONFIG) -> list[PricingResult]:
-    """Optimal prices across a list of p values (order preserved).
+    """Optimal prices across an iterable of p values (order preserved).
 
     Prices are strictly decreasing along strictly increasing p.
     """
+    p_values = list(p_values)
     if not p_values:
         raise ParameterError("p_values must be nonempty")
     return [optimal_price(PSingularParams(p), config) for p in p_values]

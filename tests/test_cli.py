@@ -81,6 +81,17 @@ class TestExitCodes:
         assert code == 4
         assert "parameter error" in err
 
+    @pytest.mark.parametrize("p", ["1e-20", "1e-300"])
+    @pytest.mark.parametrize("argv", [("mrl", "--x", "0.0002"), ("gmrl", "--x", "0.1"),
+                                      ("plot-data", "--what", "mrl", "--grid", "100")])
+    def test_unresolved_survival(self, capsys, argv, p):
+        # 1 - F(x) rounds to 0 below 1/3: one parameter error line, no rows
+        code, out, err = run(capsys, *argv, "--p", p)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: ") and err.count("\n") == 1
+        assert "cannot resolve the survival" in err
+
     def test_runtime_error(self, capsys):
         code, _, err = run(capsys, "plot-data", "--what", "cdf",
                            "--n-initial", "1000", "--iterations", "17",

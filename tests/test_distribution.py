@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,9 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           cdf_integral_many, cdf_with_bound, expected_payoff,
                           gap_intervals, mrl, mrl_many, payoff_curve,
                           point_cloud, sample, survival)
-from singular_mrl.distribution import (_CHUNK, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
-                                      _alias_table, _descend, _descend_many, _drop,
+from singular_mrl import distribution
+from singular_mrl.distribution import (_CHUNK, _HEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
+                                      _alias_table, _branch, _descend, _descend_many, _drop,
                                       _fold_runs, gap_grid)
 from singular_mrl.verify import check_dkw
 
@@ -35,13 +37,26 @@ def descents(tol_f, tol_j, relative):
             if tol < math.inf]
 
 
+def gather(groups, n):
+    """The rows F, F bound, J and J bound of a vector descent's groups, put
+    back in input order; a quantity the walk did not carry stays NaN.
+    Every position must come in exactly one group."""
+    out, seen = np.full((4, n), np.nan), np.zeros(n, dtype=int)
+    for at, *rows in groups:
+        np.add.at(seen, at, 1)
+        for row, values in zip(out, rows):
+            if values is not None:
+                row[at] = values
+    assert (seen == 1).all()
+    return out
+
+
 def twins(params, xs, max_depth, tol_f, tol_j, relative):
     """F, J and both bounds from the vector and from the scalar loop, each
     as one array per request."""
     vec, scalar = [], []
     for tol, on_j, rel in descents(tol_f, tol_j, relative):
-        chunks = _descend_many(params, xs, tol, max_depth, on_j, rel)
-        vec.append(np.concatenate([np.stack(c[1:]) for c in chunks], axis=1))
+        vec.append(gather(_descend_many(params, xs, tol, max_depth, on_j, rel), xs.size))
         scalar.append(np.array([_descend(params, x, tol, max_depth, on_j, rel)
                                 for x in xs.tolist()]).T)
     return np.stack(vec), np.stack(scalar)
@@ -97,6 +112,14 @@ class TestParams:
             EvalConfig(tolerance=0.0)
         with pytest.raises(ParameterError):
             EvalConfig(max_depth=0)
+
+    def test_config_max_depth_is_an_integer(self):
+        # a float depth used to pass here and fail inside every evaluator
+        with pytest.raises(ParameterError, match="max_depth must be an integer, got 2.5"):
+            EvalConfig(max_depth=2.5)
+        config = EvalConfig(max_depth=np.int64(1))
+        assert type(config.max_depth) is int
+        assert cdf_with_bound(P1, 0.25, config) == (0.25, 0.25)
 
     def test_max_depth_caps_the_descent(self):
         # one left step from 1/4 leaves the bracket [0, 1/2] for F(1/4) = 1/3
@@ -189,18 +212,23 @@ class TestDescent:
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
            p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), on_j=st.booleans(),
-           max_depth=st.sampled_from([1, 7, 100_000]))
+           relative=st.booleans(), max_depth=st.sampled_from([1, 7, 8, 9, 100_000]),
+           chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, max_depth):
-        # a tolerance and a relative flag per point, as `_branch_many` sets them
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, relative, max_depth,
+                                                 chunk):
+        # each point's start, tolerance and relative flag those of its
+        # branch, as `_branch_many` sets them, against the scalar `_branch`;
+        # small slices send the points through the pooled tail
         params = PSingularParams(p)
-        tol = data.draw(st.lists(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]),
-                                 min_size=len(xs), max_size=len(xs)))
-        relative = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
-        [(_, *vec)] = _descend_many(params, xs, np.array(tol), max_depth, on_j, np.array(relative))
-        scalar = [_descend(params, x, t, max_depth, on_j, rel)
-                  for x, t, rel in zip(xs, tol, relative)]
-        np.testing.assert_array_equal(bits(np.stack(vec)), bits(np.array(scalar).T))
+        tol_above, tol_below = data.draw(st.lists(
+            st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]), min_size=2, max_size=2))
+        with mock.patch.object(distribution, "_CHUNK", chunk):
+            vec = gather(_descend_many(params, xs, tol_above, max_depth, on_j, relative,
+                                       tol_below=tol_below), len(xs))
+        scalar = [_branch(params, x, tol_above, tol_below, max_depth, on_j, relative)[1:]
+                  for x in xs]
+        np.testing.assert_array_equal(bits(vec), bits(np.array(scalar).T))
 
     @given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from([0.01, 1.0, 7.0, 100.0]),
            max_depth=st.sampled_from([1, 7, 100_000]), on_j=st.booleans(), relative=st.booleans())
@@ -249,12 +277,75 @@ class TestDescent:
                                       bits(pay[:1200].reshape(40, 30)))
 
     def test_twins_agree_across_chunks(self):
+        # three slices: one group per slice, then the pooled tail
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
-        chunks = list(_descend_many(P2, xs, 1e-10, 100_000))
-        assert [c[0] for c in chunks] == [slice(0, _CHUNK), slice(_CHUNK, 2 * _CHUNK),
-                                          slice(2 * _CHUNK, xs.size)]
-        f = np.concatenate([c[1] for c in chunks])
+        groups = list(_descend_many(P2, xs, 1e-10, 100_000))
+        assert len(groups) == 4
+        f = gather(groups, xs.size)[0]
         np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
+
+    @pytest.mark.parametrize("max_depth", [1, _HEAD - 1, _HEAD, _HEAD + 1, 100_000])
+    @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
+    def test_pooled_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points,
+                                            tol_f, tol_j, relative, max_depth):
+        # slices of 32 points: every slice walks its head alone and the pool
+        # is walked whenever it fills, so the pooled tail and the depth cap
+        # on either side of the head are compared with the scalar loop (with
+        # max_depth <= _HEAD the pool walks no level and ends its points)
+        walks = []
+
+        def logged(walk, idx, state, levels, cap=True):
+            walks.append(levels)
+            return descend_slice(walk, idx, state, levels, cap)
+
+        descend_slice = distribution._descend_slice
+        monkeypatch.setattr(distribution, "_CHUNK", 32)
+        monkeypatch.setattr(distribution, "_descend_slice", logged)
+        for params in twin_params:
+            walks.clear()
+            vec, scalar = twins(params, twin_points, max_depth, tol_f, tol_j, relative)
+            np.testing.assert_array_equal(bits(vec), bits(scalar))
+            slices = walks.count(min(_HEAD, max_depth))
+            assert slices >= 3 * len(descents(tol_f, tol_j, relative))
+            assert len(walks) - slices >= 2
+
+    @pytest.mark.parametrize("chunk", [32, _CHUNK])
+    @pytest.mark.parametrize("max_depth", [1, _HEAD, 100_000])
+    @pytest.mark.parametrize("on_j,relative", [(False, False), (True, False), (False, True),
+                                               (True, True)])
+    def test_walks_carry_only_what_they_read(self, monkeypatch, twin_params, twin_points,
+                                             on_j, relative, max_depth, chunk):
+        # an F-only and a J-only walk give the rows of the walk that carries
+        # both; a quantity neither read nor tested is not carried at all
+        monkeypatch.setattr(distribution, "_CHUNK", chunk)
+        for params in twin_params:
+            both = gather(_descend_many(params, twin_points, 1e-10, max_depth, on_j, relative),
+                          twin_points.size)
+            for reads in ("F", "J"):
+                groups = list(_descend_many(params, twin_points, 1e-10, max_depth, on_j,
+                                            relative, reads))
+                one = gather(groups, twin_points.size)
+                carried = {reads, "J" if on_j else "F"} | ({"F"} if relative else set())
+                for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):
+                    if name in carried:
+                        np.testing.assert_array_equal(bits(one[rows]), bits(both[rows]))
+                    else:
+                        assert all(g[rows.start + 1] is None for g in groups)
+
+    @pytest.mark.parametrize("fn,bound", [(cdf_many, 40), (mrl_many, 80)])
+    def test_pool_memory_is_bounded(self, fn, bound):
+        # 2e6 points are 122 slices; the pool is walked whenever it holds
+        # _CHUNK points, so the working set beyond the result is a few
+        # slices wide however long the input (a pool that kept every
+        # survivor to the end peaks at 72 and 125 slice widths here)
+        xs = np.random.default_rng(9).random(2_000_000)
+        tracemalloc.start()
+        try:
+            out = fn(P1, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= bound * _CHUNK * xs.itemsize
 
     @pytest.mark.parametrize("fn", [cdf_many, cdf_integral_many, mrl_many, payoff_curve])
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
@@ -542,6 +633,12 @@ class TestGapIntervals:
 
     def test_count(self):
         assert len(gap_intervals(8)) == 2 ** 8 - 1
+
+    @pytest.mark.parametrize("fn", [gap_intervals, gap_grid])
+    def test_rejects_non_integer_level_or_size(self, fn):
+        with pytest.raises(ParameterError, match="must be an integer, got 2.5"):
+            fn(2.5)
+        assert len(fn(np.int64(2))) == len(fn(2))
 
     def test_gap_grid_is_cached_and_read_only(self):
         xs = gap_grid(1000)

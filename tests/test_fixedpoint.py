@@ -63,6 +63,10 @@ class TestSolver:
         with pytest.raises(ParameterError):
             fixed_point_solve(PSingularParams(1.0), scan_grid_n=scan_grid_n)
 
+    def test_rejects_non_integer_scan_grid(self):
+        with pytest.raises(ParameterError, match="scan_grid_n must be an integer"):
+            fixed_point_solve(PSingularParams(1.0), scan_grid_n=1000.0)
+
     def test_scan_populates_sign_changes(self):
         fp = fixed_point_solve(PSingularParams(1.0), scan_grid_n=1000)
         assert fp.sign_changes == 1
@@ -78,6 +82,10 @@ class TestUniqueness:
     def test_rejects_small_grid(self):
         with pytest.raises(ParameterError):
             verify_uniqueness(PSingularParams(1.0), 50)
+
+    def test_rejects_non_integer_grid(self):
+        with pytest.raises(ParameterError, match="grid_n must be an integer"):
+            verify_uniqueness(PSingularParams(1.0), 150.5)
 
     def test_rejects_zero_grid(self):
         # 0 skips the solver's scan, but a uniqueness check needs one

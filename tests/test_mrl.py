@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singular_mrl import (DomainError, EvalConfig, PSingularParams,
-                          gap_intervals, gmrl, mrl, mrl_at_one_third,
-                          mrl_many, sample)
+from singular_mrl import (DomainError, EvalConfig, ParameterError,
+                          PSingularParams, gap_intervals, gmrl, mrl,
+                          mrl_at_one_third, mrl_many, sample)
 
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
@@ -118,6 +118,21 @@ class TestEvaluator:
             est = float(np.mean(tail - x))
             se = float(np.std(tail - x, ddof=1)) / np.sqrt(tail.size)
             assert abs(mrl(P1, x).value - est) <= 4.0 * se
+
+    @pytest.mark.parametrize("p", [1e-20, 1e-300])
+    def test_unresolved_survival_below_one_third(self, p):
+        # p/(p+1) < 2^-53: 1 - F(x) rounds to 0 for x in (0, 1/3), where m
+        # divides by it; above 1/3 the reflected form still holds
+        params = PSingularParams(p)
+        match = rf"p = {p!r} is too small: .*cannot resolve the survival"
+        with pytest.raises(ParameterError, match=match):
+            mrl(params, 0.0002)
+        with pytest.raises(ParameterError, match=match):
+            gmrl(params, 0.1)
+        with pytest.raises(ParameterError, match=match):
+            mrl_many(params, np.linspace(0.0, 1.0, 7))
+        xs = np.array([0.0, 1 / 3, 0.5, 0.9, 1.0])
+        np.testing.assert_array_equal(mrl_many(params, xs), [mrl(params, x).value for x in xs])
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -49,6 +49,9 @@ class TestOptimalPrice:
         assert optimal_price(P1, curve_points=0).payoff_curve == []
         with pytest.raises(ParameterError):
             optimal_price(P1, curve_points=-3)
+        with pytest.raises(ParameterError, match="curve_points must be an integer"):
+            optimal_price(P1, curve_points=2.5)
+        assert len(optimal_price(P1, curve_points=np.int64(3)).payoff_curve) == 3
 
 
 class TestComparativeStatics:
@@ -63,3 +66,12 @@ class TestComparativeStatics:
     def test_rejects_empty(self):
         with pytest.raises(ParameterError):
             comparative_statics([])
+        with pytest.raises(ParameterError):
+            comparative_statics(np.array([]))
+
+    def test_any_iterable_of_p(self):
+        prices = [r.optimal_price for r in comparative_statics([0.5, 1.0, 2.0])]
+        for p_values in (np.array([0.5, 1.0, 2.0]), (p for p in (0.5, 1.0, 2.0)),
+                         np.array([0.5, 1, 2], dtype=object), np.array([1, 2])):
+            got = [r.optimal_price for r in comparative_statics(p_values)]
+            assert got == prices[-len(got):]
