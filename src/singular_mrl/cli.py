@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         command(name, help_text).add_argument("--x", type=float, required=True)
 
     sp = command("fixpoint", "solve m(x) = x")
-    sp.add_argument("--grid", type=int, default=1000, help="uniqueness-scan grid size")
+    sp.add_argument("--grid", type=int, default=1000,
+                    help="grid size of a uniqueness scan beside the certificate (0: none)")
 
     sp = command("price", "optimal monopoly price")
     sp.add_argument("--curve-points", type=int, default=None,

@@ -724,7 +724,7 @@ def gap_intervals(max_level: int) -> list[tuple[float, float]]:
 def gap_grid(grid_n: int) -> np.ndarray:
     """The sorted union of grid_n evenly spaced points on [0, 1] and the
     rounded endpoints of every gap of level <= GAP_LEVEL: the points where
-    the uniqueness scan, the pricing check and `plot-data --what mrl`
+    `verify_uniqueness`, the pricing check and `plot-data --what mrl`
     evaluate.  Built once per grid size, so the array is read-only.
     grid_n = 0 gives the gap endpoints alone.
     """

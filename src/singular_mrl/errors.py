@@ -18,5 +18,4 @@ class ResourceLimitError(SingularMrlError, RuntimeError):
 
 
 class ConvergenceError(SingularMrlError, RuntimeError):
-    """A solver failed to bracket or converge, or a scan found
-    indeterminate signs away from the root."""
+    """A solver failed to converge or to certify its root, or a scan's count was not 1."""

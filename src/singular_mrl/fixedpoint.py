@@ -1,19 +1,24 @@
 """Fixed point of the mean residual life function: m(x) = x.
 
-On [1/3, 2/3] the CDF is flat, so m is exactly linear with slope -1:
-m(x) = m(1/3) - (x - 1/3).  Its fixed point there is therefore
-x* = (m(1/3) + 1/3) / 2, taken from one evaluation of m(1/3) with half
-of its error bound; no iteration is needed.  The closed form
+On [1/3, 2/3] the CDF is flat, so m is linear with slope -1 and its
+fixed point is x* = (m(1/3) + 1/3) / 2, from one evaluation of m(1/3);
+the closed form x* = 1/6 + (5p+4) / (12 (2p+1)) cross-checks it.
 
-    x* = 1/6 + (5p+4) / (12 (2p+1))
-
-serves as a cross-check, and a grid scan over all of [0, 1] (augmented
-with Cantor-gap endpoints) supplies numerical evidence of uniqueness.
+Uniqueness is certified.  m(x) + x = E[X | X > x] is non-decreasing, so
+m(x) - x >= m(a) + a - 2b on a cell [a, b], and cells with
+m(a) + a - bound(a) > 2b that cover [0, 1/3] prove m(x) - x > 0 there.
+On [1/3, 2/3] m(x) - x is linear with slope -2, and on (1/2, 1] it is at
+most 1 - 2x < 0, so x* is its only root on [0, 1].  The cells halve
+[j/2^L, (j+1)/2^L], L <= 53, the last one cut at the real 1/3.  m is
+evaluated at their left ends, doubles whose descent never rounds, and
+each margin is compared exactly as a Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,9 +27,7 @@ from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
 from .errors import ConvergenceError, ParameterError
 from .mrl import mrl, mrl_many
 
-# grid points closer to the root than this may legitimately have
-# sign indistinguishable from zero
-ROOT_EXCLUSION_RADIUS = 1e-3
+CELL_LEVEL = 53  # the finest cells: j/2^53 below 1/3 is still a double
 
 
 @dataclass(frozen=True)
@@ -43,17 +46,15 @@ def fixed_point_closed_form(params: PSingularParams) -> float:
 
 
 def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
-                      scan_grid_n: int = 1000) -> FixedPointResult:
+                      scan_grid_n: int = 0) -> FixedPointResult:
     """x* = (m(1/3) + 1/3) / 2 from the plateau linearity of m.
 
     `bracket` is x* plus or minus half of m(1/3)'s error bound and
-    `residual` is m(x*) - x*.  Fills `closed_form` for comparison and
-    `sign_changes` from a uniqueness scan over [0, 1] with `scan_grid_n`
-    grid points (set scan_grid_n=0 to skip the scan; sign_changes is
-    then -1).  Any other scan_grid_n below 100, or one that is not an
-    integer, raises ParameterError; the scan raises ConvergenceError if
-    m(x) - x is not > 0 on [0, 1/3] and < 0 on (2/3, 1) (see
-    `verify_uniqueness`).
+    `residual` is m(x*) - x*.  Fills `closed_form` for comparison.  Every
+    call certifies that x* is the only root (see the module docstring), so
+    `sign_changes` is 1, or raises ConvergenceError naming the cell that
+    fails.  A nonzero `scan_grid_n` also reports the count of
+    `verify_uniqueness(params, scan_grid_n)`: ConvergenceError unless it is 1.
     """
     scan_grid_n = _integer("scan_grid_n", scan_grid_n)
     m = mrl(params, ONE_THIRD, config)
@@ -64,47 +65,46 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
             "the MRL evaluator is inconsistent")
     half = 0.5 * m.error_bound
     residual = mrl(params, x_star, config).value - x_star
-    changes = _sign_change_scan(params, scan_grid_n, config, x_star) if scan_grid_n else -1
-    return FixedPointResult(x_star=x_star, residual=residual, bracket=(x_star - half, x_star + half),
-                            closed_form=fixed_point_closed_form(params),
-                            sign_changes=changes)
+    _certify(params, config)
+    changes = verify_uniqueness(params, scan_grid_n, config) if scan_grid_n else 1
+    if changes != 1:
+        raise ConvergenceError(f"the uniqueness scan found {changes} sign changes of "
+                               f"m(x) - x on gap_grid({scan_grid_n}), not 1")
+    return FixedPointResult(x_star, residual, (x_star - half, x_star + half),
+                            fixed_point_closed_form(params), changes)
+
+
+def _certify(params: PSingularParams, config: EvalConfig) -> None:
+    """Cover [0, 1/3] by certified cells, leftmost first, halving each that
+    fails; ConvergenceError names a cell that fails at CELL_LEVEL."""
+    third = Fraction(1, 3)
+    # (j, L, m(a)) for the cell [a, b] = [j/2^L, min((j+1)/2^L, 1/3)]
+    cells = [(0, 1, mrl(params, 0.0, config))]
+    while cells:
+        j, level, m = cells.pop()
+        a, b = Fraction(j, 1 << level), min(Fraction(j + 1, 1 << level), third)
+        margin = Fraction(m.value) + a - Fraction(m.error_bound) - 2 * b
+        if margin > 0:
+            continue
+        if level == CELL_LEVEL:
+            raise ConvergenceError(f"uniqueness is not certified on the cell [{a}, {b}]: "
+                                   f"m(a) + a - bound(a) - 2b = {float(margin):.3e}")
+        j, level = 2 * j, level + 1
+        if Fraction(j + 1, 1 << level) < third:
+            cells.append((j + 1, level, mrl(params, math.ldexp(j + 1, -level), config)))
+        cells.append((j, level, m))
 
 
 def verify_uniqueness(params: PSingularParams, grid_n: int,
                       config: EvalConfig = DEFAULT_CONFIG) -> int:
-    """Count sign changes of m(x) - x on a grid of grid_n >= 100 points
-    over [0, 1]: the `sign_changes` of `fixed_point_solve`'s scan.
-
-    The uniform grid is augmented with the Cantor-gap endpoints of
-    `gap_grid`, where the non-monotone jumps of m occur.  Contract:
-    exactly one sign change, with m(x) - x > 0 on [0, 1/3] and < 0 on
-    (2/3, 1).  Raises ConvergenceError if either side check fails or if
-    an indeterminate sign (|g| below tolerance) appears away from the
-    solved root.
+    """Count sign changes of m(x) - x on the points of `gap_grid(grid_n)`
+    below 1, grid_n >= 100: sampled evidence, independent of the
+    certificate, that the root is unique.  The gap endpoints are where m's
+    slope changes; an exact zero of m(x) - x has no sign and is dropped.
     """
     grid_n = _integer("grid_n", grid_n)
-    if grid_n == 0:  # fixed_point_solve reads 0 as "skip the scan"
-        raise ParameterError("the uniqueness scan needs >= 100 grid points, got 0")
-    return fixed_point_solve(params, config, grid_n).sign_changes
-
-
-def _sign_change_scan(params: PSingularParams, grid_n: int, config: EvalConfig,
-                      root: float) -> int:
     if grid_n < 100:
         raise ParameterError(f"the uniqueness scan needs >= 100 grid points, got {grid_n}")
-    xs = gap_grid(grid_n)
-    xs = xs[xs < 1.0]  # m(1) = 0 by definition, not informative for the scan
-    g = mrl_many(params, xs, config) - xs
-
-    indeterminate = np.abs(g) < 2.0 * config.tolerance
-    stray = indeterminate & (np.abs(xs - root) > ROOT_EXCLUSION_RADIUS)
-    if stray.any():
-        raise ConvergenceError(
-            f"indeterminate sign of m(x) - x away from the root at x = {xs[stray][:5]}")
-    if not (g[xs <= ONE_THIRD] > 0.0).all():
-        raise ConvergenceError("m(x) - x <= 0 somewhere on [0, 1/3]")
-    if not (g[(xs > TWO_THIRDS) & ~indeterminate] < 0.0).all():
-        raise ConvergenceError("m(x) - x >= 0 somewhere on (2/3, 1)")
-
-    signs = np.sign(g[~indeterminate])
-    return int(np.count_nonzero(np.diff(signs) != 0))
+    xs = gap_grid(grid_n)[:-1]  # drops x = 1, where m = 0 by definition
+    signs = np.sign(mrl_many(params, xs, config) - xs)
+    return int(np.count_nonzero(np.diff(signs[signs != 0.0])))

@@ -152,8 +152,7 @@ def check_boundary(params, config):
 
 def check_fixed_point_bounds(config):
     ps = np.logspace(-3, 3, 25)
-    stars = np.array([fixed_point_solve(PSingularParams(p), config, scan_grid_n=0).x_star
-                      for p in ps])
+    stars = np.array([fixed_point_solve(PSingularParams(p), config).x_star for p in ps])
     ok = bool(np.all(stars > 0.375) and np.all(stars < 0.5) and np.all(np.diff(stars) < 0))
     return _result("x*(p) in (3/8, 1/2), decreasing", ok,
                    f"range [{stars.min():.6f}, {stars.max():.6f}]")
@@ -163,7 +162,7 @@ def check_solver_agreement(config):
     worst = 0.0
     for p in np.logspace(-2, 2, 9):
         params = PSingularParams(p)
-        fp = fixed_point_solve(params, config, scan_grid_n=0)
+        fp = fixed_point_solve(params, config)
         worst = max(worst, abs(fp.x_star - fp.closed_form))
     ok = worst <= 1e-8
     return _result("solver vs closed form on log grid", ok, f"max |x* - formula| {worst:.3e}")
@@ -197,7 +196,7 @@ def check_lemma_sandwich(params, config, rng, n=300):
 
 
 def check_pricing(params, config, grid_n=1000):
-    fp = fixed_point_solve(params, config, scan_grid_n=0)
+    fp = fixed_point_solve(params, config)
     foc = abs(fp.residual)
     grid = gap_grid(grid_n)
     best = expected_payoff(params, fp.x_star, config)

@@ -51,7 +51,7 @@ def test_criterion_02_closed_form_family():
     worst = 0.0
     for p in P_FAMILY:
         params = PSingularParams(p)
-        fp = fixed_point_solve(params, scan_grid_n=0)
+        fp = fixed_point_solve(params)
         solved.append(fp.x_star)
         worst = max(worst, abs(fp.x_star - fixed_point_closed_form(params)))
     decreasing = all(a > b for a, b in zip(solved, solved[1:]))

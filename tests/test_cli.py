@@ -83,9 +83,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("p", ["1e-20", "1e-300"])
     @pytest.mark.parametrize("argv", [("mrl", "--x", "0.0002"), ("gmrl", "--x", "0.1"),
-                                      ("plot-data", "--what", "mrl", "--grid", "100")])
+                                      ("plot-data", "--what", "mrl", "--grid", "100"),
+                                      ("fixpoint",), ("fixpoint", "--grid", "0"), ("price",)])
     def test_unresolved_survival(self, capsys, argv, p):
-        # 1 - F(x) rounds to 0 below 1/3: one parameter error line, no rows
+        # 1 - F(x) rounds to 0 below 1/3: one parameter error line, no rows.
+        # fixpoint and price meet it in the uniqueness certificate's scalar mrl
         code, out, err = run(capsys, *argv, "--p", p)
         assert code == 4
         assert out == ""
@@ -173,6 +175,37 @@ class TestFixpointAndPricing:
         assert payload["x_star"] == pytest.approx(5 / 12, abs=1e-9)
         assert payload["closed_form"] == pytest.approx(5 / 12, abs=1e-15)
         assert payload["sign_changes"] == 1
+
+    # the bytes fixpoint wrote while every solve scanned gap_grid(1000) for
+    # sign changes; the certificate keeps them, with or without the scan
+    PINNED = {
+        ("0.01", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
+                         "0.49754901960784315,-1.1102230246251565e-16,0.49754901960784315,"
+                         "0.49754901960784315,0.49754901960784315,1\n",
+        ("1", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
+                      "0.41666666666666663,1.1102230246251565e-16,0.41666666666666663,"
+                      "0.41666666666666663,0.41666666666666663,1\n",
+        ("100", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
+                        "0.37562189054726369,0,0.37562189054726369,0.37562189054726369,"
+                        "0.37562189054726369,1\n",
+        ("0.01", "json"): '{"p": 0.01, "x_star": 0.49754901960784315, '
+                          '"residual": -1.1102230246251565e-16, '
+                          '"bracket": [0.49754901960784315, 0.49754901960784315], '
+                          '"closed_form": 0.49754901960784315, "sign_changes": 1}\n',
+        ("1", "json"): '{"p": 1.0, "x_star": 0.41666666666666663, '
+                       '"residual": 1.1102230246251565e-16, '
+                       '"bracket": [0.41666666666666663, 0.41666666666666663], '
+                       '"closed_form": 0.41666666666666663, "sign_changes": 1}\n',
+        ("100", "json"): '{"p": 100.0, "x_star": 0.3756218905472637, "residual": 0.0, '
+                         '"bracket": [0.3756218905472637, 0.3756218905472637], '
+                         '"closed_form": 0.3756218905472637, "sign_changes": 1}\n',
+    }
+
+    @pytest.mark.parametrize("grid", ["1000", "0"])
+    @pytest.mark.parametrize("p, fmt", sorted(PINNED))
+    def test_fixpoint_bytes_are_pinned(self, capsys, p, fmt, grid):
+        code, out, err = run(capsys, "fixpoint", "--p", p, "--format", fmt, "--grid", grid)
+        assert (code, out, err) == (0, self.PINNED[p, fmt], "")
 
     def test_fixpoint_rejects_small_grid(self, capsys):
         code, out, err = run(capsys, "fixpoint", "--p", "1", "--grid", "50")

@@ -72,7 +72,7 @@ def test_vector_checks_match_scalar_loops(p):
 def test_fixed_point_bounds_checks_the_solver(monkeypatch):
     assert verify.check_fixed_point_bounds(CONFIG).passed
     monkeypatch.setattr(verify, "fixed_point_solve",
-                        lambda params, config, scan_grid_n: SimpleNamespace(x_star=0.6))
+                        lambda params, config: SimpleNamespace(x_star=0.6))
     assert not verify.check_fixed_point_bounds(CONFIG).passed
 
 
