@@ -584,33 +584,37 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
                 max_points: int = 5_000_000) -> PointCloud:
     """Generate the CDF point cloud by the shrink-flip iteration.
 
-    Initialization: n_initial evenly spaced points on the plateau
-    [1/3, 2/3] at height 1/(p+1), plus the endpoints (0,0) and (1,1).
-    Each iteration replaces the set S by {x/3} + S + {1 - x/3} with
-    heights {F/(p+1)} + {F} + {1 - p F/(p+1)}, keeping one height per
-    distinct x: that of {x/3} where x/3 is there, else that of S, else that
-    of {1 - x/3}, and within one part that of the least x.
+    Initialization: n_initial evenly spaced points on the plateau [1/3, 2/3] at
+    height 1/(p+1), plus (0,0) and (1,1).  Each iteration maps the cloud S to
+    {x/3} + plateau + {1 - x/3} with heights F/(p+1), 1/(p+1) and
+    1 - p F/(p+1), each new point taking its height from the least x giving it.
 
-    No sort is needed, and no search after the first iteration.  S's
-    points at or below fl(1/3) are all in {x/3} and those at or above
-    1 - fl(1/3) all in {1 - x/3} (by induction from the initial cloud), so
-    the new cloud is x/3 ascending, the initial plateau points strictly
-    inside (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending, each run of
-    equal values cut to one point.  Every cloud holds the one before it,
-    so a mask carried from each iteration to the next marks the points
-    that were in the previous cloud: 1 - x/3 is a point of S where its run
-    holds such a point (S's points at or above 1 - fl(1/3) are the
-    previous right part), and there S's height stays.  Only the initial
-    cloud is searched.  Each iteration is written into one buffer per
-    array and its rare runs are dropped in place, so the returned arrays
-    are views of buffers a few elements longer.
+    No sort is needed: S's points at or below fl(1/3) are all in {x/3} and
+    those at or above 1 - fl(1/3) all in {1 - x/3} (by induction), so the new
+    cloud is x/3 ascending, the initial plateau points strictly inside
+    (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending, written into one buffer per
+    array.  Runs of equal values are cut in place to their least x, so the
+    returned arrays are views of slightly longer buffers.
 
-    Raises ResourceLimitError, before building it, once a cloud (the
-    initial one included) would exceed `max_points`; it about doubles per
-    step.  n_initial and iterations must be integers.
+    This is `np.unique` over {x/3} + S + {1 - x/3}, which keeps S's own copy
+    where 1 - x/3 is in S, with the same height: a run's least x is its oldest
+    point and heights are fixed at birth.  In reals the two maps send [0, 1]
+    into [0, 1/3] and [2/3, 1], so two words of them meet only at images of
+    1/3 (x/3 at 1) and 2/3 (1 - x/3 at 1).  1.0/3 is the initial fl(1/3), but
+    1 - fl(1/3) is an ulp above fl(2/3) and an iteration younger; x/3 taken
+    j times keeps that order for j <= 6 and merges the pair at j = 7, and
+    1 - x/3 merges it at once.  Other real points lie 3^-k / (3 n_initial - 3)
+    apart or more after k iterations, each within 2^-51 of its double, so no
+    two share a run while 3^iterations (n_initial - 1) < 2^49, as in any cloud
+    under 10^9 points.
+
+    Raises ResourceLimitError, before building it, once a cloud (the initial
+    one included) would exceed `max_points`; it about doubles per step.
+    n_initial, iterations and max_points must be integers.
     """
     n_initial = _integer("n_initial", n_initial)
     iterations = _integer("iterations", iterations)
+    max_points = _integer("max_points", max_points)
     if n_initial < 2:
         raise ParameterError(f"n_initial must be >= 2, got {n_initial}")
     if iterations < 0:
@@ -623,16 +627,11 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
                 f"({size} after iteration {k} of {iterations})")
 
     check_cap(n_initial + 2, 0)
-    p = params.p
-    v = params.left_mass
+    p, v = params.p, params.left_mass
     x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
     F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
     plateau = x[(x > ONE_THIRD) & (x < 1.0 - ONE_THIRD)]
     m = plateau.size
-    # whether x/3 and whether 1 - x/3 is a point of the cloud, per x: a
-    # search in the initial cloud, then the carried mask for both
-    was_left = np.isin(x / 3.0, x)
-    was_right = np.isin(1.0 - x / 3.0, x)
     for k in range(1, iterations + 1):
         n = x.size
         size = 2 * n + m
@@ -642,7 +641,7 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
             check_cap(size - _equal_neighbours(third).size
                       - _equal_neighbours(1.0 - third).size, k)
             del third
-        new_x, new_F, was = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        new_x, new_F = np.empty(size), np.empty(size)
         left, right, rise = new_x[:n], new_x[n + m:], new_F[n + m:]
         np.divide(x, 3.0, out=left)
         new_x[n:n + m] = plateau
@@ -651,36 +650,14 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
         new_F[n:n + m] = v
         np.multiply(F[::-1], p * v, out=rise)
         np.subtract(1.0, rise, out=rise)
-        was[:n] = was_left
-        was[n:n + m] = True
-        was[n + m:] = was_right[::-1]
-        # a run keeps its first x/3 and its last 1 - x/3, the least x either
-        # way, marked if any point of the run is marked
-        drop_left = _equal_neighbours(left) + 1
-        drop_right = _equal_neighbours(right) + (n + m)
-        _fold_runs(was, drop_left, -1)
-        _fold_runs(was, drop_right, 1)
-        was[drop_right] = False
-        # where 1 - x/3 is already in S, S's height stays: the marked points
-        # of the right part are S's points at or above 1 - fl(1/3), in order
-        old = was[n + m:]
-        rise[old] = F[n - np.count_nonzero(old):]
-        x, F, was = _drop(drop_left, drop_right, new_x, new_F, was)
-        was_left = was_right = was
+        x, F = _drop(_equal_neighbours(left) + 1, _equal_neighbours(right) + (n + m),
+                     new_x, new_F)
     return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
 
 
 def _equal_neighbours(values: np.ndarray) -> np.ndarray:
     """The positions i with values[i] == values[i + 1]."""
     return np.flatnonzero(values[1:] == values[:-1])
-
-
-def _fold_runs(flags: np.ndarray, drop: np.ndarray, step: int) -> None:
-    """OR the flag of each dropped point into its run's kept point, `step`
-    (-1 or 1) past the run's dropped points.  Runs are rare, a handful
-    per iteration, so this loops."""
-    for i in drop[::step].tolist():
-        flags[i + step] |= flags[i]
 
 
 def _drop(front: np.ndarray, back: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:

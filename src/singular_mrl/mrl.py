@@ -13,8 +13,10 @@ tolerance times the running midpoint of F.  The quotient's bound
 single pass, however small the survival probability F(1-x) gets as x -> 1.
 For x < 1/3 the direct form [(1-x) - (J(1) - J(x))] / (1 - F(x)) is used.
 Its denominator stays >= p/(p+1) but can be small for small p, so the
-descent stops on F's bracket at the tolerance times p/(p+1); the
-quotient's bound is then again at most (1 + m) tolerance <= 2 tolerance.
+descent stops on F's bracket at the tolerance times p/(p+1).  1 - F(x)
+and the numerator both cancel to about p/(p+1), so the bound also counts
+their rounding, 2^-51 (1 + m) / (1 - F(x)): under 1e-9 for p >= 1e-6,
+and so wide for p <= 1e-10 that the uniqueness certificate fails on it.
 Once p/(p+1) is below about 2^-53 the computed 1 - F(x) is 0 there, and
 the evaluators raise ParameterError instead of dividing by it.
 """
@@ -60,7 +62,8 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
     if den == 0.0:
         raise _unresolved(params, x)
     value = num / den
-    return MrlValue(value, x, params.p, (j_bound + value * f_bound) / den)
+    bound = j_bound + value * f_bound + (0.0 if above else 2.0 ** -51 * (1.0 + value))
+    return MrlValue(value, x, params.p, bound / den)
 
 
 def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -16,7 +16,7 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
 from singular_mrl import distribution
 from singular_mrl.distribution import (_CHUNK, _HEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
                                       _alias_table, _branch, _descend, _descend_many, _drop,
-                                      _fold_runs, gap_grid)
+                                      gap_grid)
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -95,6 +95,16 @@ def cloud_oracle(params, n_initial, iterations):
 
 
 CLOUD_SIZES = [(2, 0), (2, 1), (2, 2), (2, 19), (3, 12), (5, 14), (17, 3), (1000, 10)]
+
+
+@st.composite
+def cloud_sizes(draw, max_points=2 ** 16):
+    """(n_initial, iterations) for n_initial in [2, 5000] and a cloud of at
+    most `max_points`: it holds fewer than 2^(k+1) (n_initial + 2) points
+    after k iterations."""
+    n_initial = draw(st.integers(2, 5000))
+    most = (max_points // (n_initial + 2)).bit_length() - 2
+    return n_initial, draw(st.integers(0, most))
 
 
 class TestParams:
@@ -240,23 +250,25 @@ class TestDescent:
         assert j_bound <= f_bound
 
     @pytest.mark.parametrize("p,x,values", [
-        (0.01, 0.3, (0.01951266862944645, 0.3690294520875967, 8.3918660180446e-12,
+        (0.01, 0.3, (0.01951266862944645, 0.3690294520875967, 8.423023786252325e-12,
                      0.0021602248287300617)),
         (0.01, 0.4, (0.009900990099009901, 0.5950980392156862, 0.0, 0.002356823917685886)),
         (0.01, 1 - 1e-9, (0.008277399150406683, 9.87347154111631e-10, 0.0,
                           8.172666486427405e-12)),
-        (1.0, 0.3, (0.6000000000349246, 0.44761904761470506, 2.1712381451427677e-11,
+        (1.0, 0.3, (0.6000000000349246, 0.44761904761470506, 2.1713452904759366e-11,
                     0.08057142858265089)),
         (1.0, 1 - 1e-9, (1.9073486328125e-06, 5.698041730992018e-10, 0.0,
                          6.249999816987929e-11)),
-        (100.0, 0.3, (0.9901951267315589, 0.45120053821420647, 2.0833895139318987e-11,
+        (100.0, 0.3, (0.9901951267315589, 0.45120053821420647, 2.083454598326171e-11,
                       0.13403297223588756)),
         (100.0, 0.4, (0.9900990099009901, 0.35124378109452736, 0.0, 0.13910644795822866)),
         (100.0, 1 - 1e-9, (4.710226176271034e-11, 3.579166901973728e-10, 0.0,
                            4.950494904544894e-10))])
     def test_reflected_quantities_pinned(self, p, x, values):
         # survival, m with its bound and the payoff, as they were while each
-        # scalar branched at 1/3 on its own and the kernel took two tolerances
+        # scalar branched at 1/3 on its own and the kernel took two tolerances;
+        # m's bound at x = 0.3 has since gained the 2^-51 (1 + m) / (1 - F)
+        # that the rounding of the quotient's two terms costs below 1/3
         params = PSingularParams(p)
         m = mrl(params, x)
         assert (survival(params, x), m.value, m.error_bound, expected_payoff(params, x)) == values
@@ -517,35 +529,47 @@ class TestPointCloud:
     @pytest.mark.parametrize("p", [0.01, 0.3, 1.0, 7.3, 100.0, 1e-6, 1e6, 1e-300, 1e300])
     def test_byte_identical_to_sorting_oracle(self, p, n_initial, iterations):
         # p = 7.3 needs the right-side rule: keeping the first of a run of
-        # equal 1 - x/3, with no regard to the cloud's own copy, is 1 ulp off
-        # at x ~ 7/9 from iteration 2; n_initial = 2 needs the plateau cut
-        # strictly inside (fl(1/3), 1 - fl(1/3)), as fl(2/3) and 1 - fl(1/3)
-        # are adjacent doubles
+        # equal 1 - x/3, the largest x, is 1 ulp off at x ~ 7/9 from
+        # iteration 2; n_initial = 2 needs the plateau cut strictly inside
+        # (fl(1/3), 1 - fl(1/3)), as fl(2/3) and 1 - fl(1/3) are adjacent
+        # doubles
         params = PSingularParams(p)
         x, F = cloud_oracle(params, n_initial, iterations)
         cloud = point_cloud(params, n_initial, iterations)
         assert cloud.x.tobytes() == x.tobytes()
         assert cloud.F.tobytes() == F.tobytes()
 
+    @given(p=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), size=cloud_sizes())
+    @settings(max_examples=150, deadline=None)
+    def test_byte_identical_to_sorting_oracle_at_any_p(self, p, size):
+        # p log-uniform over [1e-300, 1e300], clouds of up to 2^16 points
+        self.test_byte_identical_to_sorting_oracle(p, *size)
+
     def test_oracle_grid_has_runs_on_both_sides(self):
         # the cloud's x does not depend on p, and in the last iteration of
-        # some grid size both x/3 and 1 - x/3 hold runs of equal values, so
-        # the byte-identity grid drops points on both sides
+        # some grid size both x/3 and 1 - x/3 hold runs of equal values, and
+        # a run of 1 - x/3 is a point already in the cloud, so the
+        # byte-identity grid drops points on both sides and meets the case
+        # where `np.unique` keeps the cloud's own copy
         def runs_on_both_sides(n_initial, iterations):
             x, _ = cloud_oracle(P1, n_initial, iterations - 1)
-            return all(np.any(part[1:] == part[:-1]) for part in (x / 3.0, 1.0 - x / 3.0))
+            left, right = (part[1:][part[1:] == part[:-1]] for part in (x / 3.0, 1.0 - x / 3.0))
+            return left.size and np.isin(right, x).any()
 
         assert any(runs_on_both_sides(*size) for size in CLOUD_SIZES if size[1])
 
-    def test_fold_runs(self):
-        # a run keeps its first point on the left and its last on the right,
-        # marked if any point of it is marked
-        flags = np.array([False, False, True, False, True, False, False])
-        _fold_runs(flags, np.array([1, 2, 3]), -1)
-        assert flags.tolist() == [True, True, True, False, True, False, False]
-        flags = np.array([True, False, False, False, False, False, False])
-        _fold_runs(flags, np.array([0, 1, 4, 5]), 1)
-        assert flags.tolist() == [True, True, True, False, False, False, False]
+    def test_the_two_doubles_of_two_thirds(self):
+        # the facts `point_cloud`'s docstring rests on: 1/3 of 1 is the
+        # initial fl(1/3), 1 - fl(1/3) lies an ulp above fl(2/3), x/3 keeps
+        # the pair an ulp apart in that order six times and merges it the
+        # seventh, and 1 - x/3 merges each pair at once
+        assert 1.0 / 3.0 == ONE_THIRD
+        older, younger = TWO_THIRDS, 1.0 - ONE_THIRD
+        for _ in range(7):
+            assert math.nextafter(older, 1.0) == younger
+            assert 1.0 - older / 3.0 == 1.0 - younger / 3.0
+            older, younger = older / 3.0, younger / 3.0
+        assert older == younger
 
     def test_drop_in_place(self):
         values = np.arange(20.0)
@@ -560,8 +584,8 @@ class TestPointCloud:
         np.testing.assert_array_equal(x, np.arange(4.0))
 
     def test_memory(self):
-        # the working set of the last iteration is the cloud before it, the
-        # new buffers and byte masks; what stays is the result itself.  A
+        # the working set of the last iteration is the cloud before it and
+        # the new buffers; what stays is the result itself.  A
         # short cloud first makes the allocations of a first call, which
         # would otherwise count as held when this test runs alone
         point_cloud(P1, 1000, 2)
@@ -614,10 +638,14 @@ class TestPointCloud:
 @pytest.mark.parametrize("call,name", [
     (lambda: point_cloud(P1, 10.5, 2), "n_initial"),
     (lambda: point_cloud(P1, 10, 2.0), "iterations"),
+    (lambda: point_cloud(P1, 10, 2, max_points=2.5e6), "max_points"),
+    (lambda: point_cloud(P1, 10, 2, max_points=None), "max_points"),
+    (lambda: point_cloud(P1, 10, 2, max_points="10"), "max_points"),
     (lambda: sample(P1, 0, 2.5), "n"),
     (lambda: sample(P1, 1.5, 10), "seed"),
     (lambda: sample(P1, np.float64(1.0), 10), "seed"),
-], ids=["n_initial", "iterations", "n", "seed", "numpy-float-seed"])
+], ids=["n_initial", "iterations", "float-max_points", "none-max_points", "str-max_points",
+        "n", "seed", "numpy-float-seed"])
 def test_generators_reject_non_integers(call, name):
     with pytest.raises(ParameterError, match=f"{name} must be an integer"):
         call()

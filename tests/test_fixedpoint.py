@@ -91,6 +91,28 @@ class TestSolver:
         with pytest.raises(ParameterError, match="cannot resolve the survival"):
             optimal_price(PSingularParams(p))
 
+    def test_unsound_values_fail_the_certificate(self):
+        # at p = 1e-14 the rounding of m's two terms below 1/3 exceeds the
+        # tolerance and `verify_uniqueness` counts 3 sign changes; m's bound
+        # carries that rounding, so the certificate fails rather than passes
+        with pytest.raises(ConvergenceError, match="not certified on the cell"):
+            fixed_point_solve(PSingularParams(1e-14))
+
+    @pytest.mark.parametrize("p,calls", [
+        (1e4, 3), (100.0, 3), (1.0, 5), (0.01, 10), (1e-4, 16), (1e-6, 23)])
+    def test_mrl_calls_per_solve(self, monkeypatch, p, calls):
+        # m(1/3), m(x*) and the certificate's cells: the rounding term in
+        # m's bound below 1/3 costs no extra cell at these p
+        seen = []
+
+        def counted(params, x, config):
+            seen.append(x)
+            return mrl(params, x, config)
+
+        monkeypatch.setattr(fixedpoint, "mrl", counted)
+        fixed_point_solve(PSingularParams(p))
+        assert len(seen) == calls
+
     def test_default_path_makes_no_vector_call(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("mrl_many called")

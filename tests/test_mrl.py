@@ -94,6 +94,17 @@ class TestEvaluator:
         for x in [0.23159337822711346, *xs.tolist()]:
             assert mrl(params, x).error_bound <= 2e-10
 
+    @pytest.mark.parametrize("p,exact", [
+        (1e-12, 0.33334223429503645), (1e-10, 0.33334223443528604),
+        (1e-8, 0.33334224846024396), (1e-6, 0.3333436509544694)])
+    def test_bound_holds_the_exact_value_at_tiny_p(self, p, exact):
+        # 1 - F(x) and the numerator cancel to about p/(p+1) just below 1/3,
+        # so their rounding must be in the bound: at p = 1e-12 the value is
+        # 6.4e-5 off.  `exact` is m at the double x and the double p from an
+        # exact Fraction descent, rounded to a double
+        v = mrl(PSingularParams(p), 87379 / 262144)
+        assert abs(v.value - exact) <= v.error_bound
+
     def test_extreme_p_near_one(self):
         # survival probability ~1e-4 at 0.9998 for p = 100; the relative
         # stop test must keep the quotient accurate
