@@ -29,6 +29,7 @@ per-call cost outweighs the arithmetic, are paid about once per call.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -52,6 +53,13 @@ def _integer(name: str, value) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _positive_real(name: str, value) -> float:
+    """value as a float if a finite positive real; ParameterError otherwise."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PSingularParams:
     """Family parameter p > 0 (p = 1 is the classical Cantor distribution)."""
@@ -59,9 +67,7 @@ class PSingularParams:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, numbers.Real) and math.isfinite(self.p) and self.p > 0):
-            raise ParameterError(f"family parameter p must be a finite positive real, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _positive_real("family parameter p", self.p))
 
     @property
     def left_mass(self) -> float:
@@ -74,17 +80,12 @@ class PSingularParams:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerance and recursion-depth budget shared by all evaluators."""
+    """Absolute tolerance shared by all evaluators."""
 
     tolerance: float = 1e-10
-    max_depth: int = 100_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ParameterError(f"tolerance must be positive, got {self.tolerance!r}")
-        object.__setattr__(self, "max_depth", _integer("max_depth", self.max_depth))
-        if self.max_depth < 1:
-            raise ParameterError(f"max_depth must be >= 1, got {self.max_depth!r}")
+        object.__setattr__(self, "tolerance", _positive_real("tolerance", self.tolerance))
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -100,23 +101,28 @@ _HEAD = 8
 
 
 def i1_closed_form(params: PSingularParams) -> float:
-    """I1 = int_0^{1/3} F_p = (p+2) / (6 (p+1)(2p+1))."""
-    p = params.p
-    return (p + 2.0) / (6.0 * (p + 1.0) * (2.0 * p + 1.0))
+    """I1 = int_0^{1/3} F_p = (p+2) / (6 (p+1)(2p+1)), or (1+q) q / (6 (2-q))
+    in q = 1/(p+1) where that product overflows (p > 3.87e153)."""
+    p, q = params.p, params.left_mass
+    den = 6.0 * (p + 1.0) * (2.0 * p + 1.0)
+    return (p + 2.0) / den if den < math.inf else (1.0 + q) * q / (6.0 * (2.0 - q))
 
 
 def mean(params: PSingularParams) -> float:
-    """E[X_p] = 3p / (2 (2p+1)); equals 1 - J(1)."""
-    p = params.p
-    return 1.5 * p / (2.0 * p + 1.0)
+    """E[X_p] = 3p / (2 (2p+1)) = 1 - J(1); 1.5 (1-q) / (2-q) where 2p+1 overflows."""
+    p, q = params.p, params.left_mass
+    den = 2.0 * p + 1.0
+    return 1.5 * p / den if den < math.inf else 1.5 * (1.0 - q) / (2.0 - q)
 
 
-def _anchors(params: PSingularParams) -> tuple[float, float, float]:
-    # I1, J(1), and the constant J(2/3) - 2/3 - p I1 of J's fused right step
-    p = params.p
+def _anchors(params: PSingularParams) -> tuple[float, float, float, float, float]:
+    # I1, J(1), the constant c = J(2/3) - 2/3 - p I1 of J's fused right step,
+    # and F = 1 - r F = 1/(2-q) and J = c + 3/4 + (r/3) J = (9/4) q / (4 - q^2)
+    # at 3/4, the right step's fixed point
+    p, q = params.p, params.left_mass
     i1 = i1_closed_form(params)
-    j_two_thirds = i1 + 1.0 / (3.0 * (p + 1.0))
-    return i1, 1.0 - mean(params), j_two_thirds - TWO_THIRDS - p * i1
+    c = i1 + 1.0 / (3.0 * (p + 1.0)) - TWO_THIRDS - p * i1
+    return i1, 1.0 - mean(params), c, 1.0 / (2.0 - q), 2.25 * q / (4.0 - q * q)
 
 
 def _check_unit_interval(x: float) -> float:
@@ -142,8 +148,8 @@ def _reflect(x):
     return min(z, TWO_THIRDS)
 
 
-def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
-             on_j: bool = False, relative: bool = False) -> tuple[float, float, float, float]:
+def _descend(params: PSingularParams, y: float, tol: float, on_j: bool = False,
+             relative: bool = False) -> tuple[float, float, float, float]:
     """F(y) and J(y) from one walk down the ternary structure.
 
     Returns (F, F's error bound, J, J's error bound).  Both are carried as
@@ -152,21 +158,31 @@ def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
     A right step (y > 2/3) is F's y -> 3(1-y); for J it is the reflection
     y -> 1-y followed by its forced left step, which together give
     a_J += b_J (J(2/3) - 2/3 - p I1 + y) and b_J *= r/3.  The walk ends
-    exactly on the plateau or at an endpoint; otherwise the residuals
+    exactly on the plateau, at an endpoint or at 3/4, the right step's
+    fixed point (F and J there from `_anchors`); otherwise the residuals
     F(y) in [0, 1] and J(y) in [0, y] bound the error.  It stops once one
     bracket, |b_F| or with `on_j` b_J y, is <= 2 tol (times F's running
     midpoint with `relative`); each step scales b_J by at most b_F's
     factor, so b_J y <= |b_F| and F's test covers J.  The float path is
     followed as is: y -> 3y and y -> 3(1-y) round.
+
+    Every walk ends, for any p and tol > 0.  No step lands on 0: both map
+    (0, 1) into (0, 1].  A right step from (2/3, 1) is exact (1 - y is a
+    multiple of 2^-53 below 1/3) and sends 3/4 + d to 3/4 - 3d, so a run
+    of right steps off 3/4 lasts at most 32 levels; a run of left steps
+    lasts at most 677 from y >= 2^-1074, and 32 after a right step, from
+    y >= 3 2^-53.  After the first run, then, every 64 levels hold a step
+    of each kind and shrink |b_F| by q r <= 1/4, until it is <= 2 tol or
+    0 (min(q, r) <= 1/2 rounds the least subnormal to 0), where every test
+    passes: b_J y <= |b_F|, and a_F >= 0 for the relative one.
     """
     q, r = params.left_mass, params.right_mass
-    i1, j1, c = _anchors(params)
+    i1, j1, c, f34, j34 = _anchors(params)
     shrink, r3 = q / 3.0, r / 3.0
     lim = 2.0 * tol
     af, bf, aj, bj = 0.0, 1.0, 0.0, 1.0
-    for _ in range(max_depth):
-        if (bj * y if on_j else abs(bf)) <= (lim * (af + 0.5 * bf) if relative else lim):
-            break
+    while not ((bj * y if on_j else abs(bf))
+               <= (lim * (af + 0.5 * bf) if relative else lim)):
         if y <= 0.0:
             return af, 0.0, aj, 0.0
         if y >= 1.0:
@@ -177,6 +193,8 @@ def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
             bf *= q
             bj *= shrink
             y *= 3.0
+        elif y == 0.75:
+            return af + bf * f34, 0.0, aj + bj * j34, 0.0
         else:
             af += bf
             bf *= -r
@@ -187,9 +205,8 @@ def _descend(params: PSingularParams, y: float, tol: float, max_depth: int,
     return af + 0.5 * bf, 0.5 * abs(bf), aj + half, half
 
 
-def _descend_many(params: PSingularParams, ys, tol: float, max_depth: int,
-                  on_j: bool = False, relative: bool = False, reads: str = "FJ",
-                  tol_below: float | None = None):
+def _descend_many(params: PSingularParams, ys, tol: float, on_j: bool = False,
+                  relative: bool = False, reads: str = "FJ", tol_below: float | None = None):
     """Vector twin of `_descend`, equal to it bit for bit at every point.
 
     Rejects any point outside [0, 1], NaN included, then yields groups
@@ -207,10 +224,7 @@ def _descend_many(params: PSingularParams, ys, tol: float, max_depth: int,
     end most of its points, and its survivors join a pool that walks the
     remaining levels whenever it holds `_CHUNK` points, and once more after
     the last slice.  The near-empty deep levels are then paid about once per
-    call, not once per slice, the working set stays a few slices wide, and
-    every pooled point has walked the same `_HEAD` levels, so `max_depth`
-    counts exactly as in `_descend` (with max_depth <= `_HEAD` the pool
-    walks no level, and its points end as brackets).
+    call, not once per slice, and the working set stays a few slices wide.
     """
     ys = np.asarray(ys, dtype=float).ravel()
     n = ys.size
@@ -219,13 +233,11 @@ def _descend_many(params: PSingularParams, ys, tol: float, max_depth: int,
     walk = _Walk(params, tol, on_j, relative, reads, tol_below)
     if n <= _CHUNK:
         if n:
-            yield _descend_slice(walk, *walk.start(ys, 0), max_depth)[0]
+            yield _descend_slice(walk, *walk.start(ys, 0))[0]
         return
-    head = min(_HEAD, max_depth)
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        group, live = _descend_slice(walk, *walk.start(ys[start:start + _CHUNK], start),
-                                     head, cap=False)
+        group, live = _descend_slice(walk, *walk.start(ys[start:start + _CHUNK], start), _HEAD)
         yield group
         if live is not None:
             pool.append(live)
@@ -233,7 +245,7 @@ def _descend_many(params: PSingularParams, ys, tol: float, max_depth: int,
         if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
             idx, state = (np.concatenate(part, axis=-1) for part in zip(*pool))
             pool, pooled = [], 0
-            yield _descend_slice(walk, idx, state, max_depth - head)[0]
+            yield _descend_slice(walk, idx, state)[0]
 
 
 class _Walk:
@@ -253,12 +265,12 @@ class _Walk:
                  reads: str, tol_below: float | None):
         q, r = params.left_mass, params.right_mass
         self.q = q
-        self.i1, j1, self.c = _anchors(params)
+        self.i1, j1, self.c, f34, self.j34 = _anchors(params)
         # each step's multipliers of b_F and b_J, by 0/1 right step, and
         # `_select`'s (w, e) of F and of J, by kind of end
         self.step_f, self.step_j = np.array([q, -r]), np.array([q / 3.0, r / 3.0])
-        self.ends_f = np.array([[0.5, 0.0, 1.0, q], [0.5, 0.0, 0.0, 0.0]])
-        self.ends_j = np.array([[0.5, 1.0, j1, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        self.ends_f = np.array([[0.5, 0.0, 1.0, q, f34], [0.5, 0.0, 0.0, 0.0, 0.0]])
+        self.ends_j = np.array([[0.5, 1.0, j1, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
         self.on_j, self.relative, self.branch = on_j, relative, tol_below is not None
         self.lim = 2.0 * tol
         self.lim_below = self.lim if tol_below is None else 2.0 * tol_below
@@ -292,14 +304,13 @@ class _Walk:
         return np.arange(offset, offset + x.size), state
 
 
-def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray, levels: int,
-                   cap: bool = True):
+def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray,
+                   levels: int | None = None):
     """Walk the points with positions `idx` and state columns `state` for
-    at most `levels` levels.  Returns the group (positions, F, F bounds, J,
-    J bounds) of the points that ended, None for a quantity not carried,
-    and the (positions, state) of those still live after the last level,
-    or None where none is; with `cap` those end as brackets instead, as
-    the depth cap ends them in `_descend`.
+    at most `levels` levels, or with None until every point has ended.
+    Returns the group (positions, F, F bounds, J, J bounds) of the points
+    that ended, None for a quantity not carried, and the (positions, state)
+    of those still live after the last level, or None where none is.
 
     Each level partitions the live points once with `np.flatnonzero` into
     those that step on and those that end there.  The state of the ending
@@ -308,9 +319,11 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray, levels: int,
     multiply-add where the limit is set per point.  The step needs no mask
     either: with a 0/1 right-step factor R, a_F += R b_F,
     a_J += R b_J (c + y) and y -> 3|R - y|, and the multipliers come from
-    two-entry tables.  Once the walk is over, one select over the ended
-    points by kind (stopped bracket, y = 0, y = 1 or plateau; a stopped
-    bracket wins, as in `_descend`) gives F, J and their bounds.  Adding
+    two-entry tables.  Only a walk's first level tests y > 0, as no step
+    lands on 0 (see `_descend`); the later ones test y != 3/4 in its place.
+    Once the walk is over, one select over the ended points by kind
+    (stopped bracket, y = 0, y = 1, plateau or 3/4; a stopped bracket
+    wins, as in `_descend`) gives F, J and their bounds.  Adding
     +-0 and multiplying by 1 are exact, so the values are those of the
     scalar loop.
     """
@@ -321,14 +334,15 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray, levels: int,
     # final state, and whether the stop test ended them
     at, ended, stopped = np.empty(n, dtype=np.intp), np.empty((rows, n)), np.ones(n, dtype=bool)
     done = 0
-    for _ in range(levels):
+    for level in itertools.count() if levels is None else range(levels):
         y = state[0]
         width = state[j + 1] * y if walk.on_j else np.abs(state[f + 1])
         if per_point:
             lim = (state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1]
         stop = width <= lim
-        right = y > TWO_THIRDS
-        go = (((y < ONE_THIRD) & (y > 0.0)) | (right & (y < 1.0))) & ~stop
+        right = (y > TWO_THIRDS) & (y < 1.0) & (y != 0.75)
+        go = y < ONE_THIRD if level else (y < ONE_THIRD) & (y > 0.0)
+        go = (go | right) > stop  # and not stopped, in one pass
         keep = np.flatnonzero(go)
         if keep.size < y.size:
             end = np.flatnonzero(~go)
@@ -353,20 +367,17 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray, levels: int,
         np.abs(y, out=y)
         y *= 3.0
     live = (idx, state) if done < n else None
-    if live is not None and cap:
-        at[done:], ended[:, done:] = idx, state[:rows]  # depth cap: brackets
-        done, live = n, None
     return _select(walk, at[:done], ended[:, :done], stopped[:done]), live
 
 
 def _select(walk: _Walk, at: np.ndarray, ended: np.ndarray, stopped: np.ndarray):
     """The group (positions, F, F bounds, J, J bounds) of ended points, in
     place over their final state.  Per kind of end (0 stopped, 1 at y = 0,
-    2 at y = 1, 3 on the plateau) F = a_F + b_F w_F with bound |b_F| e_F,
-    and J = a_J + h with h = (b_J w_J) u and bound h e_J, where u is J's
-    plateau term on the plateau and y elsewhere."""
+    2 at y = 1, 3 on the plateau, 4 at 3/4) F = a_F + b_F w_F with bound
+    |b_F| e_F, and J = a_J + h with h = (b_J w_J) u and bound h e_J, where
+    u is J's plateau term on the plateau, J(3/4) at 3/4 and y elsewhere."""
     y = ended[0]
-    kind = (3 - 2 * (y <= 0.0) - (y >= 1.0)) * ~stopped
+    kind = (3 - 2 * (y <= 0.0) - (y >= 1.0) + (y == 0.75)) * ~stopped
     group = [at, None, None, None, None]
     if walk.f:
         af, bf = ended[walk.f], ended[walk.f + 1]
@@ -380,6 +391,7 @@ def _select(walk: _Walk, at: np.ndarray, ended: np.ndarray, stopped: np.ndarray)
         aj, bj = ended[walk.j], ended[walk.j + 1]
         w_j, e_j = walk.ends_j.take(kind, axis=1)
         np.copyto(y, walk.i1 + (y - ONE_THIRD) * walk.q, where=kind == 3)
+        np.copyto(y, walk.j34, where=kind == 4)
         bj *= w_j
         bj *= y
         aj += bj
@@ -389,19 +401,17 @@ def _select(walk: _Walk, at: np.ndarray, ended: np.ndarray, stopped: np.ndarray)
 
 
 def _branch(params: PSingularParams, x: float, tol_above: float, tol_below: float,
-            max_depth: int, on_j: bool = False,
-            relative: bool = False) -> tuple[bool, float, float, float, float]:
+            on_j: bool = False, relative: bool = False) -> tuple[bool, float, float, float, float]:
     """(x >= 1/3, F, F's bound, J, J's bound) for a quantity that descends
     from `_reflect(x)` at `tol_above` (`relative` if asked) for x >= 1/3
     and from x itself at `tol_below` below; `on_j` as in `_descend`."""
     if x >= ONE_THIRD:
-        return True, *_descend(params, _reflect(x), tol_above, max_depth, on_j, relative)
-    return False, *_descend(params, x, tol_below, max_depth, on_j)
+        return True, *_descend(params, _reflect(x), tol_above, on_j, relative)
+    return False, *_descend(params, x, tol_below, on_j)
 
 
-def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float,
-                 max_depth: int, value, on_j: bool = False, relative: bool = False,
-                 reads: str = "FJ") -> np.ndarray:
+def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float, value,
+                 on_j: bool = False, relative: bool = False, reads: str = "FJ") -> np.ndarray:
     """Vector twin of `_branch`: both branches share one descent (see
     `_descend_many`), and value(x, x >= 1/3, F, J) turns each group of it
     into values.  The domain check runs on x itself, before any point is
@@ -409,29 +419,21 @@ def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     out = np.empty(flat.shape)
-    for at, f, _, j, _ in _descend_many(params, flat, tol_above, max_depth, on_j, relative,
-                                        reads, tol_below):
+    for at, f, _, j, _ in _descend_many(params, flat, tol_above, on_j, relative, reads,
+                                        tol_below):
         x = flat.take(at)
         out[at] = value(x, x >= ONE_THIRD, f, j)
     return out.reshape(xs.shape)
 
 
 def cdf_with_bound(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Evaluate F_p(x) and return (value, achieved error bound).
-
-    One descent with F's absolute tolerance (see `_descend`): the bound
-    is 0 where the walk ends on a plateau or an endpoint, else <=
-    config.tolerance unless the depth cap cut it short.
-    """
-    f, bound, _, _ = _descend(params, _check_unit_interval(x), config.tolerance, config.max_depth)
-    return f, bound
+    """(F_p(x), achieved error bound) from one descent (see `_descend`): the
+    bound is 0 where the walk ends exactly, else <= config.tolerance."""
+    return _descend(params, _check_unit_interval(x), config.tolerance)[:2]
 
 
 def cdf(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """F_p(x) with absolute error <= config.tolerance, unless config.max_depth
-    cuts the descent short: the error can then be larger (with max_depth=1,
-    F(0.1) at p=1 returns 0.25), and `cdf_with_bound` reports the bound
-    actually achieved."""
+    """F_p(x) with absolute error <= config.tolerance."""
     return cdf_with_bound(params, x, config)[0]
 
 
@@ -439,8 +441,7 @@ def cdf_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
     """Vectorized F_p over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
-    for at, f, _, _, _ in _descend_many(params, xs, config.tolerance, config.max_depth,
-                                        reads="F"):
+    for at, f, _, _, _ in _descend_many(params, xs, config.tolerance, reads="F"):
         out[at] = f
     return out.reshape(xs.shape)
 
@@ -454,8 +455,7 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
     difference would cancel catastrophically.
     """
     tol, p = config.tolerance, params.p
-    above, f, _, _, _ = _branch(params, _check_unit_interval(x), min(tol, tol / p), tol,
-                                config.max_depth)
+    above, f, _, _, _ = _branch(params, _check_unit_interval(x), min(tol, tol / p), tol)
     return p * f if above else 1.0 - f
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
                            PSingularParams, _integer, gap_grid)
 from .errors import ConvergenceError, ParameterError
-from .mrl import mrl, mrl_many
+from .mrl import mrl, mrl_at_one_third, mrl_many
 
 CELL_LEVEL = 53  # the finest cells: j/2^53 below 1/3 is still a double
 
@@ -40,9 +40,8 @@ class FixedPointResult:
 
 
 def fixed_point_closed_form(params: PSingularParams) -> float:
-    """x* = 1/6 + (5p+4)/(12(2p+1)); decreasing in p, in (3/8, 1/2)."""
-    p = params.p
-    return 1.0 / 6.0 + (5.0 * p + 4.0) / (12.0 * (2.0 * p + 1.0))
+    """x* = (1/3 + m(1/3)) / 2 = 1/6 + (5p+4)/(12(2p+1)); decreasing, in (3/8, 1/2)."""
+    return 1.0 / 6.0 + 0.5 * mrl_at_one_third(params)
 
 
 def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,

@@ -41,8 +41,7 @@ def cdf_integral(params: PSingularParams, x: float, config: EvalConfig = DEFAULT
     The residual subproblem J(y) lies in [0, y], so b_J y bounds the
     remaining width and the midpoint is returned on truncation.
     """
-    _, _, j, bound = _descend(params, _check_unit_interval(x), config.tolerance,
-                              config.max_depth, on_j=True)
+    _, _, j, bound = _descend(params, _check_unit_interval(x), config.tolerance, on_j=True)
     return IntegralValue(j, bound)
 
 
@@ -50,7 +49,6 @@ def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_
     """Vectorized J over an array of points in [0, 1]."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty(xs.size)
-    for at, _, _, j, _ in _descend_many(params, xs, config.tolerance, config.max_depth,
-                                        on_j=True, reads="J"):
+    for at, _, _, j, _ in _descend_many(params, xs, config.tolerance, on_j=True, reads="J"):
         out[at] = j
     return out.reshape(xs.shape)

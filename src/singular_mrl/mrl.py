@@ -23,6 +23,7 @@ the evaluators raise ParameterError instead of dividing by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,11 @@ class MrlValue:
 
 
 def mrl_at_one_third(params: PSingularParams) -> float:
-    """Closed form m(1/3) = (5p+4) / (6 (2p+1)); always > 1/3."""
-    p = params.p
-    return (5.0 * p + 4.0) / (6.0 * (2.0 * p + 1.0))
+    """Closed form m(1/3) = (5p+4) / (6 (2p+1)), or (5-q) / (6 (2-q)) in
+    q = 1/(p+1) where 6 (2p+1) overflows (p > 1.49e307); always > 1/3."""
+    p, q = params.p, params.left_mass
+    den = 6.0 * (2.0 * p + 1.0)
+    return (5.0 * p + 4.0) / den if den < math.inf else (5.0 - q) / (6.0 * (2.0 - q))
 
 
 def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> MrlValue:
@@ -54,7 +57,7 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
     x = _check_unit_interval(x)
     tol = config.tolerance
     above, f, f_bound, j, j_bound = _branch(params, x, tol, tol * params.right_mass,
-                                            config.max_depth, relative=True)
+                                            relative=True)
     if above and f <= 0.0:
         # survival underflowed (or x = 1); m is bounded by 1 - x
         return MrlValue(0.0, x, params.p, 1.0 - x)
@@ -89,8 +92,7 @@ def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
         return np.divide(np.where(above, j, (1.0 - x) - (j1 - j)), den,
                          out=np.zeros_like(den), where=den > 0.0)
 
-    return _branch_many(params, xs, tol, tol * params.right_mass, config.max_depth, value,
-                        relative=True)
+    return _branch_many(params, xs, tol, tol * params.right_mass, value, relative=True)
 
 
 def _unresolved(params: PSingularParams, x: float) -> ParameterError:

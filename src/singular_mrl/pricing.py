@@ -32,7 +32,7 @@ def expected_payoff(params: PSingularParams, price: float, config: EvalConfig = 
     """Pi(price) = price * E(X - price)_+ for price in [0, 1]."""
     price = _check_unit_interval(price)
     tol = config.tolerance
-    above, _, _, j, _ = _branch(params, price, tol, tol, config.max_depth, on_j=True)
+    above, _, _, j, _ = _branch(params, price, tol, tol, on_j=True)
     if above:
         # E(X - price)_+ = int_price^1 (1 - F); the reflection identity
         # 1 - F(u) = p F(1-u) makes it p J(1 - price), free of cancellation
@@ -44,7 +44,7 @@ def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_C
     """Vectorized Pi over an array of prices in [0, 1], equal to
     `expected_payoff` at every price."""
     p, j1, tol = params.p, 1.0 - mean(params), config.tolerance
-    return _branch_many(params, prices, tol, tol, config.max_depth,
+    return _branch_many(params, prices, tol, tol,
                         lambda x, above, f, j: x * np.where(above, p * j, (1.0 - x) - (j1 - j)),
                         on_j=True, reads="J")
 

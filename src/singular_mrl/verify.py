@@ -57,7 +57,7 @@ def check_functional_equation_ii(params, config, rng, n=2000):
     # for p != 1 it only holds with x restricted to [0, 2/3]
     hi = 1.0 if params.p == 1.0 else 2.0 / 3.0
     xs = rng.random(n) * hi
-    inner = EvalConfig(tolerance=config.tolerance / (1.0 + params.p), max_depth=config.max_depth)
+    inner = EvalConfig(tolerance=config.tolerance / (1.0 + params.p))
     lhs = dist.cdf_many(params, 1.0 - xs, inner)
     rhs = 1.0 - params.p * dist.cdf_many(params, xs, inner)
     worst = float(np.max(np.abs(lhs - rhs)))

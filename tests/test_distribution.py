@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, ResourceLimitError, cdf, cdf_many,
-                          cdf_integral_many, cdf_with_bound, expected_payoff,
+                          cdf_integral, cdf_integral_many, cdf_with_bound, expected_payoff,
                           gap_intervals, mrl, mrl_many, payoff_curve,
                           point_cloud, sample, survival)
 from singular_mrl import distribution
@@ -51,13 +51,13 @@ def gather(groups, n):
     return out
 
 
-def twins(params, xs, max_depth, tol_f, tol_j, relative):
+def twins(params, xs, tol_f, tol_j, relative):
     """F, J and both bounds from the vector and from the scalar loop, each
     as one array per request."""
     vec, scalar = [], []
     for tol, on_j, rel in descents(tol_f, tol_j, relative):
-        vec.append(gather(_descend_many(params, xs, tol, max_depth, on_j, rel), xs.size))
-        scalar.append(np.array([_descend(params, x, tol, max_depth, on_j, rel)
+        vec.append(gather(_descend_many(params, xs, tol, on_j, rel), xs.size))
+        scalar.append(np.array([_descend(params, x, tol, on_j, rel)
                                 for x in xs.tolist()]).T)
     return np.stack(vec), np.stack(scalar)
 
@@ -118,22 +118,14 @@ class TestParams:
         assert P2.right_mass == pytest.approx(2 / 3)
 
     def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            EvalConfig(tolerance=0.0)
-        with pytest.raises(ParameterError):
-            EvalConfig(max_depth=0)
-
-    def test_config_max_depth_is_an_integer(self):
-        # a float depth used to pass here and fail inside every evaluator
-        with pytest.raises(ParameterError, match="max_depth must be an integer, got 2.5"):
-            EvalConfig(max_depth=2.5)
-        config = EvalConfig(max_depth=np.int64(1))
-        assert type(config.max_depth) is int
-        assert cdf_with_bound(P1, 0.25, config) == (0.25, 0.25)
-
-    def test_max_depth_caps_the_descent(self):
-        # one left step from 1/4 leaves the bracket [0, 1/2] for F(1/4) = 1/3
-        assert cdf_with_bound(P1, 0.25, EvalConfig(max_depth=1)) == (0.25, 0.25)
+        # a str, None or complex tolerance is a ParameterError, not a bare
+        # TypeError from the comparison
+        for bad in (0.0, -1e-10, float("nan"), float("inf"), "1e-10", None, 1e-10j):
+            with pytest.raises(ParameterError, match="tolerance must be a finite positive real"):
+                EvalConfig(tolerance=bad)
+        for good in (1, np.float32(1e-6), np.int64(2)):
+            config = EvalConfig(tolerance=good)
+            assert type(config.tolerance) is float and config.tolerance == good
 
 
 class TestCdf:
@@ -198,7 +190,7 @@ class TestDescent:
     def test_twins_agree_bit_for_bit(self, twin_params, twin_points, tol_f, tol_j, relative):
         # F, J and both error bounds, from the scalar and the vector loop
         for params in twin_params:
-            vec, scalar = twins(params, twin_points, 100_000, tol_f, tol_j, relative)
+            vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
             np.testing.assert_array_equal(vec, scalar)
 
     @given(x=st.floats(min_value=0.0, max_value=1.0),
@@ -206,47 +198,93 @@ class TestDescent:
     @settings(max_examples=200, deadline=None)
     def test_twins_agree_on_any_double(self, x, p, relative):
         params = PSingularParams(p)
-        [(_, *vec)] = _descend_many(params, [x], 1e-10, 100_000, relative=relative)
-        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, 100_000, relative=relative))
-
-    @pytest.mark.parametrize("max_depth", [1, 7])
-    @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
-    def test_twins_agree_under_depth_cap(self, twin_params, twin_points, tol_f, tol_j,
-                                         relative, max_depth):
-        # the loop runs out before the points end, so the vector loop's
-        # exhausted-depth branch writes the brackets
-        for params in twin_params:
-            vec, scalar = twins(params, twin_points, max_depth, tol_f, tol_j, relative)
-            np.testing.assert_array_equal(bits(vec), bits(scalar))
+        [(_, *vec)] = _descend_many(params, [x], 1e-10, relative=relative)
+        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, relative=relative))
 
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
            p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), on_j=st.booleans(),
-           relative=st.booleans(), max_depth=st.sampled_from([1, 7, 8, 9, 100_000]),
+           relative=st.booleans(), head=st.sampled_from([1, 7, 8, 9, 100_000]),
            chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, relative, max_depth,
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, relative, head,
                                                  chunk):
         # each point's start, tolerance and relative flag those of its
         # branch, as `_branch_many` sets them, against the scalar `_branch`;
-        # small slices send the points through the pooled tail
+        # small slices send the points through the pooled tail after a head
+        # of `head` levels
         params = PSingularParams(p)
         tol_above, tol_below = data.draw(st.lists(
             st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]), min_size=2, max_size=2))
-        with mock.patch.object(distribution, "_CHUNK", chunk):
-            vec = gather(_descend_many(params, xs, tol_above, max_depth, on_j, relative,
+        with mock.patch.object(distribution, "_CHUNK", chunk), \
+                mock.patch.object(distribution, "_HEAD", head):
+            vec = gather(_descend_many(params, xs, tol_above, on_j, relative,
                                        tol_below=tol_below), len(xs))
-        scalar = [_branch(params, x, tol_above, tol_below, max_depth, on_j, relative)[1:]
-                  for x in xs]
+        scalar = [_branch(params, x, tol_above, tol_below, on_j, relative)[1:] for x in xs]
         np.testing.assert_array_equal(bits(vec), bits(np.array(scalar).T))
 
+    @pytest.mark.parametrize("x", [0.25, 0.75])
+    @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e4, 1e6])
+    def test_walk_ends_at_three_quarters(self, p, x):
+        # 3/4 = 0.2020..._3 is the fixed point of the right step y -> 3(1-y),
+        # where the float walk cycles in place; it ends there with bound 0,
+        # as does 1/4 one left step before.  The exact values solve the step
+        # equations: F(3/4) = 1 - r F(3/4) and, with J's fused right step,
+        # J(3/4) = c + 3/4 + (r/3) J(3/4) for c = J(2/3) - 2/3 - p I1
+        params = PSingularParams(p)
+        p = Fraction(p)
+        q, r = 1 / (p + 1), p / (p + 1)
+        i1 = (p + 2) / (6 * (p + 1) * (2 * p + 1))
+        c = i1 + q / 3 - Fraction(2, 3) - p * i1
+        f, j = 1 / (1 + r), (c + Fraction(3, 4)) / (1 - r / 3)
+        if x == 0.25:
+            f, j = q * f, q * j / 3
+        value, bound = cdf_with_bound(params, x)
+        integral = cdf_integral(params, x)
+        assert abs(Fraction(value) - f) <= 1e-15 and bound == 0.0
+        assert abs(Fraction(integral.value) - j) <= 1e-15 and integral.error_bound == 0.0
+        assert cdf_many(params, [x])[0] == value
+        assert cdf_integral_many(params, [x])[0] == integral.value
+
+    def test_every_walk_ends(self, deadline):
+        # p and the tolerance across their range, down to the least
+        # subnormal, at points around 3/4, subnormals, the endpoints and
+        # uniform points: every evaluator returns (the proof is in
+        # `_descend`) well within the deadline, and each vector twin equals
+        # its scalar
+        xs = np.concatenate(([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-20,
+                              1 / 36, 1 / 12, 0.25, 1 / 3, 2 / 3, 1 - 2 ** -53, 1.0],
+                             np.nextafter(0.75, [0.0, 1.0]), 0.75 + np.arange(-3, 4) * 2 ** -53,
+                             np.random.default_rng(13).random(28)))
+        scalars = [lambda P, x, c: cdf_with_bound(P, x, c)[0],
+                   lambda P, x, c: cdf_integral(P, x, c).value,
+                   lambda P, x, c: mrl(P, x, c).value, expected_payoff]
+        vectors = [cdf_many, cdf_integral_many, mrl_many, payoff_curve]
+        with deadline(5):
+            for p in (5e-324, 1e-300, 1e-6, 1.0, 1e4, 1e6, 1e300, 1.7e308):
+                params = PSingularParams(p)
+                for tol in (5e-324, 1e-300, 1e-10, 0.5):
+                    config = EvalConfig(tol)
+                    for x in xs.tolist():
+                        assert cdf_with_bound(params, x, config)[1] <= tol
+                        survival(params, x, config)
+                    for scalar, vector in zip(scalars, vectors):
+                        try:
+                            vec = vector(params, xs, config)
+                        except ParameterError:
+                            # m below 1/3 where 1 - F(x) rounds to 0
+                            assert vector is mrl_many and p < 1e-15
+                            continue
+                        np.testing.assert_array_equal(
+                            bits(vec), bits([scalar(params, x, config) for x in xs.tolist()]))
+
     @given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from([0.01, 1.0, 7.0, 100.0]),
-           max_depth=st.sampled_from([1, 7, 100_000]), on_j=st.booleans(), relative=st.booleans())
+           on_j=st.booleans(), relative=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_j_bound_within_f_bound(self, x, p, max_depth, on_j, relative):
+    def test_j_bound_within_f_bound(self, x, p, on_j, relative):
         # every step scales J's bracket by at most F's factor, and y <= 1,
         # so a test on F's bracket alone bounds J as well
-        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, max_depth, on_j, relative)
+        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, on_j, relative)
         assert j_bound <= f_bound
 
     @pytest.mark.parametrize("p,x,values", [
@@ -291,51 +329,55 @@ class TestDescent:
     def test_twins_agree_across_chunks(self):
         # three slices: one group per slice, then the pooled tail
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
-        groups = list(_descend_many(P2, xs, 1e-10, 100_000))
+        groups = list(_descend_many(P2, xs, 1e-10))
         assert len(groups) == 4
         f = gather(groups, xs.size)[0]
         np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
 
-    @pytest.mark.parametrize("max_depth", [1, _HEAD - 1, _HEAD, _HEAD + 1, 100_000])
+    @pytest.mark.parametrize("head", [1, _HEAD - 1, _HEAD, _HEAD + 1, 100_000])
     @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
     def test_pooled_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points,
-                                            tol_f, tol_j, relative, max_depth):
+                                            tol_f, tol_j, relative, head):
         # slices of 32 points: every slice walks its head alone and the pool
-        # is walked whenever it fills, so the pooled tail and the depth cap
-        # on either side of the head are compared with the scalar loop (with
-        # max_depth <= _HEAD the pool walks no level and ends its points)
+        # is walked whenever it fills, so the pooled tail after heads on
+        # either side of `_HEAD` is compared with the scalar loop; a head of
+        # 100,000 levels outlasts every walk and leaves the pool empty
         walks = []
 
-        def logged(walk, idx, state, levels, cap=True):
+        def logged(walk, idx, state, levels=None):
             walks.append(levels)
-            return descend_slice(walk, idx, state, levels, cap)
+            return descend_slice(walk, idx, state, levels)
 
         descend_slice = distribution._descend_slice
         monkeypatch.setattr(distribution, "_CHUNK", 32)
+        monkeypatch.setattr(distribution, "_HEAD", head)
         monkeypatch.setattr(distribution, "_descend_slice", logged)
         for params in twin_params:
             walks.clear()
-            vec, scalar = twins(params, twin_points, max_depth, tol_f, tol_j, relative)
+            vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
             np.testing.assert_array_equal(bits(vec), bits(scalar))
-            slices = walks.count(min(_HEAD, max_depth))
+            slices, tails = walks.count(head), walks.count(None)
             assert slices >= 3 * len(descents(tol_f, tol_j, relative))
-            assert len(walks) - slices >= 2
+            assert slices + tails == len(walks)
+            assert tails == 0 if head == 100_000 else tails >= (2 if head <= _HEAD else 1)
 
     @pytest.mark.parametrize("chunk", [32, _CHUNK])
-    @pytest.mark.parametrize("max_depth", [1, _HEAD, 100_000])
+    @pytest.mark.parametrize("head", [1, _HEAD, 100_000])
     @pytest.mark.parametrize("on_j,relative", [(False, False), (True, False), (False, True),
                                                (True, True)])
     def test_walks_carry_only_what_they_read(self, monkeypatch, twin_params, twin_points,
-                                             on_j, relative, max_depth, chunk):
+                                             on_j, relative, head, chunk):
         # an F-only and a J-only walk give the rows of the walk that carries
-        # both; a quantity neither read nor tested is not carried at all
+        # both; a quantity neither read nor tested is not carried at all.
+        # The head length matters only to slices of 32 points: a `_CHUNK`
+        # slice is the whole input and walks to the end alone
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
+        monkeypatch.setattr(distribution, "_HEAD", head)
         for params in twin_params:
-            both = gather(_descend_many(params, twin_points, 1e-10, max_depth, on_j, relative),
+            both = gather(_descend_many(params, twin_points, 1e-10, on_j, relative),
                           twin_points.size)
             for reads in ("F", "J"):
-                groups = list(_descend_many(params, twin_points, 1e-10, max_depth, on_j,
-                                            relative, reads))
+                groups = list(_descend_many(params, twin_points, 1e-10, on_j, relative, reads))
                 one = gather(groups, twin_points.size)
                 carried = {reads, "J" if on_j else "F"} | ({"F"} if relative else set())
                 for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singular_mrl import (ConvergenceError, EvalConfig, ParameterError,
-                          PSingularParams, fixed_point_closed_form,
-                          fixed_point_solve, mrl, mrl_many, optimal_price,
+                          PSingularParams, cdf_integral, fixed_point_closed_form,
+                          fixed_point_solve, i1_closed_form, mean, mrl,
+                          mrl_at_one_third, mrl_many, optimal_price,
                           verify_uniqueness)
 from singular_mrl import fixedpoint, verify
 from singular_mrl.distribution import DEFAULT_CONFIG
@@ -25,6 +26,27 @@ class TestClosedForm:
         # x* -> 3/8 as p -> inf, x* -> 1/2 as p -> 0
         assert abs(fixed_point_closed_form(PSingularParams(1e9)) - 0.375) < 1e-9
         assert abs(fixed_point_closed_form(PSingularParams(1e-9)) - 0.5) < 1e-9
+
+    @pytest.mark.parametrize("p", [1e154, 1e200, 1e300, 1e308])
+    def test_closed_forms_at_huge_p(self, p):
+        # 6 (p+1)(2p+1) overflows from p = 3.87e153 and 2p+1 from 8.98e307:
+        # each closed form, and what reads them, still holds there
+        params, exact = PSingularParams(p), Fraction(p)
+        i1 = (exact + 2) / (6 * (exact + 1) * (2 * exact + 1))
+        m_third = (5 * exact + 4) / (6 * (2 * exact + 1))
+        closed = [(i1_closed_form, i1), (mean, 3 * exact / (2 * (2 * exact + 1))),
+                  (mrl_at_one_third, m_third), (fixed_point_closed_form, m_third / 2 + Fraction(1, 6))]
+        for form, value in closed:
+            assert abs(Fraction(form(params)) - value) <= value * 1e-15 + Fraction(2.0 ** -1074)
+        # J(0.9) = J(2/3) + (0.9 - 2/3) - p (I1 - J(0.1)) with J(2/3) = I1 + q/3,
+        # less p J(0.1) <= 0.1 p F(1/9) = 0.1 p q^2 < q; m(0.5) = J(0.5) / F(0.5)
+        # = I1 (p+1) + 1/6
+        q = 1 / (exact + 1)
+        j = i1 + q / 3 + Fraction(0.9) - Fraction(2, 3) - exact * i1
+        assert abs(Fraction(cdf_integral(params, 0.9).value) - j) <= 1e-15
+        assert abs(Fraction(mrl(params, 0.5).value) - (i1 / q + Fraction(1, 6))) <= 1e-15
+        fp = fixed_point_solve(params)
+        assert abs(fp.x_star - fp.closed_form) <= 1e-15
 
     def test_bounds_and_monotonicity(self):
         ps = np.logspace(-4, 4, 33)

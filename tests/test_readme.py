@@ -13,8 +13,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # plot-data takes 7-9 s and verify about 4 s, so their examples are only parsed
 SLOW = {"plot-data", "verify"}
-# how close each commented value must hold
-COMMENT_TOLERANCE = {"cdf": 1e-10, "fixpoint": 1e-9}
+# how close each commented value must hold; 0 asks for the double nearest
+# the fraction, with error bound 0 (F(1/4) ends at 3/4, where F is exact)
+COMMENT_TOLERANCE = {"cdf": 0.0, "fixpoint": 1e-9}
 
 
 def examples():
@@ -49,7 +50,11 @@ def test_fast_example_runs(capsys, monkeypatch, argv, comment):
         # "F(1/4) = 1/3": the text output's value after "= " is that fraction
         expected = Fraction(comment.split("=", 1)[1].strip())
         value = float(re.search(r"= (\S+)", out).group(1))
-        assert abs(value - expected) <= COMMENT_TOLERANCE[argv[0]]
+        tolerance = COMMENT_TOLERANCE[argv[0]]
+        if tolerance:
+            assert abs(value - expected) <= tolerance
+        else:
+            assert value == float(expected) and "(error bound 0)" in out
 
 
 def test_commented_values_are_checked():
