@@ -14,22 +14,28 @@ max(1, p)/(p+1) per level until the requested tolerance is met.  This
 module owns that descent, once as a scalar loop and once as a numpy loop:
 it can carry F and its integral J (module `integration`) along the same
 path, and every evaluated quantity of the package is a formula over it.
-The numpy loop uses no boolean masks: each level splits the live points
-once by integer index into those that go on and those that end.  It
-carries only the rows its caller reads (F for `cdf_many`, J for
+
+The walk is exact.  It carries the point as an integer numerator
+M = y 2^63 (every double >= 2^-11 is a multiple of 2^-63), so the steps
+y -> 3y and y -> 3(1-y) and the reflection y -> 1-y never round, and every
+branch is the one the double that the caller passed takes.  The first
+`_JUMP` levels have no stop test, so a point's state after them depends
+on its ternary cell floor(3^_JUMP y) alone: a long input looks it up in a
+per-p table (`_jump_table`) instead of walking those levels.  The numpy
+loop uses no boolean masks: each later level splits the live points once
+by integer index into those that go on and those that end.  It carries
+only the rows its caller reads (F for `cdf_many`, J for
 `cdf_integral_many` and the payoff, both for the MRL) plus those its stop
 test reads, and the stop test is chosen per point, so a quantity that
 reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in one
-descent.  Most points end within a few levels, so a long input walks its
-first `_HEAD` levels one slice at a time and pools the survivors of every
-slice into one tail walk: the deep, nearly empty levels, where numpy's
+descent.  The few points the jump leaves live are pooled across slices
+into one tail walk, so the deep, nearly empty levels, where numpy's
 per-call cost outweighs the arithmetic, are paid about once per call.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -95,9 +101,20 @@ GAP_LEVEL = 8  # the deepest Cantor gaps whose rounded endpoints `gap_grid` adds
 # points per slice of the vector descent: bounds its working set, and is
 # large enough that per-iteration overhead stays amortised
 _CHUNK = 16_384
-# levels each slice of a multi-slice input walks alone before its live
-# points join the pooled tail (see `_descend_many`)
-_HEAD = 8
+# The numerator M = y 2^63 of the descent's point y in [0, 1): the plateau
+# [1/3, 2/3] is _LO <= M <= _HI (ceil(2^63/3) and floor(2^64/3)), the right
+# step's fixed point 3/4 is _M34, and a step is M -> (M (+-3)) & _MASK.
+_ONE = 1 << 63
+_MASK = _ONE - 1
+_LO, _HI = _ONE // 3 + 1, 2 * _ONE // 3
+_M34 = 3 << 61
+_SCALE = 2.0 ** -63
+_STEP_M = np.array([3, 1, -3])  # by kind of step: left, plateau, right
+_EDGES = np.array([_LO, _HI + 1])  # kind = np.searchsorted(_EDGES, M, "right")
+# levels walked without a stop test, which one lookup in `_jump_table`
+# over the 3^_JUMP ternary cells replaces
+_JUMP = 8
+_CELLS = 3 ** _JUMP
 
 
 def i1_closed_form(params: PSingularParams) -> float:
@@ -115,6 +132,7 @@ def mean(params: PSingularParams) -> float:
     return 1.5 * p / den if den < math.inf else 1.5 * (1.0 - q) / (2.0 - q)
 
 
+@functools.lru_cache(maxsize=64)
 def _anchors(params: PSingularParams) -> tuple[float, float, float, float, float]:
     # I1, J(1), the constant c = J(2/3) - 2/3 - p I1 of J's fused right step,
     # and F = 1 - r F = 1/(2-q) and J = c + 3/4 + (r/3) J = (9/4) q / (4 - q^2)
@@ -131,76 +149,97 @@ def _check_unit_interval(x: float) -> float:
     return float(x)
 
 
-def _reflect(x):
-    """The point 1 - x that the descent starts from for x >= 1/3.
-
-    Where x lies on the plateau [1/3, 2/3] the float difference is clipped
-    back onto it: 1 - x can overshoot the plateau edge by one ulp, and just
-    outside the plateau F is genuinely steep (the Hoelder exponent vanishes
-    as p -> 0), so that ulp is not benign.  Only the upper edge needs it:
-    for x in [1/2, 2/3] the difference is exact (Sterbenz), so at least
-    1 - fl(2/3) > fl(1/3), and below 1/2 it exceeds 1/2; for x > 2/3 it is
-    below 1/3 and untouched.  Takes a float or an array.
-    """
-    z = 1.0 - x
-    if isinstance(z, np.ndarray):
-        return np.minimum(z, TWO_THIRDS, out=z)
-    return min(z, TWO_THIRDS)
+def _numerator(x: float) -> tuple[int, int]:
+    """(n, d) with x = n/d exactly: d = 2^63 where x is a multiple of
+    2^-63, as every double >= 2^-11 is, else x's own ratio, whose
+    denominator is a larger power of 2."""
+    m = x * 2.0 ** 63
+    if m.is_integer():
+        return int(m), _ONE
+    return x.as_integer_ratio()
 
 
-def _descend(params: PSingularParams, y: float, tol: float, on_j: bool = False,
-             relative: bool = False) -> tuple[float, float, float, float]:
-    """F(y) and J(y) from one walk down the ternary structure.
+def _descend(params: PSingularParams, x: float, tol: float, on_j: bool = False,
+             relative: bool = False, reflected: bool = False) -> tuple[float, float, float, float]:
+    """F(y) and J(y) from one walk down the ternary structure, at y = x or,
+    with `reflected`, at y = 1 - x.
 
-    Returns (F, F's error bound, J, J's error bound).  Both are carried as
-    affine accumulators, F(x) = a_F + b_F F(y) and J(x) = a_J + b_J J(y).
-    A left step (y < 1/3) scales b_F by 1/(p+1) and b_J by 1/(3(p+1)).
-    A right step (y > 2/3) is F's y -> 3(1-y); for J it is the reflection
-    y -> 1-y followed by its forced left step, which together give
-    a_J += b_J (J(2/3) - 2/3 - p I1 + y) and b_J *= r/3.  The walk ends
-    exactly on the plateau, at an endpoint or at 3/4, the right step's
-    fixed point (F and J there from `_anchors`); otherwise the residuals
-    F(y) in [0, 1] and J(y) in [0, y] bound the error.  It stops once one
-    bracket, |b_F| or with `on_j` b_J y, is <= 2 tol (times F's running
-    midpoint with `relative`); each step scales b_J by at most b_F's
-    factor, so b_J y <= |b_F| and F's test covers J.  The float path is
-    followed as is: y -> 3y and y -> 3(1-y) round.
+    Returns (F, F's error bound, J, J's error bound).  The walk carries y
+    as n/d exactly (`_numerator`), so 1 - x, 3y and 3(1-y) are integer
+    steps that never round.  F and J are carried as affine accumulators,
+    F(x) = a_F + b_F F(y) and J(x) = a_J + b_J J(y).  A left step
+    (y < 1/3) scales b_F by q = 1/(p+1) and b_J by q/3.  A right step
+    (y > 2/3) is F's y -> 3(1-y); for J it is the reflection y -> 1-y
+    followed by its forced left step, which together add
+    b_J (J(2/3) - 2/3 - p I1 + y) = b_J (c + y) to a_J and scale b_J by
+    r/3.  a_J is carried as A + B y in the current y, so that every
+    accumulator is a constant of the path: a left step is B /= 3, a right
+    step t = B + b_J, A = (A + b_J c) + t, B = -t/3.  J reads y only at
+    the end, as the double nearest n/d.
 
-    Every walk ends, for any p and tol > 0.  No step lands on 0: both map
-    (0, 1) into (0, 1].  A right step from (2/3, 1) is exact (1 - y is a
-    multiple of 2^-53 below 1/3) and sends 3/4 + d to 3/4 - 3d, so a run
-    of right steps off 3/4 lasts at most 32 levels; a run of left steps
-    lasts at most 677 from y >= 2^-1074, and 32 after a right step, from
-    y >= 3 2^-53.  After the first run, then, every 64 levels hold a step
-    of each kind and shrink |b_F| by q r <= 1/4, until it is <= 2 tol or
-    0 (min(q, r) <= 1/2 rounds the least subnormal to 0), where every test
-    passes: b_J y <= |b_F|, and a_F >= 0 for the relative one.
+    y = 0 and y = 1 end on entry.  The walk ends exactly on the plateau or
+    at 3/4, the right step's fixed point (F and J there from `_anchors`);
+    otherwise the residuals F(y) in [0, 1] and J(y) in [0, y] bound the
+    error, and it stops once one bracket, |b_F| or with `on_j` b_J y, is
+    <= 2 tol (times F's running midpoint with `relative`).  Each step
+    scales b_J by at most b_F's factor, so b_J y <= |b_F| and F's test
+    covers J.  The first `_JUMP` levels, the head, end only on the
+    plateau, so that they depend on y's ternary cell alone and
+    `_jump_table` can tabulate them; neither bracket grows, so leaving
+    them untested only tightens the bound.
+
+    Every walk ends, for any p and tol > 0.  No step leaves (0, d).  A
+    right step sends 3d/4 + e to 3d/4 - 3e, and y stays in (2/3, 1) only
+    while |e| < d/4, so off 3/4 (|e| >= 1) a run of right steps lasts
+    fewer than log_3(d/4) levels; a right step leaves n >= 3, so a run of
+    left steps after it lasts fewer than log_3(d/9), and the first run of
+    left steps at most 677 levels from x >= 2^-1074.  With d = 2^63 each
+    later run lasts fewer than 40 levels (678 for any double), so every 80
+    levels then hold a step of each kind and shrink |b_F| by q r <= 1/4,
+    until it is <= 2 tol or 0 (min(q, r) <= 1/2 rounds the least
+    subnormal to 0), where every test passes: b_J y <= |b_F|, and
+    a_F >= 0 for the relative one.
     """
     q, r = params.left_mass, params.right_mass
     i1, j1, c, f34, j34 = _anchors(params)
-    shrink, r3 = q / 3.0, r / 3.0
-    lim = 2.0 * tol
-    af, bf, aj, bj = 0.0, 1.0, 0.0, 1.0
-    while not ((bj * y if on_j else abs(bf))
-               <= (lim * (af + 0.5 * bf) if relative else lim)):
-        if y <= 0.0:
-            return af, 0.0, aj, 0.0
-        if y >= 1.0:
-            return af + bf, 0.0, aj + bj * j1, 0.0
-        if ONE_THIRD <= y <= TWO_THIRDS:
-            return af + bf * q, 0.0, aj + bj * (i1 + (y - ONE_THIRD) * q), 0.0
-        if y < ONE_THIRD:
+    n, d = _numerator(x)
+    if reflected:
+        n = d - n
+    if n == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    if n == d:
+        return 1.0, 0.0, j1, 0.0
+    if d == _ONE:
+        lo, hi, m34, y_of = _LO, _HI, _M34, _SCALE.__rmul__
+    else:
+        lo, hi, m34, y_of = d // 3 + 1, 2 * d // 3, 3 * d // 4, d.__rtruediv__
+    shrink, r3, lim = q / 3.0, r / 3.0, 2.0 * tol
+    af, bf, a, b, bj = 0.0, 1.0, 0.0, 0.0, 1.0
+    level = 0
+    while not lo <= n <= hi:
+        if level >= _JUMP and (n == m34 or (bj * y_of(n) if on_j else abs(bf)) <= (
+                lim * (af + 0.5 * bf) if relative else lim)):
+            break
+        if n < lo:
             bf *= q
             bj *= shrink
-            y *= 3.0
-        elif y == 0.75:
-            return af + bf * f34, 0.0, aj + bj * j34, 0.0
+            b /= 3.0
+            n *= 3
         else:
             af += bf
             bf *= -r
-            aj += bj * (c + y)
+            t = b + bj
+            a = (a + bj * c) + t
+            b = t / -3.0
             bj *= r3
-            y = 3.0 * (1.0 - y)
+            n = 3 * (d - n)
+        level += 1
+    y = y_of(n)
+    aj = a + b * y
+    if lo <= n <= hi:
+        return af + bf * q, 0.0, aj + bj * (i1 + (y - ONE_THIRD) * q), 0.0
+    if n == m34:
+        return af + bf * f34, 0.0, aj + bj * j34, 0.0
     half = 0.5 * bj * y
     return af + 0.5 * bf, 0.5 * abs(bf), aj + half, half
 
@@ -216,197 +255,293 @@ def _descend_many(params: PSingularParams, ys, tol: float, on_j: bool = False,
     reads, "F", "J" or "FJ"; the walk carries only those and what its stop
     test needs, and yields None for a quantity it did not carry.  With
     `tol_below`, each point follows `_branch`'s rule instead: x >= 1/3
-    descends from `_reflect(x)` at `tol` (and `relative`), x < 1/3 from
-    itself at `tol_below`, so both branches share one descent.
+    descends from 1 - x at `tol` (and `relative`), x < 1/3 from itself at
+    `tol_below`, so both branches share one descent.
 
-    The input is cut into `_CHUNK`-point slices.  A lone slice walks to the
-    end.  Otherwise each slice walks its first `_HEAD` levels alone, which
-    end most of its points, and its survivors join a pool that walks the
-    remaining levels whenever it holds `_CHUNK` points, and once more after
-    the last slice.  The near-empty deep levels are then paid about once per
-    call, not once per slice, and the working set stays a few slices wide.
+    An input of at most `_CHUNK` points, for which building the jump table
+    would cost more than the walk, steps through its head (see `_descend`)
+    and walks on to the end.  A longer one is cut into `_CHUNK`-point
+    slices, and each slice looks up the head of every point in
+    `_jump_table`, built once per p.  That ends most points on the
+    plateau.  The rest join a pool that walks the remaining levels whenever
+    it holds `_CHUNK` points, and once more after the last slice, so the
+    near-empty deep levels are paid about once per call and the working set
+    stays a few slices wide.  The few points that have no int64 numerator
+    (see `_Walk.start`) walk in `_descend`.
     """
     ys = np.asarray(ys, dtype=float).ravel()
     n = ys.size
-    if n and not (ys.min() >= 0.0 and ys.max() <= 1.0):
+    if not n:
+        return
+    top = ys.max()
+    if not (ys.min() >= 0.0 and top <= 1.0):
         raise DomainError("all evaluation points must lie in [0, 1]")
     walk = _Walk(params, tol, on_j, relative, reads, tol_below)
-    if n <= _CHUNK:
-        if n:
-            yield _descend_slice(walk, *walk.start(ys, 0))[0]
-        return
+    table = _jump_table(params) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        group, live = _descend_slice(walk, *walk.start(ys[start:start + _CHUNK], start), _HEAD)
-        yield group
-        if live is not None:
-            pool.append(live)
-            pooled += live[0].size
+        idx, m, state, odd = walk.start(ys[start:start + _CHUNK], start, top == 1.0)
+        if odd.size:
+            yield walk.scalar(odd, ys)
+        if table is None:
+            if idx.size:
+                _head(walk, m, state)
+                yield _descend_slice(walk, idx, m, state)
+            continue
+        m, flat = _jump(walk, m, state, table)
+        end, keep = np.flatnonzero(flat), np.flatnonzero(~flat)
+        if end.size:
+            yield _select(walk, idx.take(end), m.take(end), state[:walk.rows].take(end, axis=1),
+                          _PLATEAU)
+        if keep.size:
+            pool.append((idx.take(keep), m.take(keep), state.take(keep, axis=1)))
+            pooled += keep.size
         if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
-            idx, state = (np.concatenate(part, axis=-1) for part in zip(*pool))
+            parts = pool[0] if len(pool) == 1 else [np.concatenate(part, axis=-1)
+                                                    for part in zip(*pool)]
             pool, pooled = [], 0
-            yield _descend_slice(walk, idx, state)[0]
+            yield _descend_slice(walk, *parts)
 
 
 class _Walk:
     """One call's vector descent: its constants, its stop test and the rows
     of state it carries.
 
-    The state of a point is one column: y, then a_F and b_F where F is
-    carried, then a_J and b_J where J is, then L and A of a per-point limit
-    (a_F + b_F/2) L + A where the stop test differs between points (L = 2
-    tol and A = 0 where it is relative, L = 0 and A = 2 tol elsewhere).  F
-    is carried where the caller reads it or the stop test does (F's
-    bracket, or a per-point limit); J where the caller reads it or the test
-    is on J's bracket.
+    A point carries its numerator M = y 2^63 as an int64 and one column of
+    state: a_F and b_F where F is carried, then A, B and b_J where J is,
+    then L and K of a per-point limit (a_F + b_F/2) L + K where the stop
+    test differs between points (L = 2 tol and K = 0 where it is relative,
+    L = 0 and K = 2 tol elsewhere).  F is carried where the caller reads it
+    or the stop test does (F's bracket, or a per-point limit); J where the
+    caller reads it or the test is on J's bracket.
     """
 
     def __init__(self, params: PSingularParams, tol: float, on_j: bool, relative: bool,
                  reads: str, tol_below: float | None):
         q, r = params.left_mass, params.right_mass
-        self.q = q
+        self.params, self.q, self.tol, self.tol_below = params, q, tol, tol_below
         self.i1, j1, self.c, f34, self.j34 = _anchors(params)
-        # each step's multipliers of b_F and b_J, by 0/1 right step, and
-        # `_select`'s (w, e) of F and of J, by kind of end
-        self.step_f, self.step_j = np.array([q, -r]), np.array([q / 3.0, r / 3.0])
-        self.ends_f = np.array([[0.5, 0.0, 1.0, q, f34], [0.5, 0.0, 0.0, 0.0, 0.0]])
-        self.ends_j = np.array([[0.5, 1.0, j1, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        # `_step`'s factors by kind of step (left, plateau, right): R (1 on a
+        # right step), b_F's and b_J's, and B's divisor; and `_select`'s
+        # (w, e) of F and of J by kind of end
+        self.factors = np.array([[0.0, 0.0, 1.0], [q, 1.0, -r], [q / 3.0, 1.0, r / 3.0],
+                                 [3.0, 1.0, -3.0]])
+        self.ends_f = np.array([[0.5, q, f34], [0.5, 0.0, 0.0]])
+        self.ends_j = np.array([[0.5, 1.0, 1.0], [1.0, 0.0, 0.0]])
         self.on_j, self.relative, self.branch = on_j, relative, tol_below is not None
         self.lim = 2.0 * tol
         self.lim_below = self.lim if tol_below is None else 2.0 * tol_below
         self.per_point = bool(relative) or self.lim_below != self.lim
         carry_f = "F" in reads or not on_j or self.per_point
         carry_j = "J" in reads or on_j
-        # the row of a_F and of a_J, 0 where that quantity is not carried
-        self.f = 1 if carry_f else 0
-        self.j = 1 + 2 * carry_f if carry_j else 0
-        self.rows = 1 + 2 * carry_f + 2 * carry_j
+        # the row of a_F and of A, None where that quantity is not carried,
+        # and the rows' values at the start of a walk
+        self.f = 0 if carry_f else None
+        self.j = 2 * carry_f if carry_j else None
+        self.rows = 2 * carry_f + 3 * carry_j
+        self.origin = np.array([0.0, 1.0] * carry_f + [0.0, 0.0, 1.0] * carry_j)[:, None]
 
-    def start(self, x: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
-        """The positions and the initial state of the slice x of the input,
-        which starts at `offset`."""
+    def start(self, x: np.ndarray, offset: int, ones: bool):
+        """The positions, numerators and stop limits of the points of the
+        slice x of the input, which starts at `offset`, and the positions of
+        the rest, which `scalar` walks: 0, 1 (looked for only with `ones`)
+        and the doubles below 2^-11 that are not multiples of 2^-63."""
+        scaled = x * 2.0 ** 63
+        if ones:
+            scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it odd
+        m = scaled.astype(np.int64)
+        odd = np.flatnonzero(m < 1 << 52)
+        if odd.size:
+            odd = odd[(m.take(odd) == 0) | (m.take(odd) != scaled.take(odd))]
         state = np.empty((self.rows + 2 * self.per_point, x.size))
         lim, rel = self.lim, self.relative
         if self.branch:
-            above = x >= ONE_THIRD
-            state[0] = np.where(above, _reflect(x), x)
+            above = (x > ONE_THIRD).view(np.int8)
+            m *= 1 - 2 * above  # 1 - x is (-M) & _MASK = 2^63 - M
+            m &= _MASK
             if self.lim_below != lim:
-                lim = np.where(above, lim, self.lim_below)
-            rel = above & rel
-        else:
-            state[0] = x
-        state[0] += 0.0  # -0 as +0, so that J's bound at y = 0 is +0 as in `_descend`
-        state[1:self.rows:2] = 0.0
-        state[2:self.rows:2] = 1.0
+                lim = np.array([self.lim_below, lim]).take(above)
+            rel = above * rel
         if self.per_point:
             np.multiply(lim, rel, out=state[self.rows])
             np.subtract(lim, state[self.rows], out=state[self.rows + 1])
-        return np.arange(offset, offset + x.size), state
+        idx = np.arange(offset, offset + x.size)
+        if odd.size:
+            regular = np.delete(np.arange(x.size), odd)
+            idx, m, state = idx.take(regular), m.take(regular), state.take(regular, axis=1)
+        return idx, m, state, odd + offset
+
+    def scalar(self, at: np.ndarray, xs: np.ndarray):
+        """The group of the points of xs at positions `at`, from `_descend`
+        (or `_branch`), with None for a quantity not carried."""
+        if self.branch:
+            rows = [_branch(self.params, x, self.tol, self.tol_below, self.on_j,
+                            self.relative)[1:] for x in xs.take(at).tolist()]
+        else:
+            rows = [_descend(self.params, x, self.tol, self.on_j, self.relative)
+                    for x in xs.take(at).tolist()]
+        f, f_bound, j, j_bound = np.array(rows).T
+        return (at, *((f, f_bound) if self.f is not None else (None, None)),
+                *((j, j_bound) if self.j is not None else (None, None)))
 
 
-def _descend_slice(walk: _Walk, idx: np.ndarray, state: np.ndarray,
-                   levels: int | None = None):
-    """Walk the points with positions `idx` and state columns `state` for
-    at most `levels` levels, or with None until every point has ended.
-    Returns the group (positions, F, F bounds, J, J bounds) of the points
-    that ended, None for a quantity not carried, and the (positions, state)
-    of those still live after the last level, or None where none is.
+def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> np.ndarray:
+    """One step of every point, in place, by kind (0 left, 1 on the
+    plateau, 2 right): the float operations of `_descend`'s step in its
+    order, with the factors from `walk.factors`; a point on the plateau is
+    multiplied by 1 and added 0, which are exact, so it keeps its state.
+    Returns the multipliers 3, 1 or -3 of the numerators."""
+    r_f, step_f, step_j, div = walk.factors.take(kind, axis=1)
+    if walk.f is not None:
+        af, bf = state[walk.f], state[walk.f + 1]
+        af += bf * r_f
+        bf *= step_f
+    if walk.j is not None:
+        a, b, bj = state[walk.j], state[walk.j + 1], state[walk.j + 2]
+        u = bj * r_f
+        t = b + u
+        a += u * walk.c
+        a += t * r_f
+        np.divide(t, div, out=b)
+        bj *= step_j
+    step = _STEP_M.take(kind)
+    m *= step
+    m &= _MASK
+    return step
+
+
+def _head(walk: _Walk, m: np.ndarray, state: np.ndarray,
+          mult: np.ndarray | None = None) -> None:
+    """Step every point through the head (see `_descend`), in place, from
+    the start of a walk, and multiply `mult`, if given, by the multiplier
+    +-3^e of each numerator, where e is the level at which the point
+    reached the plateau, or `_JUMP`."""
+    state[:walk.rows] = walk.origin
+    for _ in range(_JUMP):
+        step = _step(walk, m, state, np.searchsorted(_EDGES, m, side="right"))
+        if mult is not None:
+            mult *= step
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_table(params: PSingularParams) -> tuple[np.ndarray, np.ndarray]:
+    """The head at p of every ternary cell floor(3^_JUMP M / 2^63), from
+    one numerator inside each: (the multipliers +-3^e of `_head`, the state
+    rows a_F, b_F, A, B and b_J after it), one column per cell.  Every
+    point of a cell takes the same branches in the head (the cell edges
+    k 2^63 / 3^_JUMP are not integers), so it has the cell's column.
+    About 300 kB, built once per p, so the arrays are read-only."""
+    walk = _Walk(params, 1.0, False, False, "FJ", None)
+    m = ((np.arange(_CELLS) + 0.5) * (2.0 ** 63 / _CELLS)).astype(np.int64)
+    mult, state = np.ones(_CELLS, dtype=np.int64), np.empty((walk.rows, _CELLS))
+    _head(walk, m, state, mult)
+    mult.flags.writeable = state.flags.writeable = False
+    return mult, state
+
+
+def _jump(walk: _Walk, m: np.ndarray, state: np.ndarray, table):
+    """The head of every point, from the column of its cell in `table`:
+    fills the state rows and returns the numerators after the head and
+    whether each point ended on the plateau.  The cell is exact: with
+    M = 2^32 h + l, it is (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no
+    product reaches 2^63."""
+    mult, columns = table
+    cell = ((m >> 32) * _CELLS + (((m & 0xFFFFFFFF) * _CELLS) >> 32)) >> 31
+    mult = mult.take(cell)
+    m = m * mult
+    m &= _MASK
+    if walk.f is not None:
+        columns[0:2].take(cell, axis=1, out=state[walk.f:walk.f + 2], mode="clip")
+    if walk.j is not None:
+        columns[2:5].take(cell, axis=1, out=state[walk.j:walk.j + 3], mode="clip")
+    return m, np.abs(mult) < _CELLS
+
+
+def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
+    """Walk the points with positions `idx`, numerators `m` and state
+    columns `state`, past their head, until every one has ended, and
+    return their group (positions, F, F bounds, J, J bounds), None for a
+    quantity not carried.
 
     Each level partitions the live points once with `np.flatnonzero` into
-    those that step on and those that end there.  The state of the ending
-    ones is set aside and the rest is compacted with `take`.  The stop test
-    is one comparison of the chosen bracket with its limit, which costs a
-    multiply-add where the limit is set per point.  The step needs no mask
-    either: with a 0/1 right-step factor R, a_F += R b_F,
-    a_J += R b_J (c + y) and y -> 3|R - y|, and the multipliers come from
-    two-entry tables.  Only a walk's first level tests y > 0, as no step
-    lands on 0 (see `_descend`); the later ones test y != 3/4 in its place.
-    Once the walk is over, one select over the ended points by kind
-    (stopped bracket, y = 0, y = 1, plateau or 3/4; a stopped bracket
-    wins, as in `_descend`) gives F, J and their bounds.  Adding
-    +-0 and multiplying by 1 are exact, so the values are those of the
-    scalar loop.
+    those that step on and those that end there: on the plateau, at 3/4
+    or on the stop test, which is one comparison of the chosen bracket
+    with its limit and costs a multiply-add where the limit is set per
+    point.  The state of the ending ones is set aside and the rest is
+    compacted with `take` and steps with `_step`.  Once the walk is over,
+    one select over the ended points by kind (an exact end wins over the
+    stop test, as in `_descend`) gives F, J and their bounds.
     """
-    f, j, rows, per_point = walk.f, walk.j, walk.rows, walk.per_point
-    lim, c, step_f, step_j = walk.lim, walk.c, walk.step_f, walk.step_j
+    f, j, rows, per_point, lim = walk.f, walk.j, walk.rows, walk.per_point, walk.lim
     n = idx.size
-    # the points in the order they end: where they sit in the input, their
-    # final state, and whether the stop test ended them
-    at, ended, stopped = np.empty(n, dtype=np.intp), np.empty((rows, n)), np.ones(n, dtype=bool)
+    # the points in the order they end: where they sit in the input, and
+    # their final numerator and state
+    at, ended_m = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
+    ended = np.empty((rows, n))
     done = 0
-    for level in itertools.count() if levels is None else range(levels):
-        y = state[0]
-        width = state[j + 1] * y if walk.on_j else np.abs(state[f + 1])
+    while True:
+        kind = np.searchsorted(_EDGES, m, side="right")
+        width = state[j + 2] * (m * _SCALE) if walk.on_j else np.abs(state[f + 1])
         if per_point:
             lim = (state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1]
-        stop = width <= lim
-        right = (y > TWO_THIRDS) & (y < 1.0) & (y != 0.75)
-        go = y < ONE_THIRD if level else (y < ONE_THIRD) & (y > 0.0)
-        go = (go | right) > stop  # and not stopped, in one pass
+        go = (kind != 1) > ((width <= lim) | (m == _M34))  # and not ended, in one pass
         keep = np.flatnonzero(go)
-        if keep.size < y.size:
+        if keep.size < m.size:
             end = np.flatnonzero(~go)
             k = slice(done, done + end.size)
-            at[k], ended[:, k], stopped[k] = idx.take(end), state[:rows].take(end, axis=1), stop.take(end)
+            at[k], ended_m[k] = idx.take(end), m.take(end)
+            ended[:, k] = state[:rows].take(end, axis=1)
             done += end.size
             if not keep.size:
                 break
-            idx, state, right = idx.take(keep), state.take(keep, axis=1), right.take(keep)
-            y = state[0]
-        r_idx = right.view(np.int8)
-        r_f = right.astype(float)
-        if f:
-            af, bf = state[f], state[f + 1]
-            af += bf * r_f
-            bf *= step_f.take(r_idx)
-        if j:
-            aj, bj = state[j], state[j + 1]
-            aj += bj * (c + y) * r_f
-            bj *= step_j.take(r_idx)
-        np.subtract(r_f, y, out=y)
-        np.abs(y, out=y)
-        y *= 3.0
-    live = (idx, state) if done < n else None
-    return _select(walk, at[:done], ended[:, :done], stopped[:done]), live
+            idx, m, kind, state = idx.take(keep), m.take(keep), kind.take(keep), state.take(keep, axis=1)
+        _step(walk, m, state, kind)
+    kind = ((ended_m >= _LO) & (ended_m <= _HI)) + 2 * (ended_m == _M34)
+    return _select(walk, at, ended_m, ended, kind)
 
 
-def _select(walk: _Walk, at: np.ndarray, ended: np.ndarray, stopped: np.ndarray):
+_PLATEAU = 1  # `_select`'s kind of the points that end on the plateau
+
+
+def _select(walk: _Walk, at: np.ndarray, m: np.ndarray, ended: np.ndarray, kind):
     """The group (positions, F, F bounds, J, J bounds) of ended points, in
-    place over their final state.  Per kind of end (0 stopped, 1 at y = 0,
-    2 at y = 1, 3 on the plateau, 4 at 3/4) F = a_F + b_F w_F with bound
-    |b_F| e_F, and J = a_J + h with h = (b_J w_J) u and bound h e_J, where
-    u is J's plateau term on the plateau, J(3/4) at 3/4 and y elsewhere."""
-    y = ended[0]
-    kind = (3 - 2 * (y <= 0.0) - (y >= 1.0) + (y == 0.75)) * ~stopped
+    place over their final state.  Per kind of end (0 stopped, 1 on the
+    plateau, 2 at 3/4; an int where all points share it)
+    F = a_F + b_F w_F with bound |b_F| e_F, and J = (A + B y) + h with
+    h = (b_J w_J) u and bound h e_J, where u is J's plateau term
+    I1 + (y - 1/3) q on the plateau, J(3/4) at 3/4 and y elsewhere."""
     group = [at, None, None, None, None]
-    if walk.f:
+    if walk.f is not None:
         af, bf = ended[walk.f], ended[walk.f + 1]
         w_f, e_f = walk.ends_f.take(kind, axis=1)
-        w_f *= bf
-        af += w_f
+        af += bf * w_f
         np.abs(bf, out=bf)
         bf *= e_f
         group[1:3] = af, bf
-    if walk.j:
-        aj, bj = ended[walk.j], ended[walk.j + 1]
+    if walk.j is not None:
+        a, b, bj = ended[walk.j], ended[walk.j + 1], ended[walk.j + 2]
         w_j, e_j = walk.ends_j.take(kind, axis=1)
-        np.copyto(y, walk.i1 + (y - ONE_THIRD) * walk.q, where=kind == 3)
-        np.copyto(y, walk.j34, where=kind == 4)
+        y = m * _SCALE
+        a += b * y
+        u = walk.i1 + (y - ONE_THIRD) * walk.q
+        if np.ndim(kind):
+            np.copyto(u, y, where=kind == 0)
+            np.copyto(u, walk.j34, where=kind == 2)
         bj *= w_j
-        bj *= y
-        aj += bj
-        e_j *= bj
-        group[3:] = aj, e_j
+        bj *= u
+        a += bj
+        group[3:] = a, bj * e_j
     return tuple(group)
 
 
 def _branch(params: PSingularParams, x: float, tol_above: float, tol_below: float,
             on_j: bool = False, relative: bool = False) -> tuple[bool, float, float, float, float]:
     """(x >= 1/3, F, F's bound, J, J's bound) for a quantity that descends
-    from `_reflect(x)` at `tol_above` (`relative` if asked) for x >= 1/3
-    and from x itself at `tol_below` below; `on_j` as in `_descend`."""
-    if x >= ONE_THIRD:
-        return True, *_descend(params, _reflect(x), tol_above, on_j, relative)
+    from 1 - x at `tol_above` (`relative` if asked) for x >= 1/3 and from x
+    itself at `tol_below` below; `on_j` as in `_descend`.  fl(1/3) lies
+    below 1/3, so x >= 1/3 is x > ONE_THIRD for a double."""
+    if x > ONE_THIRD:
+        return True, *_descend(params, x, tol_above, on_j, relative, reflected=True)
     return False, *_descend(params, x, tol_below, on_j)
 
 
@@ -414,15 +549,14 @@ def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float
                  on_j: bool = False, relative: bool = False, reads: str = "FJ") -> np.ndarray:
     """Vector twin of `_branch`: both branches share one descent (see
     `_descend_many`), and value(x, x >= 1/3, F, J) turns each group of it
-    into values.  The domain check runs on x itself, before any point is
-    reflected."""
+    into values."""
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for at, f, _, j, _ in _descend_many(params, flat, tol_above, on_j, relative, reads,
                                         tol_below):
         x = flat.take(at)
-        out[at] = value(x, x >= ONE_THIRD, f, j)
+        out[at] = value(x, x > ONE_THIRD, f, j)
     return out.reshape(xs.shape)
 
 

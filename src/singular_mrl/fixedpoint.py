@@ -1,8 +1,9 @@
 """Fixed point of the mean residual life function: m(x) = x.
 
 On [1/3, 2/3] the CDF is flat, so m is linear with slope -1 and its
-fixed point is x* = (m(1/3) + 1/3) / 2, from one evaluation of m(1/3);
-the closed form x* = 1/6 + (5p+4) / (12 (2p+1)) cross-checks it.
+fixed point is x* = (m(1/3) + 1/3) / 2, from one evaluation of m on the
+plateau's side of 1/3; the closed form x* = 1/6 + (5p+4) / (12 (2p+1))
+cross-checks it.
 
 Uniqueness is certified.  m(x) + x = E[X | X > x] is non-decreasing, so
 m(x) - x >= m(a) + a - 2b on a cell [a, b], and cells with
@@ -48,6 +49,9 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
                       scan_grid_n: int = 0) -> FixedPointResult:
     """x* = (m(1/3) + 1/3) / 2 from the plateau linearity of m.
 
+    1/3 is not a double, and fl(1/3) lies below it, off the plateau, where
+    F is steep.  m(1/3) is taken at 1 - fl(2/3), the least double on the
+    plateau, 3.7e-17 above 1/3: m differs there by that, under an ulp.
     `bracket` is x* plus or minus half of m(1/3)'s error bound and
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison.  Every
     call certifies that x* is the only root (see the module docstring), so
@@ -56,7 +60,7 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     `verify_uniqueness(params, scan_grid_n)`: ConvergenceError unless it is 1.
     """
     scan_grid_n = _integer("scan_grid_n", scan_grid_n)
-    m = mrl(params, ONE_THIRD, config)
+    m = mrl(params, 1.0 - TWO_THIRDS, config)
     x_star = 0.5 * (m.value + ONE_THIRD)
     if not ONE_THIRD <= x_star <= TWO_THIRDS:
         raise ConvergenceError(

@@ -66,7 +66,8 @@ def check_functional_equation_ii(params, config, rng, n=2000):
 
 
 def check_plateau(params, config):
-    xs = np.linspace(1.0 / 3.0, 2.0 / 3.0, 101)
+    # fl(1/3) lies below 1/3, off the plateau; 1 - fl(2/3) is its least double
+    xs = np.linspace(1.0 - 2.0 / 3.0, 2.0 / 3.0, 101)
     f = dist.cdf_many(params, xs, config)
     ok = bool(np.all(f == 1.0 / (params.p + 1.0)))
     return _result(f"plateau exact (p={params.p})", ok, "F = 1/(p+1) on [1/3, 2/3]")
@@ -115,7 +116,8 @@ def check_mrl_anchor(config):
     worst = 0.0
     for p in np.logspace(-2, 2, 9):
         params = PSingularParams(p)
-        dev = abs(mrl(params, 1.0 / 3.0, config).value - mrl_at_one_third(params))
+        # at the least double on the plateau, 1 - fl(2/3), as in fixed_point_solve
+        dev = abs(mrl(params, 1.0 - 2.0 / 3.0, config).value - mrl_at_one_third(params))
         worst = max(worst, dev)
     ok = worst <= config.tolerance
     return _result("m(1/3) closed form on log grid", ok, f"max deviation {worst:.3e}")

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, ResourceLimitError, cdf, cdf_many,
                           cdf_integral, cdf_integral_many, cdf_with_bound, expected_payoff,
-                          gap_intervals, mrl, mrl_many, payoff_curve,
+                          gap_intervals, mrl, mrl_many, optimal_price, payoff_curve,
                           point_cloud, sample, survival)
 from singular_mrl import distribution
-from singular_mrl.distribution import (_CHUNK, _HEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
-                                      _alias_table, _branch, _descend, _descend_many, _drop,
-                                      gap_grid)
+from singular_mrl.distribution import (_CHUNK, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
+                                      _alias_table, _branch, _branch_many, _descend,
+                                      _descend_many, _drop, _jump_table, gap_grid)
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -67,19 +67,18 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def cdf_oracle(p, x, depth=60):
-    # independent brute-force iteration of the defining equations
-    if depth == 0:
-        return 0.5
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if 1.0 / 3.0 <= x <= 2.0 / 3.0:
-        return 1.0 / (p + 1.0)
-    if x < 1.0 / 3.0:
-        return cdf_oracle(p, 3.0 * x, depth - 1) / (p + 1.0)
-    return 1.0 - p * cdf_oracle(p, 3.0 * (1.0 - x), depth - 1) / (p + 1.0)
+def survival_many(params, xs):
+    """`survival`'s descent run as a vector: F from 1 - x at min(tol, tol/p)
+    for x >= 1/3, from x at tol below, at the default tolerance."""
+    p, tol = params.p, 1e-10
+    return _branch_many(params, xs, min(tol, tol / p), tol,
+                        lambda x, above, f, j: np.where(above, p * f, 1.0 - f), reads="F")
+
+
+# each vector evaluator with its scalar twin
+EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, x).value),
+              (mrl_many, lambda P, x: mrl(P, x).value), (payoff_curve, expected_payoff),
+              (survival_many, survival)]
 
 
 def cloud_oracle(params, n_initial, iterations):
@@ -130,7 +129,8 @@ class TestParams:
 
 class TestCdf:
     def test_plateau_value(self):
-        assert cdf(P1, 1 / 3) == 0.5
+        # fl(1/3) lies below 1/3, off the plateau; 1 - fl(2/3) is its least double
+        assert cdf(P1, 1 - 2 / 3) == 0.5
         assert cdf(P1, 2 / 3) == 0.5
         assert cdf(P2, 0.5) == pytest.approx(1 / 3, abs=0)
 
@@ -139,14 +139,15 @@ class TestCdf:
             assert cdf(params, 0.0) == 0.0
             assert cdf(params, 1.0) == 1.0
 
-    def test_quarter_is_one_third(self):
-        # 1/4 = 0.020202..._3; oracle value computed independently
-        assert cdf_oracle(1.0, 0.25) == pytest.approx(1 / 3, abs=1e-15)
+    def test_quarter_is_one_third(self, oracle):
+        # 1/4 = 0.020202..._3; the exact oracle solves its cycle
+        assert oracle.cdf(oracle.Family(1.0), 0.25) == (Fraction(1, 3), Fraction(1, 3))
         assert cdf(P1, 0.25) == pytest.approx(1 / 3, abs=1e-10)
 
     def test_one_ninth_p2(self):
-        # two left branches: 1/(p+1)^2
-        assert cdf(P2, 1 / 9) == pytest.approx(1 / 9, abs=1e-12)
+        # two left branches: 1/(p+1)^2, at the least double >= 1/9 (fl(1/9)
+        # lies below 1/9, off the level-2 plateau)
+        assert cdf(P2, math.nextafter(1 / 9, 1.0)) == pytest.approx(1 / 9, abs=1e-12)
 
     @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
     def test_domain_error(self, x):
@@ -204,20 +205,17 @@ class TestDescent:
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
            p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), on_j=st.booleans(),
-           relative=st.booleans(), head=st.sampled_from([1, 7, 8, 9, 100_000]),
-           chunk=st.sampled_from([4, 16, _CHUNK]))
+           relative=st.booleans(), chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, relative, head,
-                                                 chunk):
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, relative, chunk):
         # each point's start, tolerance and relative flag those of its
         # branch, as `_branch_many` sets them, against the scalar `_branch`;
-        # small slices send the points through the pooled tail after a head
-        # of `head` levels
+        # small slices send the points through the jump table and the
+        # pooled tail, a `_CHUNK` slice steps through the head
         params = PSingularParams(p)
         tol_above, tol_below = data.draw(st.lists(
             st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]), min_size=2, max_size=2))
-        with mock.patch.object(distribution, "_CHUNK", chunk), \
-                mock.patch.object(distribution, "_HEAD", head):
+        with mock.patch.object(distribution, "_CHUNK", chunk):
             vec = gather(_descend_many(params, xs, tol_above, on_j, relative,
                                        tol_below=tol_below), len(xs))
         scalar = [_branch(params, x, tol_above, tol_below, on_j, relative)[1:] for x in xs]
@@ -288,25 +286,31 @@ class TestDescent:
         assert j_bound <= f_bound
 
     @pytest.mark.parametrize("p,x,values", [
-        (0.01, 0.3, (0.01951266862944645, 0.3690294520875967, 8.423023786252325e-12,
+        (0.01, 0.3, (0.01951266862944645, 0.3690294520875967, 8.423023786252327e-12,
                      0.0021602248287300617)),
         (0.01, 0.4, (0.009900990099009901, 0.5950980392156862, 0.0, 0.002356823917685886)),
         (0.01, 1 - 1e-9, (0.008277399150406683, 9.87347154111631e-10, 0.0,
                           8.172666486427405e-12)),
-        (1.0, 0.3, (0.6000000000349246, 0.44761904761470506, 2.1713452904759366e-11,
+        (1.0, 0.3, (0.6000000000349246, 0.44761904761470506, 1.0714533316881297e-15,
                     0.08057142858265089)),
         (1.0, 1 - 1e-9, (1.9073486328125e-06, 5.698041730992018e-10, 0.0,
-                         6.249999816987929e-11)),
+                         1.953124942808727e-12)),
         (100.0, 0.3, (0.9901951267315589, 0.45120053821420647, 2.083454598326171e-11,
-                      0.13403297223588756)),
+                      0.13403297223557184)),
         (100.0, 0.4, (0.9900990099009901, 0.35124378109452736, 0.0, 0.13910644795822866)),
-        (100.0, 1 - 1e-9, (4.710226176271034e-11, 3.579166901973728e-10, 0.0,
-                           4.950494904544894e-10))])
+        (100.0, 1 - 1e-9, (4.617416112411561e-15, 3.579166901973728e-10, 0.0,
+                           4.6174159772047004e-24))])
     def test_reflected_quantities_pinned(self, p, x, values):
         # survival, m with its bound and the payoff, as they were while each
         # scalar branched at 1/3 on its own and the kernel took two tolerances;
         # m's bound at x = 0.3 has since gained the 2^-51 (1 + m) / (1 - F)
-        # that the rounding of the quotient's two terms costs below 1/3
+        # that the rounding of the quotient's two terms costs below 1/3.
+        # Since the walk's first 8 levels carry no stop test and J is
+        # carried as A + B y, six values in five cases are new: m's bound
+        # at p = 0.01, x = 0.3 by an ulp, and brackets that stop later (m's
+        # bound at p = 1, x = 0.3, the payoffs at p = 1 and 100 and the
+        # survival at p = 100); each is within its bound or the tolerance
+        # of the exact oracle
         params = PSingularParams(p)
         m = mrl(params, x)
         assert (survival(params, x), m.value, m.error_bound, expected_payoff(params, x)) == values
@@ -334,57 +338,99 @@ class TestDescent:
         f = gather(groups, xs.size)[0]
         np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
 
-    @pytest.mark.parametrize("head", [1, _HEAD - 1, _HEAD, _HEAD + 1, 100_000])
+    @pytest.mark.parametrize("chunk", [1, 7, 8, 9, 100_000])
     @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
     def test_pooled_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points,
-                                            tol_f, tol_j, relative, head):
-        # slices of 32 points: every slice walks its head alone and the pool
-        # is walked whenever it fills, so the pooled tail after heads on
-        # either side of `_HEAD` is compared with the scalar loop; a head of
-        # 100,000 levels outlasts every walk and leaves the pool empty
-        walks = []
+                                            tol_f, tol_j, relative, chunk):
+        # slices of `chunk` points: an input longer than one slice jumps
+        # every slice's head through the table and walks the pool whenever
+        # it fills, and these pooled tails are compared with the scalar
+        # loop; slices of 100,000 points hold the whole input, which steps
+        # through its head and walks one tail, without a table
+        tails = []
 
-        def logged(walk, idx, state, levels=None):
-            walks.append(levels)
-            return descend_slice(walk, idx, state, levels)
+        def logged(walk, idx, m, state):
+            tails.append(idx.size)
+            return descend_slice(walk, idx, m, state)
+
+        def no_table(params):
+            raise AssertionError("an input of one slice built a jump table")
 
         descend_slice = distribution._descend_slice
-        monkeypatch.setattr(distribution, "_CHUNK", 32)
-        monkeypatch.setattr(distribution, "_HEAD", head)
+        monkeypatch.setattr(distribution, "_CHUNK", chunk)
         monkeypatch.setattr(distribution, "_descend_slice", logged)
+        if chunk == 100_000:
+            monkeypatch.setattr(distribution, "_jump_table", no_table)
         for params in twin_params:
-            walks.clear()
+            tails.clear()
             vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
             np.testing.assert_array_equal(bits(vec), bits(scalar))
-            slices, tails = walks.count(head), walks.count(None)
-            assert slices >= 3 * len(descents(tol_f, tol_j, relative))
-            assert slices + tails == len(walks)
-            assert tails == 0 if head == 100_000 else tails >= (2 if head <= _HEAD else 1)
+            walks = len(descents(tol_f, tol_j, relative))
+            if chunk == 100_000:
+                assert len(tails) == walks
+            else:
+                # the pool is walked once it holds `chunk` points, and once
+                # more after the last slice of each descent
+                assert len(tails) >= 2 * walks
+                assert sum(size < chunk for size in tails) <= walks
 
     @pytest.mark.parametrize("chunk", [32, _CHUNK])
-    @pytest.mark.parametrize("head", [1, _HEAD, 100_000])
+    @pytest.mark.parametrize("size", [1, 8, 100_000])
     @pytest.mark.parametrize("on_j,relative", [(False, False), (True, False), (False, True),
                                                (True, True)])
     def test_walks_carry_only_what_they_read(self, monkeypatch, twin_params, twin_points,
-                                             on_j, relative, head, chunk):
+                                             on_j, relative, size, chunk):
         # an F-only and a J-only walk give the rows of the walk that carries
         # both; a quantity neither read nor tested is not carried at all.
-        # The head length matters only to slices of 32 points: a `_CHUNK`
-        # slice is the whole input and walks to the end alone
+        # The input is the first `size` twin points, so with slices of 32
+        # points the whole set jumps through the table, and every other
+        # input of one slice steps through its head
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
-        monkeypatch.setattr(distribution, "_HEAD", head)
+        xs = twin_points[:size]
         for params in twin_params:
-            both = gather(_descend_many(params, twin_points, 1e-10, on_j, relative),
-                          twin_points.size)
+            both = gather(_descend_many(params, xs, 1e-10, on_j, relative), xs.size)
             for reads in ("F", "J"):
-                groups = list(_descend_many(params, twin_points, 1e-10, on_j, relative, reads))
-                one = gather(groups, twin_points.size)
+                groups = list(_descend_many(params, xs, 1e-10, on_j, relative, reads))
+                one = gather(groups, xs.size)
                 carried = {reads, "J" if on_j else "F"} | ({"F"} if relative else set())
                 for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):
                     if name in carried:
                         np.testing.assert_array_equal(bits(one[rows]), bits(both[rows]))
                     else:
                         assert all(g[rows.start + 1] is None for g in groups)
+
+    @pytest.mark.parametrize("p", [1e-6, 0.01, 1.0, 100.0, 1e6])
+    def test_two_vector_paths_one_answer(self, monkeypatch, twin_points, p):
+        # the twin points as one input longer than `_CHUNK`, which jumps
+        # through the table, cut into inputs of at most `_CHUNK` points,
+        # which step through the head, and one at a time through the
+        # scalars: every quantity bit for bit the same
+        chunk = 64
+        monkeypatch.setattr(distribution, "_CHUNK", chunk)
+        params = PSingularParams(p)
+        for vector, scalar in EVALUATORS:
+            whole = vector(params, twin_points)
+            parts = np.concatenate([vector(params, twin_points[i:i + chunk])
+                                    for i in range(0, twin_points.size, chunk)])
+            np.testing.assert_array_equal(bits(whole), bits(parts))
+            np.testing.assert_array_equal(
+                bits(whole), bits([scalar(params, x) for x in twin_points.tolist()]))
+
+    def test_solver_builds_no_table(self, monkeypatch):
+        # a request of solve-price takes a new p, and a table costs more to
+        # build than the request: its payoff curve steps through the head
+        def no_table(params):
+            raise AssertionError("optimal_price built a jump table")
+
+        monkeypatch.setattr(distribution, "_jump_table", no_table)
+        for p in (0.01, 1.0, 100.0):
+            assert len(optimal_price(PSingularParams(p), curve_points=200).payoff_curve) == 200
+
+    def test_jump_table_is_cached_and_read_only(self):
+        table = _jump_table(P2)
+        assert _jump_table(PSingularParams(2.0)) is table
+        assert not any(arr.flags.writeable for arr in table)
+        assert [arr.shape for arr in table] == [(3 ** 8,), (5, 3 ** 8)]
 
     @pytest.mark.parametrize("fn,bound", [(cdf_many, 40), (mrl_many, 80)])
     def test_pool_memory_is_bounded(self, fn, bound):
@@ -411,7 +457,7 @@ class TestDescent:
 class TestSurvival:
     def test_plateau(self):
         assert survival(P1, 0.5) == pytest.approx(0.5, abs=1e-12)
-        assert survival(P2, 1 / 3) == pytest.approx(2 / 3, abs=1e-12)
+        assert survival(P2, 1 - 2 / 3) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_right_endpoint(self):
         assert survival(P1, 1.0) == 0.0

@@ -1,0 +1,87 @@
+"""F, J and m against the exact oracle (`perfbench/oracle.py`, through the
+`oracle` fixture): each lies within its reported bound, plus the rounding
+of its last few float operations, of the exact value at the double that
+was passed.
+
+The rounding allowance is 4 ulps of 1 for F and J, and for m the same over
+m's denominator: 1 - F(x) below 1/3 and F(1 - x) above, as the quotient
+divides the rounding of its terms by it.  A walk that takes a branch the
+double does not take misses by far more: at fl(1/9) the old float walk was
+6.9e-3 off at p = 0.01 and 1.3e-11 at p = 1, with bound 0.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singular_mrl import (PSingularParams, cdf_integral, cdf_integral_many, cdf_many,
+                          cdf_with_bound, gap_intervals, mrl, mrl_many)
+from singular_mrl.distribution import GAP_LEVEL, gap_grid
+
+SLACK = Fraction(4 * 2.0 ** -52)
+# the rounded endpoints of every gap of level <= GAP_LEVEL: 510 doubles
+ENDPOINTS = np.ravel(gap_intervals(GAP_LEVEL))
+P_EXACT = [0.01, 1.0, 100.0]
+
+
+def misses(value, interval, bound, slack=SLACK):
+    """How far value lies outside the exact interval widened by bound and
+    slack, as a float; 0 inside it."""
+    lo, hi = interval
+    v, width = Fraction(value), Fraction(bound) + slack
+    return float(max(lo - width - v, v - hi - width, 0))
+
+
+def m_slack(oracle, fam, x):
+    """4 ulps of 1 over m's denominator at x."""
+    if Fraction(x) < Fraction(1, 3):
+        den = 1 - oracle.cdf(fam, x)[1]
+    else:
+        den = oracle.cdf(fam, 1 - Fraction(x))[0]
+    return SLACK / den if den > 0 else SLACK
+
+
+def scalar_misses(oracle, fam, params, x):
+    """(F, J, m) misses of the scalar evaluators at x."""
+    f, f_bound = cdf_with_bound(params, x)
+    j = cdf_integral(params, x)
+    m = mrl(params, x)
+    return (misses(f, oracle.cdf(fam, x), f_bound),
+            misses(j.value, oracle.cdf_integral(fam, x), j.error_bound),
+            misses(m.value, oracle.mrl(fam, x), m.error_bound, m_slack(oracle, fam, x)))
+
+
+@pytest.mark.parametrize("p", P_EXACT)
+def test_gap_endpoints_within_bounds(oracle, p):
+    # every rounded gap endpoint of level <= 8, where a rounded walk takes
+    # the branch of the real endpoint instead of the double's; the vector
+    # evaluators give the scalars' values there
+    params, fam = PSingularParams(p), oracle.Family(p)
+    f, j, m = cdf_many(params, ENDPOINTS), cdf_integral_many(params, ENDPOINTS), \
+        mrl_many(params, ENDPOINTS)
+    for i, x in enumerate(ENDPOINTS.tolist()):
+        assert scalar_misses(oracle, fam, params, x) == (0.0, 0.0, 0.0), x
+        assert (f[i], j[i], m[i]) == (cdf_with_bound(params, x)[0],
+                                      cdf_integral(params, x).value, mrl(params, x).value), x
+
+
+@given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from(P_EXACT))
+@settings(max_examples=300, deadline=None)
+def test_any_double_within_bounds(oracle, x, p):
+    assert scalar_misses(oracle, oracle.Family(p), PSingularParams(p), x) == (0.0, 0.0, 0.0)
+
+
+def test_tiny_p_mrl_within_bounds(oracle):
+    # at p = 1e-12 F is so steep beside every plateau that a rounded walk
+    # was far off below 1/3: mrl(P, fl(1/9)) gave 0.5555 with bound 3.5e-4
+    # against an exact 0.3704, and plot-data wrote it
+    params, fam = PSingularParams(1e-12), oracle.Family(1e-12)
+    xs = gap_grid(100)[gap_grid(100) < 1 / 3]
+    values = mrl_many(params, xs)
+    for x, value in zip(xs.tolist(), values.tolist()):
+        m = mrl(params, x)
+        assert value == m.value
+        assert misses(value, oracle.mrl(fam, x), m.error_bound, m_slack(oracle, fam, x)) == 0.0, x

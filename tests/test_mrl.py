@@ -24,9 +24,11 @@ class TestAnchors:
     def test_closed_form_at_one_third(self):
         assert mrl_at_one_third(P1) == pytest.approx(0.5, abs=0)
         assert mrl_at_one_third(P2) == pytest.approx(7 / 15, abs=1e-16)
+        # fl(1/3) lies below 1/3, off the plateau, where F is steep; the
+        # least double on the plateau, 1 - fl(2/3), is within an ulp of 1/3
         for p in (0.01, 0.1, 0.5, 5.0, 100.0):
             params = PSingularParams(p)
-            assert mrl(params, 1 / 3).value == pytest.approx(
+            assert mrl(params, 1 - 2 / 3).value == pytest.approx(
                 mrl_at_one_third(params), abs=1e-10)
 
     def test_known_interior_value(self):
@@ -133,7 +135,8 @@ class TestEvaluator:
     @pytest.mark.parametrize("p", [1e-20, 1e-300])
     def test_unresolved_survival_below_one_third(self, p):
         # p/(p+1) < 2^-53: 1 - F(x) rounds to 0 for x in (0, 1/3), where m
-        # divides by it; above 1/3 the reflected form still holds
+        # divides by it; above 1/3 the reflected form still holds (fl(1/3)
+        # lies below 1/3, so the least double above it is 1 - fl(2/3))
         params = PSingularParams(p)
         match = rf"p = {p!r} is too small: .*cannot resolve the survival"
         with pytest.raises(ParameterError, match=match):
@@ -142,7 +145,7 @@ class TestEvaluator:
             gmrl(params, 0.1)
         with pytest.raises(ParameterError, match=match):
             mrl_many(params, np.linspace(0.0, 1.0, 7))
-        xs = np.array([0.0, 1 / 3, 0.5, 0.9, 1.0])
+        xs = np.array([0.0, 1 - 2 / 3, 0.5, 0.9, 1.0])
         np.testing.assert_array_equal(mrl_many(params, xs), [mrl(params, x).value for x in xs])
 
     def test_domain_error(self):
