@@ -15,10 +15,10 @@ module owns that descent, once as a scalar loop and once as a numpy loop:
 it can carry F and its integral J (module `integration`) along the same
 path, and every evaluated quantity of the package is a formula over it.
 
-The walk is exact.  It carries the point as an integer numerator
-M = y 2^63 (every double >= 2^-11 is a multiple of 2^-63), so the steps
-y -> 3y and y -> 3(1-y) and the reflection y -> 1-y never round, and every
-branch is the one the double that the caller passed takes.  The first
+The walk is exact.  It carries the point as an integer ratio, n/d in the
+scalar loop and M = y 2^63 in the numpy loop, so the steps y -> 3y and
+y -> 3(1-y) and the reflection y -> 1-y never round, and every branch is
+the one the double that the caller passed takes.  The first
 `_JUMP` levels have no stop test, so a point's state after them depends
 on its ternary cell floor(3^_JUMP y) alone: a long input looks it up in a
 per-p table (`_jump_table`) instead of walking those levels.  The numpy
@@ -143,34 +143,38 @@ def _anchors(params: PSingularParams) -> tuple[float, float, float, float, float
     return i1, 1.0 - mean(params), c, 1.0 / (2.0 - q), 2.25 * q / (4.0 - q * q)
 
 
-def _check_unit_interval(x: float) -> float:
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return float(x)
+def _check_unit_interval(x) -> float:
+    try:
+        if 0.0 <= x <= 1.0:
+            return float(x)
+    except TypeError:  # a str, None, a complex: not a point of [0, 1]
+        pass
+    raise DomainError(f"x must lie in [0, 1], got {x!r}")
 
 
-def _numerator(x: float) -> tuple[int, int]:
-    """(n, d) with x = n/d exactly: d = 2^63 where x is a multiple of
-    2^-63, as every double >= 2^-11 is, else x's own ratio, whose
-    denominator is a larger power of 2."""
-    m = x * 2.0 ** 63
-    if m.is_integer():
-        return int(m), _ONE
-    return x.as_integer_ratio()
+def _points(xs) -> np.ndarray:
+    """xs as a float array; DomainError for str, bytes and complex input,
+    which is not a point of [0, 1] (numpy would parse a str)."""
+    xs = np.asarray(xs)
+    if xs.dtype.kind in "SUc":
+        raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
+    return xs.astype(float, copy=False)
 
 
-def _descend(params: PSingularParams, x: float, tol: float, on_j: bool = False,
-             relative: bool = False, reflected: bool = False) -> tuple[float, float, float, float]:
+def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
+             relative: bool = False, tol_below: float | None = None) -> tuple[float, float, float, float]:
     """F(y) and J(y) from one walk down the ternary structure, at y = x or,
-    with `reflected`, at y = 1 - x.
+    with `tol_below`, at the y of x's branch: y = 1 - x at `tol` (and
+    `relative`) for x >= 1/3, y = x at `tol_below` below.  fl(1/3) lies
+    below 1/3, so x >= 1/3 is x > ONE_THIRD for a double.
 
     Returns (F, F's error bound, J, J's error bound).  The walk carries y
-    as n/d exactly (`_numerator`), so 1 - x, 3y and 3(1-y) are integer
-    steps that never round.  F and J are carried as affine accumulators,
-    F(x) = a_F + b_F F(y) and J(x) = a_J + b_J J(y).  A left step
-    (y < 1/3) scales b_F by q = 1/(p+1) and b_J by q/3.  A right step
-    (y > 2/3) is F's y -> 3(1-y); for J it is the reflection y -> 1-y
-    followed by its forced left step, which together add
+    as n/d exactly, (n, d) = x.as_integer_ratio(), so 1 - x, 3y and
+    3(1-y) are integer steps that never round.  F and J are carried as
+    affine accumulators, F(x) = a_F + b_F F(y) and J(x) = a_J + b_J J(y).
+    A left step (y < 1/3) scales b_F by q = 1/(p+1) and b_J by q/3.  A
+    right step (y > 2/3) is F's y -> 3(1-y); for J it is the reflection
+    y -> 1-y followed by its forced left step, which together add
     b_J (J(2/3) - 2/3 - p I1 + y) = b_J (c + y) to a_J and scale b_J by
     r/3.  a_J is carried as A + B y in the current y, so that every
     accumulator is a constant of the path: a left step is B /= 3, a right
@@ -180,11 +184,11 @@ def _descend(params: PSingularParams, x: float, tol: float, on_j: bool = False,
     y = 0 and y = 1 end on entry.  The walk ends exactly on the plateau or
     at 3/4, the right step's fixed point (F and J there from `_anchors`);
     otherwise the residuals F(y) in [0, 1] and J(y) in [0, y] bound the
-    error, and it stops once one bracket, |b_F| or with `on_j` b_J y, is
-    <= 2 tol (times F's running midpoint with `relative`).  Each step
-    scales b_J by at most b_F's factor, so b_J y <= |b_F| and F's test
-    covers J.  The first `_JUMP` levels, the head, end only on the
-    plateau, so that they depend on y's ternary cell alone and
+    error, and it stops once one bracket is <= 2 tol (times F's running
+    midpoint with `relative`): b_J y where the caller `reads` J alone, else
+    |b_F|.  Each step scales b_J by at most b_F's factor, so b_J y <= |b_F|
+    and F's test covers J.  The first `_JUMP` levels, the head, end only
+    on the plateau, so that they depend on y's ternary cell alone and
     `_jump_table` can tabulate them; neither bracket grows, so leaving
     them untested only tightens the bound.
 
@@ -193,31 +197,30 @@ def _descend(params: PSingularParams, x: float, tol: float, on_j: bool = False,
     while |e| < d/4, so off 3/4 (|e| >= 1) a run of right steps lasts
     fewer than log_3(d/4) levels; a right step leaves n >= 3, so a run of
     left steps after it lasts fewer than log_3(d/9), and the first run of
-    left steps at most 677 levels from x >= 2^-1074.  With d = 2^63 each
-    later run lasts fewer than 40 levels (678 for any double), so every 80
-    levels then hold a step of each kind and shrink |b_F| by q r <= 1/4,
-    until it is <= 2 tol or 0 (min(q, r) <= 1/2 rounds the least
-    subnormal to 0), where every test passes: b_J y <= |b_F|, and
-    a_F >= 0 for the relative one.
+    left steps at most 677 levels from x >= 2^-1074.  With d <= 2^63, as
+    for every double >= 2^-11, each later run lasts fewer than 40 levels
+    (678 for any double), so every 80 levels then hold a step of each kind
+    and shrink |b_F| by q r <= 1/4, until it is <= 2 tol or 0
+    (min(q, r) <= 1/2 rounds the least subnormal to 0), where every test
+    passes: b_J y <= |b_F|, and a_F >= 0 for the relative one.
     """
     q, r = params.left_mass, params.right_mass
     i1, j1, c, f34, j34 = _anchors(params)
-    n, d = _numerator(x)
-    if reflected:
+    n, d = x.as_integer_ratio()
+    if tol_below is not None and x > ONE_THIRD:
         n = d - n
+    elif tol_below is not None:
+        tol, relative = tol_below, False
     if n == 0:
         return 0.0, 0.0, 0.0, 0.0
     if n == d:
         return 1.0, 0.0, j1, 0.0
-    if d == _ONE:
-        lo, hi, m34, y_of = _LO, _HI, _M34, _SCALE.__rmul__
-    else:
-        lo, hi, m34, y_of = d // 3 + 1, 2 * d // 3, 3 * d // 4, d.__rtruediv__
+    lo, hi, m34, j_test = d // 3 + 1, 2 * d // 3, 3 * d // 4, reads == "J"
     shrink, r3, lim = q / 3.0, r / 3.0, 2.0 * tol
     af, bf, a, b, bj = 0.0, 1.0, 0.0, 0.0, 1.0
     level = 0
     while not lo <= n <= hi:
-        if level >= _JUMP and (n == m34 or (bj * y_of(n) if on_j else abs(bf)) <= (
+        if level >= _JUMP and (n == m34 or (bj * (n / d) if j_test else abs(bf)) <= (
                 lim * (af + 0.5 * bf) if relative else lim)):
             break
         if n < lo:
@@ -234,7 +237,7 @@ def _descend(params: PSingularParams, x: float, tol: float, on_j: bool = False,
             bj *= r3
             n = 3 * (d - n)
         level += 1
-    y = y_of(n)
+    y = n / d
     aj = a + b * y
     if lo <= n <= hi:
         return af + bf * q, 0.0, aj + bj * (i1 + (y - ONE_THIRD) * q), 0.0
@@ -244,19 +247,20 @@ def _descend(params: PSingularParams, x: float, tol: float, on_j: bool = False,
     return af + 0.5 * bf, 0.5 * abs(bf), aj + half, half
 
 
-def _descend_many(params: PSingularParams, ys, tol: float, on_j: bool = False,
-                  relative: bool = False, reads: str = "FJ", tol_below: float | None = None):
-    """Vector twin of `_descend`, equal to it bit for bit at every point.
+def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
+                  relative: bool = False, tol_below: float | None = None):
+    """Vector twin of `_descend`, with its arguments and equal to it bit for
+    bit at every point.
 
     Rejects any point outside [0, 1], NaN included, then yields groups
     (positions, F, F bounds, J, J bounds) that together cover the flattened
-    `ys` once, in no fixed order: a caller scatters each group with
+    `xs` once, in no fixed order: a caller scatters each group with
     out[positions] = values.  `reads` names the quantities the caller
-    reads, "F", "J" or "FJ"; the walk carries only those and what its stop
-    test needs, and yields None for a quantity it did not carry.  With
-    `tol_below`, each point follows `_branch`'s rule instead: x >= 1/3
-    descends from 1 - x at `tol` (and `relative`), x < 1/3 from itself at
-    `tol_below`, so both branches share one descent.
+    reads, "F", "J" or "FJ", and picks the stop test as in `_descend`; the
+    walk carries only those quantities and what its stop test needs, and
+    yields None for a quantity it did not carry.  With `tol_below` each
+    point descends on its branch of 1/3, as in `_descend`, so both
+    branches share one descent.
 
     An input of at most `_CHUNK` points, for which building the jump table
     would cost more than the walk, steps through its head (see `_descend`)
@@ -269,20 +273,20 @@ def _descend_many(params: PSingularParams, ys, tol: float, on_j: bool = False,
     stays a few slices wide.  The few points that have no int64 numerator
     (see `_Walk.start`) walk in `_descend`.
     """
-    ys = np.asarray(ys, dtype=float).ravel()
-    n = ys.size
+    xs = np.asarray(xs, dtype=float).ravel()
+    n = xs.size
     if not n:
         return
-    top = ys.max()
-    if not (ys.min() >= 0.0 and top <= 1.0):
+    top = xs.max()
+    if not (xs.min() >= 0.0 and top <= 1.0):
         raise DomainError("all evaluation points must lie in [0, 1]")
-    walk = _Walk(params, tol, on_j, relative, reads, tol_below)
+    walk = _Walk(params, tol, reads, relative, tol_below)
     table = _jump_table(params) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        idx, m, state, odd = walk.start(ys[start:start + _CHUNK], start, top == 1.0)
+        idx, m, state, odd = walk.start(xs[start:start + _CHUNK], start, top == 1.0)
         if odd.size:
-            yield walk.scalar(odd, ys)
+            yield walk.scalar(odd, xs)
         if table is None:
             if idx.size:
                 _head(walk, m, state)
@@ -290,9 +294,8 @@ def _descend_many(params: PSingularParams, ys, tol: float, on_j: bool = False,
             continue
         m, flat = _jump(walk, m, state, table)
         end, keep = np.flatnonzero(flat), np.flatnonzero(~flat)
-        if end.size:
-            yield _select(walk, idx.take(end), m.take(end), state[:walk.rows].take(end, axis=1),
-                          _PLATEAU)
+        if end.size:  # every one on the plateau, `_select`'s kind 1
+            yield _select(walk, idx.take(end), m.take(end), state[:walk.rows].take(end, axis=1), 1)
         if keep.size:
             pool.append((idx.take(keep), m.take(keep), state.take(keep, axis=1)))
             pooled += keep.size
@@ -304,22 +307,23 @@ def _descend_many(params: PSingularParams, ys, tol: float, on_j: bool = False,
 
 
 class _Walk:
-    """One call's vector descent: its constants, its stop test and the rows
-    of state it carries.
+    """One call's vector descent, from `_descend_many`'s arguments: its
+    constants, its stop test and the rows of state it carries.
 
     A point carries its numerator M = y 2^63 as an int64 and one column of
     state: a_F and b_F where F is carried, then A, B and b_J where J is,
     then L and K of a per-point limit (a_F + b_F/2) L + K where the stop
-    test differs between points (L = 2 tol and K = 0 where it is relative,
-    L = 0 and K = 2 tol elsewhere).  F is carried where the caller reads it
-    or the stop test does (F's bracket, or a per-point limit); J where the
-    caller reads it or the test is on J's bracket.
+    test differs between points, which `tol_below` or `relative` makes it
+    (L = 2 tol and K = 0 where it is relative, L = 0 and K = 2 tol
+    elsewhere).  J is carried where `reads` names it; F where it does or
+    the limit is per point.  The stop test is on J's bracket where `reads`
+    is "J", else on F's.
     """
 
-    def __init__(self, params: PSingularParams, tol: float, on_j: bool, relative: bool,
-                 reads: str, tol_below: float | None):
+    def __init__(self, params: PSingularParams, tol: float, reads: str, relative: bool,
+                 tol_below: float | None):
         q, r = params.left_mass, params.right_mass
-        self.params, self.q, self.tol, self.tol_below = params, q, tol, tol_below
+        self.params, self.q, self.args = params, q, (tol, reads, relative, tol_below)
         self.i1, j1, self.c, f34, self.j34 = _anchors(params)
         # `_step`'s factors by kind of step (left, plateau, right): R (1 on a
         # right step), b_F's and b_J's, and B's divisor; and `_select`'s
@@ -328,12 +332,12 @@ class _Walk:
                                  [3.0, 1.0, -3.0]])
         self.ends_f = np.array([[0.5, q, f34], [0.5, 0.0, 0.0]])
         self.ends_j = np.array([[0.5, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        self.on_j, self.relative, self.branch = on_j, relative, tol_below is not None
+        self.relative, self.branch, self.j_test = relative, tol_below is not None, reads == "J"
         self.lim = 2.0 * tol
         self.lim_below = self.lim if tol_below is None else 2.0 * tol_below
         self.per_point = bool(relative) or self.lim_below != self.lim
-        carry_f = "F" in reads or not on_j or self.per_point
-        carry_j = "J" in reads or on_j
+        carry_f = "F" in reads or self.per_point
+        carry_j = "J" in reads
         # the row of a_F and of A, None where that quantity is not carried,
         # and the rows' values at the start of a walk
         self.f = 0 if carry_f else None
@@ -372,15 +376,10 @@ class _Walk:
         return idx, m, state, odd + offset
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
-        """The group of the points of xs at positions `at`, from `_descend`
-        (or `_branch`), with None for a quantity not carried."""
-        if self.branch:
-            rows = [_branch(self.params, x, self.tol, self.tol_below, self.on_j,
-                            self.relative)[1:] for x in xs.take(at).tolist()]
-        else:
-            rows = [_descend(self.params, x, self.tol, self.on_j, self.relative)
-                    for x in xs.take(at).tolist()]
-        f, f_bound, j, j_bound = np.array(rows).T
+        """The group of the points of xs at positions `at`, from `_descend`,
+        with None for a quantity not carried."""
+        f, f_bound, j, j_bound = np.array([_descend(self.params, x, *self.args)
+                                           for x in xs.take(at).tolist()]).T
         return (at, *((f, f_bound) if self.f is not None else (None, None)),
                 *((j, j_bound) if self.j is not None else (None, None)))
 
@@ -431,7 +430,7 @@ def _jump_table(params: PSingularParams) -> tuple[np.ndarray, np.ndarray]:
     point of a cell takes the same branches in the head (the cell edges
     k 2^63 / 3^_JUMP are not integers), so it has the cell's column.
     About 300 kB, built once per p, so the arrays are read-only."""
-    walk = _Walk(params, 1.0, False, False, "FJ", None)
+    walk = _Walk(params, 1.0, "FJ", False, None)
     m = ((np.arange(_CELLS) + 0.5) * (2.0 ** 63 / _CELLS)).astype(np.int64)
     mult, state = np.ones(_CELLS, dtype=np.int64), np.empty((walk.rows, _CELLS))
     _head(walk, m, state, mult)
@@ -481,7 +480,7 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
     done = 0
     while True:
         kind = np.searchsorted(_EDGES, m, side="right")
-        width = state[j + 2] * (m * _SCALE) if walk.on_j else np.abs(state[f + 1])
+        width = state[j + 2] * (m * _SCALE) if walk.j_test else np.abs(state[f + 1])
         if per_point:
             lim = (state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1]
         go = (kind != 1) > ((width <= lim) | (m == _M34))  # and not ended, in one pass
@@ -498,9 +497,6 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
         _step(walk, m, state, kind)
     kind = ((ended_m >= _LO) & (ended_m <= _HI)) + 2 * (ended_m == _M34)
     return _select(walk, at, ended_m, ended, kind)
-
-
-_PLATEAU = 1  # `_select`'s kind of the points that end on the plateau
 
 
 def _select(walk: _Walk, at: np.ndarray, m: np.ndarray, ended: np.ndarray, kind):
@@ -534,27 +530,15 @@ def _select(walk: _Walk, at: np.ndarray, m: np.ndarray, ended: np.ndarray, kind)
     return tuple(group)
 
 
-def _branch(params: PSingularParams, x: float, tol_above: float, tol_below: float,
-            on_j: bool = False, relative: bool = False) -> tuple[bool, float, float, float, float]:
-    """(x >= 1/3, F, F's bound, J, J's bound) for a quantity that descends
-    from 1 - x at `tol_above` (`relative` if asked) for x >= 1/3 and from x
-    itself at `tol_below` below; `on_j` as in `_descend`.  fl(1/3) lies
-    below 1/3, so x >= 1/3 is x > ONE_THIRD for a double."""
-    if x > ONE_THIRD:
-        return True, *_descend(params, x, tol_above, on_j, relative, reflected=True)
-    return False, *_descend(params, x, tol_below, on_j)
-
-
-def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float, value,
-                 on_j: bool = False, relative: bool = False, reads: str = "FJ") -> np.ndarray:
-    """Vector twin of `_branch`: both branches share one descent (see
-    `_descend_many`), and value(x, x >= 1/3, F, J) turns each group of it
-    into values."""
-    xs = np.asarray(xs, dtype=float)
+def _branch_many(params: PSingularParams, xs, tol: float, tol_below: float, value,
+                 reads: str = "FJ", relative: bool = False) -> np.ndarray:
+    """F and J on each point's branch of 1/3 (`_descend_many` with
+    `tol_below`), turned into values group by group by
+    value(x, x >= 1/3, F, J)."""
+    xs = _points(xs)
     flat = xs.ravel()
     out = np.empty(flat.shape)
-    for at, f, _, j, _ in _descend_many(params, flat, tol_above, on_j, relative, reads,
-                                        tol_below):
+    for at, f, _, j, _ in _descend_many(params, flat, tol, reads, relative, tol_below):
         x = flat.take(at)
         out[at] = value(x, x > ONE_THIRD, f, j)
     return out.reshape(xs.shape)
@@ -563,7 +547,7 @@ def _branch_many(params: PSingularParams, xs, tol_above: float, tol_below: float
 def cdf_with_bound(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """(F_p(x), achieved error bound) from one descent (see `_descend`): the
     bound is 0 where the walk ends exactly, else <= config.tolerance."""
-    return _descend(params, _check_unit_interval(x), config.tolerance)[:2]
+    return _descend(params, _check_unit_interval(x), config.tolerance, "F")[:2]
 
 
 def cdf(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -573,9 +557,9 @@ def cdf(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
 
 def cdf_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized F_p over an array of points in [0, 1]."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _points(xs)
     out = np.empty(xs.size)
-    for at, f, _, _, _ in _descend_many(params, xs, config.tolerance, reads="F"):
+    for at, f, _, _, _ in _descend_many(params, xs, config.tolerance, "F"):
         out[at] = f
     return out.reshape(xs.shape)
 
@@ -588,9 +572,9 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
     keeps full relative accuracy near the right endpoint, where the naive
     difference would cancel catastrophically.
     """
-    tol, p = config.tolerance, params.p
-    above, f, _, _, _ = _branch(params, _check_unit_interval(x), min(tol, tol / p), tol)
-    return p * f if above else 1.0 - f
+    x, tol, p = _check_unit_interval(x), config.tolerance, params.p
+    f = _descend(params, x, min(tol, tol / p), "F", tol_below=tol)[0]
+    return p * f if x > ONE_THIRD else 1.0 - f
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
-                           _check_unit_interval, _descend, _descend_many,
+                           _check_unit_interval, _descend, _descend_many, _points,
                            i1_closed_form, mean)
 
 __all__ = ["IntegralValue", "cdf_integral", "cdf_integral_many", "i1_closed_form", "mean"]
@@ -41,14 +41,14 @@ def cdf_integral(params: PSingularParams, x: float, config: EvalConfig = DEFAULT
     The residual subproblem J(y) lies in [0, y], so b_J y bounds the
     remaining width and the midpoint is returned on truncation.
     """
-    _, _, j, bound = _descend(params, _check_unit_interval(x), config.tolerance, on_j=True)
+    _, _, j, bound = _descend(params, _check_unit_interval(x), config.tolerance, "J")
     return IntegralValue(j, bound)
 
 
 def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized J over an array of points in [0, 1]."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _points(xs)
     out = np.empty(xs.size)
-    for at, _, _, j, _ in _descend_many(params, xs, config.tolerance, on_j=True, reads="J"):
+    for at, _, _, j, _ in _descend_many(params, xs, config.tolerance, "J"):
         out[at] = j
     return out.reshape(xs.shape)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
-                           _branch, _branch_many, _check_unit_interval, mean)
+from .distribution import (DEFAULT_CONFIG, ONE_THIRD, EvalConfig, PSingularParams,
+                           _branch_many, _check_unit_interval, _descend, mean)
 from .errors import DomainError, ParameterError
 
 
@@ -55,9 +55,8 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
     """m(x) for x in [0, 1]; exactly 0 at x = 1.  ParameterError where
     x < 1/3 and 1 - F(x) rounds to 0 (p below about 2^-53)."""
     x = _check_unit_interval(x)
-    tol = config.tolerance
-    above, f, f_bound, j, j_bound = _branch(params, x, tol, tol * params.right_mass,
-                                            relative=True)
+    tol, above = config.tolerance, x > ONE_THIRD
+    f, f_bound, j, j_bound = _descend(params, x, tol, "FJ", True, tol * params.right_mass)
     if above and f <= 0.0:
         # survival underflowed (or x = 1); m is bounded by 1 - x
         return MrlValue(0.0, x, params.p, 1.0 - x)
@@ -92,7 +91,7 @@ def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
         return np.divide(np.where(above, j, (1.0 - x) - (j1 - j)), den,
                          out=np.zeros_like(den), where=den > 0.0)
 
-    return _branch_many(params, xs, tol, tol * params.right_mass, value, relative=True)
+    return _branch_many(params, xs, tol, tol * params.right_mass, value, "FJ", True)
 
 
 def _unresolved(params: PSingularParams, x: float) -> ParameterError:

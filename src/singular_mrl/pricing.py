@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
-                           _branch, _branch_many, _check_unit_interval, _integer, mean)
+from .distribution import (DEFAULT_CONFIG, ONE_THIRD, EvalConfig, PSingularParams,
+                           _branch_many, _check_unit_interval, _descend, _integer, mean)
 from .errors import ParameterError
 from .fixedpoint import FixedPointResult, fixed_point_solve
 
@@ -31,9 +31,8 @@ class PricingResult:
 def expected_payoff(params: PSingularParams, price: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """Pi(price) = price * E(X - price)_+ for price in [0, 1]."""
     price = _check_unit_interval(price)
-    tol = config.tolerance
-    above, _, _, j, _ = _branch(params, price, tol, tol, on_j=True)
-    if above:
+    j = _descend(params, price, config.tolerance, "J", tol_below=config.tolerance)[2]
+    if price > ONE_THIRD:
         # E(X - price)_+ = int_price^1 (1 - F); the reflection identity
         # 1 - F(u) = p F(1-u) makes it p J(1 - price), free of cancellation
         return price * (params.p * j)
@@ -46,7 +45,7 @@ def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_C
     p, j1, tol = params.p, 1.0 - mean(params), config.tolerance
     return _branch_many(params, prices, tol, tol,
                         lambda x, above, f, j: x * np.where(above, p * j, (1.0 - x) - (j1 - j)),
-                        on_j=True, reads="J")
+                        "J")
 
 
 def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,

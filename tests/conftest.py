@@ -22,8 +22,10 @@ def twin_points():
     every gap of level <= 8, the plateau edges and endpoints, points whose
     walk reaches 3/4, the right step's fixed point, points that end on the
     plateau at each level 0-8 by left and by right steps, fl(1/3), 2^-11
-    and their neighbours, subnormals, and doubles below 2^-11 that are not
-    multiples of 2^-63, which the vector walk hands to the scalar one."""
+    and their neighbours, subnormals, doubles below 2^-11 that are not
+    multiples of 2^-63, which the vector walk hands to the scalar one, and
+    the odd multiples of 2^-6, whose ratios n/d in the scalar walk have
+    small denominators where the vector walk's M = x 2^63 is large."""
     rng = np.random.default_rng(3)
     levels = 0.5 * 3.0 ** -np.arange(9)
     return np.concatenate((rng.random(200), 1.0 - rng.random(50) * 1e-6,
@@ -31,7 +33,8 @@ def twin_points():
                            [0.25, 0.75, 1 / 12, 1 / 36], levels, 1.0 - levels,
                            np.nextafter(1 / 3, [0.0, 1.0]), np.nextafter(2.0 ** -11, [0.0, 1.0]),
                            [2.0 ** -11, 5e-324, 1e-310, 2.2250738585072014e-308, 3.0 ** -20,
-                            2.0 ** -40, 1e-300, 1e-5], rng.random(8) * 2.0 ** -11))
+                            2.0 ** -40, 1e-300, 1e-5], rng.random(8) * 2.0 ** -11,
+                           np.arange(1, 64, 2) / 64.0))
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from unittest import mock
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, ResourceLimitError, cdf, cdf_many,
                           cdf_integral, cdf_integral_many, cdf_with_bound, expected_payoff,
-                          gap_intervals, mrl, mrl_many, optimal_price, payoff_curve,
-                          point_cloud, sample, survival)
+                          gap_intervals, gmrl, i1_closed_form, mrl, mrl_many, optimal_price,
+                          payoff_curve, point_cloud, sample, survival)
 from singular_mrl import distribution
 from singular_mrl.distribution import (_CHUNK, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
-                                      _alias_table, _branch, _branch_many, _descend,
-                                      _descend_many, _drop, _jump_table, gap_grid)
+                                      _alias_table, _branch_many, _descend, _descend_many,
+                                      _drop, _jump_table, gap_grid)
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -30,11 +31,23 @@ STOP_MODES = [(1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10,
 
 
 def descents(tol_f, tol_j, relative):
-    """The (tol, on_j, relative) stop tests that meet a request: the kernel
-    checks one bracket per descent, so a request runs one per finite
-    tolerance."""
-    return [(tol, on_j, relative) for tol, on_j in ((tol_f, False), (tol_j, True))
-            if tol < math.inf]
+    """The descents (tol, reads, relative, tol_below) that meet a request.
+    A descent stops on J's bracket where it reads J alone and on F's
+    otherwise, so a request runs one per finite tolerance, each from x and
+    from x's branch of 1/3 with a ten times finer tolerance below it."""
+    return [(tol, reads, relative, tol_below)
+            for tol, reads in ((tol_f, "FJ"), (tol_j, "J")) if tol < math.inf
+            for tol_below in (None, tol / 10.0)]
+
+
+def read_rows(reads):
+    """The rows of (F, F bound, J, J bound) that `reads` names."""
+    return [i for i, name in enumerate("FFJJ") if name in reads]
+
+
+def scalar_rows(params, xs, *args):
+    """`_descend(params, x, *args)` at every x of xs, one row per quantity."""
+    return np.array([_descend(params, x, *args) for x in np.asarray(xs).tolist()]).T
 
 
 def gather(groups, n):
@@ -52,14 +65,14 @@ def gather(groups, n):
 
 
 def twins(params, xs, tol_f, tol_j, relative):
-    """F, J and both bounds from the vector and from the scalar loop, each
-    as one array per request."""
+    """The rows that each descent of a request reads, from the vector and
+    from the scalar loop, each stacked into one array."""
     vec, scalar = [], []
-    for tol, on_j, rel in descents(tol_f, tol_j, relative):
-        vec.append(gather(_descend_many(params, xs, tol, on_j, rel), xs.size))
-        scalar.append(np.array([_descend(params, x, tol, on_j, rel)
-                                for x in xs.tolist()]).T)
-    return np.stack(vec), np.stack(scalar)
+    for args in descents(tol_f, tol_j, relative):
+        rows = read_rows(args[1])
+        vec.append(gather(_descend_many(params, xs, *args), xs.size)[rows])
+        scalar.append(scalar_rows(params, xs, *args)[rows])
+    return np.concatenate(vec), np.concatenate(scalar)
 
 
 def bits(values):
@@ -72,7 +85,7 @@ def survival_many(params, xs):
     for x >= 1/3, from x at tol below, at the default tolerance."""
     p, tol = params.p, 1e-10
     return _branch_many(params, xs, min(tol, tol / p), tol,
-                        lambda x, above, f, j: np.where(above, p * f, 1.0 - f), reads="F")
+                        lambda x, above, f, j: np.where(above, p * f, 1.0 - f), "F")
 
 
 # each vector evaluator with its scalar twin
@@ -204,22 +217,42 @@ class TestDescent:
 
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
-           p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]), on_j=st.booleans(),
-           relative=st.booleans(), chunk=st.sampled_from([4, 16, _CHUNK]))
+           p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]),
+           reads=st.sampled_from(["F", "J", "FJ"]), relative=st.booleans(),
+           chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, on_j, relative, chunk):
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, reads, relative, chunk):
         # each point's start, tolerance and relative flag those of its
-        # branch, as `_branch_many` sets them, against the scalar `_branch`;
-        # small slices send the points through the jump table and the
-        # pooled tail, a `_CHUNK` slice steps through the head
+        # branch, as `tol_below` sets them in both loops; small slices send
+        # the points through the jump table and the pooled tail, a `_CHUNK`
+        # slice steps through the head
         params = PSingularParams(p)
-        tol_above, tol_below = data.draw(st.lists(
+        tol, tol_below = data.draw(st.lists(
             st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]), min_size=2, max_size=2))
+        args, rows = (tol, reads, relative, tol_below), read_rows(reads)
         with mock.patch.object(distribution, "_CHUNK", chunk):
-            vec = gather(_descend_many(params, xs, tol_above, on_j, relative,
-                                       tol_below=tol_below), len(xs))
-        scalar = [_branch(params, x, tol_above, tol_below, on_j, relative)[1:] for x in xs]
-        np.testing.assert_array_equal(bits(vec), bits(np.array(scalar).T))
+            vec = gather(_descend_many(params, xs, *args), len(xs))[rows]
+        np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, xs, *args)[rows]))
+
+    def test_twins_share_one_signature(self):
+        # the arguments after the point, with their defaults, so that the
+        # two loops cannot drift apart
+        def tail(fn):
+            return list(inspect.signature(fn).parameters.values())[2:]
+
+        assert tail(_descend) == tail(_descend_many)
+        assert [arg.name for arg in tail(_descend)] == ["tol", "reads", "relative", "tol_below"]
+
+    @pytest.mark.parametrize("tol_below", [None, 1e-12])
+    def test_half_ends_on_the_plateau(self, twin_params, tol_below):
+        # 1/2 is the ratio 1/2, whose 3d/4 rounds down to the plateau's one
+        # numerator: the walk ends there on entry, with bound 0, whichever
+        # branch it takes and whatever it reads
+        for params in twin_params:
+            q = params.left_mass
+            plateau = (q, 0.0, i1_closed_form(params) + (0.5 - ONE_THIRD) * q, 0.0)
+            for reads in ("F", "J", "FJ"):
+                assert _descend(params, 0.5, 1e-10, reads, False, tol_below) == plateau
 
     @pytest.mark.parametrize("x", [0.25, 0.75])
     @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e4, 1e6])
@@ -277,12 +310,12 @@ class TestDescent:
                             bits(vec), bits([scalar(params, x, config) for x in xs.tolist()]))
 
     @given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from([0.01, 1.0, 7.0, 100.0]),
-           on_j=st.booleans(), relative=st.booleans())
+           reads=st.sampled_from(["F", "J", "FJ"]), relative=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_j_bound_within_f_bound(self, x, p, on_j, relative):
+    def test_j_bound_within_f_bound(self, x, p, reads, relative):
         # every step scales J's bracket by at most F's factor, and y <= 1,
         # so a test on F's bracket alone bounds J as well
-        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, on_j, relative)
+        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, reads, relative)
         assert j_bound <= f_bound
 
     @pytest.mark.parametrize("p,x,values", [
@@ -301,16 +334,9 @@ class TestDescent:
         (100.0, 1 - 1e-9, (4.617416112411561e-15, 3.579166901973728e-10, 0.0,
                            4.6174159772047004e-24))])
     def test_reflected_quantities_pinned(self, p, x, values):
-        # survival, m with its bound and the payoff, as they were while each
-        # scalar branched at 1/3 on its own and the kernel took two tolerances;
-        # m's bound at x = 0.3 has since gained the 2^-51 (1 + m) / (1 - F)
-        # that the rounding of the quotient's two terms costs below 1/3.
-        # Since the walk's first 8 levels carry no stop test and J is
-        # carried as A + B y, six values in five cases are new: m's bound
-        # at p = 0.01, x = 0.3 by an ulp, and brackets that stop later (m's
-        # bound at p = 1, x = 0.3, the payoffs at p = 1 and 100 and the
-        # survival at p = 100); each is within its bound or the tolerance
-        # of the exact oracle
+        # survival, m with its bound and the payoff, on both branches of
+        # 1/3 and near 1; each value is within its bound, or the
+        # tolerance, of the exact oracle
         params = PSingularParams(p)
         m = mrl(params, x)
         assert (survival(params, x), m.value, m.error_bound, expected_payoff(params, x)) == values
@@ -376,26 +402,28 @@ class TestDescent:
 
     @pytest.mark.parametrize("chunk", [32, _CHUNK])
     @pytest.mark.parametrize("size", [1, 8, 100_000])
-    @pytest.mark.parametrize("on_j,relative", [(False, False), (True, False), (False, True),
-                                               (True, True)])
+    @pytest.mark.parametrize("branch,relative", [(False, False), (True, False), (False, True),
+                                                 (True, True)])
     def test_walks_carry_only_what_they_read(self, monkeypatch, twin_params, twin_points,
-                                             on_j, relative, size, chunk):
-        # an F-only and a J-only walk give the rows of the walk that carries
-        # both; a quantity neither read nor tested is not carried at all.
-        # The input is the first `size` twin points, so with slices of 32
-        # points the whole set jumps through the table, and every other
-        # input of one slice steps through its head
+                                             branch, relative, size, chunk):
+        # a walk carries what it reads, plus F where its stop limit is set
+        # per point (relative, or a `tol_below` other than the tolerance),
+        # and gives the scalar loop's rows for what it carries; a quantity
+        # it does not carry is None.  The input is the first `size` twin
+        # points, so with slices of 32 points the whole set jumps through
+        # the table, and every other input of one slice steps through its
+        # head
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
         xs = twin_points[:size]
         for params in twin_params:
-            both = gather(_descend_many(params, xs, 1e-10, on_j, relative), xs.size)
-            for reads in ("F", "J"):
-                groups = list(_descend_many(params, xs, 1e-10, on_j, relative, reads))
-                one = gather(groups, xs.size)
-                carried = {reads, "J" if on_j else "F"} | ({"F"} if relative else set())
+            for reads in ("F", "J", "FJ"):
+                args = (1e-10, reads, relative, 1e-12 if branch else None)
+                groups = list(_descend_many(params, xs, *args))
+                one, scalar = gather(groups, xs.size), scalar_rows(params, xs, *args)
+                carried = set(reads) | ({"F"} if relative or branch else set())
                 for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):
                     if name in carried:
-                        np.testing.assert_array_equal(bits(one[rows]), bits(both[rows]))
+                        np.testing.assert_array_equal(bits(one[rows]), bits(scalar[rows]))
                     else:
                         assert all(g[rows.start + 1] is None for g in groups)
 
@@ -452,6 +480,16 @@ class TestDescent:
     def test_array_domain_error(self, fn, bad):
         with pytest.raises(DomainError):
             fn(PSingularParams(0.01), [0.2, 0.5, bad])
+
+    @pytest.mark.parametrize("fn", [
+        cdf, cdf_with_bound, survival, cdf_integral, mrl, gmrl, expected_payoff,
+        cdf_many, cdf_integral_many, mrl_many, payoff_curve], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 0.5j, [0.2, "0.5"]], ids=repr)
+    def test_non_real_point_domain_error(self, fn, bad):
+        # a str, bytes, None or a complex is no point of [0, 1], for the
+        # scalar and the vector evaluators alike (numpy would parse a str)
+        with pytest.raises(DomainError):
+            fn(P1, bad)
 
 
 class TestSurvival:
