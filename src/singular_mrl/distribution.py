@@ -28,9 +28,10 @@ only the rows its caller reads (F for `cdf_many`, J for
 `cdf_integral_many` and the payoff, both for the MRL) plus those its stop
 test reads, and the stop test is chosen per point, so a quantity that
 reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in one
-descent.  The few points the jump leaves live are pooled across slices
-into one tail walk, so the deep, nearly empty levels, where numpy's
-per-call cost outweighs the arithmetic, are paid about once per call.
+descent.  A slice ends its points on the plateau in place, and the few
+the jump leaves live are pooled across slices into one tail walk, whose
+later values overwrite theirs, so the deep, nearly empty levels, where
+numpy's per-call cost outweighs the arithmetic, are paid once per call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +117,7 @@ _EDGES = np.array([_LO, _HI + 1])  # kind = np.searchsorted(_EDGES, M, "right")
 # over the 3^_JUMP ternary cells replaces
 _JUMP = 8
 _CELLS = 3 ** _JUMP
+_REAL = (numbers.Real, Decimal)  # the types of an object array's points
 
 
 def i1_closed_form(params: PSingularParams) -> float:
@@ -145,18 +148,19 @@ def _anchors(params: PSingularParams) -> tuple[float, float, float, float, float
 
 def _check_unit_interval(x) -> float:
     try:
-        if 0.0 <= x <= 1.0:
+        if 0.0 <= x <= 1.0 and not isinstance(x, np.complexfloating):  # numpy orders these
             return float(x)
-    except TypeError:  # a str, None, a complex: not a point of [0, 1]
+    except TypeError:  # a str, None, a Python complex: not a point of [0, 1]
         pass
     raise DomainError(f"x must lie in [0, 1], got {x!r}")
 
 
 def _points(xs) -> np.ndarray:
-    """xs as a float array; DomainError for str, bytes and complex input,
-    which is not a point of [0, 1] (numpy would parse a str)."""
+    """xs as a float array; DomainError for str, bytes and complex input or
+    elements, which are no points of [0, 1] (numpy would parse a str)."""
     xs = np.asarray(xs)
-    if xs.dtype.kind in "SUc":
+    kind = xs.dtype.kind
+    if kind in "SUc" or (kind == "O" and not all(isinstance(x, _REAL) for x in xs.flat)):
         raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
     return xs.astype(float, copy=False)
 
@@ -253,9 +257,10 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     bit at every point.
 
     Rejects any point outside [0, 1], NaN included, then yields groups
-    (positions, F, F bounds, J, J bounds) that together cover the flattened
-    `xs` once, in no fixed order: a caller scatters each group with
-    out[positions] = values.  `reads` names the quantities the caller
+    (positions, F, F bounds, J, J bounds) of the flattened `xs`, positions
+    a slice or an index array, which a caller writes in order with
+    out[positions] = values: they cover every position, and the later of
+    two groups holds its value.  `reads` names the quantities the caller
     reads, "F", "J" or "FJ", and picks the stop test as in `_descend`; the
     walk carries only those quantities and what its stop test needs, and
     yields None for a quantity it did not carry.  With `tol_below` each
@@ -266,12 +271,13 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     would cost more than the walk, steps through its head (see `_descend`)
     and walks on to the end.  A longer one is cut into `_CHUNK`-point
     slices, and each slice looks up the head of every point in
-    `_jump_table`, built once per p.  That ends most points on the
-    plateau.  The rest join a pool that walks the remaining levels whenever
-    it holds `_CHUNK` points, and once more after the last slice, so the
-    near-empty deep levels are paid about once per call and the working set
-    stays a few slices wide.  The few points that have no int64 numerator
-    (see `_Walk.start`) walk in `_descend`.
+    `_jump_table`, built once per p, and ends all of them on the plateau
+    in place.  The few still live join a pool that walks the remaining
+    levels, in a later group, whenever it holds `_CHUNK` points and once
+    more after the last slice, so the near-empty deep levels are paid about
+    once per call and the working set stays a few slices wide.  The few
+    points that have no int64 numerator (see `_Walk.start`) walk in
+    `_descend`.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     n = xs.size
@@ -285,20 +291,21 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
         idx, m, state, odd = walk.start(xs[start:start + _CHUNK], start, top == 1.0)
-        if odd.size:
-            yield walk.scalar(odd, xs)
         if table is None:
             if idx.size:
                 _head(walk, m, state)
                 yield _descend_slice(walk, idx, m, state)
-            continue
-        m, flat = _jump(walk, m, state, table)
-        end, keep = np.flatnonzero(flat), np.flatnonzero(~flat)
-        if end.size:  # every one on the plateau, `_select`'s kind 1
-            yield _select(walk, idx.take(end), m.take(end), state[:walk.rows].take(end, axis=1), 1)
-        if keep.size:
-            pool.append((idx.take(keep), m.take(keep), state.take(keep, axis=1)))
-            pooled += keep.size
+        else:
+            m, flat = _jump(walk, m, state, table)
+            keep = np.flatnonzero(~flat)
+            if keep.size:
+                pool.append((idx.take(keep), m.take(keep), state.take(keep, axis=1)))
+                pooled += keep.size
+            # every point as if on the plateau, `_select`'s kind 1
+            yield _select(walk, idx if odd.size else slice(start, start + m.size),
+                          m, state[:walk.rows], 1)
+        if odd.size:
+            yield walk.scalar(odd, xs)
         if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
             parts = pool[0] if len(pool) == 1 else [np.concatenate(part, axis=-1)
                                                     for part in zip(*pool)]
@@ -499,9 +506,10 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
     return _select(walk, at, ended_m, ended, kind)
 
 
-def _select(walk: _Walk, at: np.ndarray, m: np.ndarray, ended: np.ndarray, kind):
+def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarray, kind):
     """The group (positions, F, F bounds, J, J bounds) of ended points, in
-    place over their final state.  Per kind of end (0 stopped, 1 on the
+    place over their final state: positions `at` (a slice or an index
+    array) and rows of `ended`.  Per kind of end (0 stopped, 1 on the
     plateau, 2 at 3/4; an int where all points share it)
     F = a_F + b_F w_F with bound |b_F| e_F, and J = (A + B y) + h with
     h = (b_J w_J) u and bound h e_J, where u is J's plateau term
@@ -530,16 +538,16 @@ def _select(walk: _Walk, at: np.ndarray, m: np.ndarray, ended: np.ndarray, kind)
     return tuple(group)
 
 
-def _branch_many(params: PSingularParams, xs, tol: float, tol_below: float, value,
+def _branch_many(params: PSingularParams, xs, tol: float, tol_below: float | None, value,
                  reads: str = "FJ", relative: bool = False) -> np.ndarray:
-    """F and J on each point's branch of 1/3 (`_descend_many` with
-    `tol_below`), turned into values group by group by
-    value(x, x >= 1/3, F, J)."""
+    """F and J at each point, or with `tol_below` on its branch of 1/3,
+    turned into values by value(x, x >= 1/3, F, J) for each group of
+    `_descend_many` in its order, so that a later group's values hold."""
     xs = _points(xs)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for at, f, _, j, _ in _descend_many(params, flat, tol, reads, relative, tol_below):
-        x = flat.take(at)
+        x = flat[at]
         out[at] = value(x, x > ONE_THIRD, f, j)
     return out.reshape(xs.shape)
 
@@ -557,11 +565,7 @@ def cdf(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
 
 def cdf_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized F_p over an array of points in [0, 1]."""
-    xs = _points(xs)
-    out = np.empty(xs.size)
-    for at, f, _, _, _ in _descend_many(params, xs, config.tolerance, "F"):
-        out[at] = f
-    return out.reshape(xs.shape)
+    return _branch_many(params, xs, config.tolerance, None, lambda x, above, f, j: f, "F")
 
 
 def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
-                           _check_unit_interval, _descend, _descend_many, _points,
-                           i1_closed_form, mean)
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, _branch_many,
+                           _check_unit_interval, _descend, i1_closed_form, mean)
 
 __all__ = ["IntegralValue", "cdf_integral", "cdf_integral_many", "i1_closed_form", "mean"]
 
@@ -47,8 +46,4 @@ def cdf_integral(params: PSingularParams, x: float, config: EvalConfig = DEFAULT
 
 def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized J over an array of points in [0, 1]."""
-    xs = _points(xs)
-    out = np.empty(xs.size)
-    for at, _, _, j, _ in _descend_many(params, xs, config.tolerance, "J"):
-        out[at] = j
-    return out.reshape(xs.shape)
+    return _branch_many(params, xs, config.tolerance, None, lambda x, above, f, j: j, "J")

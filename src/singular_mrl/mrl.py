@@ -78,20 +78,21 @@ def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG)
 def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized m over an array of points in [0, 1], equal to `mrl` at
     every point, and raising its ParameterError if any point does."""
-    j1 = 1.0 - mean(params)
-    tol = config.tolerance
+    j1, tol = 1.0 - mean(params), config.tolerance
 
     def value(x, above, f, j):
         den = np.where(above, f, 1.0 - f)
+        # m = 0 where the survival F(1-x) underflowed, as in `mrl`; NaN where
+        # 1 - F(x) = 0 below 1/3, raised once no later group can overwrite it
+        out = np.zeros_like(den)
         if not den.all():
-            zero = ~above & (den == 0.0)
-            if zero.any():
-                raise _unresolved(params, x[zero][0])
-        # m = 0 where the survival F(1-x) underflowed, as in `mrl`
-        return np.divide(np.where(above, j, (1.0 - x) - (j1 - j)), den,
-                         out=np.zeros_like(den), where=den > 0.0)
+            out[~above & (den == 0.0)] = np.nan
+        return np.divide(np.where(above, j, (1.0 - x) - (j1 - j)), den, out=out, where=den > 0.0)
 
-    return _branch_many(params, xs, tol, tol * params.right_mass, value, "FJ", True)
+    m = _branch_many(params, xs, tol, tol * params.right_mass, value, "FJ", True)
+    if np.isnan(m).any():
+        raise _unresolved(params, np.ravel(xs)[np.isnan(m).argmax()])
+    return m
 
 
 def _unresolved(params: PSingularParams, x: float) -> ParameterError:

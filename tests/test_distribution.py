@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 from unittest import mock
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -50,18 +51,41 @@ def scalar_rows(params, xs, *args):
     return np.array([_descend(params, x, *args) for x in np.asarray(xs).tolist()]).T
 
 
-def gather(groups, n):
-    """The rows F, F bound, J and J bound of a vector descent's groups, put
-    back in input order; a quantity the walk did not carry stays NaN.
-    Every position must come in exactly one group."""
-    out, seen = np.full((4, n), np.nan), np.zeros(n, dtype=int)
+def gather(groups, params, xs, tol_below=None):
+    """The rows F, F bound, J and J bound of the groups of a vector descent
+    of xs, put back in input order, a later group over an earlier one; a
+    quantity the walk did not carry stays NaN.  Every position must come
+    in a group, and in two only where the input is longer than a slice and
+    the jump table leaves the point live: the slice's group takes it as
+    ended on the plateau, and the pooled tail's later group holds its
+    value."""
+    xs = np.asarray(xs, dtype=float)
+    out, seen = np.full((4, xs.size), np.nan), np.zeros(xs.size, dtype=int)
     for at, *rows in groups:
         np.add.at(seen, at, 1)
         for row, values in zip(out, rows):
             if values is not None:
                 row[at] = values
-    assert (seen == 1).all()
+    assert (seen >= 1).all()
+    again = np.flatnonzero(seen > 1)
+    if again.size:
+        assert xs.size > distribution._CHUNK and (seen <= 2).all()
+        assert live_after_jump(params, xs.take(again), tol_below).all()
     return out
+
+
+def live_after_jump(params, xs, tol_below):
+    """Whether the jump table leaves each point live: a point that the
+    vector walk carries (0 < y < 1, x a multiple of 2^-63) in a cell
+    floor(3^8 y) whose multiplier is +-3^8, where y is x or, with
+    `tol_below`, 1 - x for x >= 1/3."""
+    mult, live = _jump_table(params)[0], []
+    for x in xs.tolist():
+        n, d = x.as_integer_ratio()
+        if tol_below is not None and x > ONE_THIRD:
+            n = d - n
+        live.append(0 < n < d <= 2 ** 63 and abs(mult[n * 3 ** 8 // d]) >= 3 ** 8)
+    return np.array(live)
 
 
 def twins(params, xs, tol_f, tol_j, relative):
@@ -70,7 +94,7 @@ def twins(params, xs, tol_f, tol_j, relative):
     vec, scalar = [], []
     for args in descents(tol_f, tol_j, relative):
         rows = read_rows(args[1])
-        vec.append(gather(_descend_many(params, xs, *args), xs.size)[rows])
+        vec.append(gather(_descend_many(params, xs, *args), params, xs, args[3])[rows])
         scalar.append(scalar_rows(params, xs, *args)[rows])
     return np.concatenate(vec), np.concatenate(scalar)
 
@@ -231,7 +255,7 @@ class TestDescent:
             st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]), min_size=2, max_size=2))
         args, rows = (tol, reads, relative, tol_below), read_rows(reads)
         with mock.patch.object(distribution, "_CHUNK", chunk):
-            vec = gather(_descend_many(params, xs, *args), len(xs))[rows]
+            vec = gather(_descend_many(params, xs, *args), params, xs, tol_below)[rows]
         np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, xs, *args)[rows]))
 
     def test_twins_share_one_signature(self):
@@ -361,7 +385,7 @@ class TestDescent:
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
         groups = list(_descend_many(P2, xs, 1e-10))
         assert len(groups) == 4
-        f = gather(groups, xs.size)[0]
+        f = gather(groups, P2, xs)[0]
         np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
 
     @pytest.mark.parametrize("chunk", [1, 7, 8, 9, 100_000])
@@ -419,7 +443,7 @@ class TestDescent:
             for reads in ("F", "J", "FJ"):
                 args = (1e-10, reads, relative, 1e-12 if branch else None)
                 groups = list(_descend_many(params, xs, *args))
-                one, scalar = gather(groups, xs.size), scalar_rows(params, xs, *args)
+                one, scalar = gather(groups, params, xs, args[3]), scalar_rows(params, xs, *args)
                 carried = set(reads) | ({"F"} if relative or branch else set())
                 for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):
                     if name in carried:
@@ -460,12 +484,14 @@ class TestDescent:
         assert not any(arr.flags.writeable for arr in table)
         assert [arr.shape for arr in table] == [(3 ** 8,), (5, 3 ** 8)]
 
-    @pytest.mark.parametrize("fn,bound", [(cdf_many, 40), (mrl_many, 80)])
+    @pytest.mark.parametrize("fn,bound", [(cdf_many, 40), (mrl_many, 80),
+                                          (cdf_integral_many, 40), (payoff_curve, 40)])
     def test_pool_memory_is_bounded(self, fn, bound):
         # 2e6 points are 122 slices; the pool is walked whenever it holds
         # _CHUNK points, so the working set beyond the result is a few
         # slices wide however long the input (a pool that kept every
-        # survivor to the end peaks at 72 and 125 slice widths here)
+        # survivor to the end peaks at 72 and 125 slice widths here for
+        # cdf_many and mrl_many)
         xs = np.random.default_rng(9).random(2_000_000)
         tracemalloc.start()
         try:
@@ -484,12 +510,24 @@ class TestDescent:
     @pytest.mark.parametrize("fn", [
         cdf, cdf_with_bound, survival, cdf_integral, mrl, gmrl, expected_payoff,
         cdf_many, cdf_integral_many, mrl_many, payoff_curve], ids=lambda fn: fn.__name__)
-    @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 0.5j, [0.2, "0.5"]], ids=repr)
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 0.5j, [0.2, "0.5"], np.complex128(0.5),
+                                     np.array(["0.5"], dtype=object)], ids=repr)
     def test_non_real_point_domain_error(self, fn, bad):
         # a str, bytes, None or a complex is no point of [0, 1], for the
-        # scalar and the vector evaluators alike (numpy would parse a str)
+        # scalar and the vector evaluators alike (numpy would parse a str,
+        # also as the element of an object array, and orders its complex
+        # scalars)
         with pytest.raises(DomainError):
             fn(P1, bad)
+
+    @pytest.mark.parametrize("fn,scalar", EVALUATORS[:4], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("exact", [Fraction(1, 2), Decimal("0.25")], ids=repr)
+    def test_exact_real_points(self, fn, scalar, exact):
+        # a Fraction or a Decimal is a real point, alone and in an object
+        # array, and evaluates at the double nearest it
+        x = float(exact)
+        np.testing.assert_array_equal(bits(fn(P1, [exact, 0.75])), bits(fn(P1, [x, 0.75])))
+        assert bits(scalar(P1, exact)) == bits(scalar(P1, x))
 
 
 class TestSurvival:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, gap_intervals, gmrl, mrl,
                           mrl_at_one_third, mrl_many, sample)
+from singular_mrl.distribution import _CHUNK
 
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
@@ -145,6 +146,12 @@ class TestEvaluator:
             gmrl(params, 0.1)
         with pytest.raises(ParameterError, match=match):
             mrl_many(params, np.linspace(0.0, 1.0, 7))
+        # longer than a slice, through the jump table, with the one point
+        # below 1/3 last, so that only the last slice's groups hold it
+        xs = np.linspace(0.4, 1.0, _CHUNK + 4000)
+        xs[-1] = 0.1
+        with pytest.raises(ParameterError, match=match):
+            mrl_many(params, xs)
         xs = np.array([0.0, 1 - 2 / 3, 0.5, 0.9, 1.0])
         np.testing.assert_array_equal(mrl_many(params, xs), [mrl(params, x).value for x in xs])
 
