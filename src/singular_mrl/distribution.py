@@ -603,6 +603,14 @@ _SAMPLE_WORDS = 3
 # draws per block of `sample`: its working set is the result plus a few
 # arrays of this size
 _SAMPLE_BLOCK = 65_536
+# 3^(1 - k) by k, the a that `sample`'s leading run of k - 1 left steps
+# leaves, from the same np.power as `3.0 ** (1 - K)`; cut after its first
+# 0.0 (k = 680), which every longer run gives too
+_LEAD = np.power(3.0, 1 - np.arange(1024))
+_LEAD = _LEAD[:_LEAD.argmin() + 1]
+_LEAD.flags.writeable = False
+# doubles per block of `_rise`'s scratch
+_RISE_BLOCK = 16_384
 
 
 @functools.lru_cache(maxsize=8)
@@ -655,8 +663,9 @@ def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
     step sends s -> s/3, a right step a -> a + s and s -> -s/3.  Neither
     depends on a, so the run of K left steps before the first right one is
     geometric, P(K >= k) = q^k, and drawn in closed form (Devroye 1986,
-    ch. 2); it leaves a = 3^-K and s = -a/3, both 0 where r is so small that
-    numpy caps K at 2^63 - 1.  The levels after it are i.i.d., so
+    ch. 2); it leaves a = 3^-K and s = -a/3, with a looked up in the
+    leading-run table `_LEAD`, both 0 from K = 679 on, and so where r is so
+    small that numpy caps K at 2^63 - 1.  The levels after it are i.i.d., so
     `_SAMPLE_WORDS` words of `_WORD_LEVELS` levels each, one uniform per
     word from `_alias_table` (Walker's alias method), pin the draw to half
     an ulp.  The draws are made in blocks of `_SAMPLE_BLOCK`.
@@ -669,7 +678,7 @@ def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
     out = np.empty(n)
     for start in range(0, n, _SAMPLE_BLOCK):
         m = min(_SAMPLE_BLOCK, n - start)
-        a = 3.0 ** (1 - rng.geometric(params.right_mass, m))
+        a = _LEAD.take(rng.geometric(params.right_mass, m), mode="clip")
         s = a / -3.0
         for _ in range(_SAMPLE_WORDS):
             # the top 12 bits of a uniform pick the column, the rest the coin
@@ -714,9 +723,23 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     No sort is needed: S's points at or below fl(1/3) are all in {x/3} and
     those at or above 1 - fl(1/3) all in {1 - x/3} (by induction), so the new
     cloud is x/3 ascending, the initial plateau points strictly inside
-    (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending, written into one buffer per
-    array.  Runs of equal values are cut in place to their least x, so the
-    returned arrays are views of slightly longer buffers.
+    (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending.  Runs of equal values are
+    cut in place to their least x.
+
+    Each array is one buffer, allocated once per call, whose end the cloud
+    occupies.  An iteration writes its 2n + m points (n in S, m on the
+    plateau) into the 2n + m slots that end where S ends: x/3 and F/(p+1) in
+    front of S, then the plateau, then 1 - x/3, computed from the new front,
+    over S's own x, and the rise 1 - p F/(p+1) over S's own F, reversed
+    within those slots a block from each end at a time (`_rise`).  Cutting
+    a run of x/3 moves the points before it up and a run of 1 - x/3 moves
+    those after it down, so the cloud's end falls by the latter.  Without
+    cuts the last iteration writes s = 2^iterations (n_initial + 2 + m) - m
+    slots, and a cut lowers S's size at least as much as its end, so a
+    buffer of s doubles is enough.  The cap bounds it by 2 max_points + m,
+    the most an iteration that the cap lets start writes; where its cuts have
+    lowered S's end below that many slots, S first moves back to the
+    buffer's end.  The returned arrays are views of the buffers.
 
     This is `np.unique` over {x/3} + S + {1 - x/3}, which keeps S's own copy
     where 1 - x/3 is in S, with the same height: a run's least x is its oldest
@@ -730,9 +753,11 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     two share a run while 3^iterations (n_initial - 1) < 2^49, as in any cloud
     under 10^9 points.
 
-    Raises ResourceLimitError, before building it, once a cloud (the initial
-    one included) would exceed `max_points`; it about doubles per step.
-    n_initial, iterations and max_points must be integers.
+    Raises ResourceLimitError once a cloud (the initial one included) would
+    exceed `max_points`: the initial cloud on its count, before any buffer is
+    allocated, and each later one before its plateau and heights are written.
+    A cloud about doubles per step.  n_initial, iterations and max_points
+    must be integers, max_points >= 0.
     """
     n_initial = _integer("n_initial", n_initial)
     iterations = _integer("iterations", iterations)
@@ -741,6 +766,8 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
         raise ParameterError(f"n_initial must be >= 2, got {n_initial}")
     if iterations < 0:
         raise ParameterError(f"iterations must be >= 0, got {iterations}")
+    if max_points < 0:
+        raise ParameterError(f"max_points must be >= 0, got {max_points}")
 
     def check_cap(size, k):
         if size > max_points:
@@ -750,31 +777,60 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
 
     check_cap(n_initial + 2, 0)
     p, v = params.p, params.left_mass
-    x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
-    F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
-    plateau = x[(x > ONE_THIRD) & (x < 1.0 - ONE_THIRD)]
+    inner = np.linspace(ONE_THIRD, TWO_THIRDS, n_initial)
+    plateau = inner[(inner > ONE_THIRD) & (inner < 1.0 - ONE_THIRD)]
     m = plateau.size
+    limit, total = 2 * max_points + m, n_initial + 2
+    for _ in range(iterations):
+        if total >= limit:
+            break
+        total = 2 * total + m
+    total = min(total, limit)
+    xs, Fs = np.empty(total), np.empty(total)
+    lo, hi = total - (n_initial + 2), total
+    xs[lo], xs[lo + 1:hi - 1], xs[hi - 1] = 0.0, inner, 1.0
+    Fs[lo], Fs[lo + 1:hi - 1], Fs[hi - 1] = 0.0, v, 1.0
+    scratch = np.empty(min(_RISE_BLOCK, total))
     for k in range(1, iterations + 1):
-        n = x.size
+        n = hi - lo
         size = 2 * n + m
-        if size > max_points:
-            # the bound is exact but for the few equal neighbours
-            third = x / 3.0
-            check_cap(size - _equal_neighbours(third).size
-                      - _equal_neighbours(1.0 - third).size, k)
-            del third
-        new_x, new_F = np.empty(size), np.empty(size)
-        left, right, rise = new_x[:n], new_x[n + m:], new_F[n + m:]
-        np.divide(x, 3.0, out=left)
-        new_x[n:n + m] = plateau
-        np.subtract(1.0, left[::-1], out=right)
-        np.multiply(F, v, out=new_F[:n])
-        new_F[n:n + m] = v
-        np.multiply(F[::-1], p * v, out=rise)
-        np.subtract(1.0, rise, out=rise)
-        x, F = _drop(_equal_neighbours(left) + 1, _equal_neighbours(right) + (n + m),
-                     new_x, new_F)
-    return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
+        if size > hi:  # only where the cap sized the buffer
+            for buf in (xs, Fs):
+                buf[total - n:] = buf[lo:hi]
+            lo, hi = total - n, total
+        start = hi - size
+        left = xs[start:start + n]
+        np.divide(xs[lo:hi], 3.0, out=left)
+        np.subtract(1.0, left[::-1], out=xs[lo:hi])
+        front = _equal_neighbours(left) + 1
+        back = _equal_neighbours(xs[lo:hi]) + (n + m)
+        check_cap(size - front.size - back.size, k)
+        xs[lo - m:lo] = plateau
+        np.multiply(Fs[lo:hi], v, out=Fs[start:start + n])
+        Fs[lo - m:lo] = v
+        _rise(Fs[lo:hi], p * v, scratch)
+        _drop(front, back, xs[start:hi], Fs[start:hi])
+        lo, hi = start + front.size, hi - back.size
+    return PointCloud(x=xs[lo:hi], F=Fs[lo:hi], p=p, iterations=iterations, n_initial=n_initial)
+
+
+def _rise(F: np.ndarray, c: float, scratch: np.ndarray) -> None:
+    """Set F to 1 - F[::-1] * c in place, with the same two roundings per
+    value as that expression: a block from each end at a time, one of them
+    held in `scratch`, so that numpy never copies F to resolve the overlap."""
+    n, width = F.size, scratch.size
+    half = n // 2
+    for lo in range(0, half, width):
+        w = min(width, half - lo)
+        head, tail, held = F[lo:lo + w], F[n - lo - w:n - lo], scratch[:w]
+        np.multiply(head[::-1], c, out=held)
+        np.multiply(tail[::-1], c, out=head)
+        np.subtract(1.0, head, out=head)
+        np.subtract(1.0, held, out=tail)
+    if n % 2:
+        middle = F[half:half + 1]
+        np.multiply(middle, c, out=middle)
+        np.subtract(1.0, middle, out=middle)
 
 
 def _equal_neighbours(values: np.ndarray) -> np.ndarray:
@@ -782,11 +838,12 @@ def _equal_neighbours(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(values[1:] == values[:-1])
 
 
-def _drop(front: np.ndarray, back: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+def _drop(front: np.ndarray, back: np.ndarray, *arrays: np.ndarray) -> None:
     """Remove sorted positions from equal-length 1-D arrays in place: those
     in `front` by moving the stretches before them up, those in `back` by
     moving the stretches after them down, so that only the points between
-    a position and its end of the arrays move.  Returns views of the rest."""
+    a position and its end of the arrays move.  The rest is then
+    arr[len(front):arr.size - len(back)] for each arr."""
     size = arrays[0].size
     front, back = front.tolist(), back.tolist()
     tops = front[::-1] + [-1]
@@ -797,7 +854,6 @@ def _drop(front: np.ndarray, back: np.ndarray, *arrays: np.ndarray) -> list[np.n
     for shift, (start, end) in enumerate(zip(ends, ends[1:]), start=1):
         for arr in arrays:
             arr[start + 1 - shift:end - shift] = arr[start + 1:end]
-    return [arr[len(front):size - len(back)] for arr in arrays]
 
 
 def gap_intervals(max_level: int) -> list[tuple[float, float]]:

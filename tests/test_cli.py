@@ -75,7 +75,8 @@ class TestExitCodes:
         assert "parameter error" in err
 
     @pytest.mark.parametrize("argv", [("plot-data", "--what", "mrl", "--grid", "-1"),
-                                      ("price", "--curve-points", "-3")])
+                                      ("price", "--curve-points", "-3"),
+                                      ("plot-data", "--what", "cdf", "--max-points", "-5")])
     def test_negative_count(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 4

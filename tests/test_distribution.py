@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import tracemalloc
@@ -16,9 +17,9 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           gap_intervals, gmrl, i1_closed_form, mrl, mrl_many, optimal_price,
                           payoff_curve, point_cloud, sample, survival)
 from singular_mrl import distribution
-from singular_mrl.distribution import (_CHUNK, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
+from singular_mrl.distribution import (_CHUNK, _LEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
                                       _alias_table, _branch_many, _descend, _descend_many,
-                                      _drop, _jump_table, gap_grid)
+                                      _drop, _jump_table, _rise, gap_grid)
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -129,6 +130,41 @@ def cloud_oracle(params, n_initial, iterations):
         F = np.concatenate((F * v, F, 1.0 - F * (p * v)))[first]
     return x, F
 
+
+# sha256 of `sample(PSingularParams(p), seed, n).tobytes()` by (p, n, seed),
+# as the closed-form leading run 3.0 ** (1 - K) drew them
+SAMPLE_DIGESTS = {
+    (1e-300, 1, 0): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    (1e-300, 1, 20261018): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    (1e-300, 65537, 0): "3707e4e2efecb681def42f31ecb7d5ca3bafc6f5ce7ebe064a63e0fcb464dbf0",
+    (1e-300, 65537, 20261018): "3707e4e2efecb681def42f31ecb7d5ca3bafc6f5ce7ebe064a63e0fcb464dbf0",
+    (1e-300, 200001, 0): "acee3253fbd6f2afec2774dd0036d7927ce5453031d015f653a6e0c5c944037d",
+    (1e-300, 200001, 20261018): "acee3253fbd6f2afec2774dd0036d7927ce5453031d015f653a6e0c5c944037d",
+    (0.01, 1, 0): "15a1dbdb62f045e83bbc30bf7d4202b9fafb6696c3832577d63f5421da35a8c2",
+    (0.01, 1, 20261018): "bf9efb4ff4d6e58d7b5d387ac8067005a8e6ebf809c3f1b1594359602b34ef2c",
+    (0.01, 65537, 0): "4d6f33624461b19e67b53f197c97e4b5ed7b49c8941c40666b28694d9a2a563c",
+    (0.01, 65537, 20261018): "9099f17a7f8e5bd7b7d0b0ae82c84a997e90c2dd5924173e94168ab130c39dda",
+    (0.01, 200001, 0): "69048d50ec04b168ca7441a38ad1550fcdc6ec3d077a44bf24c4cf19e5b74586",
+    (0.01, 200001, 20261018): "9955744a99b967a42bbc776d8ef733aaddffc70a70ffedcb01eee7c8a8864df5",
+    (1.0, 1, 0): "470705b75e88ea63c2912ff44d7959573cc622cce413509221469c33a6ad3b1b",
+    (1.0, 1, 20261018): "479694213b38da2ad567d79acc0a8b4b656ef70181fd53120cea09c6d440d964",
+    (1.0, 65537, 0): "ea46e3b4da6697210bf9c76ccdf8d6889fc2c59a192f033ab846d39fafd9a27d",
+    (1.0, 65537, 20261018): "6a2a6d8eca8b0bb7568c7b489006979622386040bdd9f0918e68281a50c83ed1",
+    (1.0, 200001, 0): "e4dfb8aebd770dfa438c4809c50db960c8933e6b436a76cf98b67259e6bd9546",
+    (1.0, 200001, 20261018): "f6a86ce749d6349991117f1e09cdb4fc601a902f038274357b3fcfc22bef82d9",
+    (100.0, 1, 0): "95fa8d1f67551a5b88f76b1c08e04981aae07b9bf57ef41070f77df6cc8e7370",
+    (100.0, 1, 20261018): "70d5c350445ec9a25395e2baf4ca3b14c9192b78760776eb97ca2439e447dbe9",
+    (100.0, 65537, 0): "50c5cfb7f345a89c698acbec552ce3e2b3a2fe0b8108e1787c7178e5913a0979",
+    (100.0, 65537, 20261018): "77838257c93ecacd96cfa374458252c548812ffdc6bff2fa74b0be54d8d75778",
+    (100.0, 200001, 0): "0f5435dfb4ac0a8f4b5b3eb5da3d3d01dc5e12f73343710724ce7cd064e7d7d7",
+    (100.0, 200001, 20261018): "a73dc7fbbfef3f5e98c07926b997d20144e5ff5366236c8e61d6aff6949e3dbe",
+    (1e+300, 1, 0): "e4319a2d73934f7c5fcec97280687f50b66a4335ae57a4ae90f3920400c8f976",
+    (1e+300, 1, 20261018): "e4319a2d73934f7c5fcec97280687f50b66a4335ae57a4ae90f3920400c8f976",
+    (1e+300, 65537, 0): "f2aeb3622a8f91fcb481624fd59fad0829c058198a8accd5c54217de2431caa2",
+    (1e+300, 65537, 20261018): "f2aeb3622a8f91fcb481624fd59fad0829c058198a8accd5c54217de2431caa2",
+    (1e+300, 200001, 0): "be0d4da6e3385f72160a70a1aba4b900eac75ef925653e6d6a31bcff4cd3281c",
+    (1e+300, 200001, 20261018): "be0d4da6e3385f72160a70a1aba4b900eac75ef925653e6d6a31bcff4cd3281c",
+}
 
 CLOUD_SIZES = [(2, 0), (2, 1), (2, 2), (2, 19), (3, 12), (5, 14), (17, 3), (1000, 10)]
 
@@ -654,6 +690,18 @@ class TestSample:
         np.testing.assert_array_equal(draws[:_SAMPLE_BLOCK], head)
         assert peak <= draws.nbytes + 16 * 8 * _SAMPLE_BLOCK
 
+    @pytest.mark.parametrize("p,n,seed", list(SAMPLE_DIGESTS))
+    def test_bytes_are_pinned(self, p, n, seed):
+        draws = sample(PSingularParams(p), seed, n)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[p, n, seed]
+
+    def test_leading_run_table(self):
+        # the table clipped at its last entry, the first 0.0, is 3^(1 - K)
+        # bit for bit, up to numpy's cap on K
+        ks = np.append(np.arange(1, 2001), np.iinfo(np.int64).max)
+        assert _LEAD[-1] == 0.0 < _LEAD[-2] and not _LEAD.flags.writeable
+        np.testing.assert_array_equal(bits(_LEAD.take(ks, mode="clip")), bits(3.0 ** (1 - ks)))
+
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             sample(P1, 0, 0)
@@ -740,17 +788,17 @@ class TestPointCloud:
         marks = np.arange(20) % 3 == 0
         front, back = np.array([0, 2, 3, 7]), np.array([11, 15, 16, 19])
         kept = np.delete(np.arange(20), np.concatenate((front, back)))
-        x, m = _drop(front, back, values, marks)
-        assert x.base is values and m.base is marks
-        np.testing.assert_array_equal(x, kept)
-        np.testing.assert_array_equal(m, kept % 3 == 0)
-        x, = _drop(np.array([], dtype=np.intp), np.array([], dtype=np.intp), np.arange(4.0))
-        np.testing.assert_array_equal(x, np.arange(4.0))
+        _drop(front, back, values, marks)
+        np.testing.assert_array_equal(values[4:16], kept)
+        np.testing.assert_array_equal(marks[4:16], kept % 3 == 0)
+        values = np.arange(4.0)
+        _drop(np.array([], dtype=np.intp), np.array([], dtype=np.intp), values)
+        np.testing.assert_array_equal(values, np.arange(4.0))
 
     def test_memory(self):
-        # the working set of the last iteration is the cloud before it and
-        # the new buffers; what stays is the result itself.  A
-        # short cloud first makes the allocations of a first call, which
+        # one buffer per array, a few points longer than the result, and a
+        # few temporaries of the last iteration; what stays is the buffers.
+        # A short cloud first makes the allocations of a first call, which
         # would otherwise count as held when this test runs alone
         point_cloud(P1, 1000, 2)
         tracemalloc.start()
@@ -760,8 +808,42 @@ class TestPointCloud:
         finally:
             tracemalloc.stop()
         result = cloud.x.nbytes + cloud.F.nbytes
-        assert peak <= 2 * result
+        assert peak <= 1.1 * result
         assert held <= 1.01 * result
+
+    def test_refused_cloud_memory(self):
+        # the cap bounds the buffers by 2 cap + m doubles each, so a refused
+        # cloud holds at most a few caps' worth of bytes at any time
+        cap = 100_000
+        point_cloud(P1, 1000, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="127008 after iteration 6 of 17"):
+                point_cloud(P1, 1000, 17, max_points=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * cap
+
+    def test_cap_on_the_iteration_after_a_full_cloud(self):
+        # a cap of the tenth cloud's size (or one more) sizes each buffer at
+        # 2 cap + m, about what the eleventh iteration writes, but the cuts
+        # of earlier iterations have lowered the tenth cloud's end: it moves
+        # back to the buffers' end, and the eleventh is counted exactly
+        size = len(point_cloud(P1, 1000, 10))
+        for cap in (size, size + 1):
+            with pytest.raises(ResourceLimitError,
+                               match=rf"cap of {cap} points \(4095009 after iteration 11 of 11\)"):
+                point_cloud(P1, 1000, 11, max_points=cap)
+
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_rise_in_place(self, width):
+        # blocks from both ends, odd and even lengths, a partial last block
+        for n in range(40):
+            F = np.random.default_rng(n).random(n)
+            expected = 1.0 - F[::-1] * 0.7
+            _rise(F, 0.7, np.empty(width))
+            np.testing.assert_array_equal(bits(F), bits(expected))
 
     def test_cap_at_the_exact_size(self):
         # the last iteration drops equal neighbours, so its exact size N is
@@ -797,6 +879,8 @@ class TestPointCloud:
             point_cloud(P1, n_initial=1, iterations=1)
         with pytest.raises(ParameterError):
             point_cloud(P1, n_initial=10, iterations=-1)
+        with pytest.raises(ParameterError, match="max_points must be >= 0, got -5"):
+            point_cloud(P1, n_initial=10, iterations=2, max_points=-5)
 
 
 @pytest.mark.parametrize("call,name", [
