@@ -32,6 +32,8 @@ descent.  A slice ends its points on the plateau in place, and the few
 the jump leaves live are pooled across slices into one tail walk, whose
 later values overwrite theirs, so the deep, nearly empty levels, where
 numpy's per-call cost outweighs the arithmetic, are paid once per call.
+A point with no int64 numerator rides its slice as a placeholder on the
+plateau, which ends at once, and the scalar loop overwrites its value.
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     levels, in a later group, whenever it holds `_CHUNK` points and once
     more after the last slice, so the near-empty deep levels are paid about
     once per call and the working set stays a few slices wide.  The few
-    points that have no int64 numerator (see `_Walk.start`) walk in
-    `_descend`.
+    points that have no int64 numerator (see `_Walk.start`) ride either
+    path as placeholders and walk in `_descend`, whose group comes later.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     n = xs.size
@@ -290,22 +292,21 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     table = _jump_table(params) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        idx, m, state, odd = walk.start(xs[start:start + _CHUNK], start, top == 1.0)
+        m, state, odd = walk.start(xs[start:start + _CHUNK], top == 1.0)
         if table is None:
-            if idx.size:
+            if odd.size < n:  # n <= _CHUNK: the whole input is one slice
                 _head(walk, m, state)
-                yield _descend_slice(walk, idx, m, state)
+                yield _descend_slice(walk, np.arange(n), m, state)
         else:
             m, flat = _jump(walk, m, state, table)
             keep = np.flatnonzero(~flat)
             if keep.size:
-                pool.append((idx.take(keep), m.take(keep), state.take(keep, axis=1)))
+                pool.append((keep + start, m.take(keep), state.take(keep, axis=1)))
                 pooled += keep.size
             # every point as if on the plateau, `_select`'s kind 1
-            yield _select(walk, idx if odd.size else slice(start, start + m.size),
-                          m, state[:walk.rows], 1)
+            yield _select(walk, slice(start, start + m.size), m, state[:walk.rows], 1)
         if odd.size:
-            yield walk.scalar(odd, xs)
+            yield walk.scalar(odd + start, xs)
         if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
             parts = pool[0] if len(pool) == 1 else [np.concatenate(part, axis=-1)
                                                     for part in zip(*pool)]
@@ -352,11 +353,12 @@ class _Walk:
         self.rows = 2 * carry_f + 3 * carry_j
         self.origin = np.array([0.0, 1.0] * carry_f + [0.0, 0.0, 1.0] * carry_j)[:, None]
 
-    def start(self, x: np.ndarray, offset: int, ones: bool):
-        """The positions, numerators and stop limits of the points of the
-        slice x of the input, which starts at `offset`, and the positions of
-        the rest, which `scalar` walks: 0, 1 (looked for only with `ones`)
-        and the doubles below 2^-11 that are not multiples of 2^-63."""
+    def start(self, x: np.ndarray, ones: bool):
+        """The numerators and stop limits of the points of the slice x, and
+        the positions in x of the odd ones, which `scalar` walks: 0, 1
+        (looked for only with `ones`) and the doubles below 2^-11 that are
+        not multiples of 2^-63.  An odd point's numerator is the placeholder
+        `_LO`, on the plateau, where the vector walk ends it at once."""
         scaled = x * 2.0 ** 63
         if ones:
             scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it odd
@@ -376,11 +378,8 @@ class _Walk:
         if self.per_point:
             np.multiply(lim, rel, out=state[self.rows])
             np.subtract(lim, state[self.rows], out=state[self.rows + 1])
-        idx = np.arange(offset, offset + x.size)
-        if odd.size:
-            regular = np.delete(np.arange(x.size), odd)
-            idx, m, state = idx.take(regular), m.take(regular), state.take(regular, axis=1)
-        return idx, m, state, odd + offset
+        m[odd] = _LO
+        return m, state, odd
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
         """The group of the points of xs at positions `at`, from `_descend`,

@@ -12,7 +12,7 @@ On [1/3, 2/3] m(x) - x is linear with slope -2, and on (1/2, 1] it is at
 most 1 - 2x < 0, so x* is its only root on [0, 1].  The cells halve
 [j/2^L, (j+1)/2^L], L <= 53, the last one cut at the real 1/3.  m is
 evaluated at their left ends, doubles whose descent never rounds, and
-each margin is compared exactly as a Fraction.
+the sign of each margin is decided exactly, from a sum of doubles.
 """
 
 from __future__ import annotations
@@ -80,22 +80,30 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
 def _certify(params: PSingularParams, config: EvalConfig) -> None:
     """Cover [0, 1/3] by certified cells, leftmost first, halving each that
     fails; ConvergenceError names a cell that fails at CELL_LEVEL."""
-    third = Fraction(1, 3)
     # (j, L, m(a)) for the cell [a, b] = [j/2^L, min((j+1)/2^L, 1/3)]
     cells = [(0, 1, mrl(params, 0.0, config))]
     while cells:
         j, level, m = cells.pop()
-        a, b = Fraction(j, 1 << level), min(Fraction(j + 1, 1 << level), third)
-        margin = Fraction(m.value) + a - Fraction(m.error_bound) - 2 * b
-        if margin > 0:
+        if _certified(m.value, m.error_bound, j, level):
             continue
         if level == CELL_LEVEL:
+            a, b = Fraction(j, 1 << level), min(Fraction(j + 1, 1 << level), Fraction(1, 3))
+            margin = Fraction(m.value) + a - Fraction(m.error_bound) - 2 * b
             raise ConvergenceError(f"uniqueness is not certified on the cell [{a}, {b}]: "
                                    f"m(a) + a - bound(a) - 2b = {float(margin):.3e}")
         j, level = 2 * j, level + 1
-        if Fraction(j + 1, 1 << level) < third:
+        if 3 * (j + 1) < 1 << level:
             cells.append((j + 1, level, mrl(params, math.ldexp(j + 1, -level), config)))
         cells.append((j, level, m))
+
+
+def _certified(value: float, bound: float, j: int, level: int) -> bool:
+    """Whether m(a) + a - bound(a) - 2b > 0 on `_certify`'s cell (j, L), exactly:
+    fsum rounds a sum of doubles correctly, so never a nonzero one to 0."""
+    terms = (value, math.ldexp(j, -level), -bound)
+    if 3 * (j + 1) < 1 << level:  # b = (j+1)/2^L, a double
+        return math.fsum(terms + (math.ldexp(-(j + 1), 1 - level),)) > 0.0
+    return math.fsum(terms * 3 + (-2.0,)) > 0.0  # three times the margin at b = 1/3
 
 
 def verify_uniqueness(params: PSingularParams, grid_n: int,

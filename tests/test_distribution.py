@@ -56,10 +56,12 @@ def gather(groups, params, xs, tol_below=None):
     """The rows F, F bound, J and J bound of the groups of a vector descent
     of xs, put back in input order, a later group over an earlier one; a
     quantity the walk did not carry stays NaN.  Every position must come
-    in a group, and in two only where the input is longer than a slice and
-    the jump table leaves the point live: the slice's group takes it as
-    ended on the plateau, and the pooled tail's later group holds its
-    value."""
+    in a group, and in two only where the first ended the point early and
+    the second holds its value: a point the vector walk does not carry,
+    which it ends on the plateau as a placeholder and the scalar loop
+    walks, or, where the input is longer than a slice, a point the jump
+    table leaves live, which the slice ends on the plateau and the pooled
+    tail walks on."""
     xs = np.asarray(xs, dtype=float)
     out, seen = np.full((4, xs.size), np.nan), np.zeros(xs.size, dtype=int)
     for at, *rows in groups:
@@ -70,9 +72,18 @@ def gather(groups, params, xs, tol_below=None):
     assert (seen >= 1).all()
     again = np.flatnonzero(seen > 1)
     if again.size:
-        assert xs.size > distribution._CHUNK and (seen <= 2).all()
-        assert live_after_jump(params, xs.take(again), tol_below).all()
+        assert (seen <= 2).all()
+        ys = xs.take(again)
+        live = xs.size > distribution._CHUNK and live_after_jump(params, ys, tol_below)
+        assert (~carried(ys) | live).all()
     return out
+
+
+def carried(xs):
+    """Whether the vector walk carries each point, 0 < x < 1 a multiple of
+    2^-63; it holds every other one as a placeholder, and the scalar loop
+    walks it."""
+    return np.array([0 < n < d <= 2 ** 63 for n, d in map(float.as_integer_ratio, xs.tolist())])
 
 
 def live_after_jump(params, xs, tol_below):
@@ -117,6 +128,58 @@ def survival_many(params, xs):
 EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, x).value),
               (mrl_many, lambda P, x: mrl(P, x).value), (payoff_curve, expected_payoff),
               (survival_many, survival)]
+
+# points the vector walk holds as placeholders and the scalar loop walks:
+# 0, 1 and doubles below 2^-11 that are not multiples of 2^-63
+ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
+
+
+def odd_in_every_slice():
+    """3 `_CHUNK` + 5 uniform points, with 0 first and an odd point in
+    each of the four slices."""
+    xs = np.random.default_rng(17).random(3 * _CHUNK + 5)
+    xs[[0, _CHUNK + 7, 2 * _CHUNK + 11, 3 * _CHUNK + 2, 3 * _CHUNK + 4]] = ODD_POINTS
+    return xs
+
+
+def grid_eval_batch():
+    """A shuffled batch like grid-eval's: uniform points, points within
+    1e-6 of 1 and every rounded gap endpoint."""
+    rng = np.random.default_rng(20261019)
+    return rng.permutation(np.concatenate((rng.random(50_000), 1.0 - rng.random(500) * 1e-6,
+                                           gap_grid(0))))
+
+
+# sha256 of `fn(PSingularParams(p), grid_eval_batch()).tobytes()` by (fn, p),
+# as the vector walk returned them when it still left odd points out
+VECTOR_DIGESTS = {
+    ("cdf_many", 0.01): "fa24dcc809472493d5987b7ab3d8cffa949261da7f089e1357dd70baea147ed4",
+    ("cdf_many", 1.0): "164cdafb56cb6298a12b0f1fbe8ac4c560cea1bdd4c7c1b94ac57b53ad3cc8ca",
+    ("cdf_many", 100.0): "ced0d9fe2c8246fcf3d0839b71c63035d53573b4409ed52d452a1424f828d734",
+    ("cdf_integral_many", 0.01): "9e6ab919c87a1c15d0d492eeb764dc1e0ec462426b25fd61ff50e2a4ef8ca5e5",
+    ("cdf_integral_many", 1.0): "d432fccb7bcc16a95219e64b1ed3f1e7bd997df1e097e358ad7ff95aa6b7b642",
+    ("cdf_integral_many", 100.0): "b9d4538cadd2ee7df5590b020452a032f14b5d210abf6476772dd33e05ad1218",
+    ("mrl_many", 0.01): "99f7fa48f632b152e399d93bc37f7e0745cefd8e9e37d41301a33311551d8ac5",
+    ("mrl_many", 1.0): "8de6df72c8ae2ce30bc4285c38bc55e80ece16c3548273c76b528b0ad3f1770f",
+    ("mrl_many", 100.0): "0d5335ef72dbb060807f31f409fe490f7621839ece25939f4bf0ade9914a0418",
+    ("payoff_curve", 0.01): "9ca64d7abaa3cdd08e63032424fe0f5cd256f7f783b05420a6382598dc13f228",
+    ("payoff_curve", 1.0): "410982927395700efad3913557ea6ff1d0fe82c521a992b43dc087f78a321ea2",
+    ("payoff_curve", 100.0): "54f185f7f2bae9ef02741278703ed2e934ad8b7257e45976bcd4a177233a0b7b",
+}
+
+# `test_pool_memory_is_bounded`'s bound per function, in slice widths
+POOL_BOUNDS = [(cdf_many, 40), (mrl_many, 80), (cdf_integral_many, 40), (payoff_curve, 40)]
+
+
+def peak_beyond_result(fn, xs):
+    """The tracemalloc peak of fn(P1, xs), less the bytes of its result."""
+    tracemalloc.start()
+    try:
+        out = fn(P1, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
 
 
 def cloud_oracle(params, n_initial, iterations):
@@ -272,7 +335,9 @@ class TestDescent:
     @settings(max_examples=200, deadline=None)
     def test_twins_agree_on_any_double(self, x, p, relative):
         params = PSingularParams(p)
-        [(_, *vec)] = _descend_many(params, [x], 1e-10, relative=relative)
+        # the last group holds the value: a point the vector walk does not
+        # carry comes again in the scalar loop's group
+        *_, (_, *vec) = _descend_many(params, [x], 1e-10, relative=relative)
         assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, relative=relative))
 
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
@@ -520,8 +585,7 @@ class TestDescent:
         assert not any(arr.flags.writeable for arr in table)
         assert [arr.shape for arr in table] == [(3 ** 8,), (5, 3 ** 8)]
 
-    @pytest.mark.parametrize("fn,bound", [(cdf_many, 40), (mrl_many, 80),
-                                          (cdf_integral_many, 40), (payoff_curve, 40)])
+    @pytest.mark.parametrize("fn,bound", POOL_BOUNDS)
     def test_pool_memory_is_bounded(self, fn, bound):
         # 2e6 points are 122 slices; the pool is walked whenever it holds
         # _CHUNK points, so the working set beyond the result is a few
@@ -529,13 +593,65 @@ class TestDescent:
         # survivor to the end peaks at 72 and 125 slice widths here for
         # cdf_many and mrl_many)
         xs = np.random.default_rng(9).random(2_000_000)
-        tracemalloc.start()
-        try:
-            out = fn(P1, xs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - out.nbytes <= bound * _CHUNK * xs.itemsize
+        assert peak_beyond_result(fn, xs) <= bound * _CHUNK * xs.itemsize
+
+    @pytest.mark.parametrize("fn,bound", POOL_BOUNDS)
+    def test_odd_points_keep_memory_bounded(self, fn, bound):
+        # the same input with an odd point in every slice, which rides the
+        # slice as a placeholder: no slice copies its state to leave it out
+        xs = np.random.default_rng(9).random(2_000_000)
+        xs[::_CHUNK] = np.resize(ODD_POINTS, xs[::_CHUNK].size)
+        assert peak_beyond_result(fn, xs) <= bound * _CHUNK * xs.itemsize
+
+    def test_odd_points_in_every_slice(self):
+        # an odd point in each slice leaves the slice one contiguous group,
+        # ended on the plateau, and the scalar loop's later group holds the
+        # odd point's value; the twins are compared at the odd points and at
+        # every 61st point, where a misplaced group would show
+        xs = odd_in_every_slice()
+        groups = list(_descend_many(P2, xs, 1e-10))
+        assert [at for at, *_ in groups if isinstance(at, slice)] == [
+            slice(start, min(start + _CHUNK, xs.size)) for start in range(0, xs.size, _CHUNK)]
+        gather(groups, P2, xs)
+        at = np.union1d(np.flatnonzero(~carried(xs)), np.arange(0, xs.size, 61))
+        assert np.isin(ODD_POINTS, xs[at]).all()
+        for p in (1e-6, 0.01, 1.0, 100.0, 1e6):
+            params = PSingularParams(p)
+            for vector, scalar in EVALUATORS[:4]:
+                np.testing.assert_array_equal(bits(vector(params, xs)[at]),
+                                              bits([scalar(params, x) for x in xs[at].tolist()]))
+
+    def test_placeholder_never_names_the_unresolved_point(self):
+        # at p = 1e-20 the placeholder of x = 0 has 1 - F = 0 below 1/3,
+        # which `mrl_many` marks unresolved; the scalar loop's group
+        # overwrites it, so `mrl_many` raises the error of the first
+        # point at which `mrl` raises, message included
+        params, xs = PSingularParams(1e-20), odd_in_every_slice()
+        for x in xs.tolist():
+            try:
+                mrl(params, x)
+            except ParameterError as err:
+                message = str(err)
+                break
+        with pytest.raises(ParameterError) as err:
+            mrl_many(params, xs)
+        assert str(err.value) == message
+
+    def test_odd_points_alone_skip_the_vector_walk(self, monkeypatch):
+        # a short input of odd points only has nothing for the vector walk
+        def refuse(*args):
+            raise AssertionError("_descend_slice called")
+
+        monkeypatch.setattr(distribution, "_descend_slice", refuse)
+        for vector, scalar in EVALUATORS:
+            np.testing.assert_array_equal(bits(vector(P2, ODD_POINTS)),
+                                          bits([scalar(P2, x) for x in ODD_POINTS]))
+
+    @pytest.mark.parametrize("name,p", list(VECTOR_DIGESTS))
+    def test_vector_bytes_are_pinned(self, name, p):
+        fn = {fn.__name__: fn for fn, _ in EVALUATORS}[name]
+        out = fn(PSingularParams(p), grid_eval_batch())
+        assert hashlib.sha256(out.tobytes()).hexdigest() == VECTOR_DIGESTS[name, p]
 
     @pytest.mark.parametrize("fn", [cdf_many, cdf_integral_many, mrl_many, payoff_curve])
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])

@@ -243,6 +243,25 @@ class TestUniqueness:
         fixedpoint._certify(PSingularParams(1.0), DEFAULT_CONFIG)
         assert sorted(seen) == [0.0, 0.125, 0.25, 0.3125]
 
+    def test_margin_sign_is_exact(self):
+        # the sign of m(a) + a - bound(a) - 2b from a sum of doubles, against
+        # the exact margin as a Fraction, on cells of every level, the last
+        # one cut at the real 1/3 among them, with m(a) within a few ulps of
+        # 2b - a + bound(a) and bounds down to the least subnormal
+        rng = np.random.default_rng(18)
+        bounds = [0.0, 5e-324, 1e-310, 2.0 ** -60, 1e-10]
+        for _ in range(20_000):
+            level = int(rng.integers(1, fixedpoint.CELL_LEVEL + 1))
+            last = (1 << level) // 3  # the cell that holds 1/3
+            j = last if rng.random() < 0.3 else int(rng.integers(0, last + 1))
+            a, b = Fraction(j, 1 << level), min(Fraction(j + 1, 1 << level), Fraction(1, 3))
+            bound = bounds[rng.integers(len(bounds))]
+            value = float(2 * b - a + Fraction(bound))
+            for _ in range(abs(ulps := int(rng.integers(-3, 4)))):
+                value = math.nextafter(value, math.copysign(math.inf, ulps))
+            margin = Fraction(value) + a - Fraction(bound) - 2 * b
+            assert fixedpoint._certified(value, bound, j, level) == (margin > 0)
+
     @given(log_p=st.floats(min_value=-4.0, max_value=4.0))
     @settings(max_examples=60, deadline=None)
     def test_certificate_holds(self, log_p):
