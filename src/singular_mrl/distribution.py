@@ -28,12 +28,14 @@ only the rows its caller reads (F for `cdf_many`, J for
 `cdf_integral_many` and the payoff, both for the MRL) plus those its stop
 test reads, and the stop test is chosen per point, so a quantity that
 reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in one
-descent.  A slice ends its points on the plateau in place, and the few
-the jump leaves live are pooled across slices into one tail walk, whose
-later values overwrite theirs, so the deep, nearly empty levels, where
-numpy's per-call cost outweighs the arithmetic, are paid once per call.
-A point with no int64 numerator rides its slice as a placeholder on the
-plateau, which ends at once, and the scalar loop overwrites its value.
+descent; a point's kind of step and its branch are picked by integer
+division and 0/1 weights, not by selects.  A slice ends its points on the
+plateau in place, and the few the jump leaves live are pooled across
+slices into one tail walk, whose later values overwrite theirs, so the
+deep, nearly empty levels, where numpy's per-call cost outweighs the
+arithmetic, are paid once per call.  A point with no int64 numerator
+rides its slice as a placeholder on the plateau, which ends at once, and
+the scalar loop overwrites its value.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ _LO, _HI = _ONE // 3 + 1, 2 * _ONE // 3
 _M34 = 3 << 61
 _SCALE = 2.0 ** -63
 _STEP_M = np.array([3, 1, -3])  # by kind of step: left, plateau, right
-_EDGES = np.array([_LO, _HI + 1])  # kind = np.searchsorted(_EDGES, M, "right")
 # levels walked without a stop test, which one lookup in `_jump_table`
 # over the 3^_JUMP ternary cells replaces
 _JUMP = 8
@@ -158,11 +159,14 @@ def _check_unit_interval(x) -> float:
 
 
 def _points(xs) -> np.ndarray:
-    """xs as a float array; DomainError for str, bytes and complex input or
-    elements, which are no points of [0, 1] (numpy would parse a str)."""
+    """xs as a float array; DomainError for str, bytes, complex, timedelta64
+    and datetime64 input or elements, which are no points of [0, 1] (numpy
+    would parse a str and count the ticks of a time; it registers
+    np.timedelta64 as a numbers.Real)."""
     xs = np.asarray(xs)
     kind = xs.dtype.kind
-    if kind in "SUc" or (kind == "O" and not all(isinstance(x, _REAL) for x in xs.flat)):
+    if kind in "SUcmM" or (kind == "O" and not all(
+            isinstance(x, _REAL) and not isinstance(x, np.timedelta64) for x in xs.flat)):
         raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
     return xs.astype(float, copy=False)
 
@@ -262,12 +266,14 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     (positions, F, F bounds, J, J bounds) of the flattened `xs`, positions
     a slice or an index array, which a caller writes in order with
     out[positions] = values: they cover every position, and the later of
-    two groups holds its value.  `reads` names the quantities the caller
-    reads, "F", "J" or "FJ", and picks the stop test as in `_descend`; the
-    walk carries only those quantities and what its stop test needs, and
-    yields None for a quantity it did not carry.  With `tol_below` each
-    point descends on its branch of 1/3, as in `_descend`, so both
-    branches share one descent.
+    two groups holds its value; a group whose points all end on the
+    plateau has the float 0.0 for both bounds, which that write
+    broadcasts.  `reads` names the quantities the caller reads, "F", "J"
+    or "FJ", and picks the stop test as in `_descend`; the walk carries
+    only those quantities and what its stop test needs, and yields None
+    for a quantity it did not carry.  With `tol_below` each point descends
+    on its branch of 1/3, as in `_descend`, so both branches share one
+    descent.
 
     An input of at most `_CHUNK` points, for which building the jump table
     would cost more than the walk, steps through its head (see `_descend`)
@@ -367,17 +373,27 @@ class _Walk:
         if odd.size:
             odd = odd[(m.take(odd) == 0) | (m.take(odd) != scaled.take(odd))]
         state = np.empty((self.rows + 2 * self.per_point, x.size))
-        lim, rel = self.lim, self.relative
         if self.branch:
-            above = (x > ONE_THIRD).view(np.int8)
-            m *= 1 - 2 * above  # 1 - x is (-M) & _MASK = 2^63 - M
+            # x >= 1/3 is M >= _LO (fl(1/3) 2^63 < _LO < the next double's
+            # M), where neg = -1, else 0; 1 - x is -M & _MASK = (M ^ -1) + 1
+            neg = _LO - 1 - m
+            neg >>= 63
+            m ^= neg
+            m -= neg
             m &= _MASK
-            if self.lim_below != lim:
-                lim = np.array([self.lim_below, lim]).take(above)
-            rel = above * rel
         if self.per_point:
-            np.multiply(lim, rel, out=state[self.rows])
-            np.subtract(lim, state[self.rows], out=state[self.rows + 1])
+            # L = 2 tol and K = 0 where the test is relative, L = 0 and K the
+            # limit elsewhere; a = 1 where `tol` and `relative` hold (x >= 1/3,
+            # or all points without a branch), and each zero it makes is exact
+            l_above = self.lim * self.relative
+            k_above = self.lim - l_above
+            a = (x > ONE_THIRD).astype(float) if self.branch else 1.0
+            l_row, k_row = state[self.rows], state[self.rows + 1]
+            np.multiply(a, l_above, out=l_row)
+            np.subtract(1.0, a, out=k_row)
+            k_row *= self.lim_below
+            if k_above:
+                k_row += a * k_above
         m[odd] = _LO
         return m, state, odd
 
@@ -388,6 +404,14 @@ class _Walk:
                                            for x in xs.take(at).tolist()]).T
         return (at, *((f, f_bound) if self.f is not None else (None, None)),
                 *((j, j_bound) if self.j is not None else (None, None)))
+
+
+def _kinds(m: np.ndarray) -> np.ndarray:
+    """The kind of step at each numerator 0 <= M < 2^63: 0 left (M < _LO),
+    1 on the plateau, 2 right (M > _HI).  That is M // _LO, since
+    2 _LO = _HI + 1 and 3 _LO > 2^63, and numpy divides an array by a
+    scalar with a multiply and a shift."""
+    return m // _LO
 
 
 def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> np.ndarray:
@@ -423,7 +447,7 @@ def _head(walk: _Walk, m: np.ndarray, state: np.ndarray,
     reached the plateau, or `_JUMP`."""
     state[:walk.rows] = walk.origin
     for _ in range(_JUMP):
-        step = _step(walk, m, state, np.searchsorted(_EDGES, m, side="right"))
+        step = _step(walk, m, state, _kinds(m))
         if mult is not None:
             mult *= step
 
@@ -485,7 +509,7 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
     ended = np.empty((rows, n))
     done = 0
     while True:
-        kind = np.searchsorted(_EDGES, m, side="right")
+        kind = _kinds(m)
         width = state[j + 2] * (m * _SCALE) if walk.j_test else np.abs(state[f + 1])
         if per_point:
             lim = (state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1]
@@ -509,45 +533,58 @@ def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarra
     """The group (positions, F, F bounds, J, J bounds) of ended points, in
     place over their final state: positions `at` (a slice or an index
     array) and rows of `ended`.  Per kind of end (0 stopped, 1 on the
-    plateau, 2 at 3/4; an int where all points share it)
-    F = a_F + b_F w_F with bound |b_F| e_F, and J = (A + B y) + h with
-    h = (b_J w_J) u and bound h e_J, where u is J's plateau term
-    I1 + (y - 1/3) q on the plateau, J(3/4) at 3/4 and y elsewhere."""
+    plateau, 2 at 3/4) F = a_F + b_F w_F with bound |b_F| e_F, and
+    J = (A + B y) + h with h = (b_J w_J) u and bound h e_J, where u is J's
+    plateau term I1 + (y - 1/3) q on the plateau, J(3/4) at 3/4 and y
+    elsewhere.  `kind` is an array, or the int 1 where every point ended on
+    the plateau: then w_J = 1 and both bounds are the float 0.0, which the
+    caller writes by broadcasting."""
     group = [at, None, None, None, None]
+    plateau = not np.ndim(kind)
     if walk.f is not None:
         af, bf = ended[walk.f], ended[walk.f + 1]
         w_f, e_f = walk.ends_f.take(kind, axis=1)
         af += bf * w_f
-        np.abs(bf, out=bf)
-        bf *= e_f
+        if plateau:
+            bf = 0.0
+        else:
+            np.abs(bf, out=bf)
+            bf *= e_f
         group[1:3] = af, bf
     if walk.j is not None:
         a, b, bj = ended[walk.j], ended[walk.j + 1], ended[walk.j + 2]
-        w_j, e_j = walk.ends_j.take(kind, axis=1)
         y = m * _SCALE
         a += b * y
         u = walk.i1 + (y - ONE_THIRD) * walk.q
-        if np.ndim(kind):
+        if not plateau:
+            w_j, e_j = walk.ends_j.take(kind, axis=1)
             np.copyto(u, y, where=kind == 0)
             np.copyto(u, walk.j34, where=kind == 2)
-        bj *= w_j
+            bj *= w_j
         bj *= u
         a += bj
-        group[3:] = a, bj * e_j
+        group[3:] = a, 0.0 if plateau else bj * e_j
     return tuple(group)
 
 
 def _branch_many(params: PSingularParams, xs, tol: float, tol_below: float | None, value,
                  reads: str = "FJ", relative: bool = False) -> np.ndarray:
     """F and J at each point, or with `tol_below` on its branch of 1/3,
-    turned into values by value(x, x >= 1/3, F, J) for each group of
-    `_descend_many` in its order, so that a later group's values hold."""
+    turned into values by value(x, above, F, J) for each group of
+    `_descend_many` in its order, so that a later group's values hold.
+
+    With `tol_below`, `above` is the boolean x >= 1/3 (None without), and
+    value picks each point's branch by the 0/1 weights `above` and
+    b = 1 - above, not by a select: below 1/3, where b = 1, it takes its
+    scalar's operations in their order, and above it every product with a
+    zero weight and every sum with a zero term is exact, so each branch
+    equals its scalar bit for bit."""
     xs = _points(xs)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for at, f, _, j, _ in _descend_many(params, flat, tol, reads, relative, tol_below):
         x = flat[at]
-        out[at] = value(x, x > ONE_THIRD, f, j)
+        out[at] = value(x, x > ONE_THIRD if tol_below is not None else None, f, j)
     return out.reshape(xs.shape)
 
 

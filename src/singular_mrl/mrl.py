@@ -77,17 +77,29 @@ def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG)
 
 def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized m over an array of points in [0, 1], equal to `mrl` at
-    every point, and raising its ParameterError if any point does."""
+    every point, and raising its ParameterError if any point does.  The
+    branch is picked by weights (see `_branch_many`):
+    ((b - b x) - (b J(1) - J)) / ((above - b) F + b)."""
     j1, tol = 1.0 - mean(params), config.tolerance
 
     def value(x, above, f, j):
-        den = np.where(above, f, 1.0 - f)
+        # the docstring's quotient, in place
+        b = 1.0 - above
+        den = above - b
+        den *= f
+        den += b
+        num = b * x
+        np.subtract(b, num, out=num)
+        b *= j1
+        b -= j
+        num -= b
+        if den.min() > 0.0:
+            return np.divide(num, den, out=num)
         # m = 0 where the survival F(1-x) underflowed, as in `mrl`; NaN where
         # 1 - F(x) = 0 below 1/3, raised once no later group can overwrite it
         out = np.zeros_like(den)
-        if not den.all():
-            out[~above & (den == 0.0)] = np.nan
-        return np.divide(np.where(above, j, (1.0 - x) - (j1 - j)), den, out=out, where=den > 0.0)
+        out[~above & (den == 0.0)] = np.nan
+        return np.divide(num, den, out=out, where=den > 0.0)
 
     m = _branch_many(params, xs, tol, tol * params.right_mass, value, "FJ", True)
     if np.isnan(m).any():

@@ -41,11 +41,25 @@ def expected_payoff(params: PSingularParams, price: float, config: EvalConfig = 
 
 def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized Pi over an array of prices in [0, 1], equal to
-    `expected_payoff` at every price."""
+    `expected_payoff` at every price.  The branch is picked by weights
+    (see `_branch_many`): x ((b - b x) - (b J(1) - (above p + b) J))."""
     p, j1, tol = params.p, 1.0 - mean(params), config.tolerance
-    return _branch_many(params, prices, tol, tol,
-                        lambda x, above, f, j: x * np.where(above, p * j, (1.0 - x) - (j1 - j)),
-                        "J")
+
+    def value(x, above, f, j):
+        # the docstring's formula, in place
+        b = 1.0 - above
+        pj = above * p
+        pj += b
+        pj *= j
+        out = b * x
+        np.subtract(b, out, out=out)
+        b *= j1
+        b -= pj
+        out -= b
+        out *= x
+        return out
+
+    return _branch_many(params, prices, tol, tol, value, "J")
 
 
 def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,

@@ -133,6 +133,11 @@ EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, 
 # 0, 1 and doubles below 2^-11 that are not multiples of 2^-63
 ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
 
+# the ends and both sides of 1/3, where the reflected evaluators switch
+# branch: fl(1/3) lies below 1/3, and the next double, 1 - fl(2/3), above
+BRANCH_EDGES = [0.0, ONE_THIRD, np.nextafter(ONE_THIRD, 1.0), 1.0 - TWO_THIRDS, 0.5,
+                1.0 - 2.0 ** -53, 1.0]
+
 
 def odd_in_every_slice():
     """3 `_CHUNK` + 5 uniform points, with 0 first and an odd point in
@@ -165,6 +170,15 @@ VECTOR_DIGESTS = {
     ("payoff_curve", 0.01): "9ca64d7abaa3cdd08e63032424fe0f5cd256f7f783b05420a6382598dc13f228",
     ("payoff_curve", 1.0): "410982927395700efad3913557ea6ff1d0fe82c521a992b43dc087f78a321ea2",
     ("payoff_curve", 100.0): "54f185f7f2bae9ef02741278703ed2e934ad8b7257e45976bcd4a177233a0b7b",
+    # recorded while the branch of 1/3 was still picked with np.where
+    ("cdf_many", 1e-06): "919d11e4ecc01f2dda5aa3456746ee82e05619f1c305fd5efa4cccbe6df24312",
+    ("cdf_many", 1e6): "804299fe17cbd3195603b0db31680d8374cd6d45c0f98c53925f9c71ccd778b1",
+    ("cdf_integral_many", 1e-06): "533bf5e9c33990d02a645dd554c1bb4dfdf18120b0af69c2d55d02537a8f1038",
+    ("cdf_integral_many", 1e6): "2073e066b8438476a53adf05708814a73edcc90106d1a51270e38b4169fb4c49",
+    ("mrl_many", 1e-06): "830c1b9efd8c77594f170636ce3a554636430d89d526b55745e83d5527da6464",
+    ("mrl_many", 1e6): "2e54332893b00afa6cb691dd07c7b8d642f46c9e7fea561c7fe4d1d2b5afd11f",
+    ("payoff_curve", 1e-06): "4763a87b3a8bacf0a21b796e494ad94a44552d537377411f7b5fd928eba0c381",
+    ("payoff_curve", 1e6): "caf479a94c2c05d2e2a6a2e977393c462e119babccf044d3879888387ba07283",
 }
 
 # `test_pool_memory_is_bounded`'s bound per function, in slice widths
@@ -653,6 +667,47 @@ class TestDescent:
         out = fn(PSingularParams(p), grid_eval_batch())
         assert hashlib.sha256(out.tobytes()).hexdigest() == VECTOR_DIGESTS[name, p]
 
+    @pytest.mark.parametrize("size", [len(BRANCH_EDGES), 2 * _CHUNK + len(BRANCH_EDGES)])
+    @pytest.mark.parametrize("p", [1e-300, 1e-6, 1.0, 1e6, 1e300])
+    def test_branch_weights_at_the_edges(self, p, size):
+        # the weights that pick each point's branch of 1/3 give the scalars'
+        # values bit for bit on both sides of it and at the ends, where
+        # m = 0 (F(1 - x) underflows at p = 1e300) or `mrl` raises (1 - F(x)
+        # rounds to 0 below 1/3 at p = 1e-300); the longer input repeats the
+        # edges through three slices of the jump table's path
+        params, xs = PSingularParams(p), np.resize(BRANCH_EDGES, size)
+        np.testing.assert_array_equal(bits(payoff_curve(params, xs)),
+                                      bits([expected_payoff(params, x) for x in xs.tolist()]))
+        try:
+            expected = bits([mrl(params, x).value for x in xs.tolist()])
+        except ParameterError as err:
+            with pytest.raises(ParameterError) as raised:
+                mrl_many(params, xs)
+            assert str(raised.value) == str(err)
+        else:
+            np.testing.assert_array_equal(bits(mrl_many(params, xs)), expected)
+
+    def test_unresolved_text_is_pinned(self):
+        with pytest.raises(ParameterError) as raised:
+            mrl_many(PSingularParams(1e-20), [0.5, 0.1, 0.2])
+        assert str(raised.value) == (
+            "p = 1e-20 is too small: 1 - F(x) rounds to 0 at x = 0.1, so double precision "
+            "cannot resolve the survival there")
+
+    def test_kinds_are_the_searchsorted_kinds(self):
+        # the step kinds by one division, against the searchsorted over the
+        # plateau's edges that it replaces, on the edges and at random
+        # numerators 0 <= M < 2^63
+        edges = np.array([distribution._LO, distribution._HI + 1])
+        m = np.concatenate((
+            [0, distribution._LO - 1, distribution._LO, distribution._HI, distribution._HI + 1,
+             distribution._M34, distribution._MASK],
+            np.random.default_rng(23).integers(0, distribution._MASK, 100_000, endpoint=True)))
+        kinds = distribution._kinds(m)
+        assert kinds.dtype == np.intp
+        np.testing.assert_array_equal(kinds, np.searchsorted(edges, m, side="right"))
+        assert kinds[:7].tolist() == [0, 0, 1, 1, 2, 2, 2]
+
     @pytest.mark.parametrize("fn", [cdf_many, cdf_integral_many, mrl_many, payoff_curve])
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.1])
     def test_array_domain_error(self, fn, bad):
@@ -663,12 +718,18 @@ class TestDescent:
         cdf, cdf_with_bound, survival, cdf_integral, mrl, gmrl, expected_payoff,
         cdf_many, cdf_integral_many, mrl_many, payoff_curve], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 0.5j, [0.2, "0.5"], np.complex128(0.5),
-                                     np.array(["0.5"], dtype=object)], ids=repr)
+                                     np.array(["0.5"], dtype=object),
+                                     np.array([1], dtype="timedelta64[s]"),
+                                     np.array([1], dtype="datetime64[s]"),
+                                     np.array([np.timedelta64(1, "s")], dtype=object),
+                                     np.array([np.datetime64(1, "s")], dtype=object),
+                                     np.timedelta64(1, "s"), np.datetime64(1, "s")], ids=repr)
     def test_non_real_point_domain_error(self, fn, bad):
-        # a str, bytes, None or a complex is no point of [0, 1], for the
-        # scalar and the vector evaluators alike (numpy would parse a str,
-        # also as the element of an object array, and orders its complex
-        # scalars)
+        # a str, bytes, None, a complex or a time is no point of [0, 1], for
+        # the scalar and the vector evaluators alike (numpy would parse a
+        # str, also as the element of an object array, orders its complex
+        # scalars, counts a time's ticks and registers np.timedelta64 as a
+        # numbers.Real)
         with pytest.raises(DomainError):
             fn(P1, bad)
 
