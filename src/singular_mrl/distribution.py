@@ -18,24 +18,25 @@ path, and every evaluated quantity of the package is a formula over it.
 The walk is exact.  It carries the point as an integer ratio, n/d in the
 scalar loop and M = y 2^63 in the numpy loop, so the steps y -> 3y and
 y -> 3(1-y) and the reflection y -> 1-y never round, and every branch is
-the one the double that the caller passed takes.  The first
-`_JUMP` levels have no stop test, so a point's state after them depends
-on its ternary cell floor(3^_JUMP y) alone: a long input looks it up in a
-per-p table (`_jump_table`) instead of walking those levels.  The numpy
-loop uses no boolean masks: each later level splits the live points once
-by integer index into those that go on and those that end.  It carries
-only the rows its caller reads (F for `cdf_many`, J for
-`cdf_integral_many` and the payoff, both for the MRL) plus those its stop
-test reads, and the stop test is chosen per point, so a quantity that
-reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in one
-descent; a point's kind of step and its branch are picked by integer
-division and 0/1 weights, not by selects.  A slice ends its points on the
-plateau in place, and the few the jump leaves live are pooled across
-slices into one tail walk, whose later values overwrite theirs, so the
-deep, nearly empty levels, where numpy's per-call cost outweighs the
-arithmetic, are paid once per call.  A point with no int64 numerator
-rides its slice as a placeholder on the plateau, which ends at once, and
-the scalar loop overwrites its value.
+the one the double that the caller passed takes.  The first `_JUMP`
+levels have no stop test, so a point's steps in them depend on its
+ternary cell floor(3^_JUMP y) alone: one table of them for every p
+(`_head_table`) makes a short input's head float updates alone, and a
+long input looks its state after them up in a per-p table (`_jump_table`).
+The numpy loop carries only the rows its caller reads (F for `cdf_many`,
+J for `cdf_integral_many` and the payoff, both for the MRL) plus those
+its stop test reads, and the stop test is chosen per point, so a quantity
+that reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in
+one descent; a point's kind of step and its branch are picked by integer
+division and 0/1 weights, not by selects.  A short input walks the points
+its head left live without compaction: an ended point takes the plateau
+step, which keeps it in place.  A long one ends each slice on the plateau
+in place, and pools the few the jump leaves live across slices into one
+tail walk, which splits them at each level by integer index into those
+that go on and those that end, so the deep, nearly empty levels are paid
+once per call.  0 and 1 ride as placeholders on the plateau with a state
+that ends them exactly; a point with no int64 numerator rides as one too,
+and the scalar loop overwrites its value.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _check_unit_interval(x) -> float:
     try:
         if 0.0 <= x <= 1.0 and not isinstance(x, np.complexfloating):  # numpy orders these
             return float(x)
-    except TypeError:  # a str, None, a Python complex: not a point of [0, 1]
+    except (TypeError, ValueError):  # a str, None, a complex, an array of points
         pass
     raise DomainError(f"x must lie in [0, 1], got {x!r}")
 
@@ -276,16 +277,17 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     descent.
 
     An input of at most `_CHUNK` points, for which building the jump table
-    would cost more than the walk, steps through its head (see `_descend`)
-    and walks on to the end.  A longer one is cut into `_CHUNK`-point
-    slices, and each slice looks up the head of every point in
-    `_jump_table`, built once per p, and ends all of them on the plateau
-    in place.  The few still live join a pool that walks the remaining
+    would cost more than the walk, takes its head from the shared
+    `_head_table` and walks on in one group (`_walk_on`).  A longer one is
+    cut into `_CHUNK`-point slices, and each slice looks up the head of
+    every point in `_jump_table`, built once per p, and ends all of them on
+    the plateau in place.  The few still live join a pool that walks the remaining
     levels, in a later group, whenever it holds `_CHUNK` points and once
     more after the last slice, so the near-empty deep levels are paid about
-    once per call and the working set stays a few slices wide.  The few
-    points that have no int64 numerator (see `_Walk.start`) ride either
-    path as placeholders and walk in `_descend`, whose group comes later.
+    once per call and the working set stays a few slices wide.  0, 1 and
+    the few points with no int64 numerator ride either path as placeholders
+    (`_Walk.start`): 0 and 1 with a zero state that ends them exactly, the
+    others to walk in `_descend`, whose group comes later.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     n = xs.size
@@ -298,13 +300,11 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     table = _jump_table(params) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        m, state, odd = walk.start(xs[start:start + _CHUNK], top == 1.0)
+        m, flat, state, odd = walk.start(xs[start:start + _CHUNK], top == 1.0, table)
         if table is None:
             if odd.size < n:  # n <= _CHUNK: the whole input is one slice
-                _head(walk, m, state)
-                yield _descend_slice(walk, np.arange(n), m, state)
+                yield _walk_on(walk, m, flat, state)
         else:
-            m, flat = _jump(walk, m, state, table)
             keep = np.flatnonzero(~flat)
             if keep.size:
                 pool.append((keep + start, m.take(keep), state.take(keep, axis=1)))
@@ -338,7 +338,7 @@ class _Walk:
                  tol_below: float | None):
         q, r = params.left_mass, params.right_mass
         self.params, self.q, self.args = params, q, (tol, reads, relative, tol_below)
-        self.i1, j1, self.c, f34, self.j34 = _anchors(params)
+        self.i1, self.j1, self.c, f34, self.j34 = _anchors(params)
         # `_step`'s factors by kind of step (left, plateau, right): R (1 on a
         # right step), b_F's and b_J's, and B's divisor; and `_select`'s
         # (w, e) of F and of J by kind of end
@@ -353,25 +353,28 @@ class _Walk:
         carry_f = "F" in reads or self.per_point
         carry_j = "J" in reads
         # the row of a_F and of A, None where that quantity is not carried,
-        # and the rows' values at the start of a walk
+        # the rows' values at the start of a walk
         self.f = 0 if carry_f else None
         self.j = 2 * carry_f if carry_j else None
         self.rows = 2 * carry_f + 3 * carry_j
         self.origin = np.array([0.0, 1.0] * carry_f + [0.0, 0.0, 1.0] * carry_j)[:, None]
+        # and the rows at x = 1 that end its walk exactly (see `start`)
+        self.one = np.array([1.0, 0.0] * carry_f + [self.j1, 0.0, 0.0] * carry_j)[:, None]
 
-    def start(self, x: np.ndarray, ones: bool):
-        """The numerators and stop limits of the points of the slice x, and
-        the positions in x of the odd ones, which `scalar` walks: 0, 1
-        (looked for only with `ones`) and the doubles below 2^-11 that are
-        not multiples of 2^-63.  An odd point's numerator is the placeholder
-        `_LO`, on the plateau, where the vector walk ends it at once."""
+    def start(self, x: np.ndarray, ones: bool, table):
+        """The walk of the slice x through its head (`_head`): numerators,
+        whether each point ended on the plateau, state and the positions of
+        the odd points, the doubles below 2^-11 not multiples of 2^-63,
+        which `scalar` walks.  These, 0 and 1 (looked for only with `ones`)
+        sit on the plateau at `_LO`; 0 and 1 end there exactly: a_F = F,
+        A = J, b_F = B = b_J = 0, and `_select`'s terms in 0 are exact."""
         scaled = x * 2.0 ** 63
         if ones:
-            scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it odd
+            scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it
         m = scaled.astype(np.int64)
-        odd = np.flatnonzero(m < 1 << 52)
+        odd = ends = np.flatnonzero(m < 1 << 52)
         if odd.size:
-            odd = odd[(m.take(odd) == 0) | (m.take(odd) != scaled.take(odd))]
+            ends, odd = odd[scaled.take(odd) == 0.0], odd[m.take(odd) != scaled.take(odd)]
         state = np.empty((self.rows + 2 * self.per_point, x.size))
         if self.branch:
             # x >= 1/3 is M >= _LO (fl(1/3) 2^63 < _LO < the next double's
@@ -394,8 +397,17 @@ class _Walk:
             k_row *= self.lim_below
             if k_above:
                 k_row += a * k_above
-        m[odd] = _LO
-        return m, state, odd
+        m[odd] = m[ends] = _LO
+        # the cell floor(3^_JUMP M / 2^63), exact: with M = 2^32 h + l, it is
+        # (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no product reaches 2^63
+        cell = ((m >> 32) * _CELLS + (((m & 0xFFFFFFFF) * _CELLS) >> 32)) >> 31
+        mult = _head(self, cell, state, table)
+        m *= mult
+        m &= _MASK
+        flat = np.abs(mult) < _CELLS
+        if ends.size:  # the state at x = 1 times x, or times 0 where x is reflected
+            state[:self.rows, ends] = self.one * (0.0 if self.branch else x.take(ends))
+        return m, flat, state, odd
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
         """The group of the points of xs at positions `at`, from `_descend`,
@@ -414,13 +426,22 @@ def _kinds(m: np.ndarray) -> np.ndarray:
     return m // _LO
 
 
-def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> np.ndarray:
-    """One step of every point, in place, by kind (0 left, 1 on the
-    plateau, 2 right): the float operations of `_descend`'s step in its
-    order, with the factors from `walk.factors`; a point on the plateau is
-    multiplied by 1 and added 0, which are exact, so it keeps its state.
-    Returns the multipliers 3, 1 or -3 of the numerators."""
-    r_f, step_f, step_j, div = walk.factors.take(kind, axis=1)
+def _goes_on(walk: _Walk, m: np.ndarray, state: np.ndarray):
+    """Each point's kind of step, and whether it steps on: off the plateau
+    and 3/4 and outside its stop test, which compares the chosen bracket
+    with its limit, a multiply-add where the limit is set per point."""
+    f, rows, kind = walk.f, walk.rows, _kinds(m)
+    width = state[walk.j + 2] * (m * _SCALE) if walk.j_test else np.abs(state[f + 1])
+    lim = ((state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1] if walk.per_point
+           else walk.lim)
+    return kind, (kind != 1) > ((width <= lim) | (m == _M34))  # and not ended, in one pass
+
+
+def _advance(walk: _Walk, state: np.ndarray, factors: np.ndarray) -> None:
+    """The float part of one step of every point, in place: `_descend`'s
+    operations in its order, with the `walk.factors` of each point's kind
+    of step in `factors`; on the plateau x1 and +0 keep its state."""
+    r_f, step_f, step_j, div = factors
     if walk.f is not None:
         af, bf = state[walk.f], state[walk.f + 1]
         af += bf * r_f
@@ -433,87 +454,102 @@ def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> np
         a += t * r_f
         np.divide(t, div, out=b)
         bj *= step_j
-    step = _STEP_M.take(kind)
-    m *= step
+
+
+def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> None:
+    """One step of every point, in place, by kind (0 left, 1 on the
+    plateau, 2 right): `_advance`, and the numerators times 3, 1 or -3."""
+    _advance(walk, state, walk.factors.take(kind, axis=1))
+    m *= _STEP_M.take(kind)
     m &= _MASK
-    return step
 
 
-def _head(walk: _Walk, m: np.ndarray, state: np.ndarray,
-          mult: np.ndarray | None = None) -> None:
-    """Step every point through the head (see `_descend`), in place, from
-    the start of a walk, and multiply `mult`, if given, by the multiplier
-    +-3^e of each numerator, where e is the level at which the point
-    reached the plateau, or `_JUMP`."""
+@functools.lru_cache(maxsize=1)
+def _head_table() -> tuple[np.ndarray, np.ndarray]:
+    """The head (see `_descend`) of every ternary cell at any p, from its
+    centre, which every point of the cell follows (the cell edges
+    k 2^63 / 3^_JUMP are not integers): (its kind of step, a row per level,
+    and the multiplier +-3^e of its numerators, e the level at which it
+    reached the plateau, or `_JUMP`).  Built on first use, read-only."""
+    m = ((np.arange(_CELLS) + 0.5) * (2.0 ** 63 / _CELLS)).astype(np.int64)
+    kinds, mult = np.empty((_JUMP, _CELLS), dtype=np.int8), np.ones(_CELLS, dtype=np.int64)
+    for level in kinds:
+        level[:] = _kinds(m)
+        step = _STEP_M.take(level)
+        mult *= step
+        m *= step
+        m &= _MASK
+    kinds.flags.writeable = mult.flags.writeable = False
+    return kinds, mult
+
+
+def _head(walk: _Walk, cell: np.ndarray, state: np.ndarray, table=None) -> np.ndarray:
+    """The head of points in the ternary cells `cell`, from the start of a
+    walk: fills their state rows from their columns of `table` or, without
+    one, by `_advance` with the factors of their cells' kinds of step in
+    `_head_table`, all levels in one lookup; returns the multipliers of
+    their numerators."""
+    kinds, mult = _head_table()
+    if table is not None:
+        if walk.f is not None:
+            table[1][0:2].take(cell, axis=1, out=state[walk.f:walk.f + 2], mode="clip")
+        if walk.j is not None:
+            table[1][2:5].take(cell, axis=1, out=state[walk.j:walk.j + 3], mode="clip")
+        return mult.take(cell)
+    factors = walk.factors.take(kinds.take(cell, axis=1), axis=1)
     state[:walk.rows] = walk.origin
-    for _ in range(_JUMP):
-        step = _step(walk, m, state, _kinds(m))
-        if mult is not None:
-            mult *= step
+    for level in range(_JUMP):
+        _advance(walk, state, factors[:, level])
+    return mult.take(cell)
 
 
 @functools.lru_cache(maxsize=8)
 def _jump_table(params: PSingularParams) -> tuple[np.ndarray, np.ndarray]:
-    """The head at p of every ternary cell floor(3^_JUMP M / 2^63), from
-    one numerator inside each: (the multipliers +-3^e of `_head`, the state
-    rows a_F, b_F, A, B and b_J after it), one column per cell.  Every
-    point of a cell takes the same branches in the head (the cell edges
-    k 2^63 / 3^_JUMP are not integers), so it has the cell's column.
-    About 300 kB, built once per p, so the arrays are read-only."""
+    """The head at p of every ternary cell, from `_head`: (the multipliers
+    of `_head_table`, the state rows a_F, b_F, A, B and b_J after it), one
+    column per cell.  About 300 kB, built once per p, read-only."""
     walk = _Walk(params, 1.0, "FJ", False, None)
-    m = ((np.arange(_CELLS) + 0.5) * (2.0 ** 63 / _CELLS)).astype(np.int64)
-    mult, state = np.ones(_CELLS, dtype=np.int64), np.empty((walk.rows, _CELLS))
-    _head(walk, m, state, mult)
-    mult.flags.writeable = state.flags.writeable = False
-    return mult, state
+    state = np.empty((walk.rows, _CELLS))
+    _head(walk, np.arange(_CELLS), state)
+    state.flags.writeable = False
+    return _head_table()[1], state
 
 
-def _jump(walk: _Walk, m: np.ndarray, state: np.ndarray, table):
-    """The head of every point, from the column of its cell in `table`:
-    fills the state rows and returns the numerators after the head and
-    whether each point ended on the plateau.  The cell is exact: with
-    M = 2^32 h + l, it is (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no
-    product reaches 2^63."""
-    mult, columns = table
-    cell = ((m >> 32) * _CELLS + (((m & 0xFFFFFFFF) * _CELLS) >> 32)) >> 31
-    mult = mult.take(cell)
-    m = m * mult
-    m &= _MASK
-    if walk.f is not None:
-        columns[0:2].take(cell, axis=1, out=state[walk.f:walk.f + 2], mode="clip")
-    if walk.j is not None:
-        columns[2:5].take(cell, axis=1, out=state[walk.j:walk.j + 3], mode="clip")
-    return m, np.abs(mult) < _CELLS
+def _walk_on(walk: _Walk, m: np.ndarray, flat: np.ndarray, state: np.ndarray):
+    """Walk a slice's points, numerators `m` and state `state`, past their
+    head until all have ended, and return the slice's group.  The points
+    the head left live (not `flat`) are walked apart, without compaction:
+    an ended one takes the plateau step, x1 and +0, so it stays ended.  On
+    a solver's few hundred points numpy's per-call cost outweighs the
+    arithmetic that compacting each level would save."""
+    live = np.flatnonzero(~flat)
+    live_m, live_state = m.take(live), state.take(live, axis=1)
+    kind, go = _goes_on(walk, live_m, live_state)
+    while go.any():
+        _step(walk, live_m, live_state, np.where(go, kind, 1))
+        kind, go = _goes_on(walk, live_m, live_state)
+    m[live], state[:walk.rows, live] = live_m, live_state[:walk.rows]
+    end = flat.astype(np.intp)
+    end[live] = (kind == 1) + 2 * (live_m == _M34)
+    return _select(walk, slice(0, m.size), m, state[:walk.rows], end)
 
 
 def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
     """Walk the points with positions `idx`, numerators `m` and state
     columns `state`, past their head, until every one has ended, and
     return their group (positions, F, F bounds, J, J bounds), None for a
-    quantity not carried.
-
-    Each level partitions the live points once with `np.flatnonzero` into
-    those that step on and those that end there: on the plateau, at 3/4
-    or on the stop test, which is one comparison of the chosen bracket
-    with its limit and costs a multiply-add where the limit is set per
-    point.  The state of the ending ones is set aside and the rest is
-    compacted with `take` and steps with `_step`.  Once the walk is over,
-    one select over the ended points by kind (an exact end wins over the
-    stop test, as in `_descend`) gives F, J and their bounds.
-    """
-    f, j, rows, per_point, lim = walk.f, walk.j, walk.rows, walk.per_point, walk.lim
-    n = idx.size
+    quantity not carried.  Each level sets aside the state of the points
+    that end there (`_goes_on`) and compacts the rest with `take`; one
+    select over the ended points by kind (an exact end wins over the stop
+    test, as in `_descend`) gives F, J and their bounds."""
+    rows, n = walk.rows, idx.size
     # the points in the order they end: where they sit in the input, and
     # their final numerator and state
     at, ended_m = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
     ended = np.empty((rows, n))
     done = 0
     while True:
-        kind = _kinds(m)
-        width = state[j + 2] * (m * _SCALE) if walk.j_test else np.abs(state[f + 1])
-        if per_point:
-            lim = (state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1]
-        go = (kind != 1) > ((width <= lim) | (m == _M34))  # and not ended, in one pass
+        kind, go = _goes_on(walk, m, state)
         keep = np.flatnonzero(go)
         if keep.size < m.size:
             end = np.flatnonzero(~go)

@@ -20,6 +20,7 @@ from singular_mrl import distribution
 from singular_mrl.distribution import (_CHUNK, _LEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
                                       _alias_table, _branch_many, _descend, _descend_many,
                                       _drop, _jump_table, _rise, gap_grid)
+from singular_mrl.fixedpoint import verify_uniqueness
 from singular_mrl.verify import check_dkw
 
 P1 = PSingularParams(1.0)
@@ -57,11 +58,11 @@ def gather(groups, params, xs, tol_below=None):
     of xs, put back in input order, a later group over an earlier one; a
     quantity the walk did not carry stays NaN.  Every position must come
     in a group, and in two only where the first ended the point early and
-    the second holds its value: a point the vector walk does not carry,
-    which it ends on the plateau as a placeholder and the scalar loop
-    walks, or, where the input is longer than a slice, a point the jump
-    table leaves live, which the slice ends on the plateau and the pooled
-    tail walks on."""
+    the second holds its value: a tiny odd double, which the vector walk
+    ends on the plateau as a placeholder and the scalar loop walks, or,
+    where the input is longer than a slice, a point the jump table leaves
+    live, which the slice ends on the plateau and the pooled tail walks
+    on."""
     xs = np.asarray(xs, dtype=float)
     out, seen = np.full((4, xs.size), np.nan), np.zeros(xs.size, dtype=int)
     for at, *rows in groups:
@@ -81,8 +82,9 @@ def gather(groups, params, xs, tol_below=None):
 
 def carried(xs):
     """Whether the vector walk carries each point, 0 < x < 1 a multiple of
-    2^-63; it holds every other one as a placeholder, and the scalar loop
-    walks it."""
+    2^-63; it holds every other one as a placeholder, which ends at once:
+    0 and 1 with their own values, the rest to be walked by the scalar
+    loop."""
     return np.array([0 < n < d <= 2 ** 63 for n, d in map(float.as_integer_ratio, xs.tolist())])
 
 
@@ -129,8 +131,9 @@ EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, 
               (mrl_many, lambda P, x: mrl(P, x).value), (payoff_curve, expected_payoff),
               (survival_many, survival)]
 
-# points the vector walk holds as placeholders and the scalar loop walks:
-# 0, 1 and doubles below 2^-11 that are not multiples of 2^-63
+# points the vector walk holds as placeholders: 0 and 1, which end there
+# with their own values, and doubles below 2^-11 that are not multiples of
+# 2^-63, which the scalar loop walks
 ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
 
 # the ends and both sides of 1/3, where the reflected evaluators switch
@@ -179,6 +182,44 @@ VECTOR_DIGESTS = {
     ("mrl_many", 1e6): "2e54332893b00afa6cb691dd07c7b8d642f46c9e7fea561c7fe4d1d2b5afd11f",
     ("payoff_curve", 1e-06): "4763a87b3a8bacf0a21b796e494ad94a44552d537377411f7b5fd928eba0c381",
     ("payoff_curve", 1e6): "caf479a94c2c05d2e2a6a2e977393c462e119babccf044d3879888387ba07283",
+}
+
+# the short inputs of the solvers and of the placeholders' edges, each of
+# at most `_CHUNK` points: the payoff curve's and `mrl_many`'s prices, the
+# uniqueness scan's points (`verify_uniqueness`) and the odd points with
+# both sides of 1/3
+SHORT_INPUTS = {"curve": lambda: np.linspace(0.0, 1.0, 200), "scan": lambda: gap_grid(1000)[:-1],
+                "edges": lambda: np.array(ODD_POINTS + BRANCH_EDGES)}
+
+# sha256 of `fn(PSingularParams(p), SHORT_INPUTS[name]()).tobytes()` by
+# (fn, name, p), as the short inputs' walk returned them when it still
+# compacted at every level and sent 0 and 1 to the scalar loop
+SHORT_DIGESTS = {
+    ("payoff_curve", "curve", 1e-06): "f4fa91c962acd823f709070a1fc2778e3d14ed261e9d6c4ed757f41ba06c2142",
+    ("payoff_curve", "curve", 0.01): "a18a479711a6a24bf48ec784d73b2e7f0b3d76f4440294c0d23939e300f25be3",
+    ("payoff_curve", "curve", 1.0): "7f60aa260ca78b20e2a5918119eac231db94b17a7e65ceac743c0fecd04c6144",
+    ("payoff_curve", "curve", 100.0): "243b23b01d85a473fbf2d7c893637ffb7eec349f4da9c2d60ee3dcaf1090a34d",
+    ("payoff_curve", "curve", 1e6): "c34d6ea7c14b8c0afa5bbff254c5ff8420fcb5767c44efc4518f9029dc73bfce",
+    ("mrl_many", "curve", 1e-06): "322462c08f56573183b51abf7f1e741c388d806168bebcea1a93cd429a7eab49",
+    ("mrl_many", "curve", 0.01): "3f43a0b812419f09ebaa9cb529367ad65ebe9db2ae384ca20271309f258cbb38",
+    ("mrl_many", "curve", 1.0): "bdc7259a0ca97ec3ba83620bb60908369cf76d6413774db673bf0622aa448fb2",
+    ("mrl_many", "curve", 100.0): "8b31bf7bc76c09524d750337414b6941e32f704ce0d01869b0070016830d2d31",
+    ("mrl_many", "curve", 1e6): "2e90e27280fc3cdb88220c53dc320e3bcdd90d99b7fc77ba5063c8a21adf975f",
+    ("mrl_many", "scan", 1e-06): "4f8aa77499d0b95e39b42180eb4e0ae00f9c29d714bebf7e5959a01076253d01",
+    ("mrl_many", "scan", 0.01): "acd08e3918c82e9a62763fc535153be9c219d0c1e476cbd3eacc315b7b4886ba",
+    ("mrl_many", "scan", 1.0): "e435afa0e941450bf6e628466d86fc8b59bc4a6cad1d675b7da0acf395a34e50",
+    ("mrl_many", "scan", 100.0): "5a0f91c71912a2a46f4ca6b211c645f4cf0fdae720ee0b1bc98b57a07b023b46",
+    ("mrl_many", "scan", 1e6): "bb301de605faf11de0865555e3c9d8bd03a656bc75dbd64faa948de2b50734bc",
+    ("cdf_many", "edges", 1e-06): "b7eb9825084bd23c5340a99a89ca7d850530b1f5ea9457bb7cf143e2b80a934f",
+    ("cdf_many", "edges", 0.01): "d6f1d01c717de3618f2022edb9182697419e06d57ecd5bb96623894ba7330e76",
+    ("cdf_many", "edges", 1.0): "f7b11281b49f43ae9cdc262afcdec9e5c20d88f043bfcb279f7f488519e164ad",
+    ("cdf_many", "edges", 100.0): "5362f020a0466786f3ad8f8a2f6f5a87ae320828b21a347aedf95885c7e03bb5",
+    ("cdf_many", "edges", 1e6): "2f876639815cd545ae06b598c44f4d66afaa2bd9267cbecda9496635dfbf8b4c",
+    ("cdf_integral_many", "edges", 1e-06): "e9e8fa025c827602820ed91dd1bbcdbd58553b80acdfc87bbea629e8394dfbd7",
+    ("cdf_integral_many", "edges", 0.01): "70ff50642e402bb42e33c30d6e33f7eaf698fd47d9a03415bdbd6c686641e184",
+    ("cdf_integral_many", "edges", 1.0): "5e99f0d0e396e5432a34d0005351fa5cf10e7eae77ff8378500b28154a5e4150",
+    ("cdf_integral_many", "edges", 100.0): "e8c42f1c009a9de877303d85fd07a44f25f26662e0a24bcc75a1610ae1b7ea80",
+    ("cdf_integral_many", "edges", 1e6): "448740521f380df214dde9e7c6b45751021056cb236d7cfefd9efe08ad0731b7",
 }
 
 # `test_pool_memory_is_bounded`'s bound per function, in slice widths
@@ -511,31 +552,39 @@ class TestDescent:
         # every slice's head through the table and walks the pool whenever
         # it fills, and these pooled tails are compared with the scalar
         # loop; slices of 100,000 points hold the whole input, which steps
-        # through its head and walks one tail, without a table
-        tails = []
+        # through its head and walks on in one short walk, without a table
+        # or a pooled tail
+        tails, shorts = [], []
 
         def logged(walk, idx, m, state):
             tails.append(idx.size)
             return descend_slice(walk, idx, m, state)
 
+        def logged_short(walk, m, flat, state):
+            shorts.append(m.size)
+            return walk_on(walk, m, flat, state)
+
         def no_table(params):
             raise AssertionError("an input of one slice built a jump table")
 
-        descend_slice = distribution._descend_slice
+        descend_slice, walk_on = distribution._descend_slice, distribution._walk_on
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
         monkeypatch.setattr(distribution, "_descend_slice", logged)
+        monkeypatch.setattr(distribution, "_walk_on", logged_short)
         if chunk == 100_000:
             monkeypatch.setattr(distribution, "_jump_table", no_table)
         for params in twin_params:
             tails.clear()
+            shorts.clear()
             vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
             np.testing.assert_array_equal(bits(vec), bits(scalar))
             walks = len(descents(tol_f, tol_j, relative))
             if chunk == 100_000:
-                assert len(tails) == walks
+                assert shorts == [twin_points.size] * walks and not tails
             else:
                 # the pool is walked once it holds `chunk` points, and once
                 # more after the last slice of each descent
+                assert not shorts
                 assert len(tails) >= 2 * walks
                 assert sum(size < chunk for size in tails) <= walks
 
@@ -585,13 +634,19 @@ class TestDescent:
 
     def test_solver_builds_no_table(self, monkeypatch):
         # a request of solve-price takes a new p, and a table costs more to
-        # build than the request: its payoff curve steps through the head
+        # build than the request: its payoff curve steps through the head,
+        # as do the short `mrl_many` and `cdf_many` calls and the
+        # uniqueness scan
         def no_table(params):
-            raise AssertionError("optimal_price built a jump table")
+            raise AssertionError("a short input built a jump table")
 
         monkeypatch.setattr(distribution, "_jump_table", no_table)
+        xs = np.linspace(0.0, 1.0, 200)
         for p in (0.01, 1.0, 100.0):
-            assert len(optimal_price(PSingularParams(p), curve_points=200).payoff_curve) == 200
+            params = PSingularParams(p)
+            assert len(optimal_price(params, curve_points=200).payoff_curve) == 200
+            assert mrl_many(params, xs).shape == cdf_many(params, xs).shape == xs.shape
+            assert verify_uniqueness(params, 1000) == 1
 
     def test_jump_table_is_cached_and_read_only(self):
         table = _jump_table(P2)
@@ -636,8 +691,8 @@ class TestDescent:
                                               bits([scalar(params, x) for x in xs[at].tolist()]))
 
     def test_placeholder_never_names_the_unresolved_point(self):
-        # at p = 1e-20 the placeholder of x = 0 has 1 - F = 0 below 1/3,
-        # which `mrl_many` marks unresolved; the scalar loop's group
+        # at p = 1e-20 the placeholder of a tiny odd double has 1 - F = 0
+        # below 1/3, which `mrl_many` marks unresolved; the scalar loop's group
         # overwrites it, so `mrl_many` raises the error of the first
         # point at which `mrl` raises, message included
         params, xs = PSingularParams(1e-20), odd_in_every_slice()
@@ -652,20 +707,69 @@ class TestDescent:
         assert str(err.value) == message
 
     def test_odd_points_alone_skip_the_vector_walk(self, monkeypatch):
-        # a short input of odd points only has nothing for the vector walk
+        # a short input of the tiny odd doubles only, which the scalar loop
+        # walks, has nothing for the vector walk
         def refuse(*args):
-            raise AssertionError("_descend_slice called")
+            raise AssertionError("_walk_on called")
 
-        monkeypatch.setattr(distribution, "_descend_slice", refuse)
+        monkeypatch.setattr(distribution, "_walk_on", refuse)
+        tiny = ODD_POINTS[2:]
+        assert not carried(np.array(tiny)).any()
         for vector, scalar in EVALUATORS:
-            np.testing.assert_array_equal(bits(vector(P2, ODD_POINTS)),
-                                          bits([scalar(P2, x) for x in ODD_POINTS]))
+            np.testing.assert_array_equal(bits(vector(P2, tiny)),
+                                          bits([scalar(P2, x) for x in tiny]))
 
     @pytest.mark.parametrize("name,p", list(VECTOR_DIGESTS))
     def test_vector_bytes_are_pinned(self, name, p):
         fn = {fn.__name__: fn for fn, _ in EVALUATORS}[name]
         out = fn(PSingularParams(p), grid_eval_batch())
         assert hashlib.sha256(out.tobytes()).hexdigest() == VECTOR_DIGESTS[name, p]
+
+    @pytest.mark.parametrize("name,points,p", list(SHORT_DIGESTS))
+    def test_short_bytes_are_pinned(self, name, points, p):
+        fn = {fn.__name__: fn for fn, _ in EVALUATORS}[name]
+        out = fn(PSingularParams(p), SHORT_INPUTS[points]())
+        assert hashlib.sha256(out.tobytes()).hexdigest() == SHORT_DIGESTS[name, points, p]
+
+    @given(xs=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308,
+                                                  1.0 - 2.0 ** -53, ONE_THIRD]),
+                                 st.floats(min_value=0.0, max_value=2.0 ** -1000),
+                                 st.floats(min_value=0.0, max_value=1.0)),
+                       min_size=1, max_size=64),
+           log_p=st.floats(min_value=math.log(1e-6), max_value=math.log(1e6)))
+    @settings(max_examples=100, deadline=None)
+    def test_short_inputs_equal_their_scalars(self, xs, log_p):
+        # a short input walks its head through the head table and its tail
+        # without compaction, with 0 and 1 ended in the vector walk: every
+        # evaluator equals its scalar twin bit for bit
+        params = PSingularParams(math.exp(log_p))
+        for vector, scalar in EVALUATORS:
+            np.testing.assert_array_equal(bits(vector(params, xs)),
+                                          bits([scalar(params, x) for x in xs]))
+
+    def test_head_table_is_shared_by_the_jump_tables(self):
+        # the head table is built once, read-only, and holds each cell's
+        # kinds of step, which reproduce `_jump_table`'s multipliers and
+        # state columns when its representative numerators step through
+        # the head one level at a time
+        kinds, mult = table = distribution._head_table()
+        assert distribution._head_table() is table
+        assert not any(arr.flags.writeable for arr in table)
+        assert kinds.shape == (8, 3 ** 8) and kinds.dtype == np.int8 and mult.shape == (3 ** 8,)
+        for p in (0.01, 100.0):
+            params = PSingularParams(p)
+            walk = distribution._Walk(params, 1.0, "FJ", False, None)
+            m = ((np.arange(3 ** 8) + 0.5) * (2.0 ** 63 / 3 ** 8)).astype(np.int64)
+            state, levels = np.repeat(walk.origin, m.size, axis=1), []
+            for _ in range(8):
+                levels.append(distribution._kinds(m))
+                distribution._step(walk, m, state, levels[-1])
+            jump_mult, columns = _jump_table(params)
+            assert jump_mult is mult
+            np.testing.assert_array_equal(kinds, levels)
+            np.testing.assert_array_equal(bits(columns), bits(state))
+            exponent = (np.array(levels) != 1).sum(axis=0)
+            np.testing.assert_array_equal(np.abs(mult), 3 ** exponent)
 
     @pytest.mark.parametrize("size", [len(BRANCH_EDGES), 2 * _CHUNK + len(BRANCH_EDGES)])
     @pytest.mark.parametrize("p", [1e-300, 1e-6, 1.0, 1e6, 1e300])
@@ -732,6 +836,16 @@ class TestDescent:
         # numbers.Real)
         with pytest.raises(DomainError):
             fn(P1, bad)
+
+    @pytest.mark.parametrize("fn", [cdf, cdf_with_bound, survival, cdf_integral, mrl, gmrl,
+                                    expected_payoff], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("points", [np.array([0.2, 0.5]), np.array([0.0, 0.0]),
+                                        np.array([[0.5]])], ids=repr)
+    def test_scalar_of_an_array_domain_error(self, fn, points):
+        # an array of points is no point of [0, 1] for a scalar evaluator,
+        # rather than numpy's ValueError on its truth value
+        with pytest.raises(DomainError):
+            fn(P1, points)
 
     @pytest.mark.parametrize("fn,scalar", EVALUATORS[:4], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("exact", [Fraction(1, 2), Decimal("0.25")], ids=repr)
