@@ -22,7 +22,7 @@ from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
                            cdf_with_bound, gap_grid, point_cloud)
 from .errors import DomainError, ParameterError, SingularMrlError
 from .fixedpoint import fixed_point_solve
-from .mrl import mrl, mrl_many
+from .mrl import gmrl, mrl, mrl_many
 from .pricing import comparative_statics, optimal_price
 from .verify import run_all
 
@@ -54,9 +54,12 @@ def _default_tolerance() -> float:
 
 def _parse_p_list(raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        p_values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ParameterError(f"could not parse p list {raw!r}")
+    if not p_values:
+        raise ParameterError(f"p list {raw!r} holds no p value")
+    return p_values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,10 +155,8 @@ def _cmd_point(args, config):
         v = mrl(params, args.x, config)
         label, value, bound = "m", v.value, v.error_bound
         if args.command == "gmrl":
-            # e = m/x, with m's error accounting
-            if args.x == 0:
-                raise DomainError("gmrl is undefined at x = 0 (m(x)/x diverges)")
-            label, value, bound = "e", value / args.x, bound / args.x
+            # e = m/x with m's error accounting; `gmrl` raises at x = 0
+            label, value, bound = "e", gmrl(params, args.x, config), bound / args.x
     return _render(args, {"p": args.p, "x": args.x, "value": value, "error_bound": bound},
                    f"{label}({_fmt(args.x)}) = {_fmt(value)} (error bound {_fmt(bound)})\n",
                    "x,value,error_bound", [[args.x], [value], [bound]])
@@ -180,9 +181,8 @@ def _cmd_price(args, config):
     payload = {"p": r.p, "optimal_price": r.optimal_price, "expected_payoff": r.expected_payoff}
     header, columns = "p,optimal_price,expected_payoff", [[v] for v in payload.values()]
     if r.payoff_curve is not None:
-        payload["payoff_curve"] = r.payoff_curve
-        header, columns = "price,payoff", [[x for x, _ in r.payoff_curve],
-                                           [v for _, v in r.payoff_curve]]
+        payload["payoff_curve"] = r.payoff_curve.tolist()
+        header, columns = "price,payoff", r.payoff_curve.T
     return _render(args, payload,
                    f"optimal price = {_fmt(r.optimal_price)}, "
                    f"expected payoff = {_fmt(r.expected_payoff)}\n", header, columns)

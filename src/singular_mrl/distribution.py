@@ -57,13 +57,16 @@ ONE_THIRD = 1.0 / 3.0
 TWO_THIRDS = 2.0 / 3.0
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int (a Python or numpy integer); ParameterError for
-    anything else, a float with an integral value included."""
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a Python int (a Python or numpy integer) of at least `least`;
+    ParameterError for anything else, a float with an integral value included."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _positive_real(name: str, value) -> float:
@@ -656,10 +659,7 @@ def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CON
 def seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator for an integer seed >= 0; ParameterError
     otherwise."""
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer("seed", seed, 0))
 
 
 # levels per word of `sample`'s alias table: its 2^12 words of four
@@ -742,9 +742,7 @@ def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
     word from `_alias_table` (Walker's alias method), pin the draw to half
     an ulp.  The draws are made in blocks of `_SAMPLE_BLOCK`.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     rng = seeded_rng(rng_seed)
     threshold, alias, a_w, s_w = _alias_table(params)
     out = np.empty(n)
@@ -831,15 +829,9 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     A cloud about doubles per step.  n_initial, iterations and max_points
     must be integers, max_points >= 0.
     """
-    n_initial = _integer("n_initial", n_initial)
-    iterations = _integer("iterations", iterations)
-    max_points = _integer("max_points", max_points)
-    if n_initial < 2:
-        raise ParameterError(f"n_initial must be >= 2, got {n_initial}")
-    if iterations < 0:
-        raise ParameterError(f"iterations must be >= 0, got {iterations}")
-    if max_points < 0:
-        raise ParameterError(f"max_points must be >= 0, got {max_points}")
+    n_initial = _integer("n_initial", n_initial, 2)
+    iterations = _integer("iterations", iterations, 0)
+    max_points = _integer("max_points", max_points, 0)
 
     def check_cap(size, k):
         if size > max_points:
@@ -935,9 +927,7 @@ def gap_intervals(max_level: int) -> list[tuple[float, float]]:
     (a/3, b/3) and ((2+a)/3, (2+b)/3).  Returns all gaps of level
     <= max_level, sorted, as machine floats.
     """
-    max_level = _integer("max_level", max_level)
-    if max_level < 1:
-        raise ParameterError(f"max_level must be >= 1, got {max_level}")
+    max_level = _integer("max_level", max_level, 1)
     level = [(Fraction(1, 3), Fraction(2, 3))]
     gaps = list(level)
     for _ in range(max_level - 1):
@@ -955,9 +945,7 @@ def gap_grid(grid_n: int) -> np.ndarray:
     evaluate.  Built once per grid size, so the array is read-only.
     grid_n = 0 gives the gap endpoints alone.
     """
-    grid_n = _integer("grid_n", grid_n)
-    if grid_n < 0:
-        raise ParameterError(f"grid_n must be >= 0, got {grid_n}")
+    grid_n = _integer("grid_n", grid_n, 0)
     xs = np.unique(np.concatenate((np.linspace(0.0, 1.0, grid_n),
                                    np.ravel(gap_intervals(GAP_LEVEL)))))
     xs.flags.writeable = False

@@ -24,7 +24,7 @@ class PricingResult:
     p: float
     optimal_price: float
     expected_payoff: float
-    payoff_curve: list[tuple[float, float]] | None = None
+    payoff_curve: np.ndarray | None = None
     fixed_point: FixedPointResult | None = None
 
 
@@ -66,20 +66,19 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
                   curve_points: int | None = None) -> PricingResult:
     """Optimal price = the MRL fixed point, with its payoff.
 
-    If curve_points is given, attaches Pi over that many evenly spaced
-    prices for plotting / dominance checks (0 attaches an empty curve).
+    If curve_points is given, attaches Pi at that many evenly spaced prices
+    as the read-only (price, payoff) rows of a (curve_points, 2) array.
     """
     if curve_points is not None:
-        curve_points = _integer("curve_points", curve_points)
-        if curve_points < 0:
-            raise ParameterError(f"curve_points must be >= 0, got {curve_points}")
+        curve_points = _integer("curve_points", curve_points, 0)
     fp = fixed_point_solve(params, config)
     price = fp.x_star
     payoff = expected_payoff(params, price, config)
     curve = None
     if curve_points is not None:
         grid = np.linspace(0.0, 1.0, curve_points)
-        curve = list(zip(grid.tolist(), payoff_curve(params, grid, config).tolist()))
+        curve = np.column_stack((grid, payoff_curve(params, grid, config)))
+        curve.flags.writeable = False
     return PricingResult(p=params.p, optimal_price=price, expected_payoff=payoff,
                          payoff_curve=curve, fixed_point=fp)
 

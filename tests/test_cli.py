@@ -117,6 +117,20 @@ class TestExitCodes:
         assert "1000000000002 after iteration 0 of 0" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("x", ["0", "-0.0"])
+    def test_gmrl_at_zero(self, capsys, x):
+        code, out, err = run(capsys, "gmrl", "--x", x)
+        assert code == 3
+        assert out == "" and err == "domain error: gmrl is undefined at x = 0 (m(x)/x diverges)\n"
+
+    @pytest.mark.parametrize("command", ["verify", "statics"])
+    @pytest.mark.parametrize("p_list", [",", ""])
+    def test_empty_p_list(self, capsys, command, p_list):
+        code, out, err = run(capsys, command, "--p-list", p_list)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("parameter error: ") and err.count("\n") == 1
+
     def test_negative_seed(self, capsys):
         code, out, err = run(capsys, "verify", "--seed", "-1")
         assert code == 4
@@ -321,6 +335,17 @@ class TestWriter:
         code, _, _ = run(capsys, "price", "--curve-points", "0", "--format", "csv",
                          "--out", str(tmp_path / "curve.csv"))
         assert (tmp_path / "curve.csv").read_bytes() == b"price,payoff\n"
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", "optimal price = 0.41666666666666663, expected payoff = 0.086805555555555566\n"),
+        ("csv", "price,payoff\n0,0\n0.5,0.083333333333333343\n1,0\n"),
+        ("json", '{"p": 1.0, "optimal_price": 0.41666666666666663, '
+                 '"expected_payoff": 0.08680555555555557, "payoff_curve": '
+                 '[[0.0, 0.0], [0.5, 0.08333333333333334], [1.0, 0.0]]}\n'),
+    ])
+    def test_short_curve_bytes(self, capsys, fmt, expected):
+        assert run(capsys, "price", "--p", "1", "--curve-points", "3", "--format", fmt) == \
+            (0, expected, "")
 
     @staticmethod
     def _expected(command):

@@ -1196,6 +1196,29 @@ def test_generators_take_numpy_integers():
     np.testing.assert_array_equal(sample(P1, np.uint8(3), np.int16(5)), sample(P1, 3, 5))
 
 
+# every public integer argument: a call taking it, and its least value
+INTEGER_ARGS = {
+    "n": (lambda v: sample(P1, 0, v), 1),
+    "seed": (lambda v: sample(P1, v, 10), 0),
+    "n_initial": (lambda v: point_cloud(P1, v, 2), 2),
+    "iterations": (lambda v: point_cloud(P1, 10, v), 0),
+    "max_points": (lambda v: point_cloud(P1, 10, 2, max_points=v), 0),
+    "max_level": (gap_intervals, 1),
+    "grid_n": (gap_grid, 0),
+    "curve_points": (lambda v: optimal_price(P1, curve_points=v), 0),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGS)
+def test_integer_argument_messages(name):
+    call, least = INTEGER_ARGS[name]
+    for value, message in ((2.5, f"{name} must be an integer, got 2.5"),
+                           (least - 1, f"{name} must be >= {least}, got {least - 1}")):
+        with pytest.raises(ParameterError) as exc:
+            call(value)
+        assert str(exc.value) == message
+
+
 class TestGapIntervals:
     def test_levels_one_two(self):
         gaps = gap_intervals(2)

@@ -44,9 +44,15 @@ class TestOptimalPrice:
 
     def test_curve_attachment(self):
         result = optimal_price(P1, curve_points=11)
-        assert len(result.payoff_curve) == 11
-        assert result.payoff_curve[0] == (0.0, 0.0)
-        assert optimal_price(P1, curve_points=0).payoff_curve == []
+        curve = result.payoff_curve
+        assert curve.shape == (11, 2) and curve.dtype == np.float64
+        assert not curve.flags.writeable
+        with pytest.raises(ValueError):
+            curve[0, 1] = 1.0
+        assert curve[0].tolist() == [0.0, 0.0]
+        prices = np.linspace(0.0, 1.0, 11)
+        assert [(x, v) for x, v in curve] == list(zip(prices, payoff_curve(P1, prices)))
+        assert optimal_price(P1, curve_points=0).payoff_curve.shape == (0, 2)
         with pytest.raises(ParameterError):
             optimal_price(P1, curve_points=-3)
         with pytest.raises(ParameterError, match="curve_points must be an integer"):
