@@ -12,31 +12,32 @@ which force F = 1/(p+1) on the whole plateau [1/3, 2/3].  Evaluation
 descends this ternary structure, contracting the value uncertainty by
 max(1, p)/(p+1) per level until the requested tolerance is met.  This
 module owns that descent, once as a scalar loop and once as a numpy loop:
-it can carry F and its integral J (module `integration`) along the same
-path, and every evaluated quantity of the package is a formula over it.
+it carries F and its integral J (module `integration`) along one path or,
+in tail mode, the right-tail quantities S/p and K/p, S = 1 - F and
+K(x) = int_x^1 S, and every evaluated quantity of the package is a
+formula over it.
 
 The walk is exact.  It carries the point as an integer ratio, n/d in the
-scalar loop and M = y 2^63 in the numpy loop, so the steps y -> 3y and
-y -> 3(1-y) and the reflection y -> 1-y never round, and every branch is
-the one the double that the caller passed takes.  The first `_JUMP`
-levels have no stop test, so a point's steps in them depend on its
-ternary cell floor(3^_JUMP y) alone: one table of them for every p
-(`_head_table`) makes a short input's head float updates alone, and a
-long input looks its state after them up in a per-p table (`_jump_table`).
-The numpy loop carries only the rows its caller reads (F for `cdf_many`,
-J for `cdf_integral_many` and the payoff, both for the MRL) plus those
-its stop test reads, and the stop test is chosen per point, so a quantity
-that reflects x >= 1/3 (the MRL, the payoff) runs both of its branches in
-one descent; a point's kind of step and its branch are picked by integer
-division and 0/1 weights, not by selects.  A short input walks the points
-its head left live without compaction: an ended point takes the plateau
-step, which keeps it in place.  A long one ends each slice on the plateau
-in place, and pools the few the jump leaves live across slices into one
-tail walk, which splits them at each level by integer index into those
-that go on and those that end, so the deep, nearly empty levels are paid
-once per call.  0 and 1 ride as placeholders on the plateau with a state
-that ends them exactly; a point with no int64 numerator rides as one too,
-and the scalar loop overwrites its value.
+scalar loop and M = y 2^63 in the numpy loop, so the steps y -> 3y,
+y -> 3(1-y) and y -> 1-y never round, and every branch is the one the
+double that the caller passed takes.  The first `_JUMP` levels have no
+stop test, so a point's steps in them depend on its ternary cell
+floor(3^_JUMP y) alone: one table of them for every p (`_head_table`)
+makes a short input's head float updates alone, and a long input looks
+its state after them up in a per-p table (`_jump_table`).  The numpy loop
+carries only the rows its caller reads (F for `cdf_many`, J for
+`cdf_integral_many` and the payoff, both for the MRL) plus those its stop
+test reads; a point's kind of step is picked by integer division, not by
+selects.  A short input walks the points its head left live without
+compaction: an ended point takes the plateau step, which keeps it in
+place.  A long one ends each slice on the plateau in place, and pools the
+few the jump leaves live across slices into one tail walk, which splits
+them at each level by integer index into those that go on and those that
+end, so the deep, nearly empty levels are paid once per call.  0 and 1
+ride as placeholders on the plateau with a state that ends them exactly;
+a point with no int64 numerator rides as one too, as does, in tail mode,
+a point whose leading run outlasts the head, and the scalar loop
+overwrites its value.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ _MASK = _ONE - 1
 _LO, _HI = _ONE // 3 + 1, 2 * _ONE // 3
 _M34 = 3 << 61
 _SCALE = 2.0 ** -63
-_STEP_M = np.array([3, 1, -3])  # by kind of step: left, plateau, right
+# by kind of step: left, plateau, right, and the tail walk's leading-run
+# kinds run-left, reflect onto the plateau and reflect-then-left
+_STEP_M = np.array([3, 1, -3, 3, -1, -3])
 # levels walked without a stop test, which one lookup in `_jump_table`
 # over the 3^_JUMP ternary cells replaces
 _JUMP = 8
@@ -143,14 +146,32 @@ def mean(params: PSingularParams) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _anchors(params: PSingularParams) -> tuple[float, float, float, float, float]:
+def _anchors(params: PSingularParams) -> tuple[float, ...]:
     # I1, J(1), the constant c = J(2/3) - 2/3 - p I1 of J's fused right step,
-    # and F = 1 - r F = 1/(2-q) and J = c + 3/4 + (r/3) J = (9/4) q / (4 - q^2)
-    # at 3/4, the right step's fixed point
+    # F = 1 - r F = 1/(2-q) and J = c + 3/4 + (r/3) J = (9/4) q / (4 - q^2)
+    # at 3/4, the right step's fixed point, E[X], and the constant
+    # q/3 + J(2/3) = I1 + 2q/3 of K/p's leading-run step
     p, q = params.p, params.left_mass
-    i1 = i1_closed_form(params)
+    i1, e = i1_closed_form(params), mean(params)
     c = i1 + 1.0 / (3.0 * (p + 1.0)) - TWO_THIRDS - p * i1
-    return i1, 1.0 - mean(params), c, 1.0 / (2.0 - q), 2.25 * q / (4.0 - q * q)
+    return i1, 1.0 - e, c, 1.0 / (2.0 - q), 2.25 * q / (4.0 - q * q), e, i1 + 2.0 * q / 3.0
+
+
+@functools.lru_cache(maxsize=64)
+def _factors(params: PSingularParams) -> tuple[np.ndarray, np.ndarray]:
+    """`_advance`'s factors by kind of step, a column per kind (see
+    `_STEP_M`): R and b_F's factor, then G, H, E, b_J's factor and B's
+    divisor; and `_select`'s w_F, e_F, w_J and e_J by kind of end.
+    Read-only."""
+    q, r = params.left_mass, params.right_mass
+    _, _, c, f34, _, _, lead = _anchors(params)
+    factors = np.array([[0.0, 0.0, 1.0, q, 0.0, 0.0], [q, 1.0, -r, q, 1.0, q],
+                        [0.0, 0.0, 1.0, -q, 0.0, 0.0], [0.0, 0.0, c, lead, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0, 1.0, 1.0], [q / 3.0, 1.0, r / 3.0, q / 3.0, 1.0, q / 3.0],
+                        [3.0, 1.0, -3.0, 3.0, -1.0, -3.0]])
+    ends = np.array([[0.5, q, f34], [0.5, 0.0, 0.0], [0.5, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    factors.flags.writeable = ends.flags.writeable = False
+    return factors, ends
 
 
 def _check_unit_interval(x) -> float:
@@ -176,16 +197,14 @@ def _points(xs) -> np.ndarray:
 
 
 def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
-             relative: bool = False, tol_below: float | None = None) -> tuple[float, float, float, float]:
-    """F(y) and J(y) from one walk down the ternary structure, at y = x or,
-    with `tol_below`, at the y of x's branch: y = 1 - x at `tol` (and
-    `relative`) for x >= 1/3, y = x at `tol_below` below.  fl(1/3) lies
-    below 1/3, so x >= 1/3 is x > ONE_THIRD for a double.
+             relative: bool = False, tail: bool = False) -> tuple[float, float, float, float]:
+    """F(x) and J(x) from one walk down the ternary structure or, in `tail`
+    mode, S'(x) = S(x)/p and K'(x) = K(x)/p, S = 1 - F and K(x) = int_x^1 S.
 
-    Returns (F, F's error bound, J, J's error bound).  The walk carries y
-    as n/d exactly, (n, d) = x.as_integer_ratio(), so 1 - x, 3y and
-    3(1-y) are integer steps that never round.  F and J are carried as
-    affine accumulators, F(x) = a_F + b_F F(y) and J(x) = a_J + b_J J(y).
+    Returns (F, F's error bound, J, J's error bound).  The walk carries
+    its point y as n/d exactly, (n, d) = x.as_integer_ratio(), so 1 - y,
+    3y and 3(1-y) are integer steps that never round.  F and J are carried
+    as affine accumulators, F(x) = a_F + b_F F(y) and J(x) = a_J + b_J J(y).
     A left step (y < 1/3) scales b_F by q = 1/(p+1) and b_J by q/3.  A
     right step (y > 2/3) is F's y -> 3(1-y); for J it is the reflection
     y -> 1-y followed by its forced left step, which together add
@@ -195,44 +214,64 @@ def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
     step t = B + b_J, A = (A + b_J c) + t, B = -t/3.  J reads y only at
     the end, as the double nearest n/d.
 
-    y = 0 and y = 1 end on entry.  The walk ends exactly on the plateau or
-    at 3/4, the right step's fixed point (F and J there from `_anchors`);
-    otherwise the residuals F(y) in [0, 1] and J(y) in [0, y] bound the
-    error, and it stops once one bracket is <= 2 tol (times F's running
-    midpoint with `relative`): b_J y where the caller `reads` J alone, else
-    |b_F|.  Each step scales b_J by at most b_F's factor, so b_J y <= |b_F|
-    and F's test covers J.  The first `_JUMP` levels, the head, end only
-    on the plateau, so that they depend on y's ternary cell alone and
-    `_jump_table` can tabulate them; neither bracket grows, so leaving
-    them untested only tightens the bound.
+    A tail walk starts in its leading run, y < 1/3, where S'(y) =
+    q + q S'(3y) and K'(y) = (q/3 + J(2/3)) - q y + (q/3) K'(3y), so a
+    run-left step adds b_F q to a_F, b_J (q/3 + J(2/3)) to A and -q b_J to
+    B before a left step: sums of positive terms, which do not cancel as
+    1 - F does.  Its first y >= 1/3 (x > ONE_THIRD, as fl(1/3) < 1/3)
+    reflects into F's walk, S'(y) = F(1-y) and K'(y) = J(1-y): A += B,
+    B = -B and y -> 1-y, within the level of the left step that follows
+    where 1 - y < 1/3.  x = 0 ends on entry with S' = 1 and K' = E[X],
+    unscaled (1/p can overflow), x = 1 with S' = K' = 0, as F's walk ends
+    both.
+
+    The walk ends exactly on the plateau or at 3/4, the right step's
+    fixed point (F and J there from `_anchors`); otherwise the residuals
+    F(y) in [0, 1] and J(y) in [0, y] bound the error, and it stops once
+    one bracket is <= 2 tol (times F's running midpoint with `relative`):
+    b_J y where the caller `reads` J alone, else |b_F|.  A step scales
+    b_J y by at most b_F's factor (a reflect-then-left by half of it), so
+    b_J y <= |b_F| and F's test covers J.  The first `_JUMP` levels, the
+    head, end only on the plateau, so that they depend on y's ternary cell
+    alone and `_jump_table` can tabulate them; neither bracket grows, so
+    leaving them untested only tightens the bound.
 
     Every walk ends, for any p and tol > 0.  No step leaves (0, d).  A
     right step sends 3d/4 + e to 3d/4 - 3e, and y stays in (2/3, 1) only
     while |e| < d/4, so off 3/4 (|e| >= 1) a run of right steps lasts
     fewer than log_3(d/4) levels; a right step leaves n >= 3, so a run of
     left steps after it lasts fewer than log_3(d/9), and the first run of
-    left steps at most 677 levels from x >= 2^-1074.  With d <= 2^63, as
-    for every double >= 2^-11, each later run lasts fewer than 40 levels
-    (678 for any double), so every 80 levels then hold a step of each kind
-    and shrink |b_F| by q r <= 1/4, until it is <= 2 tol or 0
-    (min(q, r) <= 1/2 rounds the least subnormal to 0), where every test
-    passes: b_J y <= |b_F|, and a_F >= 0 for the relative one.
+    left steps (a leading run among them) at most 677 levels from
+    x >= 2^-1074.  With d <= 2^63, as for every double >= 2^-11, each
+    later run lasts fewer than 40 levels (678 for any double), so every 80
+    levels then hold a step of each kind and shrink |b_F| by q r <= 1/4,
+    until it is <= 2 tol or 0 (min(q, r) <= 1/2 rounds the least subnormal
+    to 0), where every test passes: b_J y <= |b_F|, and a_F >= 0 for the
+    relative one.
     """
     q, r = params.left_mass, params.right_mass
-    i1, j1, c, f34, j34 = _anchors(params)
+    i1, j1, c, f34, j34, e, lead = _anchors(params)
     n, d = x.as_integer_ratio()
-    if tol_below is not None and x > ONE_THIRD:
-        n = d - n
-    elif tol_below is not None:
-        tol, relative = tol_below, False
     if n == 0:
-        return 0.0, 0.0, 0.0, 0.0
+        return (1.0, 0.0, e, 0.0) if tail else (0.0, 0.0, 0.0, 0.0)
     if n == d:
-        return 1.0, 0.0, j1, 0.0
+        return (0.0, 0.0, 0.0, 0.0) if tail else (1.0, 0.0, j1, 0.0)
     lo, hi, m34, j_test = d // 3 + 1, 2 * d // 3, 3 * d // 4, reads == "J"
     shrink, r3, lim = q / 3.0, r / 3.0, 2.0 * tol
     af, bf, a, b, bj = 0.0, 1.0, 0.0, 0.0, 1.0
     level = 0
+    if tail:
+        while n < lo:
+            af += bf * q
+            bf *= q
+            a += bj * lead
+            b = (b - bj * q) / 3.0
+            bj *= shrink
+            n *= 3
+            level += 1
+        a += b
+        b = -b
+        n = d - n
     while not lo <= n <= hi:
         if level >= _JUMP and (n == m34 or (bj * (n / d) if j_test else abs(bf)) <= (
                 lim * (af + 0.5 * bf) if relative else lim)):
@@ -262,7 +301,7 @@ def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
 
 
 def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
-                  relative: bool = False, tol_below: float | None = None):
+                  relative: bool = False, tail: bool = False):
     """Vector twin of `_descend`, with its arguments and equal to it bit for
     bit at every point.
 
@@ -273,24 +312,22 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     two groups holds its value; a group whose points all end on the
     plateau has the float 0.0 for both bounds, which that write
     broadcasts.  `reads` names the quantities the caller reads, "F", "J"
-    or "FJ", and picks the stop test as in `_descend`; the walk carries
-    only those quantities and what its stop test needs, and yields None
-    for a quantity it did not carry.  With `tol_below` each point descends
-    on its branch of 1/3, as in `_descend`, so both branches share one
-    descent.
+    or "FJ" (S' and K' with `tail`), and picks the stop test as in
+    `_descend`; the walk carries only those quantities and what its stop
+    test needs, and yields None for a quantity it did not carry.
 
     An input of at most `_CHUNK` points, for which building the jump table
     would cost more than the walk, takes its head from the shared
     `_head_table` and walks on in one group (`_walk_on`).  A longer one is
     cut into `_CHUNK`-point slices, and each slice looks up the head of
-    every point in `_jump_table`, built once per p, and ends all of them on
-    the plateau in place.  The few still live join a pool that walks the remaining
-    levels, in a later group, whenever it holds `_CHUNK` points and once
-    more after the last slice, so the near-empty deep levels are paid about
-    once per call and the working set stays a few slices wide.  0, 1 and
-    the few points with no int64 numerator ride either path as placeholders
-    (`_Walk.start`): 0 and 1 with a zero state that ends them exactly, the
-    others to walk in `_descend`, whose group comes later.
+    every point in `_jump_table`, built once per p and mode, and ends all
+    of them on the plateau in place.  The few still live join a pool that
+    walks the remaining levels, in a later group, whenever it holds
+    `_CHUNK` points and once more after the last slice, so the near-empty
+    deep levels are paid about once per call and the working set stays a
+    few slices wide.  0, 1 and the odd points ride either path as
+    placeholders (`_Walk.start`): 0 and 1 with a state that ends them
+    exactly, the others to walk in `_descend`, whose group comes later.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     n = xs.size
@@ -299,8 +336,8 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     top = xs.max()
     if not (xs.min() >= 0.0 and top <= 1.0):
         raise DomainError("all evaluation points must lie in [0, 1]")
-    walk = _Walk(params, tol, reads, relative, tol_below)
-    table = _jump_table(params) if n > _CHUNK else None
+    walk = _Walk(params, tol, reads, relative, tail)
+    table = _jump_table(params, tail) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
         m, flat, state, odd = walk.start(xs[start:start + _CHUNK], top == 1.0, table)
@@ -313,7 +350,7 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
                 pool.append((keep + start, m.take(keep), state.take(keep, axis=1)))
                 pooled += keep.size
             # every point as if on the plateau, `_select`'s kind 1
-            yield _select(walk, slice(start, start + m.size), m, state[:walk.rows], 1)
+            yield _select(walk, slice(start, start + m.size), m, state, 1)
         if odd.size:
             yield walk.scalar(odd + start, xs)
         if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
@@ -328,78 +365,49 @@ class _Walk:
     constants, its stop test and the rows of state it carries.
 
     A point carries its numerator M = y 2^63 as an int64 and one column of
-    state: a_F and b_F where F is carried, then A, B and b_J where J is,
-    then L and K of a per-point limit (a_F + b_F/2) L + K where the stop
-    test differs between points, which `tol_below` or `relative` makes it
-    (L = 2 tol and K = 0 where it is relative, L = 0 and K = 2 tol
-    elsewhere).  J is carried where `reads` names it; F where it does or
-    the limit is per point.  The stop test is on J's bracket where `reads`
-    is "J", else on F's.
-    """
+    state: a_F and b_F where F is carried, then A, B and b_J where J is.
+    J is carried where `reads` names it; F where it does or the stop test
+    is relative.  The stop test is on J's bracket where `reads` is "J",
+    else on F's.  A step of each of `_STEP_M`'s six kinds takes its column
+    of `_factors`; the last three, a tail walk's leading run and its
+    reflection, occur only in the head (`start` hands a point whose run
+    outlasts the head to the scalar loop)."""
 
     def __init__(self, params: PSingularParams, tol: float, reads: str, relative: bool,
-                 tol_below: float | None):
-        q, r = params.left_mass, params.right_mass
-        self.params, self.q, self.args = params, q, (tol, reads, relative, tol_below)
-        self.i1, self.j1, self.c, f34, self.j34 = _anchors(params)
-        # `_step`'s factors by kind of step (left, plateau, right): R (1 on a
-        # right step), b_F's and b_J's, and B's divisor; and `_select`'s
-        # (w, e) of F and of J by kind of end
-        self.factors = np.array([[0.0, 0.0, 1.0], [q, 1.0, -r], [q / 3.0, 1.0, r / 3.0],
-                                 [3.0, 1.0, -3.0]])
-        self.ends_f = np.array([[0.5, q, f34], [0.5, 0.0, 0.0]])
-        self.ends_j = np.array([[0.5, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        self.relative, self.branch, self.j_test = relative, tol_below is not None, reads == "J"
+                 tail: bool):
+        self.params, self.q, self.args = params, params.left_mass, (tol, reads, relative, tail)
+        self.i1, j1, _, _, self.j34, e, _ = _anchors(params)
+        self.factors, self.ends = _factors(params)
+        self.relative, self.tail, self.j_test = relative, tail, reads == "J"
         self.lim = 2.0 * tol
-        self.lim_below = self.lim if tol_below is None else 2.0 * tol_below
-        self.per_point = bool(relative) or self.lim_below != self.lim
-        carry_f = "F" in reads or self.per_point
-        carry_j = "J" in reads
+        carry_f, carry_j = "F" in reads or relative, "J" in reads
         # the row of a_F and of A, None where that quantity is not carried,
         # the rows' values at the start of a walk
         self.f = 0 if carry_f else None
         self.j = 2 * carry_f if carry_j else None
         self.rows = 2 * carry_f + 3 * carry_j
         self.origin = np.array([0.0, 1.0] * carry_f + [0.0, 0.0, 1.0] * carry_j)[:, None]
-        # and the rows at x = 1 that end its walk exactly (see `start`)
-        self.one = np.array([1.0, 0.0] * carry_f + [self.j1, 0.0, 0.0] * carry_j)[:, None]
+        # and those that end 1 exactly, or 0 in tail mode (see `start`)
+        self.one = np.array([1.0, 0.0] * carry_f + [e if tail else j1, 0.0, 0.0] * carry_j)[:, None]
 
     def start(self, x: np.ndarray, ones: bool, table):
         """The walk of the slice x through its head (`_head`): numerators,
         whether each point ended on the plateau, state and the positions of
-        the odd points, the doubles below 2^-11 not multiples of 2^-63,
-        which `scalar` walks.  These, 0 and 1 (looked for only with `ones`)
-        sit on the plateau at `_LO`; 0 and 1 end there exactly: a_F = F,
-        A = J, b_F = B = b_J = 0, and `_select`'s terms in 0 are exact."""
+        the odd points, which `scalar` walks: the doubles below 2^-11 not
+        multiples of 2^-63 and, in tail mode, the points of the ternary
+        cell 0.  These, 0 and 1 (looked for only with `ones`) sit on the
+        plateau at `_LO`; 0 and 1 end there exactly: a_F = F or S',
+        A = J or K', b_F = B = b_J = 0, and `_select`'s terms in 0 are exact."""
         scaled = x * 2.0 ** 63
         if ones:
             scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it
         m = scaled.astype(np.int64)
         odd = ends = np.flatnonzero(m < 1 << 52)
-        if odd.size:
-            ends, odd = odd[scaled.take(odd) == 0.0], odd[m.take(odd) != scaled.take(odd)]
-        state = np.empty((self.rows + 2 * self.per_point, x.size))
-        if self.branch:
-            # x >= 1/3 is M >= _LO (fl(1/3) 2^63 < _LO < the next double's
-            # M), where neg = -1, else 0; 1 - x is -M & _MASK = (M ^ -1) + 1
-            neg = _LO - 1 - m
-            neg >>= 63
-            m ^= neg
-            m -= neg
-            m &= _MASK
-        if self.per_point:
-            # L = 2 tol and K = 0 where the test is relative, L = 0 and K the
-            # limit elsewhere; a = 1 where `tol` and `relative` hold (x >= 1/3,
-            # or all points without a branch), and each zero it makes is exact
-            l_above = self.lim * self.relative
-            k_above = self.lim - l_above
-            a = (x > ONE_THIRD).astype(float) if self.branch else 1.0
-            l_row, k_row = state[self.rows], state[self.rows + 1]
-            np.multiply(a, l_above, out=l_row)
-            np.subtract(1.0, a, out=k_row)
-            k_row *= self.lim_below
-            if k_above:
-                k_row += a * k_above
+        if odd.size:  # with, in tail mode, the numerators of the cell 0
+            s, small = scaled.take(odd), m.take(odd)
+            ends = odd[s == 0.0]
+            odd = odd[(small != s) | self.tail & (small > 0) & (small <= _ONE // _CELLS)]
+        state = np.empty((self.rows, x.size))
         m[odd] = m[ends] = _LO
         # the cell floor(3^_JUMP M / 2^63), exact: with M = 2^32 h + l, it is
         # (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no product reaches 2^63
@@ -408,8 +416,8 @@ class _Walk:
         m *= mult
         m &= _MASK
         flat = np.abs(mult) < _CELLS
-        if ends.size:  # the state at x = 1 times x, or times 0 where x is reflected
-            state[:self.rows, ends] = self.one * (0.0 if self.branch else x.take(ends))
+        if ends.size:  # `one` at its end point, 0 at the other
+            state[:, ends] = self.one * (x.take(ends) != self.tail)
         return m, flat, state, odd
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
@@ -432,29 +440,29 @@ def _kinds(m: np.ndarray) -> np.ndarray:
 def _goes_on(walk: _Walk, m: np.ndarray, state: np.ndarray):
     """Each point's kind of step, and whether it steps on: off the plateau
     and 3/4 and outside its stop test, which compares the chosen bracket
-    with its limit, a multiply-add where the limit is set per point."""
-    f, rows, kind = walk.f, walk.rows, _kinds(m)
+    with its limit, times F's midpoint where the test is relative."""
+    f, kind = walk.f, _kinds(m)
     width = state[walk.j + 2] * (m * _SCALE) if walk.j_test else np.abs(state[f + 1])
-    lim = ((state[f] + 0.5 * state[f + 1]) * state[rows] + state[rows + 1] if walk.per_point
-           else walk.lim)
+    lim = (state[f] + 0.5 * state[f + 1]) * walk.lim if walk.relative else walk.lim
     return kind, (kind != 1) > ((width <= lim) | (m == _M34))  # and not ended, in one pass
 
 
 def _advance(walk: _Walk, state: np.ndarray, factors: np.ndarray) -> None:
     """The float part of one step of every point, in place: `_descend`'s
-    operations in its order, with the `walk.factors` of each point's kind
-    of step in `factors`; on the plateau x1 and +0 keep its state."""
-    r_f, step_f, step_j, div = factors
+    operations in its order, with each point's column of `walk.factors` in
+    `factors`: a_F += b_F R, t = B + b_J G, A += b_J H, A += t E and
+    B = t / divisor; a zero factor and a zero term are exact no-ops."""
+    r_f, step_f, g, h, e, step_j, div = factors
     if walk.f is not None:
         af, bf = state[walk.f], state[walk.f + 1]
         af += bf * r_f
         bf *= step_f
     if walk.j is not None:
         a, b, bj = state[walk.j], state[walk.j + 1], state[walk.j + 2]
-        u = bj * r_f
-        t = b + u
-        a += u * walk.c
-        a += t * r_f
+        t = bj * g
+        t += b
+        a += bj * h
+        a += t * e
         np.divide(t, div, out=b)
         bj *= step_j
 
@@ -467,17 +475,21 @@ def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> No
     m &= _MASK
 
 
-@functools.lru_cache(maxsize=1)
-def _head_table() -> tuple[np.ndarray, np.ndarray]:
-    """The head (see `_descend`) of every ternary cell at any p, from its
-    centre, which every point of the cell follows (the cell edges
+@functools.lru_cache(maxsize=2)
+def _head_table(tail: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The head (see `_descend`) of every ternary cell at any p, in F's
+    walk or the tail walk (run-left steps until the first reflection), from
+    the cell's centre, which every point of the cell follows (cell edges
     k 2^63 / 3^_JUMP are not integers): (its kind of step, a row per level,
-    and the multiplier +-3^e of its numerators, e the level at which it
-    reached the plateau, or `_JUMP`).  Built on first use, read-only."""
+    and the multiplier +-3^e of its numerators, e the count of its steps
+    that triple them, `_JUMP` where the cell is live after the head).
+    Built on first use, read-only."""
     m = ((np.arange(_CELLS) + 0.5) * (2.0 ** 63 / _CELLS)).astype(np.int64)
     kinds, mult = np.empty((_JUMP, _CELLS), dtype=np.int8), np.ones(_CELLS, dtype=np.int64)
+    run = np.full(_CELLS, 3 * tail)  # 3 while in the leading run, else 0
     for level in kinds:
-        level[:] = _kinds(m)
+        level[:] = _kinds(m) + run
+        run[level != 3] = 0
         step = _STEP_M.take(level)
         mult *= step
         m *= step
@@ -492,30 +504,31 @@ def _head(walk: _Walk, cell: np.ndarray, state: np.ndarray, table=None) -> np.nd
     one, by `_advance` with the factors of their cells' kinds of step in
     `_head_table`, all levels in one lookup; returns the multipliers of
     their numerators."""
-    kinds, mult = _head_table()
-    if table is not None:
+    kinds, mult = _head_table(walk.tail)
+    if table is None:
+        factors = walk.factors.take(kinds.take(cell, axis=1), axis=1)
+        state[:] = walk.origin
+        for level in range(_JUMP):
+            _advance(walk, state, factors[:, level])
+    else:
         if walk.f is not None:
             table[1][0:2].take(cell, axis=1, out=state[walk.f:walk.f + 2], mode="clip")
         if walk.j is not None:
             table[1][2:5].take(cell, axis=1, out=state[walk.j:walk.j + 3], mode="clip")
-        return mult.take(cell)
-    factors = walk.factors.take(kinds.take(cell, axis=1), axis=1)
-    state[:walk.rows] = walk.origin
-    for level in range(_JUMP):
-        _advance(walk, state, factors[:, level])
     return mult.take(cell)
 
 
 @functools.lru_cache(maxsize=8)
-def _jump_table(params: PSingularParams) -> tuple[np.ndarray, np.ndarray]:
-    """The head at p of every ternary cell, from `_head`: (the multipliers
-    of `_head_table`, the state rows a_F, b_F, A, B and b_J after it), one
-    column per cell.  About 300 kB, built once per p, read-only."""
-    walk = _Walk(params, 1.0, "FJ", False, None)
+def _jump_table(params: PSingularParams, tail: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The head at p of every ternary cell, in F's walk or the tail walk,
+    from `_head`: (the multipliers of `_head_table`, the state rows a_F,
+    b_F, A, B and b_J after it), one column per cell.  About 260 kB, built
+    once per p and mode, read-only."""
+    walk = _Walk(params, 1.0, "FJ", False, tail)
     state = np.empty((walk.rows, _CELLS))
     _head(walk, np.arange(_CELLS), state)
     state.flags.writeable = False
-    return _head_table()[1], state
+    return _head_table(tail)[1], state
 
 
 def _walk_on(walk: _Walk, m: np.ndarray, flat: np.ndarray, state: np.ndarray):
@@ -531,10 +544,10 @@ def _walk_on(walk: _Walk, m: np.ndarray, flat: np.ndarray, state: np.ndarray):
     while go.any():
         _step(walk, live_m, live_state, np.where(go, kind, 1))
         kind, go = _goes_on(walk, live_m, live_state)
-    m[live], state[:walk.rows, live] = live_m, live_state[:walk.rows]
+    m[live], state[:, live] = live_m, live_state
     end = flat.astype(np.intp)
     end[live] = (kind == 1) + 2 * (live_m == _M34)
-    return _select(walk, slice(0, m.size), m, state[:walk.rows], end)
+    return _select(walk, slice(0, m.size), m, state, end)
 
 
 def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
@@ -545,11 +558,11 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
     that end there (`_goes_on`) and compacts the rest with `take`; one
     select over the ended points by kind (an exact end wins over the stop
     test, as in `_descend`) gives F, J and their bounds."""
-    rows, n = walk.rows, idx.size
+    n = idx.size
     # the points in the order they end: where they sit in the input, and
     # their final numerator and state
     at, ended_m = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
-    ended = np.empty((rows, n))
+    ended = np.empty((walk.rows, n))
     done = 0
     while True:
         kind, go = _goes_on(walk, m, state)
@@ -558,7 +571,7 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
             end = np.flatnonzero(~go)
             k = slice(done, done + end.size)
             at[k], ended_m[k] = idx.take(end), m.take(end)
-            ended[:, k] = state[:rows].take(end, axis=1)
+            ended[:, k] = state.take(end, axis=1)
             done += end.size
             if not keep.size:
                 break
@@ -580,9 +593,9 @@ def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarra
     caller writes by broadcasting."""
     group = [at, None, None, None, None]
     plateau = not np.ndim(kind)
+    w_f, e_f, w_j, e_j = walk.ends.take(kind, axis=1)
     if walk.f is not None:
         af, bf = ended[walk.f], ended[walk.f + 1]
-        w_f, e_f = walk.ends_f.take(kind, axis=1)
         af += bf * w_f
         if plateau:
             bf = 0.0
@@ -596,7 +609,6 @@ def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarra
         a += b * y
         u = walk.i1 + (y - ONE_THIRD) * walk.q
         if not plateau:
-            w_j, e_j = walk.ends_j.take(kind, axis=1)
             np.copyto(u, y, where=kind == 0)
             np.copyto(u, walk.j34, where=kind == 2)
             bj *= w_j
@@ -606,24 +618,16 @@ def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarra
     return tuple(group)
 
 
-def _branch_many(params: PSingularParams, xs, tol: float, tol_below: float | None, value,
-                 reads: str = "FJ", relative: bool = False) -> np.ndarray:
-    """F and J at each point, or with `tol_below` on its branch of 1/3,
-    turned into values by value(x, above, F, J) for each group of
-    `_descend_many` in its order, so that a later group's values hold.
-
-    With `tol_below`, `above` is the boolean x >= 1/3 (None without), and
-    value picks each point's branch by the 0/1 weights `above` and
-    b = 1 - above, not by a select: below 1/3, where b = 1, it takes its
-    scalar's operations in their order, and above it every product with a
-    zero weight and every sum with a zero term is exact, so each branch
-    equals its scalar bit for bit."""
+def _many(params: PSingularParams, xs, tol: float, value, reads: str = "FJ",
+          relative: bool = False, tail: bool = False) -> np.ndarray:
+    """`_descend_many`'s F and J (with `tail`, S' and K') at each point,
+    turned into values by value(x, F, J) for each group in its order, so
+    that a later group's values hold."""
     xs = _points(xs)
     flat = xs.ravel()
     out = np.empty(flat.shape)
-    for at, f, _, j, _ in _descend_many(params, flat, tol, reads, relative, tol_below):
-        x = flat[at]
-        out[at] = value(x, x > ONE_THIRD if tol_below is not None else None, f, j)
+    for at, f, _, j, _ in _descend_many(params, flat, tol, reads, relative, tail):
+        out[at] = value(flat[at], f, j)
     return out.reshape(xs.shape)
 
 
@@ -640,20 +644,16 @@ def cdf(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
 
 def cdf_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized F_p over an array of points in [0, 1]."""
-    return _branch_many(params, xs, config.tolerance, None, lambda x, above, f, j: f, "F")
+    return _many(params, xs, config.tolerance, lambda x, f, j: f, "F")
 
 
 def survival(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """1 - F_p(x), same absolute-tolerance contract as `cdf`.
-
-    For x >= 1/3 the reflection identity 1 - F(x) = p * F(1-x) is used
-    (condition (ii) extended to [1/3, 1]); evaluated multiplicatively it
-    keeps full relative accuracy near the right endpoint, where the naive
-    difference would cancel catastrophically.
-    """
+    """1 - F_p(x), same absolute-tolerance contract as `cdf`: p S'(x) from
+    the tail walk (see `_descend`) at min(tol, tol/p), which keeps full
+    relative accuracy near both ends, where 1 - F(x) would cancel."""
     x, tol, p = _check_unit_interval(x), config.tolerance, params.p
-    f = _descend(params, x, min(tol, tol / p), "F", tol_below=tol)[0]
-    return p * f if x > ONE_THIRD else 1.0 - f
+    s = _descend(params, x, min(tol, tol / p), "F", tail=True)[0]
+    return p * s if x else s  # S' = 1 at x = 0, unscaled
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -676,10 +676,9 @@ _SAMPLE_WORDS = 3
 # arrays of this size
 _SAMPLE_BLOCK = 65_536
 # 3^(1 - k) by k, the a that `sample`'s leading run of k - 1 left steps
-# leaves, from the same np.power as `3.0 ** (1 - K)`; cut after its first
-# 0.0 (k = 680), which every longer run gives too
-_LEAD = np.power(3.0, 1 - np.arange(1024))
-_LEAD = _LEAD[:_LEAD.argmin() + 1]
+# leaves, correctly rounded (int / int is; np.power is not, first at k = 22)
+# up to its first 0.0 (k = 680), which every longer run gives too
+_LEAD = np.array([3 / 3 ** k for k in range(681)])
 _LEAD.flags.writeable = False
 # doubles per block of `_rise`'s scratch
 _RISE_BLOCK = 16_384

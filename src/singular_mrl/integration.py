@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, _branch_many,
-                           _check_unit_interval, _descend, i1_closed_form, mean)
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, _check_unit_interval,
+                           _descend, _many, i1_closed_form, mean)
 
 __all__ = ["IntegralValue", "cdf_integral", "cdf_integral_many", "i1_closed_form", "mean"]
 
@@ -46,4 +46,4 @@ def cdf_integral(params: PSingularParams, x: float, config: EvalConfig = DEFAULT
 
 def cdf_integral_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized J over an array of points in [0, 1]."""
-    return _branch_many(params, xs, config.tolerance, None, lambda x, above, f, j: j, "J")
+    return _many(params, xs, config.tolerance, lambda x, f, j: j, "J")

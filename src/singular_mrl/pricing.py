@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, ONE_THIRD, EvalConfig, PSingularParams,
-                           _branch_many, _check_unit_interval, _descend, _integer, mean)
+from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, _check_unit_interval,
+                           _descend, _integer, _many)
 from .errors import ParameterError
 from .fixedpoint import FixedPointResult, fixed_point_solve
 
@@ -29,37 +29,19 @@ class PricingResult:
 
 
 def expected_payoff(params: PSingularParams, price: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Pi(price) = price * E(X - price)_+ for price in [0, 1]."""
+    """Pi(price) = price * E(X - price)_+ for price in [0, 1], with
+    E(X - x)_+ = int_x^1 (1 - F) = p K'(x) from the tail walk (see
+    `distribution._descend`), which does not cancel.  K' is resolved to the
+    tolerance, so Pi's error can reach p x times it."""
     price = _check_unit_interval(price)
-    j = _descend(params, price, config.tolerance, "J", tol_below=config.tolerance)[2]
-    if price > ONE_THIRD:
-        # E(X - price)_+ = int_price^1 (1 - F); the reflection identity
-        # 1 - F(u) = p F(1-u) makes it p J(1 - price), free of cancellation
-        return price * (params.p * j)
-    return price * ((1.0 - price) - ((1.0 - mean(params)) - j))
+    return price * (params.p * _descend(params, price, config.tolerance, "J", tail=True)[2])
 
 
 def payoff_curve(params: PSingularParams, prices, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Vectorized Pi over an array of prices in [0, 1], equal to
-    `expected_payoff` at every price.  The branch is picked by weights
-    (see `_branch_many`): x ((b - b x) - (b J(1) - (above p + b) J))."""
-    p, j1, tol = params.p, 1.0 - mean(params), config.tolerance
-
-    def value(x, above, f, j):
-        # the docstring's formula, in place
-        b = 1.0 - above
-        pj = above * p
-        pj += b
-        pj *= j
-        out = b * x
-        np.subtract(b, out, out=out)
-        b *= j1
-        b -= pj
-        out -= b
-        out *= x
-        return out
-
-    return _branch_many(params, prices, tol, tol, value, "J")
+    `expected_payoff` at every price."""
+    p = params.p
+    return _many(params, prices, config.tolerance, lambda x, s, k: x * (p * k), "J", tail=True)
 
 
 def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
@@ -86,7 +68,8 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
 def comparative_statics(p_values, config: EvalConfig = DEFAULT_CONFIG) -> list[PricingResult]:
     """Optimal prices across an iterable of p values (order preserved).
 
-    Prices are strictly decreasing along strictly increasing p.
+    The closed form x* = 1/6 + (5p+4)/(12(2p+1)) falls strictly in p, but
+    each price is solved on its own, and their order is not checked.
     """
     p_values = list(p_values)
     if not p_values:

@@ -19,6 +19,7 @@ from . import distribution as dist
 from . import integration as integ
 from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, gap_grid,
                            gap_intervals, seeded_rng)
+from .errors import ParameterError
 from .fixedpoint import fixed_point_solve, verify_uniqueness
 from .mrl import mrl, mrl_at_one_third, mrl_many
 from .pricing import expected_payoff, payoff_curve
@@ -227,6 +228,9 @@ def check_pricing_mc(params, config, seed, n=1_000_000, prices=None):
 def run_all(p_values=(0.5, 1.0, 2.0), tolerance=DEFAULT_CONFIG.tolerance, seed=12345,
             grid_n=1000) -> list[CheckResult]:
     """Run the full invariant suite; returns one CheckResult per property."""
+    p_values = list(p_values)
+    if not p_values:
+        raise ParameterError("p_values must be nonempty")
     config = EvalConfig(tolerance=tolerance)
     rng = seeded_rng(seed)
     results = [

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,17 +84,34 @@ class TestExitCodes:
         assert "parameter error" in err
 
     @pytest.mark.parametrize("p", ["1e-20", "1e-300"])
-    @pytest.mark.parametrize("argv", [("mrl", "--x", "0.0002"), ("gmrl", "--x", "0.1"),
-                                      ("plot-data", "--what", "mrl", "--grid", "100"),
-                                      ("fixpoint",), ("fixpoint", "--grid", "0"), ("price",)])
-    def test_unresolved_survival(self, capsys, argv, p):
-        # 1 - F(x) rounds to 0 below 1/3: one parameter error line, no rows.
-        # fixpoint and price meet it in the uniqueness certificate's scalar mrl
+    @pytest.mark.parametrize("x", ["0.0002", "0.1", "0.5"])
+    def test_tiny_p_mrl(self, capsys, oracle, p, x):
+        # p/(p+1) < 2^-53, where 1 - F(x) rounds to 0 below 1/3: m from the
+        # tail walk lies within its bound of the exact value, plus 4 ulps
+        code, out, err = run(capsys, "mrl", "--x", x, "--p", p, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        lo, hi = oracle.mrl(oracle.Family(float(p)), float(x))
+        width = Fraction(payload["error_bound"]) + Fraction(2.0 ** -50 * payload["value"])
+        assert lo - width <= Fraction(payload["value"]) <= hi + width
+
+    @pytest.mark.parametrize("p", ["1e-20", "1e-300"])
+    @pytest.mark.parametrize("argv", [("gmrl", "--x", "0.1"),
+                                      ("plot-data", "--what", "mrl", "--grid", "100")])
+    def test_tiny_p_evaluates(self, capsys, argv, p):
         code, out, err = run(capsys, *argv, "--p", p)
-        assert code == 4
+        assert code == 0 and err == "" and out
+
+    @pytest.mark.parametrize("p", ["1e-16", "1e-20", "1e-300"])
+    @pytest.mark.parametrize("argv", [("fixpoint",), ("fixpoint", "--grid", "0"), ("price",)])
+    def test_uncertified_tiny_p(self, capsys, argv, p):
+        # below the least certified p, about 1.48e-16, m(0) = E[X] cannot
+        # clear the finest cell: one error line naming it, no rows
+        code, out, err = run(capsys, *argv, "--p", p)
+        assert code == 5
         assert out == ""
-        assert err.startswith("parameter error: ") and err.count("\n") == 1
-        assert "cannot resolve the survival" in err
+        assert err.startswith("error: uniqueness is not certified on the cell "
+                              "[0, 1/9007199254740992]: ") and err.count("\n") == 1
 
     def test_runtime_error(self, capsys):
         code, _, err = run(capsys, "plot-data", "--what", "cdf",

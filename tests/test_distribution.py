@@ -18,7 +18,7 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           payoff_curve, point_cloud, sample, survival)
 from singular_mrl import distribution
 from singular_mrl.distribution import (_CHUNK, _LEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
-                                      _alias_table, _branch_many, _descend, _descend_many,
+                                      _alias_table, _descend, _descend_many, _many,
                                       _drop, _jump_table, _rise, gap_grid)
 from singular_mrl.fixedpoint import verify_uniqueness
 from singular_mrl.verify import check_dkw
@@ -34,13 +34,13 @@ STOP_MODES = [(1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10,
 
 
 def descents(tol_f, tol_j, relative):
-    """The descents (tol, reads, relative, tol_below) that meet a request.
+    """The descents (tol, reads, relative, tail) that meet a request.
     A descent stops on J's bracket where it reads J alone and on F's
-    otherwise, so a request runs one per finite tolerance, each from x and
-    from x's branch of 1/3 with a ten times finer tolerance below it."""
-    return [(tol, reads, relative, tol_below)
+    otherwise, so a request runs one per finite tolerance, each as F's
+    walk and as the tail walk."""
+    return [(tol, reads, relative, tail)
             for tol, reads in ((tol_f, "FJ"), (tol_j, "J")) if tol < math.inf
-            for tol_below in (None, tol / 10.0)]
+            for tail in (False, True)]
 
 
 def read_rows(reads):
@@ -53,7 +53,7 @@ def scalar_rows(params, xs, *args):
     return np.array([_descend(params, x, *args) for x in np.asarray(xs).tolist()]).T
 
 
-def gather(groups, params, xs, tol_below=None):
+def gather(groups, params, xs, tail=False):
     """The rows F, F bound, J and J bound of the groups of a vector descent
     of xs, put back in input order, a later group over an earlier one; a
     quantity the walk did not carry stays NaN.  Every position must come
@@ -75,31 +75,27 @@ def gather(groups, params, xs, tol_below=None):
     if again.size:
         assert (seen <= 2).all()
         ys = xs.take(again)
-        live = xs.size > distribution._CHUNK and live_after_jump(params, ys, tol_below)
-        assert (~carried(ys) | live).all()
+        live = xs.size > distribution._CHUNK and live_after_jump(params, ys, tail)
+        assert (~carried(ys, tail) | live).all()
     return out
 
 
-def carried(xs):
+def carried(xs, tail=False):
     """Whether the vector walk carries each point, 0 < x < 1 a multiple of
-    2^-63; it holds every other one as a placeholder, which ends at once:
+    2^-63 and, in a tail walk, x > 3^-8, whose leading run ends within the
+    head; it holds every other one as a placeholder, which ends at once:
     0 and 1 with their own values, the rest to be walked by the scalar
     loop."""
-    return np.array([0 < n < d <= 2 ** 63 for n, d in map(float.as_integer_ratio, xs.tolist())])
+    return np.array([0 < n < d <= 2 ** 63 and (not tail or n * 3 ** 8 > d)
+                     for n, d in map(float.as_integer_ratio, xs.tolist())])
 
 
-def live_after_jump(params, xs, tol_below):
+def live_after_jump(params, xs, tail):
     """Whether the jump table leaves each point live: a point that the
-    vector walk carries (0 < y < 1, x a multiple of 2^-63) in a cell
-    floor(3^8 y) whose multiplier is +-3^8, where y is x or, with
-    `tol_below`, 1 - x for x >= 1/3."""
-    mult, live = _jump_table(params)[0], []
-    for x in xs.tolist():
-        n, d = x.as_integer_ratio()
-        if tol_below is not None and x > ONE_THIRD:
-            n = d - n
-        live.append(0 < n < d <= 2 ** 63 and abs(mult[n * 3 ** 8 // d]) >= 3 ** 8)
-    return np.array(live)
+    vector walk carries in a cell floor(3^8 x) whose multiplier is +-3^8."""
+    mult = _jump_table(params, tail)[0]
+    cells = [n * 3 ** 8 // d for n, d in map(float.as_integer_ratio, xs.tolist())]
+    return carried(xs, tail) & (np.abs(mult.take(cells, mode="clip")) >= 3 ** 8)
 
 
 def twins(params, xs, tol_f, tol_j, relative):
@@ -119,11 +115,11 @@ def bits(values):
 
 
 def survival_many(params, xs):
-    """`survival`'s descent run as a vector: F from 1 - x at min(tol, tol/p)
-    for x >= 1/3, from x at tol below, at the default tolerance."""
+    """`survival`'s descent run as a vector: p S' from the tail walk at
+    min(tol, tol/p), S' itself at x = 0, at the default tolerance."""
     p, tol = params.p, 1e-10
-    return _branch_many(params, xs, min(tol, tol / p), tol,
-                        lambda x, above, f, j: np.where(above, p * f, 1.0 - f), "F")
+    return _many(params, xs, min(tol, tol / p), lambda x, s, k: np.where(x > 0.0, p * s, s), "F",
+                 tail=True)
 
 
 # each vector evaluator with its scalar twin
@@ -158,8 +154,9 @@ def grid_eval_batch():
                                            gap_grid(0))))
 
 
-# sha256 of `fn(PSingularParams(p), grid_eval_batch()).tobytes()` by (fn, p),
-# as the vector walk returned them when it still left odd points out
+# sha256 of `fn(PSingularParams(p), grid_eval_batch()).tobytes()` by (fn, p):
+# F and J as the vector walk returned them when it still left odd points
+# out, m and the payoff as the tail walk returns them
 VECTOR_DIGESTS = {
     ("cdf_many", 0.01): "fa24dcc809472493d5987b7ab3d8cffa949261da7f089e1357dd70baea147ed4",
     ("cdf_many", 1.0): "164cdafb56cb6298a12b0f1fbe8ac4c560cea1bdd4c7c1b94ac57b53ad3cc8ca",
@@ -167,21 +164,21 @@ VECTOR_DIGESTS = {
     ("cdf_integral_many", 0.01): "9e6ab919c87a1c15d0d492eeb764dc1e0ec462426b25fd61ff50e2a4ef8ca5e5",
     ("cdf_integral_many", 1.0): "d432fccb7bcc16a95219e64b1ed3f1e7bd997df1e097e358ad7ff95aa6b7b642",
     ("cdf_integral_many", 100.0): "b9d4538cadd2ee7df5590b020452a032f14b5d210abf6476772dd33e05ad1218",
-    ("mrl_many", 0.01): "99f7fa48f632b152e399d93bc37f7e0745cefd8e9e37d41301a33311551d8ac5",
-    ("mrl_many", 1.0): "8de6df72c8ae2ce30bc4285c38bc55e80ece16c3548273c76b528b0ad3f1770f",
-    ("mrl_many", 100.0): "0d5335ef72dbb060807f31f409fe490f7621839ece25939f4bf0ade9914a0418",
-    ("payoff_curve", 0.01): "9ca64d7abaa3cdd08e63032424fe0f5cd256f7f783b05420a6382598dc13f228",
-    ("payoff_curve", 1.0): "410982927395700efad3913557ea6ff1d0fe82c521a992b43dc087f78a321ea2",
-    ("payoff_curve", 100.0): "54f185f7f2bae9ef02741278703ed2e934ad8b7257e45976bcd4a177233a0b7b",
-    # recorded while the branch of 1/3 was still picked with np.where
+    ("mrl_many", 0.01): "9ef4bfe38fd0c812537192857e2bffb4fcbd7d3c5ac9cbb9998fccb411412a0d",
+    ("mrl_many", 1.0): "9830a3f78ca4e026498d7e77a9dbc1c14a047ec6770e1edd23dc36f242f1c806",
+    ("mrl_many", 100.0): "920072f16fc150675668f0c5ea21a01083fdbe73d55a1d638345e3135e3a2156",
+    ("payoff_curve", 0.01): "e28c5a6a13b92a1c5dfa07fd74602cbcfa22b8793b53f522646734ca44c817d4",
+    ("payoff_curve", 1.0): "21286e7c94cb3f54dd889be3955e94e4fede65f2c753ec2fc007234c754f9b5b",
+    ("payoff_curve", 100.0): "e8775a9a17223ccbc4bc7c2826ba61fcb628c57d8f9c0ccea3239ecc84b72332",
+    # F and J recorded while the branch of 1/3 was still picked with np.where
     ("cdf_many", 1e-06): "919d11e4ecc01f2dda5aa3456746ee82e05619f1c305fd5efa4cccbe6df24312",
     ("cdf_many", 1e6): "804299fe17cbd3195603b0db31680d8374cd6d45c0f98c53925f9c71ccd778b1",
     ("cdf_integral_many", 1e-06): "533bf5e9c33990d02a645dd554c1bb4dfdf18120b0af69c2d55d02537a8f1038",
     ("cdf_integral_many", 1e6): "2073e066b8438476a53adf05708814a73edcc90106d1a51270e38b4169fb4c49",
-    ("mrl_many", 1e-06): "830c1b9efd8c77594f170636ce3a554636430d89d526b55745e83d5527da6464",
-    ("mrl_many", 1e6): "2e54332893b00afa6cb691dd07c7b8d642f46c9e7fea561c7fe4d1d2b5afd11f",
-    ("payoff_curve", 1e-06): "4763a87b3a8bacf0a21b796e494ad94a44552d537377411f7b5fd928eba0c381",
-    ("payoff_curve", 1e6): "caf479a94c2c05d2e2a6a2e977393c462e119babccf044d3879888387ba07283",
+    ("mrl_many", 1e-06): "0406886873ded986153e0863506fa336f0c5d40b0cf5204f2b71f6b3f81a1464",
+    ("mrl_many", 1e6): "86a366cb17172be4aae7e46b278932b8e37d81649812d88c4b886e4394c57215",
+    ("payoff_curve", 1e-06): "3ee257460cf3bc95ec180e2af038d018f48d206ec5fdd6e5b21ec938bc1e7ac1",
+    ("payoff_curve", 1e6): "792129dde9be566c83efcd67481f122087e50a84f5c88b9c311cf9955a487ca5",
 }
 
 # the short inputs of the solvers and of the placeholders' edges, each of
@@ -192,24 +189,25 @@ SHORT_INPUTS = {"curve": lambda: np.linspace(0.0, 1.0, 200), "scan": lambda: gap
                 "edges": lambda: np.array(ODD_POINTS + BRANCH_EDGES)}
 
 # sha256 of `fn(PSingularParams(p), SHORT_INPUTS[name]()).tobytes()` by
-# (fn, name, p), as the short inputs' walk returned them when it still
-# compacted at every level and sent 0 and 1 to the scalar loop
+# (fn, name, p): F and J as the short inputs' walk returned them when it
+# still compacted at every level and sent 0 and 1 to the scalar loop, m and
+# the payoff as the tail walk returns them
 SHORT_DIGESTS = {
-    ("payoff_curve", "curve", 1e-06): "f4fa91c962acd823f709070a1fc2778e3d14ed261e9d6c4ed757f41ba06c2142",
-    ("payoff_curve", "curve", 0.01): "a18a479711a6a24bf48ec784d73b2e7f0b3d76f4440294c0d23939e300f25be3",
-    ("payoff_curve", "curve", 1.0): "7f60aa260ca78b20e2a5918119eac231db94b17a7e65ceac743c0fecd04c6144",
-    ("payoff_curve", "curve", 100.0): "243b23b01d85a473fbf2d7c893637ffb7eec349f4da9c2d60ee3dcaf1090a34d",
-    ("payoff_curve", "curve", 1e6): "c34d6ea7c14b8c0afa5bbff254c5ff8420fcb5767c44efc4518f9029dc73bfce",
-    ("mrl_many", "curve", 1e-06): "322462c08f56573183b51abf7f1e741c388d806168bebcea1a93cd429a7eab49",
-    ("mrl_many", "curve", 0.01): "3f43a0b812419f09ebaa9cb529367ad65ebe9db2ae384ca20271309f258cbb38",
-    ("mrl_many", "curve", 1.0): "bdc7259a0ca97ec3ba83620bb60908369cf76d6413774db673bf0622aa448fb2",
-    ("mrl_many", "curve", 100.0): "8b31bf7bc76c09524d750337414b6941e32f704ce0d01869b0070016830d2d31",
-    ("mrl_many", "curve", 1e6): "2e90e27280fc3cdb88220c53dc320e3bcdd90d99b7fc77ba5063c8a21adf975f",
-    ("mrl_many", "scan", 1e-06): "4f8aa77499d0b95e39b42180eb4e0ae00f9c29d714bebf7e5959a01076253d01",
-    ("mrl_many", "scan", 0.01): "acd08e3918c82e9a62763fc535153be9c219d0c1e476cbd3eacc315b7b4886ba",
-    ("mrl_many", "scan", 1.0): "e435afa0e941450bf6e628466d86fc8b59bc4a6cad1d675b7da0acf395a34e50",
-    ("mrl_many", "scan", 100.0): "5a0f91c71912a2a46f4ca6b211c645f4cf0fdae720ee0b1bc98b57a07b023b46",
-    ("mrl_many", "scan", 1e6): "bb301de605faf11de0865555e3c9d8bd03a656bc75dbd64faa948de2b50734bc",
+    ("payoff_curve", "curve", 1e-06): "39cd5d0632966aa18f58598aec3253cf7d8f629b7bc50885fe0967d50839ae0d",
+    ("payoff_curve", "curve", 0.01): "6f2f0e7050085292035624a389a1ee8e4a383f203d821531030216d08c30c8ab",
+    ("payoff_curve", "curve", 1.0): "70f3bd0438b17e4b6887b0cd0d1e0858265e991b56d89c00597207e74a6d1c4c",
+    ("payoff_curve", "curve", 100.0): "13fef3d69c9a2ab0449722dd9b6eaef457f90c287107da54c8deb6e492a48700",
+    ("payoff_curve", "curve", 1e6): "fba3184743803d883c2b4345bfc0ae427688f06f7daf97355c8558c82e5edb63",
+    ("mrl_many", "curve", 1e-06): "002e5b2f09a41c05530b5e4eb521ae4fdec9debda28e7f12aaa7b1836350964a",
+    ("mrl_many", "curve", 0.01): "405d3cf28d058f7a22257a1b2f3b39b60e9de82d764f64f16369eedc2d9336a4",
+    ("mrl_many", "curve", 1.0): "9b0fe3fb0d2c248b56c0175f0217550347162075a65ae6a7ef6c2ef1af56c590",
+    ("mrl_many", "curve", 100.0): "eb06e1dfa6f11009880237f2b26f000b21df7619cb2f37f138696f8c37e47e64",
+    ("mrl_many", "curve", 1e6): "d87d9e27bbebb59e5c4d3956efeb051e83e8e54a424605ab0b72e2219e04b0d1",
+    ("mrl_many", "scan", 1e-06): "95ce44388fc3045eb4c9d8211407536e8993a5db77d71af6cb69de4e8dc00211",
+    ("mrl_many", "scan", 0.01): "ebb56e75e8ce8503909e843478136796b3b674456a2902210a58a49cb4ea0d01",
+    ("mrl_many", "scan", 1.0): "b80b9cc8351b16e747ba46d7030318aace241697143c41a2cc4197719e226938",
+    ("mrl_many", "scan", 100.0): "91da8576d8d8692d6bc3145b23d1d3a04c473ab344a137efb753e6abf7c34d94",
+    ("mrl_many", "scan", 1e6): "652b22661aa944ddc878590b77622d065628de7be1b918e9f8785fb30a347e15",
     ("cdf_many", "edges", 1e-06): "b7eb9825084bd23c5340a99a89ca7d850530b1f5ea9457bb7cf143e2b80a934f",
     ("cdf_many", "edges", 0.01): "d6f1d01c717de3618f2022edb9182697419e06d57ecd5bb96623894ba7330e76",
     ("cdf_many", "edges", 1.0): "f7b11281b49f43ae9cdc262afcdec9e5c20d88f043bfcb279f7f488519e164ad",
@@ -250,7 +248,7 @@ def cloud_oracle(params, n_initial, iterations):
 
 
 # sha256 of `sample(PSingularParams(p), seed, n).tobytes()` by (p, n, seed),
-# as the closed-form leading run 3.0 ** (1 - K) drew them
+# as the closed-form leading run 3^(1 - K), correctly rounded, draws them
 SAMPLE_DIGESTS = {
     (1e-300, 1, 0): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     (1e-300, 1, 20261018): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
@@ -260,10 +258,10 @@ SAMPLE_DIGESTS = {
     (1e-300, 200001, 20261018): "acee3253fbd6f2afec2774dd0036d7927ce5453031d015f653a6e0c5c944037d",
     (0.01, 1, 0): "15a1dbdb62f045e83bbc30bf7d4202b9fafb6696c3832577d63f5421da35a8c2",
     (0.01, 1, 20261018): "bf9efb4ff4d6e58d7b5d387ac8067005a8e6ebf809c3f1b1594359602b34ef2c",
-    (0.01, 65537, 0): "4d6f33624461b19e67b53f197c97e4b5ed7b49c8941c40666b28694d9a2a563c",
-    (0.01, 65537, 20261018): "9099f17a7f8e5bd7b7d0b0ae82c84a997e90c2dd5924173e94168ab130c39dda",
-    (0.01, 200001, 0): "69048d50ec04b168ca7441a38ad1550fcdc6ec3d077a44bf24c4cf19e5b74586",
-    (0.01, 200001, 20261018): "9955744a99b967a42bbc776d8ef733aaddffc70a70ffedcb01eee7c8a8864df5",
+    (0.01, 65537, 0): "06b5a6eacfb0e177991500c97a8e789d7a3794fe6f92fea899c1e1abcefe057b",
+    (0.01, 65537, 20261018): "195c1fde39ac4b630094a0edf3ad6c5650aa0f2504b2dc72ae4bf51539df3436",
+    (0.01, 200001, 0): "5ff063e3b43aa284a78ee52ec1c640c646c14dc9d2713af3cbf33d9e6c9b1f6f",
+    (0.01, 200001, 20261018): "c0a1715738a19b3ec4f1ef2a8b950c9448c4369e4d3251a80337f4c464f93b6d",
     (1.0, 1, 0): "470705b75e88ea63c2912ff44d7959573cc622cce413509221469c33a6ad3b1b",
     (1.0, 1, 20261018): "479694213b38da2ad567d79acc0a8b4b656ef70181fd53120cea09c6d440d964",
     (1.0, 65537, 0): "ea46e3b4da6697210bf9c76ccdf8d6889fc2c59a192f033ab846d39fafd9a27d",
@@ -386,14 +384,15 @@ class TestDescent:
             np.testing.assert_array_equal(vec, scalar)
 
     @given(x=st.floats(min_value=0.0, max_value=1.0),
-           p=st.sampled_from([0.01, 0.5, 1.0, 2.0, 100.0]), relative=st.booleans())
+           p=st.sampled_from([0.01, 0.5, 1.0, 2.0, 100.0]), relative=st.booleans(),
+           tail=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_on_any_double(self, x, p, relative):
+    def test_twins_agree_on_any_double(self, x, p, relative, tail):
         params = PSingularParams(p)
         # the last group holds the value: a point the vector walk does not
         # carry comes again in the scalar loop's group
-        *_, (_, *vec) = _descend_many(params, [x], 1e-10, relative=relative)
-        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, relative=relative))
+        *_, (_, *vec) = _descend_many(params, [x], 1e-10, relative=relative, tail=tail)
+        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, relative=relative, tail=tail))
 
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
@@ -402,16 +401,15 @@ class TestDescent:
            chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
     def test_twins_agree_with_per_point_relative(self, data, xs, p, reads, relative, chunk):
-        # each point's start, tolerance and relative flag those of its
-        # branch, as `tol_below` sets them in both loops; small slices send
-        # the points through the jump table and the pooled tail, a `_CHUNK`
-        # slice steps through the head
+        # F's walk and the tail walk, whose head leaves each point in its
+        # leading run, on the plateau or in F's walk, at any tolerance;
+        # small slices send the points through the jump table and the
+        # pooled tail, a `_CHUNK` slice steps through the head
         params = PSingularParams(p)
-        tol, tol_below = data.draw(st.lists(
-            st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]), min_size=2, max_size=2))
-        args, rows = (tol, reads, relative, tol_below), read_rows(reads)
+        tol = data.draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]))
+        args, rows = (tol, reads, relative, data.draw(st.booleans())), read_rows(reads)
         with mock.patch.object(distribution, "_CHUNK", chunk):
-            vec = gather(_descend_many(params, xs, *args), params, xs, tol_below)[rows]
+            vec = gather(_descend_many(params, xs, *args), params, xs, args[3])[rows]
         np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, xs, *args)[rows]))
 
     def test_twins_share_one_signature(self):
@@ -421,18 +419,19 @@ class TestDescent:
             return list(inspect.signature(fn).parameters.values())[2:]
 
         assert tail(_descend) == tail(_descend_many)
-        assert [arg.name for arg in tail(_descend)] == ["tol", "reads", "relative", "tol_below"]
+        assert [arg.name for arg in tail(_descend)] == ["tol", "reads", "relative", "tail"]
 
-    @pytest.mark.parametrize("tol_below", [None, 1e-12])
-    def test_half_ends_on_the_plateau(self, twin_params, tol_below):
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_half_ends_on_the_plateau(self, twin_params, tail):
         # 1/2 is the ratio 1/2, whose 3d/4 rounds down to the plateau's one
-        # numerator: the walk ends there on entry, with bound 0, whichever
-        # branch it takes and whatever it reads
+        # numerator: the walk ends there, with bound 0, at once or after
+        # the tail walk's reflection onto 1/2, whatever it reads; there
+        # S'(1/2) = F(1/2) and K'(1/2) = J(1/2)
         for params in twin_params:
             q = params.left_mass
             plateau = (q, 0.0, i1_closed_form(params) + (0.5 - ONE_THIRD) * q, 0.0)
             for reads in ("F", "J", "FJ"):
-                assert _descend(params, 0.5, 1e-10, reads, False, tol_below) == plateau
+                assert _descend(params, 0.5, 1e-10, reads, False, tail) == plateau
 
     @pytest.mark.parametrize("x", [0.25, 0.75])
     @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e4, 1e6])
@@ -480,14 +479,9 @@ class TestDescent:
                         assert cdf_with_bound(params, x, config)[1] <= tol
                         survival(params, x, config)
                     for scalar, vector in zip(scalars, vectors):
-                        try:
-                            vec = vector(params, xs, config)
-                        except ParameterError:
-                            # m below 1/3 where 1 - F(x) rounds to 0
-                            assert vector is mrl_many and p < 1e-15
-                            continue
                         np.testing.assert_array_equal(
-                            bits(vec), bits([scalar(params, x, config) for x in xs.tolist()]))
+                            bits(vector(params, xs, config)),
+                            bits([scalar(params, x, config) for x in xs.tolist()]))
 
     @given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from([0.01, 1.0, 7.0, 100.0]),
            reads=st.sampled_from(["F", "J", "FJ"]), relative=st.booleans())
@@ -499,16 +493,16 @@ class TestDescent:
         assert j_bound <= f_bound
 
     @pytest.mark.parametrize("p,x,values", [
-        (0.01, 0.3, (0.01951266862944645, 0.3690294520875967, 8.423023786252327e-12,
-                     0.0021602248287300617)),
+        (0.01, 0.3, (0.019512668673370783, 0.36902945208760485, 8.39237338085833e-12,
+                     0.002160224828730127)),
         (0.01, 0.4, (0.009900990099009901, 0.5950980392156862, 0.0, 0.002356823917685886)),
         (0.01, 1 - 1e-9, (0.008277399150406683, 9.87347154111631e-10, 0.0,
                           8.172666486427405e-12)),
-        (1.0, 0.3, (0.6000000000349246, 0.44761904761470506, 1.0714533316881297e-15,
+        (1.0, 0.3, (0.6000000000349246, 0.4476190475929925, 4.342537831093042e-11,
                     0.08057142858265089)),
         (1.0, 1 - 1e-9, (1.9073486328125e-06, 5.698041730992018e-10, 0.0,
                          1.953124942808727e-12)),
-        (100.0, 0.3, (0.9901951267315589, 0.45120053821420647, 2.083454598326171e-11,
+        (100.0, 0.3, (0.9901951267315587, 0.45120053821420664, 2.0834515475645127e-11,
                       0.13403297223557184)),
         (100.0, 0.4, (0.9900990099009901, 0.35124378109452736, 0.0, 0.13910644795822866)),
         (100.0, 1 - 1e-9, (4.617416112411561e-15, 3.579166901973728e-10, 0.0,
@@ -564,7 +558,7 @@ class TestDescent:
             shorts.append(m.size)
             return walk_on(walk, m, flat, state)
 
-        def no_table(params):
+        def no_table(params, tail):
             raise AssertionError("an input of one slice built a jump table")
 
         descend_slice, walk_on = distribution._descend_slice, distribution._walk_on
@@ -590,13 +584,13 @@ class TestDescent:
 
     @pytest.mark.parametrize("chunk", [32, _CHUNK])
     @pytest.mark.parametrize("size", [1, 8, 100_000])
-    @pytest.mark.parametrize("branch,relative", [(False, False), (True, False), (False, True),
-                                                 (True, True)])
+    @pytest.mark.parametrize("tail,relative", [(False, False), (True, False), (False, True),
+                                               (True, True)])
     def test_walks_carry_only_what_they_read(self, monkeypatch, twin_params, twin_points,
-                                             branch, relative, size, chunk):
-        # a walk carries what it reads, plus F where its stop limit is set
-        # per point (relative, or a `tol_below` other than the tolerance),
-        # and gives the scalar loop's rows for what it carries; a quantity
+                                             tail, relative, size, chunk):
+        # a walk carries what it reads, plus F where its stop test is
+        # relative, in F's walk and in the tail walk alike, and gives the
+        # scalar loop's rows for what it carries; a quantity
         # it does not carry is None.  The input is the first `size` twin
         # points, so with slices of 32 points the whole set jumps through
         # the table, and every other input of one slice steps through its
@@ -605,10 +599,10 @@ class TestDescent:
         xs = twin_points[:size]
         for params in twin_params:
             for reads in ("F", "J", "FJ"):
-                args = (1e-10, reads, relative, 1e-12 if branch else None)
+                args = (1e-10, reads, relative, tail)
                 groups = list(_descend_many(params, xs, *args))
-                one, scalar = gather(groups, params, xs, args[3]), scalar_rows(params, xs, *args)
-                carried = set(reads) | ({"F"} if relative or branch else set())
+                one, scalar = gather(groups, params, xs, tail), scalar_rows(params, xs, *args)
+                carried = set(reads) | ({"F"} if relative else set())
                 for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):
                     if name in carried:
                         np.testing.assert_array_equal(bits(one[rows]), bits(scalar[rows]))
@@ -637,7 +631,7 @@ class TestDescent:
         # build than the request: its payoff curve steps through the head,
         # as do the short `mrl_many` and `cdf_many` calls and the
         # uniqueness scan
-        def no_table(params):
+        def no_table(params, tail):
             raise AssertionError("a short input built a jump table")
 
         monkeypatch.setattr(distribution, "_jump_table", no_table)
@@ -648,9 +642,11 @@ class TestDescent:
             assert mrl_many(params, xs).shape == cdf_many(params, xs).shape == xs.shape
             assert verify_uniqueness(params, 1000) == 1
 
-    def test_jump_table_is_cached_and_read_only(self):
-        table = _jump_table(P2)
-        assert _jump_table(PSingularParams(2.0)) is table
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_jump_table_is_cached_and_read_only(self, tail):
+        table = _jump_table(P2, tail)
+        assert _jump_table(PSingularParams(2.0), tail) is table
+        assert _jump_table(P2, not tail) is not table
         assert not any(arr.flags.writeable for arr in table)
         assert [arr.shape for arr in table] == [(3 ** 8,), (5, 3 ** 8)]
 
@@ -689,22 +685,6 @@ class TestDescent:
             for vector, scalar in EVALUATORS[:4]:
                 np.testing.assert_array_equal(bits(vector(params, xs)[at]),
                                               bits([scalar(params, x) for x in xs[at].tolist()]))
-
-    def test_placeholder_never_names_the_unresolved_point(self):
-        # at p = 1e-20 the placeholder of a tiny odd double has 1 - F = 0
-        # below 1/3, which `mrl_many` marks unresolved; the scalar loop's group
-        # overwrites it, so `mrl_many` raises the error of the first
-        # point at which `mrl` raises, message included
-        params, xs = PSingularParams(1e-20), odd_in_every_slice()
-        for x in xs.tolist():
-            try:
-                mrl(params, x)
-            except ParameterError as err:
-                message = str(err)
-                break
-        with pytest.raises(ParameterError) as err:
-            mrl_many(params, xs)
-        assert str(err.value) == message
 
     def test_odd_points_alone_skip_the_vector_walk(self, monkeypatch):
         # a short input of the tiny odd doubles only, which the scalar loop
@@ -747,56 +727,49 @@ class TestDescent:
             np.testing.assert_array_equal(bits(vector(params, xs)),
                                           bits([scalar(params, x) for x in xs]))
 
-    def test_head_table_is_shared_by_the_jump_tables(self):
-        # the head table is built once, read-only, and holds each cell's
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_head_table_is_shared_by_the_jump_tables(self, tail):
+        # each head table is built once, read-only, and holds each cell's
         # kinds of step, which reproduce `_jump_table`'s multipliers and
         # state columns when its representative numerators step through
-        # the head one level at a time
-        kinds, mult = table = distribution._head_table()
-        assert distribution._head_table() is table
+        # the head one level at a time: a tail walk's in its leading run
+        # (kinds 3-5) until its first reflection, in F's walk after it
+        kinds, mult = table = distribution._head_table(tail)
+        assert distribution._head_table(tail) is table
         assert not any(arr.flags.writeable for arr in table)
         assert kinds.shape == (8, 3 ** 8) and kinds.dtype == np.int8 and mult.shape == (3 ** 8,)
         for p in (0.01, 100.0):
             params = PSingularParams(p)
-            walk = distribution._Walk(params, 1.0, "FJ", False, None)
+            walk = distribution._Walk(params, 1.0, "FJ", False, tail)
             m = ((np.arange(3 ** 8) + 0.5) * (2.0 ** 63 / 3 ** 8)).astype(np.int64)
             state, levels = np.repeat(walk.origin, m.size, axis=1), []
+            run = np.full(m.size, tail)
             for _ in range(8):
-                levels.append(distribution._kinds(m))
+                levels.append(distribution._kinds(m) + 3 * run)
+                run &= levels[-1] == 3
                 distribution._step(walk, m, state, levels[-1])
-            jump_mult, columns = _jump_table(params)
+            jump_mult, columns = _jump_table(params, tail)
             assert jump_mult is mult
             np.testing.assert_array_equal(kinds, levels)
             np.testing.assert_array_equal(bits(columns), bits(state))
-            exponent = (np.array(levels) != 1).sum(axis=0)
+            exponent = (~np.isin(levels, [1, 4])).sum(axis=0)
             np.testing.assert_array_equal(np.abs(mult), 3 ** exponent)
+            # only the cell 0 is still in its leading run after the head
+            assert np.flatnonzero(np.array(levels[-1]) == 3).tolist() == ([0] if tail else [])
 
     @pytest.mark.parametrize("size", [len(BRANCH_EDGES), 2 * _CHUNK + len(BRANCH_EDGES)])
     @pytest.mark.parametrize("p", [1e-300, 1e-6, 1.0, 1e6, 1e300])
-    def test_branch_weights_at_the_edges(self, p, size):
-        # the weights that pick each point's branch of 1/3 give the scalars'
-        # values bit for bit on both sides of it and at the ends, where
-        # m = 0 (F(1 - x) underflows at p = 1e300) or `mrl` raises (1 - F(x)
-        # rounds to 0 below 1/3 at p = 1e-300); the longer input repeats the
-        # edges through three slices of the jump table's path
+    def test_tail_walk_at_the_edges(self, p, size):
+        # the tail walk gives the scalars' values bit for bit on both sides
+        # of 1/3, where it reflects at once or after its leading run, and at
+        # the ends, where m = 0 (F(1 - x) underflows at p = 1e300) or m(0)
+        # = E[X]; the longer input repeats the edges through three slices
+        # of the jump table's path
         params, xs = PSingularParams(p), np.resize(BRANCH_EDGES, size)
         np.testing.assert_array_equal(bits(payoff_curve(params, xs)),
                                       bits([expected_payoff(params, x) for x in xs.tolist()]))
-        try:
-            expected = bits([mrl(params, x).value for x in xs.tolist()])
-        except ParameterError as err:
-            with pytest.raises(ParameterError) as raised:
-                mrl_many(params, xs)
-            assert str(raised.value) == str(err)
-        else:
-            np.testing.assert_array_equal(bits(mrl_many(params, xs)), expected)
-
-    def test_unresolved_text_is_pinned(self):
-        with pytest.raises(ParameterError) as raised:
-            mrl_many(PSingularParams(1e-20), [0.5, 0.1, 0.2])
-        assert str(raised.value) == (
-            "p = 1e-20 is too small: 1 - F(x) rounds to 0 at x = 0.1, so double precision "
-            "cannot resolve the survival there")
+        np.testing.assert_array_equal(bits(mrl_many(params, xs)),
+                                      bits([mrl(params, x).value for x in xs.tolist()]))
 
     def test_kinds_are_the_searchsorted_kinds(self):
         # the step kinds by one division, against the searchsorted over the
@@ -988,10 +961,12 @@ class TestSample:
 
     def test_leading_run_table(self):
         # the table clipped at its last entry, the first 0.0, is 3^(1 - K)
-        # bit for bit, up to numpy's cap on K
+        # correctly rounded, up to numpy's cap on K; np.power is not, first
+        # at K = 22
         ks = np.append(np.arange(1, 2001), np.iinfo(np.int64).max)
         assert _LEAD[-1] == 0.0 < _LEAD[-2] and not _LEAD.flags.writeable
-        np.testing.assert_array_equal(bits(_LEAD.take(ks, mode="clip")), bits(3.0 ** (1 - ks)))
+        exact = [float(Fraction(3, 3 ** k)) for k in np.minimum(ks, _LEAD.size).tolist()]
+        np.testing.assert_array_equal(bits(_LEAD.take(ks, mode="clip")), bits(exact))
 
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):

@@ -10,6 +10,7 @@ double does not take misses by far more: at fl(1/9) the old float walk was
 6.9e-3 off at p = 0.01 and 1.3e-11 at p = 1, with bound 0.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singular_mrl import (PSingularParams, cdf_integral, cdf_integral_many, cdf_many,
-                          cdf_with_bound, gap_intervals, mrl, mrl_many)
+                          cdf_with_bound, expected_payoff, gap_intervals, mrl, mrl_many,
+                          payoff_curve, survival)
 from singular_mrl.distribution import GAP_LEVEL, gap_grid
 
 SLACK = Fraction(4 * 2.0 ** -52)
@@ -85,3 +87,25 @@ def test_tiny_p_mrl_within_bounds(oracle):
         m = mrl(params, x)
         assert value == m.value
         assert misses(value, oracle.mrl(fam, x), m.error_bound, m_slack(oracle, fam, x)) == 0.0, x
+
+
+@pytest.mark.parametrize("p", [1e-12, 0.01, 1.0, 100.0])
+def test_tail_quantities_below_one_third(oracle, p):
+    # survival and the payoff below 1/3, p S' and x p K' from the tail
+    # walk's sums: survival within the tolerance of 1 - F(x), the payoff
+    # within p x times it (K' is resolved to the tolerance), each plus the
+    # leading run's rounding, (k + 2) 2^-51 of the value for a run of
+    # k < log_3(1/x) steps.  At p = 1e-12 the complements 1 - F(x) and
+    # (1 - x) - (J(1) - J(x)) were off by 25% and 30% of the value
+    params, fam, tol = PSingularParams(p), oracle.Family(p), Fraction(1e-10)
+    xs = np.concatenate(([0.0, 1 / 3], ENDPOINTS[ENDPOINTS < 1 / 3],
+                         np.random.default_rng(31).random(40) / 3))
+    for x, pay in zip(xs.tolist(), payoff_curve(params, xs).tolist()):
+        s, run = survival(params, x), (2.0 - math.log(x, 3.0) if x else 2.0) * 2.0 ** -51
+        f_lo, f_hi = oracle.cdf(fam, x)
+        assert misses(s, (1 - f_hi, 1 - f_lo), tol, Fraction(run * s)) == 0.0, x
+        j_lo, j_hi = oracle.cdf_integral(fam, x)
+        base, X = 1 - Fraction(x) - fam.j1, Fraction(x)
+        assert pay == expected_payoff(params, x)
+        assert misses(pay, (X * (base + j_lo), X * (base + j_hi)), X * fam.p * tol,
+                      Fraction(run * pay)) == 0.0, x

@@ -16,6 +16,10 @@ from singular_mrl import (ConvergenceError, EvalConfig, ParameterError,
 from singular_mrl import fixedpoint, verify
 from singular_mrl.distribution import DEFAULT_CONFIG
 
+# the least p whose uniqueness certificate holds: m(0) = E[X] must clear
+# twice the finest cell, 2^-52, by more than its rounding
+LEAST_CERTIFIED_P = 1.4802973661668773e-16
+
 
 class TestClosedForm:
     def test_known_values(self):
@@ -105,20 +109,30 @@ class TestSolver:
         fp = fixed_point_solve(PSingularParams(1.0), scan_grid_n=0)
         assert fp.sign_changes == 1
 
-    @pytest.mark.parametrize("p", [1e-20, 1e-300])
-    def test_unresolved_survival(self, p):
-        # 1 - F(x) rounds to 0 below 1/3; the certificate's scalar mrl meets it
-        with pytest.raises(ParameterError, match="cannot resolve the survival"):
-            fixed_point_solve(PSingularParams(p))
-        with pytest.raises(ParameterError, match="cannot resolve the survival"):
-            optimal_price(PSingularParams(p))
+    @pytest.mark.parametrize("p", [1e-14, 3e-16])
+    def test_certifies_tiny_p(self, oracle, p):
+        # below 1/3 m(x) - x is O(p) next to 1/3, and the tail walk's sums
+        # resolve it: x* is the closed form, within an ulp of the exact one
+        params = PSingularParams(p)
+        fp = fixed_point_solve(params)
+        assert fp.sign_changes == 1 and fp.x_star == fp.closed_form
+        exact = oracle.fixed_point(oracle.Family(p))
+        assert abs(Fraction(fp.x_star) - exact) <= Fraction(math.ulp(fp.x_star))
+        assert optimal_price(params).optimal_price == fp.x_star
 
-    def test_unsound_values_fail_the_certificate(self):
-        # at p = 1e-14 the rounding of m's two terms below 1/3 exceeds the
-        # tolerance and `verify_uniqueness` counts 3 sign changes; m's bound
-        # carries that rounding, so the certificate fails rather than passes
-        with pytest.raises(ConvergenceError, match="not certified on the cell"):
-            fixed_point_solve(PSingularParams(1e-14))
+    def test_least_certified_p(self):
+        assert fixed_point_solve(PSingularParams(LEAST_CERTIFIED_P)).sign_changes == 1
+
+    @pytest.mark.parametrize("p", [math.nextafter(LEAST_CERTIFIED_P, 0.0), 1e-16, 1e-20, 1e-300])
+    def test_fails_on_the_least_cell_below_the_least_p(self, p):
+        # m(0) = E[X], about 1.5 p, less its rounding must exceed 2 2^-53
+        # to certify the finest cell [0, 2^-53]; below that the certificate
+        # names the cell instead of trusting it
+        match = r"not certified on the cell \[0, 1/9007199254740992\]"
+        with pytest.raises(ConvergenceError, match=match):
+            fixed_point_solve(PSingularParams(p))
+        with pytest.raises(ConvergenceError, match=match):
+            optimal_price(PSingularParams(p))
 
     @pytest.mark.parametrize("p,calls", [
         (1e4, 3), (100.0, 3), (1.0, 5), (0.01, 10), (1e-4, 16), (1e-6, 23)])

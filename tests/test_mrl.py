@@ -1,11 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singular_mrl import (DomainError, EvalConfig, ParameterError,
-                          PSingularParams, gap_intervals, gmrl, mrl,
-                          mrl_at_one_third, mrl_many, sample)
+from singular_mrl import (DomainError, EvalConfig, PSingularParams, gap_intervals, gmrl,
+                          mean, mrl, mrl_at_one_third, mrl_many, sample, survival)
 from singular_mrl.distribution import _CHUNK
 
 P1 = PSingularParams(1.0)
@@ -17,6 +18,17 @@ class TestAnchors:
         # m(0) = E[X]
         assert mrl(P1, 0.0).value == pytest.approx(0.5, abs=1e-10)
         assert mrl(P2, 0.0).value == pytest.approx(0.6, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-20, 0.01, 1.0, 100.0, 1e300])
+    def test_at_zero_is_the_mean(self, p):
+        # the tail walk ends x = 0 on entry with S' = 1 and K' = E[X],
+        # unscaled, so m(0) is `mean` itself, in both loops, and its bound
+        # is that closed form's rounding; survival(0) is 1
+        params = PSingularParams(p)
+        m = mrl(params, 0.0)
+        assert m.value == mrl_many(params, [0.0])[0] == mean(params)
+        assert m.error_bound == 2.0 ** -50 * mean(params)
+        assert survival(params, 0.0) == 1.0
 
     def test_at_one_is_exact_zero(self):
         v = mrl(P1, 1.0)
@@ -82,16 +94,17 @@ class TestEvaluator:
             np.testing.assert_array_equal(vec, [mrl(params, x).value for x in twin_points])
 
     def test_bound_within_twice_tolerance(self, twin_params, twin_points):
-        # the quotient's bound stays <= 2 tolerance on [0, 1): on [1/3, 1)
-        # through the relative stop test, where F(1-x) does not underflow at
-        # these points, and below 1/3 through tolerances scaled by p/(p+1)
+        # the quotient's bound stays <= 2 tolerance on [0, 1) through the
+        # relative stop test, where S' does not underflow at these points,
+        # with the leading run's rounding below 1/3
         for params in twin_params:
             for x in twin_points[twin_points < 1.0]:
                 assert mrl(params, x).error_bound <= 2e-10
 
     def test_bound_below_one_third_at_small_p(self):
-        # 1 - F(x) can fall to p/(p+1) below 1/3; unscaled absolute
-        # tolerances gave a bound of 1.04e-9 at the first point
+        # 1 - F(x) can fall to p/(p+1) below 1/3; stopping F's walk there
+        # on an unscaled absolute tolerance gave a bound of 1.04e-9 at the
+        # first point
         params = PSingularParams(0.01)
         xs = np.random.default_rng(2000).random(2000) / 3.0
         for x in [0.23159337822711346, *xs.tolist()]:
@@ -102,9 +115,10 @@ class TestEvaluator:
         (1e-8, 0.33334224846024396), (1e-6, 0.3333436509544694)])
     def test_bound_holds_the_exact_value_at_tiny_p(self, p, exact):
         # 1 - F(x) and the numerator cancel to about p/(p+1) just below 1/3,
-        # so their rounding must be in the bound: at p = 1e-12 the value is
-        # 6.4e-5 off.  `exact` is m at the double x and the double p from an
-        # exact Fraction descent, rounded to a double
+        # where the complements were 6.4e-5 off at p = 1e-12; the tail
+        # walk's sums do not cancel, and the bound counts their rounding.
+        # `exact` is m at the double x and the double p from an exact
+        # Fraction descent, rounded to a double
         v = mrl(PSingularParams(p), 87379 / 262144)
         assert abs(v.value - exact) <= v.error_bound
 
@@ -134,26 +148,24 @@ class TestEvaluator:
             assert abs(mrl(P1, x).value - est) <= 4.0 * se
 
     @pytest.mark.parametrize("p", [1e-20, 1e-300])
-    def test_unresolved_survival_below_one_third(self, p):
-        # p/(p+1) < 2^-53: 1 - F(x) rounds to 0 for x in (0, 1/3), where m
-        # divides by it; above 1/3 the reflected form still holds (fl(1/3)
-        # lies below 1/3, so the least double above it is 1 - fl(2/3))
-        params = PSingularParams(p)
-        match = rf"p = {p!r} is too small: .*cannot resolve the survival"
-        with pytest.raises(ParameterError, match=match):
-            mrl(params, 0.0002)
-        with pytest.raises(ParameterError, match=match):
-            gmrl(params, 0.1)
-        with pytest.raises(ParameterError, match=match):
-            mrl_many(params, np.linspace(0.0, 1.0, 7))
-        # longer than a slice, through the jump table, with the one point
-        # below 1/3 last, so that only the last slice's groups hold it
-        xs = np.linspace(0.4, 1.0, _CHUNK + 4000)
-        xs[-1] = 0.1
-        with pytest.raises(ParameterError, match=match):
-            mrl_many(params, xs)
-        xs = np.array([0.0, 1 - 2 / 3, 0.5, 0.9, 1.0])
-        np.testing.assert_array_equal(mrl_many(params, xs), [mrl(params, x).value for x in xs])
+    def test_tiny_p_within_bounds(self, oracle, p):
+        # p/(p+1) < 2^-53, where 1 - F(x) rounds to 0 below 1/3: m = K'/S'
+        # from the tail walk, scalar and vector alike, lies within its
+        # bound of the exact m on both sides of 1/3 (fl(1/3) lies below it,
+        # 1 - fl(2/3) above), plus 4 ulps of m, the quotient's rounding
+        params, fam = PSingularParams(p), oracle.Family(p)
+        xs = np.concatenate(([0.0, 0.0002, 0.1, 1 / 3, 1 - 2 / 3, 0.5, 0.9, 1.0],
+                             np.ravel(gap_intervals(3)), np.random.default_rng(8).random(12)))
+        for x, value in zip(xs.tolist(), mrl_many(params, xs).tolist()):
+            m = mrl(params, x)
+            lo, hi = oracle.mrl(fam, x)
+            width = Fraction(m.error_bound) + Fraction(2.0 ** -50 * value)
+            assert value == m.value and lo - width <= Fraction(value) <= hi + width, x
+        # longer than a slice, through the jump table, with points below
+        # 3^-8 that the scalar loop walks
+        xs = np.linspace(0.0, 1.0, _CHUNK + 4000) ** 4
+        np.testing.assert_array_equal(mrl_many(params, xs)[::97],
+                                      [mrl(params, x).value for x in xs[::97].tolist()])
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

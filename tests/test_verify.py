@@ -81,6 +81,14 @@ def test_run_all_rejects_negative_seed():
         verify.run_all(p_values=(1.0,), seed=-1)
 
 
+@pytest.mark.parametrize("p_values", [(), [], iter(())])
+def test_run_all_rejects_no_p(p_values):
+    # no p would skip every per-p check and still report a clean pass, as
+    # `comparative_statics` refuses an empty list too
+    with pytest.raises(ParameterError, match="p_values must be nonempty"):
+        verify.run_all(p_values=p_values)
+
+
 @pytest.mark.parametrize("name, args", [
     ("check_mc_mean", ("P", "config", 12345)),
     ("check_gap_slope", ("P", "config")),
