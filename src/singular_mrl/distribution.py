@@ -46,6 +46,7 @@ import functools
 import math
 import numbers
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -326,10 +327,12 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     `_CHUNK` points and once more after the last slice, so the near-empty
     deep levels are paid about once per call and the working set stays a
     few slices wide.  0, 1 and the odd points ride either path as
-    placeholders (`_Walk.start`): 0 and 1 with a state that ends them
-    exactly, the others to walk in `_descend`, whose group comes later.
+    placeholders (`_plan`): 0 and 1 with a state that ends them exactly,
+    the others to walk in `_descend`, whose group comes later.  xs may be a
+    read-only `_Plan` of one slice for `tail`, which the walk never writes.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
+    plan = xs if isinstance(xs, _Plan) else None
+    xs = plan.x if plan else np.asarray(xs, dtype=float).ravel()
     n = xs.size
     if not n:
         return
@@ -340,10 +343,13 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     table = _jump_table(params, tail) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        m, flat, state, odd = walk.start(xs[start:start + _CHUNK], top == 1.0, table)
+        x, m, flat, odd, ends, cell = plan or _plan(xs[start:start + _CHUNK], top == 1.0, tail)
+        state = _head(walk, cell, table)
+        if ends.size:  # `one` at its end point, 0 at the other
+            state[:, ends] = walk.one * (x.take(ends) != tail)
         if table is None:
             if odd.size < n:  # n <= _CHUNK: the whole input is one slice
-                yield _walk_on(walk, m, flat, state)
+                yield _walk_on(walk, m.copy() if plan else m, flat, state)
         else:
             keep = np.flatnonzero(~flat)
             if keep.size:
@@ -360,6 +366,36 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
             yield _descend_slice(walk, *parts)
 
 
+# the start of a slice's walk that p does not change (`_plan`)
+_Plan = namedtuple("_Plan", "x m flat odd ends cell")
+
+
+def _plan(x: np.ndarray, ones: bool, tail: bool) -> _Plan:
+    """The slice x's `_Plan` in F's walk or the tail walk: x, its
+    numerators after the head, whether each point ended on the plateau
+    there, the positions of the odd points, which `_Walk.scalar` walks (the
+    doubles below 2^-11 not multiples of 2^-63 and, in tail mode, the
+    points of the ternary cell 0), and of 0 and 1 (looked for only with
+    `ones`), and each point's cell.  All three sit on the plateau at `_LO`."""
+    scaled = x * 2.0 ** 63
+    if ones:
+        scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it
+    m = scaled.astype(np.int64)
+    odd = ends = np.flatnonzero(m < 1 << 52)
+    if odd.size:  # with, in tail mode, the numerators of the cell 0
+        s, small = scaled.take(odd), m.take(odd)
+        ends = odd[s == 0.0]
+        odd = odd[(small != s) | tail & (small > 0) & (small <= _ONE // _CELLS)]
+    m[odd] = m[ends] = _LO
+    # the cell floor(3^_JUMP M / 2^63), exact: with M = 2^32 h + l, it is
+    # (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no product reaches 2^63
+    cell = ((m >> 32) * _CELLS + (((m & 0xFFFFFFFF) * _CELLS) >> 32)) >> 31
+    mult = _head_table(tail)[1].take(cell)
+    m *= mult
+    m &= _MASK
+    return _Plan(x, m, np.abs(mult) < _CELLS, odd, ends, cell)
+
+
 class _Walk:
     """One call's vector descent, from `_descend_many`'s arguments: its
     constants, its stop test and the rows of state it carries.
@@ -370,7 +406,7 @@ class _Walk:
     is relative.  The stop test is on J's bracket where `reads` is "J",
     else on F's.  A step of each of `_STEP_M`'s six kinds takes its column
     of `_factors`; the last three, a tail walk's leading run and its
-    reflection, occur only in the head (`start` hands a point whose run
+    reflection, occur only in the head (`_plan` hands a point whose run
     outlasts the head to the scalar loop)."""
 
     def __init__(self, params: PSingularParams, tol: float, reads: str, relative: bool,
@@ -387,38 +423,8 @@ class _Walk:
         self.j = 2 * carry_f if carry_j else None
         self.rows = 2 * carry_f + 3 * carry_j
         self.origin = np.array([0.0, 1.0] * carry_f + [0.0, 0.0, 1.0] * carry_j)[:, None]
-        # and those that end 1 exactly, or 0 in tail mode (see `start`)
+        # and those that end 1 exactly, or 0 in tail mode: zero b_F, B and b_J keep `_select` exact
         self.one = np.array([1.0, 0.0] * carry_f + [e if tail else j1, 0.0, 0.0] * carry_j)[:, None]
-
-    def start(self, x: np.ndarray, ones: bool, table):
-        """The walk of the slice x through its head (`_head`): numerators,
-        whether each point ended on the plateau, state and the positions of
-        the odd points, which `scalar` walks: the doubles below 2^-11 not
-        multiples of 2^-63 and, in tail mode, the points of the ternary
-        cell 0.  These, 0 and 1 (looked for only with `ones`) sit on the
-        plateau at `_LO`; 0 and 1 end there exactly: a_F = F or S',
-        A = J or K', b_F = B = b_J = 0, and `_select`'s terms in 0 are exact."""
-        scaled = x * 2.0 ** 63
-        if ones:
-            scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it
-        m = scaled.astype(np.int64)
-        odd = ends = np.flatnonzero(m < 1 << 52)
-        if odd.size:  # with, in tail mode, the numerators of the cell 0
-            s, small = scaled.take(odd), m.take(odd)
-            ends = odd[s == 0.0]
-            odd = odd[(small != s) | self.tail & (small > 0) & (small <= _ONE // _CELLS)]
-        state = np.empty((self.rows, x.size))
-        m[odd] = m[ends] = _LO
-        # the cell floor(3^_JUMP M / 2^63), exact: with M = 2^32 h + l, it is
-        # (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no product reaches 2^63
-        cell = ((m >> 32) * _CELLS + (((m & 0xFFFFFFFF) * _CELLS) >> 32)) >> 31
-        mult = _head(self, cell, state, table)
-        m *= mult
-        m &= _MASK
-        flat = np.abs(mult) < _CELLS
-        if ends.size:  # `one` at its end point, 0 at the other
-            state[:, ends] = self.one * (x.take(ends) != self.tail)
-        return m, flat, state, odd
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
         """The group of the points of xs at positions `at`, from `_descend`,
@@ -498,13 +504,12 @@ def _head_table(tail: bool) -> tuple[np.ndarray, np.ndarray]:
     return kinds, mult
 
 
-def _head(walk: _Walk, cell: np.ndarray, state: np.ndarray, table=None) -> np.ndarray:
-    """The head of points in the ternary cells `cell`, from the start of a
-    walk: fills their state rows from their columns of `table` or, without
-    one, by `_advance` with the factors of their cells' kinds of step in
-    `_head_table`, all levels in one lookup; returns the multipliers of
-    their numerators."""
-    kinds, mult = _head_table(walk.tail)
+def _head(walk: _Walk, cell: np.ndarray, table=None) -> np.ndarray:
+    """The state after the head of points in the ternary cells `cell`, from
+    the start of a walk: their columns of `table` or, without one, by
+    `_advance` with the factors of their cells' kinds of step in
+    `_head_table`, all levels in one lookup."""
+    kinds, state = _head_table(walk.tail)[0], np.empty((walk.rows, cell.size))
     if table is None:
         factors = walk.factors.take(kinds.take(cell, axis=1), axis=1)
         state[:] = walk.origin
@@ -515,7 +520,7 @@ def _head(walk: _Walk, cell: np.ndarray, state: np.ndarray, table=None) -> np.nd
             table[1][0:2].take(cell, axis=1, out=state[walk.f:walk.f + 2], mode="clip")
         if walk.j is not None:
             table[1][2:5].take(cell, axis=1, out=state[walk.j:walk.j + 3], mode="clip")
-    return mult.take(cell)
+    return state
 
 
 @functools.lru_cache(maxsize=8)
@@ -525,8 +530,7 @@ def _jump_table(params: PSingularParams, tail: bool) -> tuple[np.ndarray, np.nda
     b_F, A, B and b_J after it), one column per cell.  About 260 kB, built
     once per p and mode, read-only."""
     walk = _Walk(params, 1.0, "FJ", False, tail)
-    state = np.empty((walk.rows, _CELLS))
-    _head(walk, np.arange(_CELLS), state)
+    state = _head(walk, np.arange(_CELLS))
     state.flags.writeable = False
     return _head_table(tail)[1], state
 
@@ -622,11 +626,12 @@ def _many(params: PSingularParams, xs, tol: float, value, reads: str = "FJ",
           relative: bool = False, tail: bool = False) -> np.ndarray:
     """`_descend_many`'s F and J (with `tail`, S' and K') at each point,
     turned into values by value(x, F, J) for each group in its order, so
-    that a later group's values hold."""
-    xs = _points(xs)
+    that a later group's values hold; xs may be a `_Plan`, as there."""
+    plan = xs if isinstance(xs, _Plan) else None
+    xs = plan.x if plan else _points(xs)
     flat = xs.ravel()
     out = np.empty(flat.shape)
-    for at, f, _, j, _ in _descend_many(params, flat, tol, reads, relative, tail):
+    for at, f, _, j, _ in _descend_many(params, plan or flat, tol, reads, relative, tail):
         out[at] = value(flat[at], f, j)
     return out.reshape(xs.shape)
 
@@ -917,6 +922,16 @@ def _drop(front: np.ndarray, back: np.ndarray, *arrays: np.ndarray) -> None:
     for shift, (start, end) in enumerate(zip(ends, ends[1:]), start=1):
         for arr in arrays:
             arr[start + 1 - shift:end - shift] = arr[start + 1:end]
+
+
+@functools.lru_cache(maxsize=4)
+def _curve_plan(n: int) -> _Plan:
+    """The tail walk's `_Plan` of linspace(0, 1, n), n <= `_CHUNK`, the
+    payoff curve's grid: built once per size, so its arrays are read-only."""
+    plan = _plan(np.linspace(0.0, 1.0, n), True, True)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def gap_intervals(max_level: int) -> list[tuple[float, float]]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams, _check_unit_interval,
-                           _descend, _integer, _many)
+from .distribution import (_CHUNK, DEFAULT_CONFIG, EvalConfig, PSingularParams,
+                           _check_unit_interval, _curve_plan, _descend, _integer, _many)
 from .errors import ParameterError
 from .fixedpoint import FixedPointResult, fixed_point_solve
 
@@ -49,7 +49,10 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
     """Optimal price = the MRL fixed point, with its payoff.
 
     If curve_points is given, attaches Pi at that many evenly spaced prices
-    as the read-only (price, payoff) rows of a (curve_points, 2) array.
+    as the read-only (price, payoff) rows of a new (curve_points, 2) array,
+    Pi from `payoff_curve`.  The grid and the start of its walk that p does
+    not change are cached for the last 4 sizes of at most 16,384 points
+    (about 0.4 MB each), so the first call at such a size pays to build them.
     """
     if curve_points is not None:
         curve_points = _integer("curve_points", curve_points, 0)
@@ -58,8 +61,9 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
     payoff = expected_payoff(params, price, config)
     curve = None
     if curve_points is not None:
-        grid = np.linspace(0.0, 1.0, curve_points)
-        curve = np.column_stack((grid, payoff_curve(params, grid, config)))
+        plan = _curve_plan(curve_points) if curve_points <= _CHUNK else None
+        grid = plan.x if plan else np.linspace(0.0, 1.0, curve_points)
+        curve = np.column_stack((grid, payoff_curve(params, plan or grid, config)))
         curve.flags.writeable = False
     return PricingResult(p=params.p, optimal_price=price, expected_payoff=payoff,
                          payoff_curve=curve, fixed_point=fp)

@@ -5,6 +5,8 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
                           PSingularParams, comparative_statics,
                           expected_payoff, fixed_point_closed_form,
                           optimal_price, payoff_curve)
+from singular_mrl import distribution
+from singular_mrl.distribution import _CHUNK
 from singular_mrl.verify import check_pricing_mc
 
 P1 = PSingularParams(1.0)
@@ -58,6 +60,46 @@ class TestOptimalPrice:
         with pytest.raises(ParameterError, match="curve_points must be an integer"):
             optimal_price(P1, curve_points=2.5)
         assert len(optimal_price(P1, curve_points=np.int64(3)).payoff_curve) == 3
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 200, _CHUNK, _CHUNK + 1])
+    def test_curve_is_payoff_curve_bit_for_bit(self, n):
+        # a cached grid's plan (n <= _CHUNK) and the uncached path beyond
+        # it; each p is called again after another, so that state left in
+        # the cache by one p (the short walk writes its live numerators
+        # back) would show at the next
+        ps = [1e-6, 0.01, 1.0, 100.0, 1e6]
+        grid = np.linspace(0.0, 1.0, n)
+        for p1, p2 in zip(ps, ps[1:] + ps[:1]):
+            for p in (p1, p2, p1):
+                params = PSingularParams(p)
+                curve = optimal_price(params, curve_points=n).payoff_curve
+                assert curve[:, 0].tobytes() == grid.tobytes()
+                assert curve[:, 1].tobytes() == payoff_curve(params, grid).tobytes()
+
+    def test_curve_cache_is_read_only_and_built_once_per_size(self, monkeypatch):
+        # the plan is built at the first call of each size, whatever p, and
+        # every call still returns a curve of its own
+        built = []
+
+        def counted(x, ones, tail):
+            built.append(x.copy())
+            return plan(x, ones, tail)
+
+        plan = distribution._plan
+        monkeypatch.setattr(distribution, "_plan", counted)
+        distribution._curve_plan.cache_clear()
+        curves = {n: [optimal_price(PSingularParams(p), curve_points=n).payoff_curve
+                      for p in (0.01, 1.0, 100.0, 1.0)] for n in (50, 200)}
+        for n, ours in curves.items():
+            grid = np.linspace(0.0, 1.0, n)
+            assert sum(x.tobytes() == grid.tobytes() for x in built) == 1
+            cached = distribution._curve_plan(n)
+            assert cached.x.tobytes() == grid.tobytes()
+            assert not any(arr.flags.writeable for arr in cached)
+            for i, curve in enumerate(ours):
+                assert not any(np.shares_memory(curve, arr) for arr in cached)
+                assert not any(np.shares_memory(curve, other) for other in ours[:i])
+        assert distribution._curve_plan.cache_info().currsize == 2
 
 
 class TestComparativeStatics:
