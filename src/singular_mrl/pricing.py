@@ -62,8 +62,9 @@ def optimal_price(params: PSingularParams, config: EvalConfig = DEFAULT_CONFIG,
     curve = None
     if curve_points is not None:
         plan = _curve_plan(curve_points) if curve_points <= _CHUNK else None
-        grid = plan.x if plan else np.linspace(0.0, 1.0, curve_points)
-        curve = np.column_stack((grid, payoff_curve(params, plan or grid, config)))
+        curve = np.empty((curve_points, 2))
+        curve[:, 0] = plan.x if plan else np.linspace(0.0, 1.0, curve_points)
+        curve[:, 1] = payoff_curve(params, plan or curve[:, 0], config)
         curve.flags.writeable = False
     return PricingResult(p=params.p, optimal_price=price, expected_payoff=payoff,
                          payoff_curve=curve, fixed_point=fp)

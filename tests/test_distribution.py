@@ -58,11 +58,11 @@ def gather(groups, params, xs, tail=False):
     of xs, put back in input order, a later group over an earlier one; a
     quantity the walk did not carry stays NaN.  Every position must come
     in a group, and in two only where the first ended the point early and
-    the second holds its value: a tiny odd double, which the vector walk
-    ends on the plateau as a placeholder and the scalar loop walks, or,
-    where the input is longer than a slice, a point the jump table leaves
-    live, which the slice ends on the plateau and the pooled tail walks
-    on."""
+    the second holds its value: an odd point, 0, 1 or a tiny double, which
+    the vector walk ends on the plateau as a placeholder and the scalar
+    loop walks, or, where the input is longer than a slice, a point the
+    jump table leaves live, which the slice ends on the plateau and the
+    pooled tail walks on."""
     xs = np.asarray(xs, dtype=float)
     out, seen = np.full((4, xs.size), np.nan), np.zeros(xs.size, dtype=int)
     for at, *rows in groups:
@@ -83,9 +83,10 @@ def gather(groups, params, xs, tail=False):
 def carried(xs, tail=False):
     """Whether the vector walk carries each point, 0 < x < 1 a multiple of
     2^-63 and, in a tail walk, x > 3^-8, whose leading run ends within the
-    head; it holds every other one as a placeholder, which ends at once:
-    0 and 1 with their own values, the rest to be walked by the scalar
-    loop."""
+    head; it holds every other one, 0 and 1 among them, as a placeholder
+    on the plateau, which the scalar loop walks.  Of the points it carries,
+    a short input's last few live after the head also finish in the
+    scalar loop, from their state there, within the vector walk's group."""
     return np.array([0 < n < d <= 2 ** 63 and (not tail or n * 3 ** 8 > d)
                      for n, d in map(float.as_integer_ratio, xs.tolist())])
 
@@ -127,10 +128,14 @@ EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, 
               (mrl_many, lambda P, x: mrl(P, x).value), (payoff_curve, expected_payoff),
               (survival_many, survival)]
 
-# points the vector walk holds as placeholders: 0 and 1, which end there
-# with their own values, and doubles below 2^-11 that are not multiples of
-# 2^-63, which the scalar loop walks
+# points the vector walk holds as placeholders, which the scalar loop
+# walks: 0 and 1, and doubles below 2^-11 that are not multiples of 2^-63
 ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
+
+# the most live points a short input's head may leave for the scalar loop
+# to finish: none, one, the default and every point, so that the twin
+# points go through `_walk_on` and through `_walk_from`
+FEW_LIVE = [0, 1, distribution._FEW, _CHUNK]
 
 # the ends and both sides of 1/3, where the reflected evaluators switch
 # branch: fl(1/3) lies below 1/3, and the next double, 1 - fl(2/3), above
@@ -376,9 +381,14 @@ class TestCdf:
 
 
 class TestDescent:
+    @pytest.mark.parametrize("few", FEW_LIVE)
     @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
-    def test_twins_agree_bit_for_bit(self, twin_params, twin_points, tol_f, tol_j, relative):
-        # F, J and both error bounds, from the scalar and the vector loop
+    def test_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points, tol_f, tol_j,
+                                     relative, few):
+        # F, J and both error bounds, from the scalar and the vector loop,
+        # whose live points after the head walk on in `_walk_on` or, where
+        # at most `few` are left, in the scalar loop
+        monkeypatch.setattr(distribution, "_FEW", few)
         for params in twin_params:
             vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
             np.testing.assert_array_equal(vec, scalar)
@@ -400,15 +410,19 @@ class TestDescent:
            reads=st.sampled_from(["F", "J", "FJ"]), relative=st.booleans(),
            chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, reads, relative, chunk):
+    @pytest.mark.parametrize("few", FEW_LIVE)
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, reads, relative, chunk, few):
         # F's walk and the tail walk, whose head leaves each point in its
         # leading run, on the plateau or in F's walk, at any tolerance;
         # small slices send the points through the jump table and the
-        # pooled tail, a `_CHUNK` slice steps through the head
+        # pooled tail, a `_CHUNK` slice steps through the head and walks
+        # on in `_walk_on` or, with at most `few` points live, in the
+        # scalar loop
         params = PSingularParams(p)
         tol = data.draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]))
         args, rows = (tol, reads, relative, data.draw(st.booleans())), read_rows(reads)
-        with mock.patch.object(distribution, "_CHUNK", chunk):
+        with mock.patch.object(distribution, "_CHUNK", chunk), \
+                mock.patch.object(distribution, "_FEW", few):
             vec = gather(_descend_many(params, xs, *args), params, xs, args[3])[rows]
         np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, xs, *args)[rows]))
 
@@ -699,6 +713,31 @@ class TestDescent:
             np.testing.assert_array_equal(bits(vector(P2, tiny)),
                                           bits([scalar(P2, x) for x in tiny]))
 
+    @pytest.mark.parametrize("p", [1e-6, 0.01, 1.0, 100.0, 1e6])
+    def test_few_live_points_skip_the_vector_walk(self, monkeypatch, p):
+        # the payoff curve's 200 prices, and 200 `mrl_many` points whose
+        # last, 1 - 2^-53, reflects to 2^-53 and walks some 33 levels past
+        # the head, leave only a few points live after it: the scalar loop
+        # finishes them from their head state, in the slice's own group,
+        # which equals the scalar twins row for row
+        def refuse(*args):
+            raise AssertionError("_walk_on called")
+
+        monkeypatch.setattr(distribution, "_walk_on", refuse)
+        params = PSingularParams(p)
+        plan = distribution._curve_plan(200)
+        deep = np.linspace(0.0, 1.0, 200)
+        deep[-1] = 1.0 - 2.0 ** -53
+        for xs, args in ((plan, (1e-10, "J", False, True)), (deep, (1e-10, "FJ", True, True))):
+            points = plan.x if xs is plan else xs
+            rows = read_rows(args[1])
+            vec = gather(_descend_many(params, xs, *args), params, points, True)[rows]
+            np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, points, *args)[rows]))
+        np.testing.assert_array_equal(bits(payoff_curve(params, plan)),
+                                      bits([expected_payoff(params, x) for x in plan.x.tolist()]))
+        np.testing.assert_array_equal(bits(mrl_many(params, deep)),
+                                      bits([mrl(params, x).value for x in deep.tolist()]))
+
     @pytest.mark.parametrize("name,p", list(VECTOR_DIGESTS))
     def test_vector_bytes_are_pinned(self, name, p):
         fn = {fn.__name__: fn for fn, _ in EVALUATORS}[name]
@@ -720,8 +759,9 @@ class TestDescent:
     @settings(max_examples=100, deadline=None)
     def test_short_inputs_equal_their_scalars(self, xs, log_p):
         # a short input walks its head through the head table and its tail
-        # without compaction, with 0 and 1 ended in the vector walk: every
-        # evaluator equals its scalar twin bit for bit
+        # without compaction or, with few points live, in the scalar loop,
+        # which also walks 0 and 1: every evaluator equals its scalar twin
+        # bit for bit
         params = PSingularParams(math.exp(log_p))
         for vector, scalar in EVALUATORS:
             np.testing.assert_array_equal(bits(vector(params, xs)),
