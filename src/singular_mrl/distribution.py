@@ -30,14 +30,14 @@ carries only the rows its caller reads (F for `cdf_many`, J for
 test reads; a point's kind of step is picked by integer division, not by
 selects.  A short input walks the points its head left live without
 compaction: an ended point takes the plateau step, which keeps it in
-place; where the head left only a few live, the scalar loop finishes them
-from their state after it (`_walk_from`).  A long one ends each slice on
-the plateau in place, and pools the few the jump leaves live across
-slices into one tail walk, which splits them at each level by integer
-index into those that go on and those that end, so the deep, nearly
-empty levels are paid once per call.  0, 1 and every point with no int64
-numerator ride as placeholders on the plateau, as does, in tail mode, a
-point whose leading run outlasts the head, and the scalar loop walks them.
+place, or the scalar loop finishes them (`_walk_from`) where they are
+few.  A long one ends each slice on the plateau in place, and pools the
+few the jump leaves live across slices into one tail walk, which splits
+them at each level by integer index into those that go on and those that
+end, so the deep, nearly empty levels are paid once per call.  0 and 1
+ride as placeholders on the plateau with a state that ends them exactly;
+a point with no int64 numerator rides as one too, as does, in tail mode,
+a point whose leading run outlasts the head, and the scalar loop walks it.
 """
 
 from __future__ import annotations
@@ -113,7 +113,9 @@ GAP_LEVEL = 8  # the deepest Cantor gaps whose rounded endpoints `gap_grid` adds
 # points per slice of the vector descent: bounds its working set, and is
 # large enough that per-iteration overhead stays amortised
 _CHUNK = 16_384
-_FEW = 32  # the most live points after a short input's head that `_finish` takes
+# the most live points after a short input's head that `_finish` takes: on the
+# package's own inputs it wins at 30 or fewer, and loses at 58 or more
+_FEW = 32
 # The numerator M = y 2^63 of the descent's point y in [0, 1): the plateau
 # [1/3, 2/3] is _LO <= M <= _HI (ceil(2^63/3) and floor(2^64/3)), the right
 # step's fixed point 3/4 is _M34, and a step is M -> (M (+-3)) & _MASK.
@@ -147,17 +149,20 @@ def mean(params: PSingularParams) -> float:
     return 1.5 * p / den if den < math.inf else 1.5 * (1.0 - q) / (2.0 - q)
 
 
+# p's constants of the walk: q, q/3, r, r/3, I1, the constant c = J(2/3) -
+# 2/3 - p I1 of J's fused right step, F = 1 - r F = 1/(2-q) and J = c + 3/4
+# + (r/3) J = (9/4) q / (4 - q^2) at 3/4, the right step's fixed point,
+# J(1), E[X], and the constant q/3 + J(2/3) = I1 + 2q/3 of K/p's run step
+_Anchors = namedtuple("_Anchors", "q shrink r r3 i1 c f34 j34 j1 e lead")
+
+
 @functools.lru_cache(maxsize=64)
-def _anchors(params: PSingularParams) -> tuple[float, ...]:
-    # q, q/3, r and r/3; I1, the constant c = J(2/3) - 2/3 - p I1 of J's
-    # fused right step, F = 1 - r F = 1/(2-q) and J = c + 3/4 + (r/3) J =
-    # (9/4) q / (4 - q^2) at 3/4, the right step's fixed point; J(1), E[X],
-    # and the constant q/3 + J(2/3) = I1 + 2q/3 of K/p's leading-run step
+def _anchors(params: PSingularParams) -> _Anchors:
     p, q, r = params.p, params.left_mass, params.right_mass
     i1, e = i1_closed_form(params), mean(params)
-    c = i1 + 1.0 / (3.0 * (p + 1.0)) - TWO_THIRDS - p * i1
-    return (q, q / 3.0, r, r / 3.0, i1, c, 1.0 / (2.0 - q), 2.25 * q / (4.0 - q * q), 1.0 - e,
-            e, i1 + 2.0 * q / 3.0)
+    return _Anchors(q=q, shrink=q / 3.0, r=r, r3=r / 3.0, i1=i1, j1=1.0 - e, e=e,
+                    c=i1 + 1.0 / (3.0 * (p + 1.0)) - TWO_THIRDS - p * i1, lead=i1 + 2.0 * q / 3.0,
+                    f34=1.0 / (2.0 - q), j34=2.25 * q / (4.0 - q * q))
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,12 +171,13 @@ def _factors(params: PSingularParams) -> tuple[np.ndarray, np.ndarray]:
     `_STEP_M`): R and b_F's factor, then G, H, E, b_J's factor and B's
     divisor; and `_select`'s w_F, e_F, w_J and e_J by kind of end.  Views
     of one flat read-only table."""
-    q, s, r, r3, _, c, f34, _, _, _, lead = _anchors(params)
-    table = np.array([0.0, 0.0, 1.0, q, 0.0, 0.0, q, 1.0, -r, q, 1.0, q,
-                      0.0, 0.0, 1.0, -q, 0.0, 0.0, 0.0, 0.0, c, lead, 0.0, 0.0,
-                      0.0, 0.0, 1.0, 0.0, 1.0, 1.0, s, 1.0, r3, s, 1.0, s,
+    k = _anchors(params)
+    q, s = k.q, k.shrink
+    table = np.array([0.0, 0.0, 1.0, q, 0.0, 0.0, q, 1.0, -k.r, q, 1.0, q,
+                      0.0, 0.0, 1.0, -q, 0.0, 0.0, 0.0, 0.0, k.c, k.lead, 0.0, 0.0,
+                      0.0, 0.0, 1.0, 0.0, 1.0, 1.0, s, 1.0, k.r3, s, 1.0, s,
                       3.0, 1.0, -3.0, 3.0, -1.0, -3.0,
-                      0.5, q, f34, 0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0])
+                      0.5, q, k.f34, 0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0])
     table.flags.writeable = False
     return table[:42].reshape(7, 6), table[42:].reshape(4, 3)
 
@@ -251,36 +257,35 @@ def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
     to 0), where every test passes: b_J y <= |b_F|, and a_F >= 0 for the
     relative one.
     """
-    anchors = _anchors(params)
-    q, shrink, _, _, _, _, _, _, j1, e, lead = anchors
+    k = _anchors(params)
     n, d = x.as_integer_ratio()
     if n == 0:
-        return (1.0, 0.0, e, 0.0) if tail else (0.0, 0.0, 0.0, 0.0)
+        return (1.0, 0.0, k.e, 0.0) if tail else (0.0, 0.0, 0.0, 0.0)
     if n == d:
-        return (0.0, 0.0, 0.0, 0.0) if tail else (1.0, 0.0, j1, 0.0)
+        return (0.0, 0.0, 0.0, 0.0) if tail else (1.0, 0.0, k.j1, 0.0)
     af, bf, a, b, bj = 0.0, 1.0, 0.0, 0.0, 1.0
     level = 0
     if tail:
         while 3 * n <= d:  # y < 1/3
-            af += bf * q
-            bf *= q
-            a += bj * lead
-            b = (b - bj * q) / 3.0
-            bj *= shrink
+            af += bf * k.q
+            bf *= k.q
+            a += bj * k.lead
+            b = (b - bj * k.q) / 3.0
+            bj *= k.shrink
             n *= 3
             level += 1
         a += b
         b = -b
         n = d - n
-    return _walk_from(n, d, af, bf, a, b, bj, level, anchors + (2.0 * tol, relative, reads == "J"))
+    return _walk_from(n, d, af, bf, a, b, bj, level, k, 2.0 * tol, relative, reads == "J")
 
 
-def _walk_from(n: int, d: int, af: float, bf: float, a: float, b: float, bj: float,
-               level: int, consts: tuple) -> tuple[float, float, float, float]:
+def _walk_from(n: int, d: int, af: float, bf: float, a: float, b: float, bj: float, level: int,
+               k: _Anchors, lim: float, relative: bool, j_test: bool) -> tuple[float, ...]:
     """`_descend`'s walk in F's steps, from y = n/d, 0 < n < d, and its state
-    at `level` to its end.  `consts` are `_anchors`, then 2 tol, `relative`
-    and whether the stop test is on J's bracket (`_Walk.consts`)."""
-    q, shrink, r, r3, i1, c, f34, j34, _, _, _, lim, relative, j_test = consts
+    at `level` to its end, with p's `_anchors` k, the limit 2 tol of its
+    stop test, and whether that test is relative and on J's bracket."""
+    q, shrink, r, r3, c = k.q, k.shrink, k.r, k.r3, k.c
     lo, hi, m34 = d // 3 + 1, 2 * d // 3, 3 * d // 4
     while not lo <= n <= hi:
         if level >= _JUMP and (n == m34 or (bj * (n / d) if j_test else abs(bf)) <= (
@@ -303,9 +308,9 @@ def _walk_from(n: int, d: int, af: float, bf: float, a: float, b: float, bj: flo
     y = n / d
     aj = a + b * y
     if lo <= n <= hi:
-        return af + bf * q, 0.0, aj + bj * (i1 + (y - ONE_THIRD) * q), 0.0
+        return af + bf * q, 0.0, aj + bj * (k.i1 + (y - ONE_THIRD) * q), 0.0
     if n == m34:
-        return af + bf * f34, 0.0, aj + bj * j34, 0.0
+        return af + bf * k.f34, 0.0, aj + bj * k.j34, 0.0
     half = 0.5 * bj * y
     return af + 0.5 * bf, 0.5 * abs(bf), aj + half, half
 
@@ -329,18 +334,18 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     An input of at most `_CHUNK` points, for which building the jump table
     would cost more than the walk, takes its head from the shared
     `_head_table` and walks on in one group, in numpy (`_walk_on`) or, for
-    at most `_FEW` points live after it, in the scalar loop (`_finish`).
-    A longer one is
-    cut into `_CHUNK`-point slices, and each slice looks up the head of
-    every point in `_jump_table`, built once per p and mode, and ends all
-    of them on the plateau in place.  The few still live join a pool that
-    walks the remaining levels, in a later group, whenever it holds
-    `_CHUNK` points and once more after the last slice, so the near-empty
-    deep levels are paid about once per call and the working set stays a
-    few slices wide.  The odd points, 0 and 1 among them, ride either path
-    as placeholders (`_plan`) and walk in `_descend`, whose group comes
-    later.  xs may be a read-only `_Plan` of one slice for `tail`, whose
-    points are not checked again and which the walk never writes.
+    at most `_FEW` points live after the head, in the scalar loop
+    (`_finish`).  A longer one is cut into `_CHUNK`-point slices, and each
+    slice looks up the head of every point in `_jump_table`, built once
+    per p and mode, and ends all of them on the plateau in place.  The few
+    still live join a pool that walks the remaining levels, in a later
+    group, whenever it holds `_CHUNK` points and once more after the last
+    slice, so the near-empty deep levels are paid about once per call and
+    the working set stays a few slices wide.  0, 1 and the odd points ride
+    either path as placeholders (`_plan`): 0 and 1 with a state that ends
+    them exactly, the others to walk in `_descend`, whose group comes
+    later.  xs may be a read-only `_Plan` of one slice for `tail`, not
+    checked again, which the walk never writes.
     """
     plan = xs if isinstance(xs, _Plan) else None
     xs = plan.x if plan else np.asarray(xs, dtype=float).ravel()
@@ -355,8 +360,10 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     table = _jump_table(params, tail) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
-        _, m, flat, odd, cell = plan or _plan(xs[start:start + _CHUNK], top == 1.0, tail)
+        x, m, flat, odd, ends, cell = plan or _plan(xs[start:start + _CHUNK], top == 1.0, tail)
         state = _head(walk, cell, table)
+        if ends.size:  # `one` at its end point, 0 at the other
+            state[:, ends] = walk.one * (x.take(ends) != tail)
         live = np.flatnonzero(~flat)
         if table is None:  # n <= _CHUNK: the whole input is one slice
             if live.size > _FEW:
@@ -379,32 +386,33 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
 
 
 # the start of a slice's walk that p does not change (`_plan`)
-_Plan = namedtuple("_Plan", "x m flat odd cell")
+_Plan = namedtuple("_Plan", "x m flat odd ends cell")
 
 
 def _plan(x: np.ndarray, ones: bool, tail: bool) -> _Plan:
     """The slice x's `_Plan` in F's walk or the tail walk: x, its
     numerators after the head, whether each point ended on the plateau
-    there, the positions of the odd points, which `_Walk.scalar` walks (0
-    and 1, looked for only with `ones`, the doubles below 2^-11 not
-    multiples of 2^-63 and, in tail mode, the points of the ternary cell
-    0), and each point's cell.  The odd points sit on the plateau at `_LO`."""
+    there, the positions of the odd points, which `_Walk.scalar` walks (the
+    doubles below 2^-11 not multiples of 2^-63 and, in tail mode, the
+    points of the ternary cell 0), and of 0 and 1 (looked for only with
+    `ones`), and each point's cell.  All three sit on the plateau at `_LO`."""
     scaled = x * 2.0 ** 63
     if ones:
         scaled[x == 1.0] = 0.0  # 2^63 has no int64; M = 0 marks it
     m = scaled.astype(np.int64)
-    odd = np.flatnonzero(m < 1 << 52)
-    if odd.size:  # M = 0, inexact, or in tail mode in the cell 0
+    odd = ends = np.flatnonzero(m < 1 << 52)
+    if odd.size:  # with, in tail mode, the numerators of the cell 0
         s, small = scaled.take(odd), m.take(odd)
-        odd = odd[(small != s) | (small <= (_ONE // _CELLS if tail else 0))]
-    m[odd] = _LO
+        ends = odd[s == 0.0]
+        odd = odd[(small != s) | tail & (small > 0) & (small <= _ONE // _CELLS)]
+    m[odd] = m[ends] = _LO
     # the cell floor(3^_JUMP M / 2^63), exact: with M = 2^32 h + l, it is
     # (3^_JUMP h + (3^_JUMP l >> 32)) >> 31, and no product reaches 2^63
     cell = ((m >> 32) * _CELLS + (((m & 0xFFFFFFFF) * _CELLS) >> 32)) >> 31
     mult = _head_table(tail)[1].take(cell)
     m *= mult
     m &= _MASK
-    return _Plan(x, m, np.abs(mult) < _CELLS, odd, cell)
+    return _Plan(x, m, np.abs(mult) < _CELLS, odd, ends, cell)
 
 
 class _Walk:
@@ -423,19 +431,18 @@ class _Walk:
     def __init__(self, params: PSingularParams, tol: float, reads: str, relative: bool,
                  tail: bool):
         self.params, self.args = params, (tol, reads, relative, tail)
-        self.relative, self.tail, self.j_test = relative, tail, reads == "J"
-        self.lim, anchors = 2.0 * tol, _anchors(params)
-        self.q, _, _, _, self.i1, _, _, self.j34, *_ = anchors
-        self.consts = anchors + (self.lim, relative, self.j_test)  # `_walk_from`'s
+        self.relative, self.tail, self.j_test, self.lim = relative, tail, reads == "J", 2.0 * tol
+        k = self.anchors = _anchors(params)
         self.factors, self.ends = _factors(params)
         carry_f, carry_j = "F" in reads or relative, "J" in reads
-        # the row of a_F and of A, None where that quantity is not carried,
-        # the rows' span among a_F, b_F, A, B and b_J, and their values at
-        # the start of a walk
+        # the row of a_F and of A, None where not carried, the rows' span
+        # among a_F, b_F, A, B and b_J, and their values at a walk's start
         self.f = 0 if carry_f else None
         self.j = 2 * carry_f if carry_j else None
         self.span = slice(0 if carry_f else 2, 5 if carry_j else 2)
         self.origin = np.array([0.0, 1.0] * carry_f + [0.0, 0.0, 1.0] * carry_j)[:, None]
+        # and those that end 1 exactly, or 0 in tail mode: zero b_F, B and b_J keep `_select` exact
+        self.one = np.array([1.0, 0.0] * carry_f + [k.e if tail else k.j1, 0.0, 0.0] * carry_j)[:, None]
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
         """The group of the points of xs at positions `at`, from `_descend`,
@@ -568,13 +575,14 @@ def _finish(walk: _Walk, m: np.ndarray, live: np.ndarray, state: np.ndarray):
     values and bounds, as arrays, from `_walk_from` after the head."""
     head = np.ones((5, live.size))  # a row not carried walks on 1.0, and is dropped
     head[walk.span] = state.take(live, axis=1)  # before `_select` rewrites the state
-    ends = np.reshape([_walk_from(k, _ONE, *col, _JUMP, walk.consts)
-                       for k, col in zip(m.take(live).tolist(), head.T.tolist())], (-1, 4)).T
+    args = walk.anchors, walk.lim, walk.relative, walk.j_test
+    walked = np.reshape([_walk_from(num, _ONE, *col, _JUMP, *args)
+                       for num, col in zip(m.take(live).tolist(), head.T.tolist())], (-1, 4)).T
     group = list(_select(walk, slice(0, m.size), m, state, 1))
     for row in (1, 3):
         if group[row] is not None:
-            group[row][live], group[row + 1] = ends[row - 1], np.zeros(m.size)
-            group[row + 1][live] = ends[row]
+            group[row][live], group[row + 1] = walked[row - 1], np.zeros(m.size)
+            group[row + 1][live] = walked[row]
     return tuple(group)
 
 
@@ -635,10 +643,10 @@ def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarra
         a, b, bj = ended[walk.j], ended[walk.j + 1], ended[walk.j + 2]
         y = m * _SCALE
         a += b * y
-        u = walk.i1 + (y - ONE_THIRD) * walk.q
+        u = walk.anchors.i1 + (y - ONE_THIRD) * walk.anchors.q
         if not plateau:
             np.copyto(u, y, where=kind == 0)
-            np.copyto(u, walk.j34, where=kind == 2)
+            np.copyto(u, walk.anchors.j34, where=kind == 2)
             bj *= w_j
         bj *= u
         a += bj

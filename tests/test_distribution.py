@@ -58,11 +58,11 @@ def gather(groups, params, xs, tail=False):
     of xs, put back in input order, a later group over an earlier one; a
     quantity the walk did not carry stays NaN.  Every position must come
     in a group, and in two only where the first ended the point early and
-    the second holds its value: an odd point, 0, 1 or a tiny double, which
-    the vector walk ends on the plateau as a placeholder and the scalar
-    loop walks, or, where the input is longer than a slice, a point the
-    jump table leaves live, which the slice ends on the plateau and the
-    pooled tail walks on."""
+    the second holds its value: a tiny odd double, which the vector walk
+    ends on the plateau as a placeholder and the scalar loop walks, or,
+    where the input is longer than a slice, a point the jump table leaves
+    live, which the slice ends on the plateau and the pooled tail walks
+    on."""
     xs = np.asarray(xs, dtype=float)
     out, seen = np.full((4, xs.size), np.nan), np.zeros(xs.size, dtype=int)
     for at, *rows in groups:
@@ -83,10 +83,11 @@ def gather(groups, params, xs, tail=False):
 def carried(xs, tail=False):
     """Whether the vector walk carries each point, 0 < x < 1 a multiple of
     2^-63 and, in a tail walk, x > 3^-8, whose leading run ends within the
-    head; it holds every other one, 0 and 1 among them, as a placeholder
-    on the plateau, which the scalar loop walks.  Of the points it carries,
-    a short input's last few live after the head also finish in the
-    scalar loop, from their state there, within the vector walk's group."""
+    head; it holds every other one as a placeholder, which ends at once:
+    0 and 1 with their own values, the rest to be walked by the scalar
+    loop.  Of the points it carries, a short input's last few live after
+    the head finish in the scalar loop, from their state there, within the
+    vector walk's group."""
     return np.array([0 < n < d <= 2 ** 63 and (not tail or n * 3 ** 8 > d)
                      for n, d in map(float.as_integer_ratio, xs.tolist())])
 
@@ -128,8 +129,9 @@ EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, 
               (mrl_many, lambda P, x: mrl(P, x).value), (payoff_curve, expected_payoff),
               (survival_many, survival)]
 
-# points the vector walk holds as placeholders, which the scalar loop
-# walks: 0 and 1, and doubles below 2^-11 that are not multiples of 2^-63
+# points the vector walk holds as placeholders: 0 and 1, which end there
+# with their own values, and doubles below 2^-11 that are not multiples of
+# 2^-63, which the scalar loop walks
 ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
 
 # the most live points a short input's head may leave for the scalar loop
@@ -713,6 +715,22 @@ class TestDescent:
             np.testing.assert_array_equal(bits(vector(P2, tiny)),
                                           bits([scalar(P2, x) for x in tiny]))
 
+    @pytest.mark.parametrize("chunk", [8, _CHUNK])
+    def test_ends_skip_the_scalar_loop(self, monkeypatch, chunk):
+        # 0 and 1 end in the vector walk with their own values, in a short
+        # input and, in 8-point slices, a long one: among carried points
+        # they give the scalar loop nothing to walk, and equal their twins
+        def refuse(*args):
+            raise AssertionError("_Walk.scalar called")
+
+        xs = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25, 1.0, 0.0, 0.9, 0.0, 1.0, 0.1] * 2)
+        assert carried(xs[(xs > 0.0) & (xs < 1.0)], tail=True).all()
+        expected = [[scalar(P2, x) for x in xs.tolist()] for _, scalar in EVALUATORS]
+        monkeypatch.setattr(distribution, "_CHUNK", chunk)
+        monkeypatch.setattr(distribution._Walk, "scalar", refuse)
+        for (vector, _), values in zip(EVALUATORS, expected):
+            np.testing.assert_array_equal(bits(vector(P2, xs)), bits(values))
+
     @pytest.mark.parametrize("p", [1e-6, 0.01, 1.0, 100.0, 1e6])
     def test_few_live_points_skip_the_vector_walk(self, monkeypatch, p):
         # the payoff curve's 200 prices, and 200 `mrl_many` points whose
@@ -760,8 +778,8 @@ class TestDescent:
     def test_short_inputs_equal_their_scalars(self, xs, log_p):
         # a short input walks its head through the head table and its tail
         # without compaction or, with few points live, in the scalar loop,
-        # which also walks 0 and 1: every evaluator equals its scalar twin
-        # bit for bit
+        # with 0 and 1 ended in the vector walk: every evaluator equals its
+        # scalar twin bit for bit
         params = PSingularParams(math.exp(log_p))
         for vector, scalar in EVALUATORS:
             np.testing.assert_array_equal(bits(vector(params, xs)),
