@@ -717,8 +717,6 @@ _SAMPLE_BLOCK = 65_536
 # up to its first 0.0 (k = 680), which every longer run gives too
 _LEAD = np.array([3 / 3 ** k for k in range(681)])
 _LEAD.flags.writeable = False
-# doubles per block of `_rise`'s scratch
-_RISE_BLOCK = 16_384
 
 
 @functools.lru_cache(maxsize=8)
@@ -832,20 +830,19 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending.  Runs of equal values are
     cut in place to their least x.
 
-    Each array is one buffer, allocated once per call, whose end the cloud
-    occupies.  An iteration writes its 2n + m points (n in S, m on the
-    plateau) into the 2n + m slots that end where S ends: x/3 and F/(p+1) in
-    front of S, then the plateau, then 1 - x/3, computed from the new front,
-    over S's own x, and the rise 1 - p F/(p+1) over S's own F, reversed
-    within those slots a block from each end at a time (`_rise`).  Cutting
-    a run of x/3 moves the points before it up and a run of 1 - x/3 moves
-    those after it down, so the cloud's end falls by the latter.  Without
-    cuts the last iteration writes s = 2^iterations (n_initial + 2 + m) - m
-    slots, and a cut lowers S's size at least as much as its end, so a
-    buffer of s doubles is enough.  The cap bounds it by 2 max_points + m,
-    the most an iteration that the cap lets start writes; where its cuts have
-    lowered S's end below that many slots, S first moves back to the
-    buffer's end.  The returned arrays are views of the buffers.
+    Each array is one buffer, allocated once per call, whose front the
+    cloud S occupies, in slots [lo, hi).  An iteration writes 1 - x/3 and
+    the rise 1 - p F/(p+1), from S reversed, into the n = hi - lo slots
+    that end at lo + 2n + m (m plateau points), then the plateau after S,
+    then x/3 and F/(p+1) over S: no write overlaps what it reads.  Cutting a
+    run of x/3 moves the points before it up, raising lo, and a run of
+    1 - x/3 moves those after it down.  Without cuts the last iteration
+    writes s = 2^iterations (n_initial + 2 + m) - m slots, and a cut raises
+    lo by no more than it lowers S's size, so s doubles are enough.  The
+    cap bounds the buffers by 2 max_points + m, the most an iteration that
+    the cap lets start writes; where lo has risen beyond the room that
+    leaves, S first moves to the front.  The returned arrays are views of
+    the buffers.
 
     This is `np.unique` over {x/3} + S + {1 - x/3}, which keeps S's own copy
     where 1 - x/3 is in S, with the same height: a run's least x is its oldest
@@ -880,57 +877,31 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     inner = np.linspace(ONE_THIRD, TWO_THIRDS, n_initial)
     plateau = inner[(inner > ONE_THIRD) & (inner < 1.0 - ONE_THIRD)]
     m = plateau.size
-    limit, total = 2 * max_points + m, n_initial + 2
-    for _ in range(iterations):
-        if total >= limit:
-            break
-        total = 2 * total + m
-    total = min(total, limit)
+    limit = 2 * max_points + m  # the shift stops once the size is past it
+    total = min(((n_initial + 2 + m) << min(iterations, limit.bit_length())) - m, limit)
     xs, Fs = np.empty(total), np.empty(total)
-    lo, hi = total - (n_initial + 2), total
-    xs[lo], xs[lo + 1:hi - 1], xs[hi - 1] = 0.0, inner, 1.0
-    Fs[lo], Fs[lo + 1:hi - 1], Fs[hi - 1] = 0.0, v, 1.0
-    scratch = np.empty(min(_RISE_BLOCK, total))
+    lo, hi = 0, n_initial + 2
+    xs[0], xs[1:hi - 1], xs[hi - 1] = 0.0, inner, 1.0
+    Fs[0], Fs[1:hi - 1], Fs[hi - 1] = 0.0, v, 1.0
     for k in range(1, iterations + 1):
         n = hi - lo
-        size = 2 * n + m
-        if size > hi:  # only where the cap sized the buffer
-            for buf in (xs, Fs):
-                buf[total - n:] = buf[lo:hi]
-            lo, hi = total - n, total
-        start = hi - size
-        left = xs[start:start + n]
-        np.divide(xs[lo:hi], 3.0, out=left)
-        np.subtract(1.0, left[::-1], out=xs[lo:hi])
-        front = _equal_neighbours(left) + 1
-        back = _equal_neighbours(xs[lo:hi]) + (n + m)
-        check_cap(size - front.size - back.size, k)
-        xs[lo - m:lo] = plateau
-        np.multiply(Fs[lo:hi], v, out=Fs[start:start + n])
-        Fs[lo - m:lo] = v
-        _rise(Fs[lo:hi], p * v, scratch)
-        _drop(front, back, xs[start:hi], Fs[start:hi])
-        lo, hi = start + front.size, hi - back.size
+        if lo + 2 * n + m > total:  # only where the cap sized the buffer
+            xs[:n], Fs[:n], lo, hi = xs[lo:hi], Fs[lo:hi], 0, n
+        end = lo + 2 * n + m
+        back = np.divide(xs[lo:hi][::-1], 3.0, out=xs[end - n:end])
+        np.subtract(1.0, back, out=back)
+        np.divide(xs[lo:hi], 3.0, out=xs[lo:hi])
+        front = _equal_neighbours(xs[lo:hi]) + 1
+        cuts = _equal_neighbours(back) + (n + m)
+        check_cap(end - lo - front.size - cuts.size, k)
+        xs[hi:hi + m] = plateau
+        rise = np.multiply(Fs[lo:hi][::-1], p * v, out=Fs[end - n:end])
+        np.subtract(1.0, rise, out=rise)
+        Fs[hi:hi + m] = v
+        np.multiply(Fs[lo:hi], v, out=Fs[lo:hi])
+        _drop(front, cuts, xs[lo:end], Fs[lo:end])
+        lo, hi = lo + front.size, end - cuts.size
     return PointCloud(x=xs[lo:hi], F=Fs[lo:hi], p=p, iterations=iterations, n_initial=n_initial)
-
-
-def _rise(F: np.ndarray, c: float, scratch: np.ndarray) -> None:
-    """Set F to 1 - F[::-1] * c in place, with the same two roundings per
-    value as that expression: a block from each end at a time, one of them
-    held in `scratch`, so that numpy never copies F to resolve the overlap."""
-    n, width = F.size, scratch.size
-    half = n // 2
-    for lo in range(0, half, width):
-        w = min(width, half - lo)
-        head, tail, held = F[lo:lo + w], F[n - lo - w:n - lo], scratch[:w]
-        np.multiply(head[::-1], c, out=held)
-        np.multiply(tail[::-1], c, out=head)
-        np.subtract(1.0, head, out=head)
-        np.subtract(1.0, held, out=tail)
-    if n % 2:
-        middle = F[half:half + 1]
-        np.multiply(middle, c, out=middle)
-        np.subtract(1.0, middle, out=middle)
 
 
 def _equal_neighbours(values: np.ndarray) -> np.ndarray:

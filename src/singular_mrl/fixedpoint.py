@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
-                           PSingularParams, _integer, gap_grid)
+                           PSingularParams, _integer, gap_grid, i1_closed_form)
 from .errors import ConvergenceError, ParameterError
 from .mrl import mrl, mrl_at_one_third, mrl_many
 
@@ -52,7 +52,14 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     1/3 is not a double, and fl(1/3) lies below it, off the plateau, where
     F is steep.  m(1/3) is taken at 1 - fl(2/3), the least double on the
     plateau, 3.7e-17 above 1/3: m differs there by that, under an ulp.
-    `bracket` is x* plus or minus half of m(1/3)'s error bound and
+    The walk ends there exactly, so `bracket` is x* plus or minus whole ulps
+    that cover, to first order in 2^-53, half an ulp of each step of m's
+    plateau formula (i1 + fl(1/3) q)/q and of x*'s sum, by its share of x*
+    (i1/q for q = 1/(p+1) and i1's steps, whose p + 1 cancels, 2^-53 each in
+    `i1_closed_form`'s other formula; 1/q for fl(1/3) q and the sum; 1 for
+    the quotient; halved), and 1/3 - fl(1/3): m at 1 - fl(2/3) is
+    2 (1/3 - fl(1/3)) below m(1/3), its fl(1/3) q adds half that and x*'s
+    sum takes it off again.  It holds the exact root of the double p.
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison.  Every
     call certifies that x* is the only root (see the module docstring), so
     `sign_changes` is 1, or raises ConvergenceError naming the cell that
@@ -60,19 +67,24 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     `verify_uniqueness(params, scan_grid_n)`: ConvergenceError unless it is 1.
     """
     scan_grid_n = _integer("scan_grid_n", scan_grid_n)
-    m = mrl(params, 1.0 - TWO_THIRDS, config)
-    x_star = 0.5 * (m.value + ONE_THIRD)
+    m = mrl(params, 1.0 - TWO_THIRDS, config).value
+    x_star = 0.5 * (m + ONE_THIRD)
     if not ONE_THIRD <= x_star <= TWO_THIRDS:
         raise ConvergenceError(
             f"x* = (m(1/3) + 1/3)/2 = {x_star} lies outside the plateau [1/3, 2/3]; "
             "the MRL evaluator is inconsistent")
-    half = 0.5 * m.error_bound
     residual = mrl(params, x_star, config).value - x_star
     _certify(params, config)
     changes = verify_uniqueness(params, scan_grid_n, config) if scan_grid_n else 1
     if changes != 1:
         raise ConvergenceError(f"the uniqueness scan found {changes} sign changes of "
                                f"m(x) - x on gap_grid({scan_grid_n}), not 1")
+    p, q, i1 = params.p, params.left_mass, i1_closed_form(params)
+    b, d, t = 6.0 * (p + 1.0), 2.0 * p + 1.0, ONE_THIRD * q
+    steps = (p + 2.0, b, d, b * d, i1, q) if b * d < math.inf else (1.0,) * 4 + (i1, q)
+    rounding = (i1 * sum(math.ulp(v) / v for v in steps) + math.ulp(t) + math.ulp(i1 + t)) / q
+    ulp = math.ulp(x_star)
+    half = ulp * math.ceil(((rounding + math.ulp(m) + 2.0 * ulp) / 4 + 2.0 ** -54 / 3.0) / ulp)
     return FixedPointResult(x_star, residual, (x_star - half, x_star + half),
                             fixed_point_closed_form(params), changes)
 

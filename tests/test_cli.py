@@ -210,27 +210,28 @@ class TestFixpointAndPricing:
         assert payload["sign_changes"] == 1
 
     # the bytes fixpoint wrote while every solve scanned gap_grid(1000) for
-    # sign changes; the certificate keeps them, with or without the scan
+    # sign changes; the certificate keeps them, with or without the scan,
+    # but for the bracket, x* plus or minus the ulps of its rounding
     PINNED = {
         ("0.01", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                         "0.49754901960784315,-1.1102230246251565e-16,0.49754901960784315,"
-                         "0.49754901960784315,0.49754901960784315,1\n",
+                         "0.49754901960784315,-1.1102230246251565e-16,0.49754901960784292,"
+                         "0.49754901960784337,0.49754901960784315,1\n",
         ("1", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                      "0.41666666666666663,1.1102230246251565e-16,0.41666666666666663,"
-                      "0.41666666666666663,0.41666666666666663,1\n",
+                      "0.41666666666666663,1.1102230246251565e-16,0.41666666666666646,"
+                      "0.4166666666666668,0.41666666666666663,1\n",
         ("100", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                        "0.37562189054726369,0,0.37562189054726369,0.37562189054726369,"
+                        "0.37562189054726369,0,0.37562189054726353,0.37562189054726386,"
                         "0.37562189054726369,1\n",
         ("0.01", "json"): '{"p": 0.01, "x_star": 0.49754901960784315, '
                           '"residual": -1.1102230246251565e-16, '
-                          '"bracket": [0.49754901960784315, 0.49754901960784315], '
+                          '"bracket": [0.4975490196078429, 0.49754901960784337], '
                           '"closed_form": 0.49754901960784315, "sign_changes": 1}\n',
         ("1", "json"): '{"p": 1.0, "x_star": 0.41666666666666663, '
                        '"residual": 1.1102230246251565e-16, '
-                       '"bracket": [0.41666666666666663, 0.41666666666666663], '
+                       '"bracket": [0.41666666666666646, 0.4166666666666668], '
                        '"closed_form": 0.41666666666666663, "sign_changes": 1}\n',
         ("100", "json"): '{"p": 100.0, "x_star": 0.3756218905472637, "residual": 0.0, '
-                         '"bracket": [0.3756218905472637, 0.3756218905472637], '
+                         '"bracket": [0.3756218905472635, 0.37562189054726386], '
                          '"closed_form": 0.3756218905472637, "sign_changes": 1}\n',
     }
 

@@ -19,7 +19,7 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
 from singular_mrl import distribution
 from singular_mrl.distribution import (_CHUNK, _LEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
                                       _alias_table, _descend, _descend_many, _many,
-                                      _drop, _jump_table, _rise, gap_grid)
+                                      _drop, _jump_table, gap_grid)
 from singular_mrl.fixedpoint import verify_uniqueness
 from singular_mrl.verify import check_dkw
 
@@ -1152,22 +1152,13 @@ class TestPointCloud:
     def test_cap_on_the_iteration_after_a_full_cloud(self):
         # a cap of the tenth cloud's size (or one more) sizes each buffer at
         # 2 cap + m, about what the eleventh iteration writes, but the cuts
-        # of earlier iterations have lowered the tenth cloud's end: it moves
-        # back to the buffers' end, and the eleventh is counted exactly
+        # of earlier iterations have raised the tenth cloud's start: it moves
+        # to the buffers' front, and the eleventh is counted exactly
         size = len(point_cloud(P1, 1000, 10))
         for cap in (size, size + 1):
             with pytest.raises(ResourceLimitError,
                                match=rf"cap of {cap} points \(4095009 after iteration 11 of 11\)"):
                 point_cloud(P1, 1000, 11, max_points=cap)
-
-    @pytest.mark.parametrize("width", [1, 3, 8])
-    def test_rise_in_place(self, width):
-        # blocks from both ends, odd and even lengths, a partial last block
-        for n in range(40):
-            F = np.random.default_rng(n).random(n)
-            expected = 1.0 - F[::-1] * 0.7
-            _rise(F, 0.7, np.empty(width))
-            np.testing.assert_array_equal(bits(F), bits(expected))
 
     def test_cap_at_the_exact_size(self):
         # the last iteration drops equal neighbours, so its exact size N is

@@ -78,17 +78,39 @@ class TestSolver:
         assert lo <= fp.x_star <= hi
         assert lo >= 1 / 3 and hi <= 2 / 3
 
-    @pytest.mark.parametrize("p,x_star,residual", [
-        (0.01, 0.49754901960784315, -1.1102230246251565e-16),
-        (1.0, 0.41666666666666663, 1.1102230246251565e-16),
-        (100.0, 0.3756218905472637, 0.0)])
-    def test_unchanged_by_the_cached_scan_grid(self, p, x_star, residual):
+    @staticmethod
+    def check_bracket(p):
+        # the exact root for the double p, and a bracket tight enough that a
+        # loose constant fails
+        fp = fixed_point_solve(PSingularParams(p))
+        lo, hi = fp.bracket
+        P = Fraction(p)
+        assert Fraction(lo) <= Fraction(1, 6) + (5 * P + 4) / (12 * (2 * P + 1)) <= Fraction(hi)
+        assert hi - lo <= 8 * math.ulp(fp.x_star)
+
+    @given(log_p=st.floats(min_value=-6.0, max_value=6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bracket_holds_the_exact_root(self, log_p):
+        self.check_bracket(10.0 ** log_p)
+
+    @pytest.mark.parametrize("p", [LEAST_CERTIFIED_P, 1e300])
+    def test_bracket_holds_the_exact_root_at_the_ends(self, p):
+        self.check_bracket(p)
+
+    @pytest.mark.parametrize("p,x_star,residual,bracket", [
+        (0.01, 0.49754901960784315, -1.1102230246251565e-16,
+         (0.4975490196078429, 0.49754901960784337)),
+        (1.0, 0.41666666666666663, 1.1102230246251565e-16,
+         (0.41666666666666646, 0.4166666666666668)),
+        (100.0, 0.3756218905472637, 0.0, (0.3756218905472635, 0.37562189054726386))])
+    def test_unchanged_by_the_cached_scan_grid(self, p, x_star, residual, bracket):
         # the values the solver gave while it scanned gap_grid(1000) on every
-        # call, kept bit for bit by the certificate, on a first and a second call
+        # call, kept bit for bit by the certificate, on a first and a second
+        # call; the bracket is x* plus or minus the ulps of its rounding
         for _ in range(2):
             fp = fixed_point_solve(PSingularParams(p))
             assert (fp.x_star, fp.residual, fp.bracket, fp.sign_changes) == (
-                x_star, residual, (x_star, x_star), 1)
+                x_star, residual, bracket, 1)
 
     @pytest.mark.parametrize("scan_grid_n", [50, 1, -1])
     def test_rejects_small_scan_grid(self, scan_grid_n):
