@@ -59,7 +59,10 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     `i1_closed_form`'s other formula; 1/q for fl(1/3) q and the sum; 1 for
     the quotient; halved), and 1/3 - fl(1/3): m at 1 - fl(2/3) is
     2 (1/3 - fl(1/3)) below m(1/3), its fl(1/3) q adds half that and x*'s
-    sum takes it off again.  It holds the exact root of the double p.
+    sum takes it off again.  It holds the exact root of the double p.  Where
+    q is subnormal, p > 4.49e307, the formula divides by it, and x* lies up
+    to 6 ulps below the root (at the largest double) or 5 above it; the
+    bracket widens to up to 28 ulps there.
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison.  Every
     call certifies that x* is the only root (see the module docstring), so
     `sign_changes` is 1, or raises ConvergenceError naming the cell that

@@ -1135,6 +1135,39 @@ class TestPointCloud:
         assert peak <= 1.1 * result
         assert held <= 1.01 * result
 
+    def test_cached_plan_memory(self):
+        # a shape whose plan is cached computes F alone, in one buffer
+        point_cloud(P1, 1000, 10)
+        tracemalloc.start()
+        try:
+            cloud = point_cloud(PSingularParams(7.3), 1000, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * cloud.F.nbytes
+
+    def test_plans_across_shapes_and_refusals(self):
+        # two shapes alternate, each p between a refused call at a lower cap
+        # and its own: every cloud is the sorting oracle's, byte for byte
+        for p in (0.01, 7.3, 1e300):
+            params = PSingularParams(p)
+            for n_initial, iterations in ((10, 6), (1001, 4)):
+                with pytest.raises(ResourceLimitError, match=f"after iteration 2 of {iterations}"):
+                    point_cloud(params, n_initial, iterations, max_points=5 * n_initial)
+                x, F = cloud_oracle(params, n_initial, iterations)
+                cloud = point_cloud(params, n_initial, iterations)
+                assert cloud.x.tobytes() == x.tobytes()
+                assert cloud.F.tobytes() == F.tobytes()
+
+    def test_x_is_shared_and_read_only(self):
+        # one shape's x is one array at every p; F is each call's own
+        clouds = [point_cloud(PSingularParams(p), 40, 7) for p in (0.01, 7.3, 7.3)]
+        assert all(np.shares_memory(clouds[0].x, cloud.x) for cloud in clouds)
+        assert not any(np.shares_memory(a.F, b.F) or np.shares_memory(a.F, b.x)
+                       for i, a in enumerate(clouds) for b in clouds[i + 1:])
+        with pytest.raises(ValueError, match="read-only"):
+            clouds[0].x[0] = 1.0
+
     def test_refused_cloud_memory(self):
         # the cap bounds the buffers by 2 cap + m doubles each, so a refused
         # cloud holds at most a few caps' worth of bytes at any time
@@ -1150,10 +1183,10 @@ class TestPointCloud:
         assert peak <= 3 * 16 * cap
 
     def test_cap_on_the_iteration_after_a_full_cloud(self):
-        # a cap of the tenth cloud's size (or one more) sizes each buffer at
+        # a cap of the tenth cloud's size (or one more) sizes the buffer at
         # 2 cap + m, about what the eleventh iteration writes, but the cuts
-        # of earlier iterations have raised the tenth cloud's start: it moves
-        # to the buffers' front, and the eleventh is counted exactly
+        # of earlier iterations have raised the tenth cloud's start: the
+        # eleventh has no room, and is counted exactly from temporaries
         size = len(point_cloud(P1, 1000, 10))
         for cap in (size, size + 1):
             with pytest.raises(ResourceLimitError,

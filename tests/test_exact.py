@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from singular_mrl import (PSingularParams, cdf_integral, cdf_integral_many, cdf_many,
                           cdf_with_bound, expected_payoff, gap_intervals, mrl, mrl_many,
                           payoff_curve, survival)
-from singular_mrl.distribution import GAP_LEVEL, gap_grid
+from singular_mrl.distribution import DEFAULT_CONFIG, GAP_LEVEL, gap_grid
 
 SLACK = Fraction(4 * 2.0 ** -52)
 # the rounded endpoints of every gap of level <= GAP_LEVEL: 510 doubles
@@ -109,3 +109,22 @@ def test_tail_quantities_below_one_third(oracle, p):
         assert pay == expected_payoff(params, x)
         assert misses(pay, (X * (base + j_lo), X * (base + j_hi)), X * fam.p * tol,
                       Fraction(run * pay)) == 0.0, x
+
+
+CANCELS = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: F's and J's alternating "
+                            "right steps cancel to O(1/p) near y = 3/4, and m's bound is 0")
+
+
+@pytest.mark.parametrize("p,x", [
+    (1e6, 0.77),
+    pytest.param(1e7, 0.77, marks=CANCELS),
+    pytest.param(1e8, 0.7715716408662807, marks=CANCELS),
+    pytest.param(1e10, 0.77, marks=CANCELS)])
+def test_mrl_above_one_third_at_large_p(oracle, p, x):
+    # the rows of ROADMAP item 2's table: m above 1/3 within its bound plus
+    # (1 + m) tol of the oracle, which it misses by 4.5e-10, 2.9e-9 and
+    # 1.7e-8 from p = 1e7, each with a reported bound of 0
+    m = mrl(PSingularParams(p), x)
+    tol = Fraction(DEFAULT_CONFIG.tolerance)
+    assert misses(m.value, oracle.mrl(oracle.Family(p), x), m.error_bound,
+                  (1 + Fraction(m.value)) * tol) == 0.0
