@@ -832,10 +832,9 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
     fresh buffer that follows the plan's slots and cuts.  The returned `x` is
     the plan's read-only array, shared by every call of the shape; `F` is
     the call's own.  At most two plans are cached, as a 5M-point x is 40 MB.
-    `point_cloud(P, 1000, 10)`, 2,047,009 points, takes 3.3-4.2 ms on a
-    cached plan, against 13.5-17.8 ms when every call computed x, and its
-    `tracemalloc` peak is 1.0006 times the bytes of F.  A shape's first
-    call adds the plan, 6.5-7.5 ms.
+    `point_cloud(P, 1000, 10)`, 2,047,009 points, takes 3.1-3.4 ms on a
+    cached plan, and its `tracemalloc` peak is 1.0001 times the bytes of F.
+    A shape's first call adds the plan, 6.2-8.1 ms.
 
     Raises ResourceLimitError once a cloud (the initial one included) would
     exceed `max_points`: the initial cloud on its count, before any buffer is
@@ -877,29 +876,20 @@ def _cloud_plan(n_initial: int, iterations: int, max_points: int) -> _CloudPlan:
     (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending.  Runs of equal values are
     cut in place to their least x.
 
-    The buffer holds the cloud S in slots [lo, hi).  An iteration writes
-    1 - x/3, from S reversed, into the n = hi - lo slots that end at
-    end = lo + 2n + m (m plateau points), then the plateau after S, then x/3
-    over S: no write overlaps what it reads.  Cutting a run of x/3 moves the
-    points before it up, raising lo, and a run of 1 - x/3 moves those after it
-    down.  Without cuts the last iteration writes s = 2^iterations
-    (n_initial + 2 + m) - m slots, and a cut raises lo by no more than it
-    lowers S's size, so s doubles are enough.  The cap bounds the buffer by
-    2 max_points + m.  Where lo has risen beyond the room that leaves,
-    lo + 2n > 2 max_points, the new cloud is counted from temporaries, and the
-    cap refuses it: it holds 2n + m points less this iteration's cuts, and
-    all cuts so far, lo and this iteration's, are fewer than S's
-    n <= max_points points (below).
+    Each iteration writes x/3, the plateau and 1 - x/3 into a fresh array of
+    2n + m doubles (n in S, m on the plateau), and x is its view between the
+    cuts.  F's one buffer holds S in slots [lo, hi) and the new cloud in
+    [lo, end), end = lo + 2n + m, lo rising by the front cuts; `size` is the
+    last end.
 
     In reals the two maps send [0, 1] into [0, 1/3] and [2/3, 1], so two words
     of them meet only at images of 1/3 (x/3 at 1) and 2/3 (1 - x/3 at 1).
     1.0/3 is the initial fl(1/3), but 1 - fl(1/3) is an ulp above fl(2/3) and
     an iteration younger; x/3 taken j times keeps that order for j <= 6 and
     merges the pair at j = 7, and 1 - x/3 merges it at once.  So iteration k
-    cuts at most one run of x/3 and min(k - 1, 7) of 1 - x/3, while S holds
-    more than 2^k points.  Other real points lie
-    3^-k / (3 n_initial - 3) apart or more after k iterations, each within
-    2^-51 of its double, so no two share a run while
+    cuts at most one run of x/3 and min(k - 1, 7) of 1 - x/3.  Other real
+    points lie 3^-k / (3 n_initial - 3) apart or more after k iterations,
+    each within 2^-51 of its double, so no two share a run while
     3^iterations (n_initial - 1) < 2^49, as in any cloud under 10^9 points.
     """
     def check_cap(size, k):
@@ -912,29 +902,25 @@ def _cloud_plan(n_initial: int, iterations: int, max_points: int) -> _CloudPlan:
     inner = np.linspace(ONE_THIRD, TWO_THIRDS, n_initial)
     plateau = inner[(inner > ONE_THIRD) & (inner < 1.0 - ONE_THIRD)]
     m = plateau.size
-    limit = 2 * max_points + m  # the shift stops once the size is past it
-    size = min(((n_initial + 2 + m) << min(iterations, limit.bit_length())) - m, limit)
-    xs, steps = np.empty(size), []
-    lo, hi = 0, n_initial + 2
-    xs[0], xs[1:hi - 1], xs[hi - 1] = 0.0, inner, 1.0
+    xs = x = np.concatenate(([0.0], inner, [1.0]))
+    lo, end, steps = 0, x.size, []
     for k in range(1, iterations + 1):
-        n = hi - lo
-        end = lo + 2 * n + m
-        if end <= size:
-            back = np.divide(xs[lo:hi][::-1], 3.0, out=xs[end - n:end])
-            third = np.divide(xs[lo:hi], 3.0, out=xs[lo:hi])
-        else:  # only where the cap sized the buffer, which it then refuses
-            back, third = xs[lo:hi][::-1] / 3.0, xs[lo:hi] / 3.0
+        n = x.size
+        xs = np.empty(2 * n + m)
+        third = np.divide(x, 3.0, out=xs[:n])
+        back = np.divide(x[::-1], 3.0, out=xs[n + m:])
         np.subtract(1.0, back, out=back)
         front = (_equal_neighbours(third) + 1).tolist()
         cuts = (_equal_neighbours(back) + (n + m)).tolist()
-        check_cap(end - lo - len(front) - len(cuts), k)
-        xs[hi:hi + m] = plateau
-        _drop(front, cuts, xs[lo:end])
-        steps.append((lo, hi, end, front, cuts))
-        lo, hi = lo + len(front), end - len(cuts)
-    xs.flags.writeable = False
-    return _CloudPlan(xs[lo:hi], lo, size, steps)
+        check_cap(xs.size - len(front) - len(cuts), k)
+        xs[n:n + m] = plateau
+        _drop(front, cuts, xs)
+        end = lo + xs.size
+        steps.append((lo, lo + n, end, front, cuts))
+        lo += len(front)
+        x = xs[len(front):xs.size - len(cuts)]
+    xs.flags.writeable = x.flags.writeable = False
+    return _CloudPlan(x, lo, end, steps)
 
 
 def _equal_neighbours(values: np.ndarray) -> np.ndarray:
@@ -942,21 +928,18 @@ def _equal_neighbours(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(values[1:] == values[:-1])
 
 
-def _drop(front, back, *arrays: np.ndarray) -> None:
-    """Remove sorted positions from equal-length 1-D arrays in place: those
-    in `front` by moving the stretches before them up, those in `back` by
-    moving the stretches after them down, so that only the points between
-    a position and its end of the arrays move.  The rest is then
-    arr[len(front):arr.size - len(back)] for each arr."""
-    size = arrays[0].size
+def _drop(front, back, arr: np.ndarray) -> None:
+    """Remove sorted positions from a 1-D array in place: those in `front`
+    by moving the stretches before them up, those in `back` by moving the
+    stretches after them down, so that only the points between a position
+    and its end of the array move.  The rest is then
+    arr[len(front):arr.size - len(back)]."""
     tops = [*front[::-1], -1]
     for shift, (end, start) in enumerate(zip(tops, tops[1:]), start=1):
-        for arr in arrays:
-            arr[start + 1 + shift:end + shift] = arr[start + 1:end]
-    ends = [*back, size]
+        arr[start + 1 + shift:end + shift] = arr[start + 1:end]
+    ends = [*back, arr.size]
     for shift, (start, end) in enumerate(zip(ends, ends[1:]), start=1):
-        for arr in arrays:
-            arr[start + 1 - shift:end - shift] = arr[start + 1:end]
+        arr[start + 1 - shift:end - shift] = arr[start + 1:end]
 
 
 @functools.lru_cache(maxsize=4)

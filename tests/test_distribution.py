@@ -242,16 +242,23 @@ def peak_beyond_result(fn, xs):
     return peak - out.nbytes
 
 
-def cloud_oracle(params, n_initial, iterations):
-    # the shrink-flip iteration as a sort: np.unique keeps, for each distinct
-    # x, the height of its first copy in the concatenation
+def oracle_clouds(params, n_initial, iterations):
+    # the shrink-flip iteration as a sort, each cloud from the initial one on:
+    # np.unique keeps, for each distinct x, the height of its first copy in
+    # the concatenation
     p, v = params.p, params.left_mass
     x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
     F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
+    yield x, F
     for _ in range(iterations):
         x, first = np.unique(np.concatenate((x / 3.0, x, 1.0 - x / 3.0)), return_index=True)
         F = np.concatenate((F * v, F, 1.0 - F * (p * v)))[first]
-    return x, F
+        yield x, F
+
+
+def cloud_oracle(params, n_initial, iterations):
+    *_, last = oracle_clouds(params, n_initial, iterations)
+    return last
 
 
 # sha256 of `sample(PSingularParams(p), seed, n).tobytes()` by (p, n, seed),
@@ -1109,12 +1116,10 @@ class TestPointCloud:
 
     def test_drop_in_place(self):
         values = np.arange(20.0)
-        marks = np.arange(20) % 3 == 0
         front, back = np.array([0, 2, 3, 7]), np.array([11, 15, 16, 19])
         kept = np.delete(np.arange(20), np.concatenate((front, back)))
-        _drop(front, back, values, marks)
+        _drop(front, back, values)
         np.testing.assert_array_equal(values[4:16], kept)
-        np.testing.assert_array_equal(marks[4:16], kept % 3 == 0)
         values = np.arange(4.0)
         _drop(np.array([], dtype=np.intp), np.array([], dtype=np.intp), values)
         np.testing.assert_array_equal(values, np.arange(4.0))
@@ -1169,8 +1174,9 @@ class TestPointCloud:
             clouds[0].x[0] = 1.0
 
     def test_refused_cloud_memory(self):
-        # the cap bounds the buffers by 2 cap + m doubles each, so a refused
-        # cloud holds at most a few caps' worth of bytes at any time
+        # a refused iteration holds the last accepted cloud, n <= cap points,
+        # and the new one's 2n + m doubles before its cuts, and no F buffer:
+        # a few caps' worth of bytes at any time
         cap = 100_000
         point_cloud(P1, 1000, 2)
         tracemalloc.start()
@@ -1183,15 +1189,39 @@ class TestPointCloud:
         assert peak <= 3 * 16 * cap
 
     def test_cap_on_the_iteration_after_a_full_cloud(self):
-        # a cap of the tenth cloud's size (or one more) sizes the buffer at
-        # 2 cap + m, about what the eleventh iteration writes, but the cuts
-        # of earlier iterations have raised the tenth cloud's start: the
-        # eleventh has no room, and is counted exactly from temporaries
+        # a cap of the tenth cloud's size (or one more) accepts it and
+        # refuses the eleventh, which nearly doubles it; the refusal counts
+        # the eleventh exactly, after its cuts
         size = len(point_cloud(P1, 1000, 10))
         for cap in (size, size + 1):
             with pytest.raises(ResourceLimitError,
                                match=rf"cap of {cap} points \(4095009 after iteration 11 of 11\)"):
                 point_cloud(P1, 1000, 11, max_points=cap)
+
+    @given(p=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), size=cloud_sizes(),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cap_around_the_oracle_sizes(self, p, size, data):
+        # a cap within a few points of one of the sorting oracle's clouds:
+        # the call returns the last cloud byte for byte, or is refused at the
+        # first cloud over the cap, with that cloud's exact size
+        n_initial, iterations = size
+        params = PSingularParams(p)
+        clouds = list(oracle_clouds(params, n_initial, iterations))
+        sizes = [x.size for x, _ in clouds]
+        cap = data.draw(st.sampled_from(sizes)) + data.draw(st.integers(-3, 3))
+        over = [k for k, n in enumerate(sizes) if n > cap]
+        if over:
+            k = over[0]
+            with pytest.raises(ResourceLimitError) as refusal:
+                point_cloud(params, n_initial, iterations, max_points=cap)
+            assert str(refusal.value) == (f"point cloud exceeded cap of {cap} points "
+                                          f"({sizes[k]} after iteration {k} of {iterations})")
+        else:
+            x, F = clouds[-1]
+            cloud = point_cloud(params, n_initial, iterations, max_points=cap)
+            assert cloud.x.tobytes() == x.tobytes()
+            assert cloud.F.tobytes() == F.tobytes()
 
     def test_cap_at_the_exact_size(self):
         # the last iteration drops equal neighbours, so its exact size N is
