@@ -246,8 +246,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except (SingularMrlError, OSError) as exc:
-        # OSError: an --out path that cannot be opened or written
+    except (SingularMrlError, OSError, MemoryError) as exc:
+        # an --out path that cannot be opened or written, an array too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -48,7 +48,7 @@ import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -72,10 +72,14 @@ def _integer(name: str, value, least: int | None = None) -> int:
 
 
 def _positive_real(name: str, value) -> float:
-    """value as a float if a finite positive real; ParameterError otherwise."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
-    return float(value)
+    """value as a float if a real whose double is finite and positive;
+    ParameterError otherwise, a real whose double is 0 or overflows included."""
+    try:
+        if isinstance(value, numbers.Real) and 0.0 < (rounded := float(value)) < math.inf:
+            return rounded
+    except (OverflowError, TypeError):  # np.timedelta64 is a numbers.Real that float() refuses
+        pass
+    raise ParameterError(f"{name} must be a finite positive real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def _check_unit_interval(x) -> float:
     try:
         if 0.0 <= x <= 1.0 and not isinstance(x, np.complexfloating):  # numpy orders these
             return float(x)
-    except (TypeError, ValueError):  # a str, None, a complex, an array of points
+    except (TypeError, ValueError, InvalidOperation):  # a str, None, a complex, an array, a Decimal NaN
         pass
     raise DomainError(f"x must lie in [0, 1], got {x!r}")
 
@@ -201,7 +205,10 @@ def _points(xs) -> np.ndarray:
     if kind in "SUcmM" or (kind == "O" and not all(
             isinstance(x, _REAL) and not isinstance(x, np.timedelta64) for x in xs.flat)):
         raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
-    return xs.astype(float, copy=False)
+    try:
+        return xs.astype(float, copy=False)
+    except (OverflowError, ValueError):  # an int or Fraction past the doubles, a Decimal sNaN
+        raise DomainError("all evaluation points must lie in [0, 1]") from None
 
 
 def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",

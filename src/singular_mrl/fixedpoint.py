@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
-                           PSingularParams, _integer, gap_grid, i1_closed_form)
+                           PSingularParams, _integer, gap_grid)
 from .errors import ConvergenceError, ParameterError
 from .mrl import mrl, mrl_at_one_third, mrl_many
 
@@ -52,17 +52,10 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     1/3 is not a double, and fl(1/3) lies below it, off the plateau, where
     F is steep.  m(1/3) is taken at 1 - fl(2/3), the least double on the
     plateau, 3.7e-17 above 1/3: m differs there by that, under an ulp.
-    The walk ends there exactly, so `bracket` is x* plus or minus whole ulps
-    that cover, to first order in 2^-53, half an ulp of each step of m's
-    plateau formula (i1 + fl(1/3) q)/q and of x*'s sum, by its share of x*
-    (i1/q for q = 1/(p+1) and i1's steps, whose p + 1 cancels, 2^-53 each in
-    `i1_closed_form`'s other formula; 1/q for fl(1/3) q and the sum; 1 for
-    the quotient; halved), and 1/3 - fl(1/3): m at 1 - fl(2/3) is
-    2 (1/3 - fl(1/3)) below m(1/3), its fl(1/3) q adds half that and x*'s
-    sum takes it off again.  It holds the exact root of the double p.  Where
-    q is subnormal, p > 4.49e307, the formula divides by it, and x* lies up
-    to 6 ulps below the root (at the largest double) or 5 above it; the
-    bracket widens to up to 28 ulps there.
+    `bracket` is the least interval of doubles that holds both x* and the
+    exact root (3p+2)/(4(2p+1)) of the double p = n/d: int/int division
+    rounds (3n+2d)/(4(2n+d)) correctly, once, and one integer
+    cross-multiplication finds on which side of that double the root lies.
     `residual` is m(x*) - x*.  Fills `closed_form` for comparison.  Every
     call certifies that x* is the only root (see the module docstring), so
     `sign_changes` is 1, or raises ConvergenceError naming the cell that
@@ -82,14 +75,13 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     if changes != 1:
         raise ConvergenceError(f"the uniqueness scan found {changes} sign changes of "
                                f"m(x) - x on gap_grid({scan_grid_n}), not 1")
-    p, q, i1 = params.p, params.left_mass, i1_closed_form(params)
-    b, d, t = 6.0 * (p + 1.0), 2.0 * p + 1.0, ONE_THIRD * q
-    steps = (p + 2.0, b, d, b * d, i1, q) if b * d < math.inf else (1.0,) * 4 + (i1, q)
-    rounding = (i1 * sum(math.ulp(v) / v for v in steps) + math.ulp(t) + math.ulp(i1 + t)) / q
-    ulp = math.ulp(x_star)
-    half = ulp * math.ceil(((rounding + math.ulp(m) + 2.0 * ulp) / 4 + 2.0 ** -54 / 3.0) / ulp)
-    return FixedPointResult(x_star, residual, (x_star - half, x_star + half),
-                            fixed_point_closed_form(params), changes)
+    n, d = params.p.as_integer_ratio()
+    num, den = 3 * n + 2 * d, 4 * (2 * n + d)
+    a, b = (root := num / den).as_integer_ratio()
+    side = a * den - b * num  # the sign of fl(root) - root
+    bracket = (min(x_star, root if side <= 0 else math.nextafter(root, 0.0)),
+               max(x_star, root if side >= 0 else math.nextafter(root, 1.0)))
+    return FixedPointResult(x_star, residual, bracket, fixed_point_closed_form(params), changes)
 
 
 def _certify(params: PSingularParams, config: EvalConfig) -> None:

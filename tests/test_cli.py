@@ -163,6 +163,16 @@ class TestExitCodes:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [("plot-data", "--p", "1", "--what", "mrl"),
+                                      ("verify", "--p-list", "1")], ids=lambda argv: argv[0])
+    def test_allocation_failure(self, capsys, argv):
+        # a grid of 10^17 points needs 711 PiB, more than any address space,
+        # so the allocation fails at once: one error line, not a traceback,
+        # and not verify's exit 1 for a failed check
+        code, out, err = run(capsys, *argv, "--grid", "100000000000000000")
+        assert code == 5
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [("plot-data", "--format", "json"),
                                       ("verify", "--format", "csv")], ids=lambda argv: argv[0])
     def test_format_the_command_cannot_write(self, capsys, argv):
@@ -211,27 +221,28 @@ class TestFixpointAndPricing:
 
     # the bytes fixpoint wrote while every solve scanned gap_grid(1000) for
     # sign changes; the certificate keeps them, with or without the scan,
-    # but for the bracket, x* plus or minus the ulps of its rounding
+    # but for the bracket, the least interval of doubles that holds x* and
+    # the exact root
     PINNED = {
         ("0.01", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                         "0.49754901960784315,-1.1102230246251565e-16,0.49754901960784292,"
-                         "0.49754901960784337,0.49754901960784315,1\n",
+                         "0.49754901960784315,-1.1102230246251565e-16,0.49754901960784309,"
+                         "0.49754901960784315,0.49754901960784315,1\n",
         ("1", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                      "0.41666666666666663,1.1102230246251565e-16,0.41666666666666646,"
-                      "0.4166666666666668,0.41666666666666663,1\n",
+                      "0.41666666666666663,1.1102230246251565e-16,0.41666666666666663,"
+                      "0.41666666666666669,0.41666666666666663,1\n",
         ("100", "csv"): "x_star,residual,bracket_lo,bracket_hi,closed_form,sign_changes\n"
-                        "0.37562189054726369,0,0.37562189054726353,0.37562189054726386,"
+                        "0.37562189054726369,0,0.37562189054726364,0.37562189054726369,"
                         "0.37562189054726369,1\n",
         ("0.01", "json"): '{"p": 0.01, "x_star": 0.49754901960784315, '
                           '"residual": -1.1102230246251565e-16, '
-                          '"bracket": [0.4975490196078429, 0.49754901960784337], '
+                          '"bracket": [0.4975490196078431, 0.49754901960784315], '
                           '"closed_form": 0.49754901960784315, "sign_changes": 1}\n',
         ("1", "json"): '{"p": 1.0, "x_star": 0.41666666666666663, '
                        '"residual": 1.1102230246251565e-16, '
-                       '"bracket": [0.41666666666666646, 0.4166666666666668], '
+                       '"bracket": [0.41666666666666663, 0.4166666666666667], '
                        '"closed_form": 0.41666666666666663, "sign_changes": 1}\n',
         ("100", "json"): '{"p": 100.0, "x_star": 0.3756218905472637, "residual": 0.0, '
-                         '"bracket": [0.3756218905472635, 0.37562189054726386], '
+                         '"bracket": [0.37562189054726364, 0.3756218905472637], '
                          '"closed_form": 0.3756218905472637, "sign_changes": 1}\n',
     }
 

@@ -309,9 +309,18 @@ def cloud_sizes(draw, max_points=2 ** 16):
     return n_initial, draw(st.integers(0, most))
 
 
+# reals past the doubles, named by their short form rather than 401 digits
+HUGE = [pytest.param(10 ** 400, id="10**400"), pytest.param(-10 ** 400, id="-10**400")]
+HUGE_ARRAYS = [pytest.param([10 ** 400], id="[10**400]"),
+               pytest.param([-10 ** 400], id="[-10**400]"),
+               pytest.param([Fraction(10 ** 400)], id="[Fraction(10**400)]")]
+
+
 class TestParams:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9, float("nan"), float("inf"),
+                                     Fraction(1, 10 ** 400), *HUGE, np.timedelta64(1, "s")])
     def test_rejects_nonpositive_p(self, bad):
+        # a real whose double is 0 or overflows is no p either, nor is a time
         with pytest.raises(ParameterError):
             PSingularParams(bad)
 
@@ -321,8 +330,10 @@ class TestParams:
 
     def test_config_validation(self):
         # a str, None or complex tolerance is a ParameterError, not a bare
-        # TypeError from the comparison
-        for bad in (0.0, -1e-10, float("nan"), float("inf"), "1e-10", None, 1e-10j):
+        # TypeError from the comparison, and so is a real whose double is 0
+        # or overflows, not an OverflowError, and a time
+        for bad in (0.0, -1e-10, float("nan"), float("inf"), "1e-10", None, 1e-10j,
+                    Fraction(1, 10 ** 400), 10 ** 400, -10 ** 400, np.timedelta64(1, "s")):
             with pytest.raises(ParameterError, match="tolerance must be a finite positive real"):
                 EvalConfig(tolerance=bad)
         for good in (1, np.float32(1e-6), np.int64(2)):
@@ -865,13 +876,17 @@ class TestDescent:
                                      np.array([1], dtype="datetime64[s]"),
                                      np.array([np.timedelta64(1, "s")], dtype=object),
                                      np.array([np.datetime64(1, "s")], dtype=object),
-                                     np.timedelta64(1, "s"), np.datetime64(1, "s")], ids=repr)
+                                     np.timedelta64(1, "s"), np.datetime64(1, "s"),
+                                     Decimal("NaN"), Decimal("sNaN"), [Decimal("NaN")],
+                                     [Decimal("sNaN")], *HUGE, *HUGE_ARRAYS], ids=repr)
     def test_non_real_point_domain_error(self, fn, bad):
         # a str, bytes, None, a complex or a time is no point of [0, 1], for
         # the scalar and the vector evaluators alike (numpy would parse a
         # str, also as the element of an object array, orders its complex
         # scalars, counts a time's ticks and registers np.timedelta64 as a
-        # numbers.Real)
+        # numbers.Real), nor is a Decimal NaN, which no comparison orders and
+        # sNaN no float holds, or a real past the doubles, which float() and
+        # numpy's cast refuse
         with pytest.raises(DomainError):
             fn(P1, bad)
 

@@ -19,6 +19,7 @@ from singular_mrl.distribution import DEFAULT_CONFIG
 # the least p whose uniqueness certificate holds: m(0) = E[X] must clear
 # twice the finest cell, 2^-52, by more than its rounding
 LEAST_CERTIFIED_P = 1.4802973661668773e-16
+LARGEST = 1.7976931348623157e308
 
 
 class TestClosedForm:
@@ -79,41 +80,47 @@ class TestSolver:
         assert lo >= 1 / 3 and hi <= 2 / 3
 
     @staticmethod
-    def check_bracket(p, ulps=8):
-        # the exact root for the double p, and a bracket tight enough that a
-        # loose constant fails
+    def check_bracket(p, ulps=3):
+        # exactly the least interval of doubles that holds both x* and the
+        # exact root (3p+2)/(4(2p+1)) for the double p, at most `ulps` wide
         fp = fixed_point_solve(PSingularParams(p))
         lo, hi = fp.bracket
-        P = Fraction(p)
-        assert Fraction(lo) <= Fraction(1, 6) + (5 * P + 4) / (12 * (2 * P + 1)) <= Fraction(hi)
+        P, x = Fraction(p), Fraction(fp.x_star)
+        least, most = sorted((x, (3 * P + 2) / (4 * (2 * P + 1))))
+        assert Fraction(lo) <= least < Fraction(math.nextafter(lo, 1.0))
+        assert Fraction(math.nextafter(hi, 0.0)) < most <= Fraction(hi)
         assert hi - lo <= ulps * math.ulp(fp.x_star)
 
-    @given(log_p=st.floats(min_value=-6.0, max_value=6.0))
+    @given(log_p=st.floats(min_value=math.log(LEAST_CERTIFIED_P), max_value=math.log(LARGEST)))
     @settings(max_examples=200, deadline=None)
     def test_bracket_holds_the_exact_root(self, log_p):
-        self.check_bracket(10.0 ** log_p)
+        # p log-uniform over every certified double; exp rounds the ends inward
+        # or outward by an ulp, so clamp them
+        p = min(max(math.exp(log_p), LEAST_CERTIFIED_P), LARGEST)
+        self.check_bracket(p, ulps=3 if p <= 4.49e307 else 7)
 
     @pytest.mark.parametrize("p", [LEAST_CERTIFIED_P, 1e300])
     def test_bracket_holds_the_exact_root_at_the_ends(self, p):
         self.check_bracket(p)
 
-    @pytest.mark.parametrize("p", [4.6e307, 1.7976931348623157e308])
+    @pytest.mark.parametrize("p", [4.6e307, LARGEST])
     def test_bracket_holds_the_exact_root_where_q_is_subnormal(self, p):
         # m's plateau formula divides by a subnormal q = 1/(p+1): x* is 6 ulps
-        # below the root at the largest double, and the bracket widens to 28
-        # ulps there to hold it
-        self.check_bracket(p, ulps=math.inf)
+        # below the root at the largest double, and the bracket reaches from
+        # x* to the root
+        self.check_bracket(p, ulps=7)
 
     @pytest.mark.parametrize("p,x_star,residual,bracket", [
         (0.01, 0.49754901960784315, -1.1102230246251565e-16,
-         (0.4975490196078429, 0.49754901960784337)),
+         (0.4975490196078431, 0.49754901960784315)),
         (1.0, 0.41666666666666663, 1.1102230246251565e-16,
-         (0.41666666666666646, 0.4166666666666668)),
-        (100.0, 0.3756218905472637, 0.0, (0.3756218905472635, 0.37562189054726386))])
-    def test_unchanged_by_the_cached_scan_grid(self, p, x_star, residual, bracket):
+         (0.41666666666666663, 0.4166666666666667)),
+        (100.0, 0.3756218905472637, 0.0, (0.37562189054726364, 0.3756218905472637))])
+    def test_solution_bits_are_pinned(self, p, x_star, residual, bracket):
         # the values the solver gave while it scanned gap_grid(1000) on every
         # call, kept bit for bit by the certificate, on a first and a second
-        # call; the bracket is x* plus or minus the ulps of its rounding
+        # call; the bracket is the least interval of doubles that holds x* and
+        # the exact root
         for _ in range(2):
             fp = fixed_point_solve(PSingularParams(p))
             assert (fp.x_star, fp.residual, fp.bracket, fp.sign_changes) == (
