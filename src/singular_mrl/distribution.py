@@ -135,7 +135,6 @@ _STEP_M = np.array([3, 1, -3, 3, -1, -3])
 # over the 3^_JUMP ternary cells replaces
 _JUMP = 8
 _CELLS = 3 ** _JUMP
-_REAL = (numbers.Real, Decimal)  # the types of an object array's points
 
 
 def i1_closed_form(params: PSingularParams) -> float:
@@ -199,16 +198,16 @@ def _points(xs) -> np.ndarray:
     """xs as a float array; DomainError for str, bytes, complex, timedelta64
     and datetime64 input or elements, which are no points of [0, 1] (numpy
     would parse a str and count the ticks of a time; it registers
-    np.timedelta64 as a numbers.Real)."""
-    xs = np.asarray(xs)
-    kind = xs.dtype.kind
-    if kind in "SUcmM" or (kind == "O" and not all(
-            isinstance(x, _REAL) and not isinstance(x, np.timedelta64) for x in xs.flat)):
-        raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
+    np.timedelta64 as a numbers.Real), and for a ragged list."""
     try:
-        return xs.astype(float, copy=False)
-    except (OverflowError, ValueError):  # an int or Fraction past the doubles, a Decimal sNaN
-        raise DomainError("all evaluation points must lie in [0, 1]") from None
+        xs = np.asarray(xs)
+        kind = xs.dtype.kind
+        if not (kind in "SUcmM" or (kind == "O" and not all(
+                isinstance(x, (numbers.Real, Decimal)) and not isinstance(x, np.timedelta64) for x in xs.flat))):
+            return xs.astype(float, copy=False)
+    except (OverflowError, ValueError):  # a ragged list, a real past the doubles, a Decimal sNaN
+        raise DomainError("evaluation points must be an array of reals in [0, 1]") from None
+    raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
 
 
 def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
@@ -706,49 +705,38 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(_integer("seed", seed, 0))
 
 
-# levels per word of `sample`'s alias table: its 2^12 words of four
-# 8-byte fields take 128 kB, so the table stays in cache
+# levels per word of `sample`'s alias table, whose 320 kB of maps stay in cache
 _WORD_LEVELS = 12
-# Words `sample` draws after the first right step.  From there on X lies
-# in [2a/3, a] and |s| shrinks by a factor of 3 per level whichever branch
-# is taken, so after D levels the midpoint a + s/2 is within
-# |s|/2 = a / (2 3^(D+1)) of X: a relative 1/(4 3^D).  Half an ulp is at
-# least 2^-54 relative, so D >= 33 (3^33 >= 2^52) pins X for every p;
-# three words give D = 36, the least multiple of 12 that does.
-_SAMPLE_WORDS = 3
-# draws per block of `sample`: its working set is the result plus a few
-# arrays of this size
-_SAMPLE_BLOCK = 65_536
-# 3^(1 - k) by k, the a that `sample`'s leading run of k - 1 left steps
-# leaves, correctly rounded (int / int is; np.power is not, first at k = 22)
-# up to its first 0.0 (k = 680), which every longer run gives too
-_LEAD = np.array([3 / 3 ** k for k in range(681)])
+# draws per block of `sample`: beside the result it holds about ten 128 kB arrays
+_SAMPLE_BLOCK = 16_384
+# 3^-j by j, the a that `sample`'s leading run of j left steps leaves,
+# correctly rounded (int / int is; np.power is not, first at j = 21) up to
+# its first 0.0 (j = 679), which every longer run gives too
+_LEAD = np.array([1 / 3 ** j for j in range(680)])
 _LEAD.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
 def _alias_table(params: PSingularParams) -> tuple[np.ndarray, ...]:
-    """The alias table over the 2^k words of k = `_WORD_LEVELS` levels at p:
-    (threshold P_i, alias, a_w, s_w) with one entry per word.
-
-    Bit j of word w is level j + 1, 1 for a right step.  The word has
-    probability q^#left r^#right and sends (a, s) to (a + s a_w, s s_w):
-    a_w = sum over its right steps i of the product of the earlier levels'
-    factors (+1/3 left, -1/3 right), an integer over 3^(k-1), and
-    s_w = +-3^-k, each one correctly rounded division.  Column i of the
-    table is word i with probability P_i and word alias_i otherwise; Vose's
-    construction (Vose 1991, IEEE TSE) fills it in one pass.  Built once
-    per p, so the arrays are read-only.
+    """`sample`'s alias table over the 2^k words of k = `_WORD_LEVELS`
+    levels at p, built once per p and read-only: the bound B_c of column c,
+    then at index 2c (word c) and 2c + 1 (its alias) the maps OA, OS, AW,
+    SW and LAST.  Bit j of word w is level j + 1, 1 for a right step.  The
+    word has probability q^#left r^#right and sends (a, s) to
+    (a + s a_w, s s_w): a_w = sum over its right steps i of the product of
+    the earlier levels' factors (+1/3 left, -1/3 right), an integer over
+    3^(k-1), and s_w = +-3^-k.  OA = 1 - a_w/3 and OS = -s_w/3 serve the
+    word after the lead, AW = a_w and SW = s_w the next, LAST = a_w + s_w/2
+    the last, each one correctly rounded division.  Vose's construction
+    (Vose 1991, IEEE TSE) makes column c word c with probability P_c and a
+    column it leaves over its own alias; a raw output u in column u >> 52
+    takes the alias where u >= B_c = c 2^52 + ceil(P_c 2^52) (<= 2^64 - 1).
     """
-    k = _WORD_LEVELS
-    size = 1 << k
+    k, size = _WORD_LEVELS, 1 << _WORD_LEVELS
     words = np.arange(size)
-    rights = np.zeros(size, dtype=np.int64)
-    numerator = np.zeros(size, dtype=np.int64)
-    for j in range(k):
-        bit = (words >> j) & 1
-        numerator += bit * (-1) ** rights * 3 ** (k - 1 - j)
-        rights += bit
+    bits = words[:, None] >> np.arange(k) & 1
+    rights = bits.sum(axis=1)
+    numerator = (bits * (-1) ** (bits.cumsum(axis=1) - bits) * 3 ** np.arange(k - 1, -1, -1)).sum(axis=1)
     prob = (params.left_mass ** (k - rights) * params.right_mass ** rights * size).tolist()
     alias = list(range(size))
     small = [i for i, v in enumerate(prob) if v < 1.0]
@@ -758,10 +746,12 @@ def _alias_table(params: PSingularParams) -> tuple[np.ndarray, ...]:
         alias[lo] = hi
         prob[hi] = (prob[hi] + prob[lo]) - 1.0
         (small if prob[hi] < 1.0 else large).append(hi)
-    for i in small + large:
-        prob[i] = 1.0
-    table = (np.array(prob), np.array(alias), numerator / 3.0 ** (k - 1),
-             (-1.0) ** rights / 3.0 ** k)
+    column = words.astype(np.uint64) << np.uint64(52)  # c 2^52; ~column caps B_c at 2^64 - 1
+    bound = column + np.minimum(np.ceil(np.minimum(prob, 1.0) * 2.0 ** 52).astype(np.uint64), ~column)
+    pair = np.stack((words, alias), axis=1).ravel()
+    n, sign, third = numerator.take(pair), ((-1.0) ** rights).take(pair), 3.0 ** k
+    table = (bound, (third - n) / third, -sign / (3.0 * third), 3.0 * n / third, sign / third,
+             (6.0 * n + sign) / (2.0 * third))
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -774,33 +764,43 @@ def sample(params: PSingularParams, rng_seed: int, n: int) -> np.ndarray:
     copy, with probability r = p/(p+1) (digit 2), so the digits are not
     independent for p != 1.  The draw lies between a and a + s: a left
     step sends s -> s/3, a right step a -> a + s and s -> -s/3.  Neither
-    depends on a, so the run of K left steps before the first right one is
-    geometric, P(K >= k) = q^k, and drawn in closed form (Devroye 1986,
-    ch. 2); it leaves a = 3^-K and s = -a/3, with a looked up in the
-    leading-run table `_LEAD`, both 0 from K = 679 on, and so where r is so
-    small that numpy caps K at 2^63 - 1.  The levels after it are i.i.d., so
-    `_SAMPLE_WORDS` words of `_WORD_LEVELS` levels each, one uniform per
-    word from `_alias_table` (Walker's alias method), pin the draw to half
-    an ulp.  The draws are made in blocks of `_SAMPLE_BLOCK`.
+    depends on a, so the run of j left steps before the first right one is
+    geometric, P(j >= k) = q^k, drawn by inversion (Devroye 1986, ch. 2) as
+    j = floor(log1p(-U) / log q), log q clamped to -1e-300 (no j moves, as a
+    nonzero U has |log1p(-U)| >= 1.1e-16): a = 3^-j from `_LEAD`, s = -a/3.
+    Three i.i.d. words of `_WORD_LEVELS` levels from `_alias_table`
+    (Walker's alias method) follow, X = a (OA + OS (AW + SW LAST)): X is in
+    [2a/3, a] and |s| shrinks by 3 a level, so 36 levels pin X to half an
+    ulp (33 is the least, 3^33 >= 2^52).  Each draw of a `_SAMPLE_BLOCK`
+    block reads 4 raw 64-bit outputs u: U = (u >> 11) 2^-53, numpy's own
+    double, and three words' columns u >> 52 and 52-bit coins.
     """
     n = _integer("n", n, 1)
-    rng = seeded_rng(rng_seed)
-    threshold, alias, a_w, s_w = _alias_table(params)
-    out = np.empty(n)
+    raw_draws = seeded_rng(rng_seed).bit_generator.random_raw
+    bound, oa, os_, aw, sw, last = _alias_table(params)
+    log_q = min(-math.log1p(params.p), -1e-300)
+    out, work = np.empty(n), np.empty((2, min(n, _SAMPLE_BLOCK)))
     for start in range(0, n, _SAMPLE_BLOCK):
         m = min(_SAMPLE_BLOCK, n - start)
-        a = _LEAD.take(rng.geometric(params.right_mass, m), mode="clip")
-        s = a / -3.0
-        for _ in range(_SAMPLE_WORDS):
-            # the top 12 bits of a uniform pick the column, the rest the coin
-            u = rng.random(m)
-            u *= threshold.size
-            column = u.astype(np.intp)
-            u -= column
-            word = np.where(u < threshold.take(column), column, alias.take(column))
-            a += s * a_w.take(word)
-            s *= s_w.take(word)
-        out[start:start + m] = a + 0.5 * s
+        raw = raw_draws(4 * m).reshape(4, m)
+        c, t, x = work[0, :m].view(np.int64), work[1, :m], out[start:start + m]
+        cu = c.view(np.uint64)
+        for word in raw[1:]:  # in place to its table index 2c + (u >= B_c)
+            np.right_shift(word, 52, out=cu)
+            np.greater_equal(word, bound.take(c, out=t.view(np.uint64), mode="clip"), out=word)
+            cu <<= 1
+            word += cu
+        np.right_shift(raw[0], 11, out=cu)
+        np.log1p(np.multiply(c, -2.0 ** -53, out=t), out=t)  # log1p(-U)
+        t /= log_q
+        np.copyto(c, np.minimum(t, _LEAD.size - 1, out=t), casting="unsafe")  # j, clipped
+        first, middle, inner = raw[1:].view(np.int64)
+        last.take(inner, out=x, mode="clip")  # every index is in range: "clip" skips a checked copy
+        x *= sw.take(middle, out=t, mode="clip")
+        x += aw.take(middle, out=t, mode="clip")
+        x *= os_.take(first, out=t, mode="clip")
+        x += oa.take(first, out=t, mode="clip")
+        x *= _LEAD.take(c, out=t, mode="clip")
     return out
 
 

@@ -261,8 +261,33 @@ def cloud_oracle(params, n_initial, iterations):
     return last
 
 
+def word_map(w, k):
+    """The exact (a_w, s_w) of `_alias_table`'s word w of k levels: bit j
+    is level j + 1, a left step s -> s/3, a right one a -> a + s and
+    s -> -s/3."""
+    a, s = Fraction(0), Fraction(1)
+    for j in range(k):
+        if w >> j & 1:
+            a, s = a + s, -s / 3
+        else:
+            s = s / 3
+    return a, s
+
+
+def table_words(table):
+    """The word at each index 2c + i of `_alias_table`'s maps, read off its
+    AW and SW: a_w 3^(k-1) is an integer, and with the sign of s_w it
+    names the word."""
+    bound, _, _, aw, sw, _ = table
+    k = int(bound.size).bit_length() - 1
+    maps = {(a * 3 ** (k - 1), s > 0): w for w in range(bound.size) for a, s in [word_map(w, k)]}
+    assert len(maps) == bound.size
+    return [maps[round(Fraction(a) * 3 ** (k - 1)), s > 0] for a, s in zip(aw.tolist(), sw.tolist())]
+
+
 # sha256 of `sample(PSingularParams(p), seed, n).tobytes()` by (p, n, seed),
-# as the closed-form leading run 3^(1 - K), correctly rounded, draws them
+# as the raw 64-bit outputs, the leading run by inversion and the alias
+# words in Horner form draw them
 SAMPLE_DIGESTS = {
     (1e-300, 1, 0): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     (1e-300, 1, 20261018): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
@@ -270,24 +295,24 @@ SAMPLE_DIGESTS = {
     (1e-300, 65537, 20261018): "3707e4e2efecb681def42f31ecb7d5ca3bafc6f5ce7ebe064a63e0fcb464dbf0",
     (1e-300, 200001, 0): "acee3253fbd6f2afec2774dd0036d7927ce5453031d015f653a6e0c5c944037d",
     (1e-300, 200001, 20261018): "acee3253fbd6f2afec2774dd0036d7927ce5453031d015f653a6e0c5c944037d",
-    (0.01, 1, 0): "15a1dbdb62f045e83bbc30bf7d4202b9fafb6696c3832577d63f5421da35a8c2",
-    (0.01, 1, 20261018): "bf9efb4ff4d6e58d7b5d387ac8067005a8e6ebf809c3f1b1594359602b34ef2c",
-    (0.01, 65537, 0): "06b5a6eacfb0e177991500c97a8e789d7a3794fe6f92fea899c1e1abcefe057b",
-    (0.01, 65537, 20261018): "195c1fde39ac4b630094a0edf3ad6c5650aa0f2504b2dc72ae4bf51539df3436",
-    (0.01, 200001, 0): "5ff063e3b43aa284a78ee52ec1c640c646c14dc9d2713af3cbf33d9e6c9b1f6f",
-    (0.01, 200001, 20261018): "c0a1715738a19b3ec4f1ef2a8b950c9448c4369e4d3251a80337f4c464f93b6d",
-    (1.0, 1, 0): "470705b75e88ea63c2912ff44d7959573cc622cce413509221469c33a6ad3b1b",
+    (0.01, 1, 0): "fb3969f2ce92714fb351c10daea5bcffb5c9d1d2c89c24337dfe2f830ecce1c0",
+    (0.01, 1, 20261018): "114c738c0a3f3f217d80fb2839b470feaafafe07ca1d096c4a056dc2500f6564",
+    (0.01, 65537, 0): "b05999a1452b289b80333934a7b953c853914ec6a2073c1de97bfce54ef104c6",
+    (0.01, 65537, 20261018): "ad0376af86fad731d9fd2cb574b6a8c170c3f4d52fe2251459ef79e786ffe557",
+    (0.01, 200001, 0): "dd75b0e957242b75bc3605c5fb5ffbab75c5d86ce06d26d46cc455b9b6649117",
+    (0.01, 200001, 20261018): "43a38e46460a4940f823e1c9e32fc3128223003c34a5d6b4632c5fd97e15cea0",
+    (1.0, 1, 0): "4032d0b5db3ed8d572bb4b6be43fb91794d9eca64b7007657778c7d2fea970e7",
     (1.0, 1, 20261018): "479694213b38da2ad567d79acc0a8b4b656ef70181fd53120cea09c6d440d964",
-    (1.0, 65537, 0): "ea46e3b4da6697210bf9c76ccdf8d6889fc2c59a192f033ab846d39fafd9a27d",
-    (1.0, 65537, 20261018): "6a2a6d8eca8b0bb7568c7b489006979622386040bdd9f0918e68281a50c83ed1",
-    (1.0, 200001, 0): "e4dfb8aebd770dfa438c4809c50db960c8933e6b436a76cf98b67259e6bd9546",
-    (1.0, 200001, 20261018): "f6a86ce749d6349991117f1e09cdb4fc601a902f038274357b3fcfc22bef82d9",
+    (1.0, 65537, 0): "45d82ef7c51fe533c2616f4bec0ebab11cadcbf708b5f50e10eb65229c246a72",
+    (1.0, 65537, 20261018): "a921512bace7d71ffa7d97021057a513e58291b46d2ee3f2e21f83c56676aacd",
+    (1.0, 200001, 0): "1405d00effcafb82820638add8cdb4091a80cf77d94ec2538d815f2611d3d236",
+    (1.0, 200001, 20261018): "7daae6915a9036cbfd9e72a5f1725977945d8ef97fba7f71509180fd1b95e3bf",
     (100.0, 1, 0): "95fa8d1f67551a5b88f76b1c08e04981aae07b9bf57ef41070f77df6cc8e7370",
     (100.0, 1, 20261018): "70d5c350445ec9a25395e2baf4ca3b14c9192b78760776eb97ca2439e447dbe9",
-    (100.0, 65537, 0): "50c5cfb7f345a89c698acbec552ce3e2b3a2fe0b8108e1787c7178e5913a0979",
-    (100.0, 65537, 20261018): "77838257c93ecacd96cfa374458252c548812ffdc6bff2fa74b0be54d8d75778",
-    (100.0, 200001, 0): "0f5435dfb4ac0a8f4b5b3eb5da3d3d01dc5e12f73343710724ce7cd064e7d7d7",
-    (100.0, 200001, 20261018): "a73dc7fbbfef3f5e98c07926b997d20144e5ff5366236c8e61d6aff6949e3dbe",
+    (100.0, 65537, 0): "e6993b2790816990fe39f5ed8c6bfddcf3e303d0c074e79c03c54068f852f1e4",
+    (100.0, 65537, 20261018): "11abea87ba242b753983af643e73508a68261a5998ec6d8a18bf57b4046f70c3",
+    (100.0, 200001, 0): "72adb924d01b539aff4572e10307ff91552890c83146222496b4dfc2ef747adb",
+    (100.0, 200001, 20261018): "dea151de459c26ffbd89035db0d871bdec7f41300b29fcc7f84fe139e02ebb29",
     (1e+300, 1, 0): "e4319a2d73934f7c5fcec97280687f50b66a4335ae57a4ae90f3920400c8f976",
     (1e+300, 1, 20261018): "e4319a2d73934f7c5fcec97280687f50b66a4335ae57a4ae90f3920400c8f976",
     (1e+300, 65537, 0): "f2aeb3622a8f91fcb481624fd59fad0829c058198a8accd5c54217de2431caa2",
@@ -878,15 +903,16 @@ class TestDescent:
                                      np.array([np.datetime64(1, "s")], dtype=object),
                                      np.timedelta64(1, "s"), np.datetime64(1, "s"),
                                      Decimal("NaN"), Decimal("sNaN"), [Decimal("NaN")],
-                                     [Decimal("sNaN")], *HUGE, *HUGE_ARRAYS], ids=repr)
+                                     [Decimal("sNaN")], [[0.5], [0.2, 0.3]], *HUGE, *HUGE_ARRAYS],
+                             ids=repr)
     def test_non_real_point_domain_error(self, fn, bad):
         # a str, bytes, None, a complex or a time is no point of [0, 1], for
         # the scalar and the vector evaluators alike (numpy would parse a
         # str, also as the element of an object array, orders its complex
         # scalars, counts a time's ticks and registers np.timedelta64 as a
         # numbers.Real), nor is a Decimal NaN, which no comparison orders and
-        # sNaN no float holds, or a real past the doubles, which float() and
-        # numpy's cast refuse
+        # sNaN no float holds, a real past the doubles, which float() and
+        # numpy's cast refuse, or a ragged list, which numpy cannot shape
         with pytest.raises(DomainError):
             fn(P1, bad)
 
@@ -972,47 +998,74 @@ class TestSample:
             share = np.count_nonzero(draws < 1.5 * 3.0 ** -k) / n
             assert abs(share - qk) <= 4.0 * math.sqrt(qk * (1.0 - qk) / n), k
 
-    @pytest.mark.parametrize("p", [1e-300, 5e-324, 1e300])
+    @pytest.mark.parametrize("p", [1e-300, 5e-324, 1e300, 1.7976931348623157e308])
     def test_extreme_p(self, p):
-        # r so small that numpy caps the geometric run and 3^-K is 0, or q so
-        # small that every step goes right
+        # r so small that every run of left steps outlasts the leading-run
+        # table and 3^-j is 0 (at 5e-324 log q is clamped, with no overflow
+        # warning), or q so small that every step goes right
         draws = sample(PSingularParams(p), 3, 1000)
         assert np.all(np.isfinite(draws)) and draws.min() >= 0.0 and draws.max() <= 1.0
 
+    @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e6])
+    def test_draws_within_ulps_of_their_cell(self, p):
+        # rebuilt from the same raw 64-bit outputs, the leading run j from
+        # row 0 as `sample` computes it and each word from its column
+        # u >> 52 and its coin u < B_c in rows 1-3, the exact midpoint of
+        # the 36-level cell they pick is within 3 ulps of every draw
+        params, n, seed = PSingularParams(p), 1000, 1
+        table = _alias_table(params)
+        bound, words = table[0].tolist(), table_words(table)
+        k = int(table[0].size).bit_length() - 1
+        maps = [word_map(w, k) for w in range(1 << k)]
+        raw = distribution.seeded_rng(seed).bit_generator.random_raw(4 * n).reshape(4, n)
+        log_q = min(-math.log1p(p), -1e-300)
+        runs = np.floor(np.log1p((raw[0] >> 11).astype(float) * -2.0 ** -53) / log_q)
+        draws = sample(params, seed, n).tolist()
+        for i, (x, j) in enumerate(zip(draws, runs.astype(int).tolist())):
+            a = Fraction(1, 3 ** j)
+            s = -a / 3
+            for u in raw[1:, i].tolist():
+                c = u >> 52
+                a_w, s_w = maps[c if u < bound[c] else words[2 * c + 1]]
+                a, s = a + s * a_w, s * s_w
+            mid = a + s / 2
+            assert abs(Fraction(x) - mid) <= 3 * math.ulp(float(mid)), (i, j)
+
     @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e-300, 1e300])
     def test_alias_table_probabilities(self, p):
-        # word w comes from its own column with probability P_w and from
-        # every column j aliased to it with 1 - P_j, each column 2^-k
+        # word w comes from its own column w with probability P_w and from
+        # every column c that holds it as its alias with 1 - P_c, each
+        # column 2^-k; P_c is the share (B_c - c 2^52) / 2^52 of the
+        # column's raw outputs u < B_c
         params = PSingularParams(p)
-        threshold, alias, _, _ = _alias_table(params)
-        k = int(threshold.size).bit_length() - 1
-        implied = [Fraction(t) for t in threshold.tolist()]
-        for j, (t, i) in enumerate(zip(threshold.tolist(), alias.tolist())):
-            if i != j:
-                implied[i] += 1 - Fraction(t)
+        table = _alias_table(params)
+        bound, words = table[0], table_words(table)
+        size = bound.size
+        k = int(size).bit_length() - 1
+        assert bound.dtype == np.uint64 and words[0::2] == list(range(size))
+        implied = [Fraction(0)] * size
+        for c, b in enumerate(bound.tolist()):
+            assert c << 52 <= b <= min((c + 1) << 52, 2 ** 64 - 1)
+            own = Fraction(b - (c << 52), 1 << 52)
+            implied[c] += own
+            implied[words[2 * c + 1]] += 1 - own
         q, r = Fraction(params.left_mass), Fraction(params.right_mass)
         by_count = [q ** (k - c) * r ** c for c in range(k + 1)]
-        exact = [by_count[bin(w).count("1")] for w in range(1 << k)]
-        tv = math.fsum(abs(float(m / (1 << k) - e)) for m, e in zip(implied, exact)) / 2
-        assert np.all((threshold >= 0.0) & (threshold <= 1.0))
+        exact = [by_count[bin(w).count("1")] for w in range(size)]
+        tv = math.fsum(abs(float(m / size - e)) for m, e in zip(implied, exact)) / 2
         assert tv <= 1e-13
 
     @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e-300, 1e300])
     def test_alias_table_maps(self, p):
-        # each word's (a_w, s_w) within an ulp of its exact composition:
-        # bit j is level j + 1, a left step s -> s/3, a right one a -> a + s
-        # and s -> -s/3
-        _, _, a_w, s_w = _alias_table(PSingularParams(p))
-        k = int(a_w.size).bit_length() - 1
-        for w, (a_got, s_got) in enumerate(zip(a_w.tolist(), s_w.tolist())):
-            a, s = Fraction(0), Fraction(1)
-            for j in range(k):
-                if w >> j & 1:
-                    a, s = a + s, -s / 3
-                else:
-                    s = s / 3
-            assert abs(Fraction(a_got) - a) <= math.ulp(float(a)), w
-            assert abs(Fraction(s_got) - s) <= math.ulp(float(s)), w
+        # each index's maps within an ulp of its word's exact composition
+        # (a_w, s_w): OA = 1 - a_w/3, OS = -s_w/3, AW = a_w, SW = s_w and
+        # LAST = a_w + s_w/2
+        table = _alias_table(PSingularParams(p))
+        k = int(table[0].size).bit_length() - 1
+        for i, (w, *got) in enumerate(zip(table_words(table), *(m.tolist() for m in table[1:]))):
+            a, s = word_map(w, k)
+            for value, exact in zip(got, (1 - a / 3, -s / 3, a, s, a + s / 2)):
+                assert abs(Fraction(value) - exact) <= math.ulp(float(exact)), (i, w)
 
     def test_alias_table_is_cached_and_read_only(self):
         table = _alias_table(P2)
@@ -1022,7 +1075,7 @@ class TestSample:
     def test_draws_in_blocks(self):
         # the first block's draws do not depend on how many blocks follow,
         # and the working set is the result plus a fixed number of blocks
-        # (about 7), not a multiple of n
+        # (about 10), not a multiple of n
         n = 16 * _SAMPLE_BLOCK
         head = sample(P1, 3, _SAMPLE_BLOCK)
         tracemalloc.start()
@@ -1040,13 +1093,12 @@ class TestSample:
         assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[p, n, seed]
 
     def test_leading_run_table(self):
-        # the table clipped at its last entry, the first 0.0, is 3^(1 - K)
-        # correctly rounded, up to numpy's cap on K; np.power is not, first
-        # at K = 22
-        ks = np.append(np.arange(1, 2001), np.iinfo(np.int64).max)
+        # the table clipped at its last entry, the first 0.0, is 3^-j
+        # correctly rounded for every run j; np.power is not, first at j = 21
+        js = np.append(np.arange(2000), np.iinfo(np.int64).max)
         assert _LEAD[-1] == 0.0 < _LEAD[-2] and not _LEAD.flags.writeable
-        exact = [float(Fraction(3, 3 ** k)) for k in np.minimum(ks, _LEAD.size).tolist()]
-        np.testing.assert_array_equal(bits(_LEAD.take(ks, mode="clip")), bits(exact))
+        exact = [float(Fraction(1, 3 ** j)) for j in np.minimum(js, _LEAD.size - 1).tolist()]
+        np.testing.assert_array_equal(bits(_LEAD.take(js, mode="clip")), bits(exact))
 
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
