@@ -826,127 +826,73 @@ def point_cloud(params: PSingularParams, n_initial: int, iterations: int,
                 max_points: int = 5_000_000) -> PointCloud:
     """Generate the CDF point cloud by the shrink-flip iteration.
 
-    Initialization: n_initial evenly spaced points on the plateau [1/3, 2/3] at
-    height 1/(p+1), plus (0,0) and (1,1).  Each iteration maps the cloud S to
-    {x/3} + plateau + {1 - x/3} with heights F/(p+1), 1/(p+1) and
-    1 - p F/(p+1), each new point taking its height from the least x giving it.
+    Initialization: n_initial evenly spaced points on the plateau, from its
+    least double 1 - fl(2/3) to fl(2/3), at height 1/(p+1) exactly, plus
+    (0,0) and (1,1).  Each iteration keeps 0 and 1 and maps the interior I
+    to I/3, the plateau and 1 - I/3 reversed, at heights F/(p+1), 1/(p+1)
+    and 1 - p F/(p+1).  In the reals this is the whole cloud's image, as 0
+    and 1 map to 0, 1/3, 2/3 and 1, so after k iterations the cloud has
+    n_initial (2^(k+1) - 1) + 2 points.  x strictly increases with no sort
+    or cut: I/3 lies at or below fl(1/3) and 1 - I/3 at or above
+    1 - fl(1/3), off the plateau's doubles, and within a part real points
+    lie 3^-k / (3 n_initial - 3) apart or more, each within 2^-51 of its
+    double, so none meet while 3^iterations (n_initial - 1) < 2^49, as in
+    any cloud under 10^9 points.
 
-    This is `np.unique` over {x/3} + S + {1 - x/3}, which keeps S's own copy
-    where 1 - x/3 is in S, with the same height: a run's least x is its oldest
-    point and heights are fixed at birth.  So x, the positions of its runs and
-    the cap's refusals do not depend on p: `_cloud_plan` computes them once per
-    (n_initial, iterations, max_points), and a call computes only F, in one
-    fresh buffer that follows the plan's slots and cuts.  The returned `x` is
-    the plan's read-only array, shared by every call of the shape; `F` is
-    the call's own.  At most two plans are cached, as a 5M-point x is 40 MB.
-    `point_cloud(P, 1000, 10)`, 2,047,009 points, takes 3.1-3.4 ms on a
-    cached plan, and its `tracemalloc` peak is 1.0001 times the bytes of F.
-    A shape's first call adds the plan, 6.2-8.1 ms.
+    x does not depend on p: `_cloud_plan` computes it once per shape
+    (n_initial, iterations), read-only and shared by every call of the
+    shape, and a call computes only F, its own.  At most two plans are
+    cached, as a 5M-point x is 40 MB.  `point_cloud(P, 1000, 10)`, 2,047,002
+    points, takes 3.2-3.8 ms on a cached plan (least of 15 warm calls at
+    p = 0.01, 1 and 100 in each of five processes, 2-vCPU Xeon, load about
+    1), with a `tracemalloc` peak of 1.0001 times F's bytes; a shape's
+    first call, 24-27 ms, is mostly the page faults of its fresh arrays.
 
     Raises ResourceLimitError once a cloud (the initial one included) would
-    exceed `max_points`: the initial cloud on its count, before any buffer is
-    allocated, and each later one before its plateau and heights are written.
-    A cloud about doubles per step.  n_initial, iterations and max_points
-    must be integers, max_points >= 0.
+    exceed `max_points`, on its closed-form size, before anything is
+    allocated.  n_initial, iterations and max_points must be integers,
+    max_points >= 0.
     """
     n_initial = _integer("n_initial", n_initial, 2)
     iterations = _integer("iterations", iterations, 0)
     max_points = _integer("max_points", max_points, 0)
-    plan = _cloud_plan(n_initial, iterations, max_points)
-    p, v = params.p, params.left_mass
-    Fs = np.empty(plan.size)
-    Fs[0], Fs[1:n_initial + 1], Fs[n_initial + 1] = 0.0, v, 1.0
-    for lo, hi, end, front, cuts in plan.steps:
-        n = hi - lo
-        rise = np.multiply(Fs[lo:hi][::-1], p * v, out=Fs[end - n:end])
-        np.subtract(1.0, rise, out=rise)
-        Fs[hi:end - n] = v
-        np.multiply(Fs[lo:hi], v, out=Fs[lo:hi])
-        _drop(front, cuts, Fs[lo:end])
-    return PointCloud(x=plan.x, F=Fs[plan.start:plan.start + plan.x.size], p=p,
-                      iterations=iterations, n_initial=n_initial)
-
-
-_CloudPlan = namedtuple("_CloudPlan", "x start size steps")
-
-
-@functools.lru_cache(maxsize=2)
-def _cloud_plan(n_initial: int, iterations: int, max_points: int) -> _CloudPlan:
-    """The p-independent half of `point_cloud`: the last cloud's x, read-only,
-    its start in a buffer of `size` doubles, and per iteration the slots
-    (lo, hi, end) and the front and back cuts, as lists, that F's buffer
-    follows.  A refused shape raises, and is not cached.
-
-    No sort is needed: S's points at or below fl(1/3) are all in {x/3} and
-    those at or above 1 - fl(1/3) all in {1 - x/3} (by induction), so the new
-    cloud is x/3 ascending, the initial plateau points strictly inside
-    (fl(1/3), 1 - fl(1/3)), and 1 - x/3 descending.  Runs of equal values are
-    cut in place to their least x.
-
-    Each iteration writes x/3, the plateau and 1 - x/3 into a fresh array of
-    2n + m doubles (n in S, m on the plateau), and x is its view between the
-    cuts.  F's one buffer holds S in slots [lo, hi) and the new cloud in
-    [lo, end), end = lo + 2n + m, lo rising by the front cuts; `size` is the
-    last end.
-
-    In reals the two maps send [0, 1] into [0, 1/3] and [2/3, 1], so two words
-    of them meet only at images of 1/3 (x/3 at 1) and 2/3 (1 - x/3 at 1).
-    1.0/3 is the initial fl(1/3), but 1 - fl(1/3) is an ulp above fl(2/3) and
-    an iteration younger; x/3 taken j times keeps that order for j <= 6 and
-    merges the pair at j = 7, and 1 - x/3 merges it at once.  So iteration k
-    cuts at most one run of x/3 and min(k - 1, 7) of 1 - x/3.  Other real
-    points lie 3^-k / (3 n_initial - 3) apart or more after k iterations,
-    each within 2^-51 of its double, so no two share a run while
-    3^iterations (n_initial - 1) < 2^49, as in any cloud under 10^9 points.
-    """
-    def check_cap(size, k):
+    for k in range(iterations + 1):
+        size = n_initial * (2 ** (k + 1) - 1) + 2
         if size > max_points:
             raise ResourceLimitError(
                 f"point cloud exceeded cap of {max_points} points "
                 f"({size} after iteration {k} of {iterations})")
-
-    check_cap(n_initial + 2, 0)
-    inner = np.linspace(ONE_THIRD, TWO_THIRDS, n_initial)
-    plateau = inner[(inner > ONE_THIRD) & (inner < 1.0 - ONE_THIRD)]
-    m = plateau.size
-    xs = x = np.concatenate(([0.0], inner, [1.0]))
-    lo, end, steps = 0, x.size, []
-    for k in range(1, iterations + 1):
-        n = x.size
-        xs = np.empty(2 * n + m)
-        third = np.divide(x, 3.0, out=xs[:n])
-        back = np.divide(x[::-1], 3.0, out=xs[n + m:])
-        np.subtract(1.0, back, out=back)
-        front = (_equal_neighbours(third) + 1).tolist()
-        cuts = (_equal_neighbours(back) + (n + m)).tolist()
-        check_cap(xs.size - len(front) - len(cuts), k)
-        xs[n:n + m] = plateau
-        _drop(front, cuts, xs)
-        end = lo + xs.size
-        steps.append((lo, lo + n, end, front, cuts))
-        lo += len(front)
-        x = xs[len(front):xs.size - len(cuts)]
-    xs.flags.writeable = x.flags.writeable = False
-    return _CloudPlan(x, lo, end, steps)
+    x = _cloud_plan(n_initial, iterations)
+    p, v, n = params.p, params.left_mass, n_initial
+    F = np.empty(x.size)
+    F[0], F[1:n + 1], F[-1] = 0.0, v, 1.0
+    for _ in range(iterations):  # the interior I in F[1:n + 1]
+        end = 2 * n + n_initial + 1
+        rise = np.multiply(F[n:0:-1], p * v, out=F[end - n:end])
+        np.subtract(1.0, rise, out=rise)
+        F[n + 1:end - n] = v
+        np.multiply(F[1:n + 1], v, out=F[1:n + 1])
+        n = end - 1
+    return PointCloud(x=x, F=F, p=p, iterations=iterations, n_initial=n_initial)
 
 
-def _equal_neighbours(values: np.ndarray) -> np.ndarray:
-    """The positions i with values[i] == values[i + 1]."""
-    return np.flatnonzero(values[1:] == values[:-1])
-
-
-def _drop(front, back, arr: np.ndarray) -> None:
-    """Remove sorted positions from a 1-D array in place: those in `front`
-    by moving the stretches before them up, those in `back` by moving the
-    stretches after them down, so that only the points between a position
-    and its end of the array move.  The rest is then
-    arr[len(front):arr.size - len(back)]."""
-    tops = [*front[::-1], -1]
-    for shift, (end, start) in enumerate(zip(tops, tops[1:]), start=1):
-        arr[start + 1 + shift:end + shift] = arr[start + 1:end]
-    ends = [*back, arr.size]
-    for shift, (start, end) in enumerate(zip(ends, ends[1:]), start=1):
-        arr[start + 1 - shift:end - shift] = arr[start + 1:end]
+@functools.lru_cache(maxsize=2)
+def _cloud_plan(n_initial: int, iterations: int) -> np.ndarray:
+    """The p-independent half of `point_cloud`: the last cloud's x, read-only.
+    Each iteration writes 0, I/3, the plateau, 1 - I/3 reversed and 1 into
+    a fresh array, which is the next cloud as it stands."""
+    plateau = np.linspace(1.0 - TWO_THIRDS, TWO_THIRDS, n_initial)
+    x = np.concatenate(([0.0], plateau, [1.0]))
+    for _ in range(iterations):
+        n = x.size - 2
+        xs = np.empty(2 * n + n_initial + 2)
+        xs[0], xs[-1] = 0.0, 1.0
+        np.divide(x[1:-1], 3.0, out=xs[1:n + 1])
+        xs[n + 1:-n - 1] = plateau
+        np.subtract(1.0, np.divide(x[-2:0:-1], 3.0, out=xs[-n - 1:-1]), out=xs[-n - 1:-1])
+        x = xs
+    x.flags.writeable = False
+    return x
 
 
 @functools.lru_cache(maxsize=4)

@@ -64,9 +64,13 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
 def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """e(x) = m(x)/x for 0 < x <= 1; diverges at 0, hence a domain error."""
     x = _check_unit_interval(x)
+    _check_positive(x)
+    return mrl(params, x, config).value / x
+
+
+def _check_positive(x: float) -> None:
     if x == 0:
         raise DomainError("gmrl is undefined at x = 0 (m(x)/x diverges)")
-    return mrl(params, x, config).value / x
 
 
 def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,15 @@ class TestScalarCommands:
         code, out, _ = run(capsys, "gmrl", "--x", "0.5", "--format", "json")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2 / 3, abs=1e-9)
+
+    def test_gmrl_descends_once(self, capsys, monkeypatch):
+        # e = m/x and its bound come from the one descent of m
+        module = sys.modules["singular_mrl.mrl"]
+        descend, calls = module._descend, []
+        monkeypatch.setattr(module, "_descend", lambda *args: calls.append(args) or descend(*args))
+        code, out, _ = run(capsys, "gmrl", "--p", "2", "--x", "0.4")
+        assert code == 0 and out.startswith("e(0.40000000000000002) = ")
+        assert len(calls) == 1
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "mrl", "--p", "2", "--x", "0.77", "--format", "csv")
@@ -335,7 +345,7 @@ def csv_rows(rows):
 
 
 class TestWriter:
-    # 1,002 initial points doubling over 6 iterations: 127,008 CDF rows,
+    # 1,002 initial points doubling over 6 iterations: 127,002 CDF rows,
     # written in two pieces
     PLOT = ("plot-data", "--n-initial", "1000", "--iterations", "6", "--grid", "100")
 

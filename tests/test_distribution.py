@@ -19,7 +19,7 @@ from singular_mrl import (DomainError, EvalConfig, ParameterError,
 from singular_mrl import distribution
 from singular_mrl.distribution import (_CHUNK, _LEAD, _SAMPLE_BLOCK, ONE_THIRD, TWO_THIRDS,
                                       _alias_table, _descend, _descend_many, _many,
-                                      _drop, _jump_table, gap_grid)
+                                      _jump_table, gap_grid)
 from singular_mrl.fixedpoint import verify_uniqueness
 from singular_mrl.verify import check_dkw
 
@@ -244,15 +244,20 @@ def peak_beyond_result(fn, xs):
 
 def oracle_clouds(params, n_initial, iterations):
     # the shrink-flip iteration as a sort, each cloud from the initial one on:
-    # np.unique keeps, for each distinct x, the height of its first copy in
-    # the concatenation
+    # 0, 1 and the maps of the interior, the plateau points among them, put
+    # in order by np.unique, which keeps for each distinct x the height of
+    # its first copy in the concatenation
     p, v = params.p, params.left_mass
-    x = np.concatenate(([0.0], np.linspace(ONE_THIRD, TWO_THIRDS, n_initial), [1.0]))
+    plateau = np.linspace(1.0 - TWO_THIRDS, TWO_THIRDS, n_initial)
+    x = np.concatenate(([0.0], plateau, [1.0]))
     F = np.concatenate(([0.0], np.full(n_initial, v), [1.0]))
     yield x, F
     for _ in range(iterations):
-        x, first = np.unique(np.concatenate((x / 3.0, x, 1.0 - x / 3.0)), return_index=True)
-        F = np.concatenate((F * v, F, 1.0 - F * (p * v)))[first]
+        inner, rise = x[1:-1], F[1:-1]
+        x, first = np.unique(np.concatenate(([0.0, 1.0], inner / 3.0, plateau,
+                                             1.0 - inner / 3.0)), return_index=True)
+        F = np.concatenate(([0.0, 1.0], rise * v, np.full(n_initial, v),
+                            1.0 - rise * (p * v)))[first]
         yield x, F
 
 
@@ -327,8 +332,8 @@ CLOUD_SIZES = [(2, 0), (2, 1), (2, 2), (2, 19), (3, 12), (5, 14), (17, 3), (1000
 @st.composite
 def cloud_sizes(draw, max_points=2 ** 16):
     """(n_initial, iterations) for n_initial in [2, 5000] and a cloud of at
-    most `max_points`: it holds fewer than 2^(k+1) (n_initial + 2) points
-    after k iterations."""
+    most `max_points`: it holds n_initial (2^(k+1) - 1) + 2 points, fewer
+    than 2^(k+1) (n_initial + 2), after k iterations."""
     n_initial = draw(st.integers(2, 5000))
     most = (max_points // (n_initial + 2)).bit_length() - 2
     return n_initial, draw(st.integers(0, most))
@@ -1112,7 +1117,7 @@ class TestSample:
 class TestPointCloud:
     def test_initialization_only(self):
         cloud = point_cloud(P1, n_initial=2, iterations=0)
-        assert cloud.points == [(0.0, 0.0), (1 / 3, 0.5), (2 / 3, 0.5), (1.0, 1.0)]
+        assert cloud.points == [(0.0, 0.0), (1 - 2 / 3, 0.5), (2 / 3, 0.5), (1.0, 1.0)]
 
     def test_endpoints_and_monotone(self):
         cloud = point_cloud(P2, n_initial=50, iterations=6)
@@ -1126,28 +1131,32 @@ class TestPointCloud:
         dev = np.abs(cdf_many(P1, cloud.x) - cloud.F)
         assert dev.max() <= 1e-10
 
-    def test_matches_recursive_evaluator_low_p(self):
-        # for p < 1 the left-branch Hoelder exponent is small, so a
-        # one-ulp drift of a cloud x genuinely moves F by ~|ulp|^alpha;
-        # the agreement bound must respect that float resolution limit
-        params = PSingularParams(0.4)
-        cloud = point_cloud(params, n_initial=40, iterations=7)
-        dev = np.abs(cdf_many(params, cloud.x) - cloud.F)
-        assert dev.max() <= 1e-4
+    @pytest.mark.parametrize("p,worst", [(0.001, 9.66e-7), (0.01, 7.06e-5), (0.03, 3.21e-4),
+                                         (0.1, 3.59e-4), (0.3, 9.75e-6), (1.0, 0.0), (100.0, 0.0)])
+    def test_heights_at_the_clouds_own_doubles(self, p, worst):
+        # every pair on the plateau's doubles is F exactly; off it, for p >= 1
+        # every pair is within 1e-10, and for p < 1 the gap stays within
+        # twice its measured worst: images whose doubles round off their
+        # sub-plateau, near 1 and in their x/3 images (ROADMAP item 10)
+        params = PSingularParams(p)
+        cloud = point_cloud(params, 1000, 10)
+        F = cdf_many(params, cloud.x)
+        on = (cloud.x >= 1.0 - TWO_THIRDS) & (cloud.x <= TWO_THIRDS)
+        np.testing.assert_array_equal(cloud.F[on], F[on])
+        assert np.abs(cloud.F - F).max() <= max(2 * worst, 1e-10)
 
     @pytest.mark.parametrize("n_initial,iterations", CLOUD_SIZES)
     @pytest.mark.parametrize("p", [0.01, 0.3, 1.0, 7.3, 100.0, 1e-6, 1e6, 1e-300, 1e300])
     def test_byte_identical_to_sorting_oracle(self, p, n_initial, iterations):
-        # p = 7.3 needs the right-side rule: keeping the first of a run of
-        # equal 1 - x/3, the largest x, is 1 ulp off at x ~ 7/9 from
-        # iteration 2; n_initial = 2 needs the plateau cut strictly inside
-        # (fl(1/3), 1 - fl(1/3)), as fl(2/3) and 1 - fl(1/3) are adjacent
-        # doubles
+        # the sort finds the iteration's order, and no two of its doubles
+        # are equal: x strictly increases, at the closed-form size
         params = PSingularParams(p)
         x, F = cloud_oracle(params, n_initial, iterations)
         cloud = point_cloud(params, n_initial, iterations)
         assert cloud.x.tobytes() == x.tobytes()
         assert cloud.F.tobytes() == F.tobytes()
+        assert np.all(np.diff(cloud.x) > 0)
+        assert len(cloud) == n_initial * (2 ** (iterations + 1) - 1) + 2
 
     @given(p=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), size=cloud_sizes())
     @settings(max_examples=150, deadline=None)
@@ -1155,45 +1164,9 @@ class TestPointCloud:
         # p log-uniform over [1e-300, 1e300], clouds of up to 2^16 points
         self.test_byte_identical_to_sorting_oracle(p, *size)
 
-    def test_oracle_grid_has_runs_on_both_sides(self):
-        # the cloud's x does not depend on p, and in the last iteration of
-        # some grid size both x/3 and 1 - x/3 hold runs of equal values, and
-        # a run of 1 - x/3 is a point already in the cloud, so the
-        # byte-identity grid drops points on both sides and meets the case
-        # where `np.unique` keeps the cloud's own copy
-        def runs_on_both_sides(n_initial, iterations):
-            x, _ = cloud_oracle(P1, n_initial, iterations - 1)
-            left, right = (part[1:][part[1:] == part[:-1]] for part in (x / 3.0, 1.0 - x / 3.0))
-            return left.size and np.isin(right, x).any()
-
-        assert any(runs_on_both_sides(*size) for size in CLOUD_SIZES if size[1])
-
-    def test_the_two_doubles_of_two_thirds(self):
-        # the facts `point_cloud`'s docstring rests on: 1/3 of 1 is the
-        # initial fl(1/3), 1 - fl(1/3) lies an ulp above fl(2/3), x/3 keeps
-        # the pair an ulp apart in that order six times and merges it the
-        # seventh, and 1 - x/3 merges each pair at once
-        assert 1.0 / 3.0 == ONE_THIRD
-        older, younger = TWO_THIRDS, 1.0 - ONE_THIRD
-        for _ in range(7):
-            assert math.nextafter(older, 1.0) == younger
-            assert 1.0 - older / 3.0 == 1.0 - younger / 3.0
-            older, younger = older / 3.0, younger / 3.0
-        assert older == younger
-
-    def test_drop_in_place(self):
-        values = np.arange(20.0)
-        front, back = np.array([0, 2, 3, 7]), np.array([11, 15, 16, 19])
-        kept = np.delete(np.arange(20), np.concatenate((front, back)))
-        _drop(front, back, values)
-        np.testing.assert_array_equal(values[4:16], kept)
-        values = np.arange(4.0)
-        _drop(np.array([], dtype=np.intp), np.array([], dtype=np.intp), values)
-        np.testing.assert_array_equal(values, np.arange(4.0))
-
     def test_memory(self):
-        # one buffer per array, a few points longer than the result, and a
-        # few temporaries of the last iteration; what stays is the buffers.
+        # one buffer per array and a few temporaries of the last
+        # iteration; what stays is the buffers.
         # A short cloud first makes the allocations of a first call, which
         # would otherwise count as held when this test runs alone
         point_cloud(P1, 1000, 2)
@@ -1241,28 +1214,26 @@ class TestPointCloud:
             clouds[0].x[0] = 1.0
 
     def test_refused_cloud_memory(self):
-        # a refused iteration holds the last accepted cloud, n <= cap points,
-        # and the new one's 2n + m doubles before its cuts, and no F buffer:
-        # a few caps' worth of bytes at any time
-        cap = 100_000
+        # the cap is checked on the closed-form sizes before the plan or
+        # F is allocated, so a refusal costs no array at all
         point_cloud(P1, 1000, 2)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="127008 after iteration 6 of 17"):
-                point_cloud(P1, 1000, 17, max_points=cap)
+            with pytest.raises(ResourceLimitError, match="127002 after iteration 6 of 17"):
+                point_cloud(P1, 1000, 17, max_points=100_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 16 * cap
+        assert peak < 64 * 1024
 
     def test_cap_on_the_iteration_after_a_full_cloud(self):
         # a cap of the tenth cloud's size (or one more) accepts it and
         # refuses the eleventh, which nearly doubles it; the refusal counts
-        # the eleventh exactly, after its cuts
+        # the eleventh exactly
         size = len(point_cloud(P1, 1000, 10))
         for cap in (size, size + 1):
             with pytest.raises(ResourceLimitError,
-                               match=rf"cap of {cap} points \(4095009 after iteration 11 of 11\)"):
+                               match=rf"cap of {cap} points \(4095002 after iteration 11 of 11\)"):
                 point_cloud(P1, 1000, 11, max_points=cap)
 
     @given(p=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), size=cloud_sizes(),
@@ -1291,12 +1262,12 @@ class TestPointCloud:
             assert cloud.F.tobytes() == F.tobytes()
 
     def test_cap_at_the_exact_size(self):
-        # the last iteration drops equal neighbours, so its exact size N is
-        # below the bound 2n + 999 (the plateau points); a cap of N is met,
-        # N - 1 is not
+        # the last iteration maps the n - 2 interior points twice and adds
+        # the 1,000 plateau points, with 0 and 1 kept, so its exact size N
+        # is 2n + 998; a cap of N is met, N - 1 is not
         n = len(point_cloud(P1, 1000, 9))
         size = len(point_cloud(P1, 1000, 10))
-        assert size < 2 * n + 999
+        assert size == 2 * n + 998
         assert len(point_cloud(P1, 1000, 10, max_points=size)) == size
         with pytest.raises(ResourceLimitError,
                            match=rf"cap of {size - 1} points \({size} after iteration 10 of 10\)"):
@@ -1305,7 +1276,7 @@ class TestPointCloud:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             point_cloud(P1, n_initial=1000, iterations=17, max_points=100_000)
-        with pytest.raises(ResourceLimitError, match=r"\(8191009 after iteration 12 of 17\)"):
+        with pytest.raises(ResourceLimitError, match=r"\(8191002 after iteration 12 of 17\)"):
             point_cloud(P1, n_initial=1000, iterations=17)
 
     def test_resource_cap_on_initial_cloud(self):
