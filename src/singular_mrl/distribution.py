@@ -26,18 +26,15 @@ floor(3^_JUMP y) alone: one table of them for every p (`_head_table`)
 makes a short input's head float updates alone, and a long input looks
 its state after them up in a per-p table (`_jump_table`).  The numpy loop
 carries only the rows its caller reads (F for `cdf_many`, J for
-`cdf_integral_many` and the payoff, both for the MRL) plus those its stop
-test reads; a point's kind of step is picked by integer division, not by
-selects.  A short input walks the points its head left live without
-compaction: an ended point takes the plateau step, which keeps it in
-place, or the scalar loop finishes them (`_walk_from`) where they are
-few.  A long one ends each slice on the plateau in place, and pools the
-few the jump leaves live across slices into one tail walk, which splits
-them at each level by integer index into those that go on and those that
-end, so the deep, nearly empty levels are paid once per call.  0 and 1
-ride as placeholders on the plateau with a state that ends them exactly;
-a point with no int64 numerator rides as one too, as does, in tail mode,
-a point whose leading run outlasts the head, and the scalar loop walks it.
+`cdf_integral_many` and the payoff, both for the MRL); a point's kind of
+step is picked by integer division, not by selects.  Every input ends
+each slice on the plateau in place after the head, and pools the few the
+head leaves live across slices into one tail walk, in the scalar loop
+where they are few, so the deep, nearly empty levels are paid once per
+call.  0 and 1 ride as placeholders on the plateau with a state that
+ends them exactly; a point with no int64 numerator rides as one too, as
+does, in tail mode, a point whose leading run outlasts the head, and the
+scalar loop walks it.
 """
 
 from __future__ import annotations
@@ -117,7 +114,7 @@ GAP_LEVEL = 8  # the deepest Cantor gaps whose rounded endpoints `gap_grid` adds
 # points per slice of the vector descent: bounds its working set, and is
 # large enough that per-iteration overhead stays amortised
 _CHUNK = 16_384
-# the most live points after a short input's head that `_finish` takes: on the
+# the most pooled points that `_finish` walks in the scalar loop: on the
 # package's own inputs it wins at 30 or fewer, and loses at 58 or more
 _FEW = 32
 # The numerator M = y 2^63 of the descent's point y in [0, 1): the plateau
@@ -198,20 +195,25 @@ def _points(xs) -> np.ndarray:
     """xs as a float array; DomainError for str, bytes, complex, timedelta64
     and datetime64 input or elements, which are no points of [0, 1] (numpy
     would parse a str and count the ticks of a time; it registers
-    np.timedelta64 as a numbers.Real), and for a ragged list."""
+    np.timedelta64 as a numbers.Real), for a ragged list, and for an exact
+    real outside [0, 1], which may round into it, in an object or
+    long-double array, as `_check_unit_interval` checks a scalar."""
     try:
         xs = np.asarray(xs)
         kind = xs.dtype.kind
         if not (kind in "SUcmM" or (kind == "O" and not all(
                 isinstance(x, (numbers.Real, Decimal)) and not isinstance(x, np.timedelta64) for x in xs.flat))):
+            if (kind == "O" or xs.dtype.itemsize > 8) and not ((xs >= 0) & (xs <= 1)).all():
+                raise ValueError
             return xs.astype(float, copy=False)
-    except (OverflowError, ValueError):  # a ragged list, a real past the doubles, a Decimal sNaN
+    # a ragged list, a real past the doubles or an exact one outside [0, 1], a Decimal NaN
+    except (OverflowError, ValueError, InvalidOperation):
         raise DomainError("evaluation points must be an array of reals in [0, 1]") from None
     raise DomainError(f"evaluation points must be real numbers, got {xs.dtype} input")
 
 
 def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
-             relative: bool = False, tail: bool = False) -> tuple[float, float, float, float]:
+             tail: bool = False) -> tuple[float, float, float, float]:
     """F(x) and J(x) from one walk down the ternary structure or, in `tail`
     mode, S'(x) = S(x)/p and K'(x) = K(x)/p, S = 1 - F and K(x) = int_x^1 S.
 
@@ -242,13 +244,14 @@ def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
     The walk ends exactly on the plateau or at 3/4, the right step's
     fixed point (F and J there from `_anchors`); otherwise the residuals
     F(y) in [0, 1] and J(y) in [0, y] bound the error, and it stops once
-    one bracket is <= 2 tol (times F's running midpoint with `relative`):
-    b_J y where the caller `reads` J alone, else |b_F|.  A step scales
-    b_J y by at most b_F's factor (a reflect-then-left by half of it), so
-    b_J y <= |b_F| and F's test covers J.  The first `_JUMP` levels, the
-    head, end only on the plateau, so that they depend on y's ternary cell
-    alone and `_jump_table` can tabulate them; neither bracket grows, so
-    leaving them untested only tightens the bound.
+    one bracket is <= 2 tol (times F's running midpoint in the MRL's walk,
+    the tail walk that reads "FJ"): b_J y where the caller `reads` J
+    alone, else |b_F|.  A step scales b_J y by at most b_F's factor (a
+    reflect-then-left by half of it), so b_J y <= |b_F| and F's test
+    covers J.  The first `_JUMP` levels, the head, end only on the
+    plateau, so that they depend on y's ternary cell alone and
+    `_jump_table` can tabulate them; neither bracket grows, so leaving
+    them untested only tightens the bound.
 
     Every walk ends, for any p and tol > 0.  No step leaves (0, d).  A
     right step sends 3d/4 + e to 3d/4 - 3e, and y stays in (2/3, 1) only
@@ -283,15 +286,16 @@ def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
         a += b
         b = -b
         n = d - n
-    return _walk_from(n, d, af, bf, a, b, bj, level, k, 2.0 * tol, relative, reads == "J")
+    return _walk_from(n, d, af, bf, a, b, bj, level, k, 2.0 * tol, reads, tail)
 
 
 def _walk_from(n: int, d: int, af: float, bf: float, a: float, b: float, bj: float, level: int,
-               k: _Anchors, lim: float, relative: bool, j_test: bool) -> tuple[float, ...]:
+               k: _Anchors, lim: float, reads: str, tail: bool) -> tuple[float, ...]:
     """`_descend`'s walk in F's steps, from y = n/d, 0 < n < d, and its state
     at `level` to its end, with p's `_anchors` k, the limit 2 tol of its
-    stop test, and whether that test is relative and on J's bracket."""
+    stop test, and the walk's `reads` and mode, which pick that test."""
     q, shrink, r, r3, c = k.q, k.shrink, k.r, k.r3, k.c
+    relative, j_test = tail and reads == "FJ", reads == "J"
     lo, hi, m34 = d // 3 + 1, 2 * d // 3, 3 * d // 4
     while not lo <= n <= hi:
         if level >= _JUMP and (n == m34 or (bj * (n / d) if j_test else abs(bf)) <= (
@@ -322,7 +326,7 @@ def _walk_from(n: int, d: int, af: float, bf: float, a: float, b: float, bj: flo
 
 
 def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
-                  relative: bool = False, tail: bool = False):
+                  tail: bool = False):
     """Vector twin of `_descend`, with its arguments and equal to it bit for
     bit at every point.
 
@@ -334,24 +338,23 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     plateau has the float 0.0 for both bounds, which that write
     broadcasts.  `reads` names the quantities the caller reads, "F", "J"
     or "FJ" (S' and K' with `tail`), and picks the stop test as in
-    `_descend`; the walk carries only those quantities and what its stop
-    test needs, and yields None for a quantity it did not carry.
+    `_descend`; the walk carries only those quantities, and yields None
+    for a quantity it did not carry.
 
-    An input of at most `_CHUNK` points, for which building the jump table
-    would cost more than the walk, takes its head from the shared
-    `_head_table` and walks on in one group, in numpy (`_walk_on`) or, for
-    at most `_FEW` points live after the head, in the scalar loop
-    (`_finish`).  A longer one is cut into `_CHUNK`-point slices, and each
-    slice looks up the head of every point in `_jump_table`, built once
-    per p and mode, and ends all of them on the plateau in place.  The few
+    The input is cut into `_CHUNK`-point slices.  A slice takes the head of
+    its points from `_jump_table`, built once per p and mode, where the
+    input is longer than one slice, and from the shared `_head_table`
+    otherwise, as building the jump table would cost more than the walk.
+    It ends all its points on the plateau in place, in one group; the few
     still live join a pool that walks the remaining levels, in a later
     group, whenever it holds `_CHUNK` points and once more after the last
     slice, so the near-empty deep levels are paid about once per call and
-    the working set stays a few slices wide.  0, 1 and the odd points ride
-    either path as placeholders (`_plan`): 0 and 1 with a state that ends
-    them exactly, the others to walk in `_descend`, whose group comes
-    later.  xs may be a read-only `_Plan` of one slice for `tail`, not
-    checked again, which the walk never writes.
+    the working set stays a few slices wide.  The scalar loop walks a pool
+    of at most `_FEW` points (`_finish`), numpy a larger one
+    (`_descend_slice`).  0, 1 and the odd points ride as placeholders
+    (`_plan`): 0 and 1 with a state that ends them exactly, the others to
+    walk in `_descend`, whose group comes later.  xs may be a read-only
+    `_Plan` of one slice for `tail`, not checked again.
     """
     plan = xs if isinstance(xs, _Plan) else None
     xs = plan.x if plan else np.asarray(xs, dtype=float).ravel()
@@ -362,7 +365,7 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
         top = xs.max()
         if not (xs.min() >= 0.0 and top <= 1.0):
             raise DomainError("all evaluation points must lie in [0, 1]")
-    walk = _Walk(params, tol, reads, relative, tail)
+    walk = _Walk(params, tol, reads, tail)
     table = _jump_table(params, tail) if n > _CHUNK else None
     pool, pooled = [], 0
     for start in range(0, n, _CHUNK):
@@ -371,24 +374,18 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
         if ends.size:  # `one` at its end point, 0 at the other
             state[:, ends] = walk.one * (x.take(ends) != tail)
         live = np.flatnonzero(~flat)
-        if table is None:  # n <= _CHUNK: the whole input is one slice
-            if live.size > _FEW:
-                yield _walk_on(walk, m.copy() if plan else m, flat, state)
-            elif odd.size < n:
-                yield _finish(walk, m, live, state)
-        else:
-            if live.size:
-                pool.append((live + start, m.take(live), state.take(live, axis=1)))
-                pooled += live.size
-            # every point as if on the plateau, `_select`'s kind 1
-            yield _select(walk, slice(start, start + m.size), m, state, 1)
+        if live.size:
+            pool.append((live + start, m.take(live), state.take(live, axis=1)))
+            pooled += live.size
+        # every point as if on the plateau, `_select`'s kind 1
+        yield _select(walk, slice(start, start + m.size), m, state, 1)
         if odd.size:
             yield walk.scalar(odd + start, xs)
         if pooled >= _CHUNK or (pooled and start + _CHUNK >= n):
             parts = pool[0] if len(pool) == 1 else [np.concatenate(part, axis=-1)
                                                     for part in zip(*pool)]
             pool, pooled = [], 0
-            yield _descend_slice(walk, *parts)
+            yield (_finish if parts[0].size <= _FEW else _descend_slice)(walk, *parts)
 
 
 # the start of a slice's walk that p does not change (`_plan`)
@@ -426,21 +423,21 @@ class _Walk:
     constants, its stop test and the rows of state it carries.
 
     A point carries its numerator M = y 2^63 as an int64 and one column of
-    state: a_F and b_F where F is carried, then A, B and b_J where J is.
-    J is carried where `reads` names it; F where it does or the stop test
-    is relative.  The stop test is on J's bracket where `reads` is "J",
-    else on F's.  A step of each of `_STEP_M`'s six kinds takes its column
+    state: a_F and b_F where F is carried, then A, B and b_J where J is,
+    each where `reads` names it.  The stop test is on J's bracket where
+    `reads` is "J", else on F's, relative in the MRL's walk (see
+    `_descend`).  A step of each of `_STEP_M`'s six kinds takes its column
     of `_factors`; the last three, a tail walk's leading run and its
     reflection, occur only in the head (`_plan` hands a point whose run
     outlasts the head to the scalar loop)."""
 
-    def __init__(self, params: PSingularParams, tol: float, reads: str, relative: bool,
-                 tail: bool):
-        self.params, self.args = params, (tol, reads, relative, tail)
-        self.relative, self.tail, self.j_test, self.lim = relative, tail, reads == "J", 2.0 * tol
+    def __init__(self, params: PSingularParams, tol: float, reads: str, tail: bool):
+        self.params, self.args = params, (tol, reads, tail)
+        self.tail, self.j_test, self.lim = tail, reads == "J", 2.0 * tol
+        self.relative = tail and reads == "FJ"
         k = self.anchors = _anchors(params)
         self.factors, self.ends = _factors(params)
-        carry_f, carry_j = "F" in reads or relative, "J" in reads
+        carry_f, carry_j = "F" in reads, "J" in reads
         # the row of a_F and of A, None where not carried, the rows' span
         # among a_F, b_F, A, B and b_J, and their values at a walk's start
         self.f = 0 if carry_f else None
@@ -451,10 +448,13 @@ class _Walk:
         self.one = np.array([1.0, 0.0] * carry_f + [k.e if tail else k.j1, 0.0, 0.0] * carry_j)[:, None]
 
     def scalar(self, at: np.ndarray, xs: np.ndarray):
-        """The group of the points of xs at positions `at`, from `_descend`,
-        with None for a quantity not carried."""
-        f, f_bound, j, j_bound = np.array([_descend(self.params, x, *self.args)
-                                           for x in xs.take(at).tolist()]).T
+        """The group of the points of xs at positions `at`, from `_descend`."""
+        return self.group(at, [_descend(self.params, x, *self.args) for x in xs.take(at).tolist()])
+
+    def group(self, at: np.ndarray, values: list) -> tuple:
+        """The group of the points at positions `at` from their values, one
+        (F, F bound, J, J bound) each, None for a quantity not carried."""
+        f, f_bound, j, j_bound = np.reshape(values, (-1, 4)).T
         return (at, *((f, f_bound) if self.f is not None else (None, None)),
                 *((j, j_bound) if self.j is not None else (None, None)))
 
@@ -550,67 +550,46 @@ def _jump_table(params: PSingularParams, tail: bool) -> tuple[np.ndarray, np.nda
     from `_head`: (the multipliers of `_head_table`, the state rows a_F,
     b_F, A, B and b_J after it), one column per cell.  About 260 kB, built
     once per p and mode, read-only."""
-    walk = _Walk(params, 1.0, "FJ", False, tail)
+    walk = _Walk(params, 1.0, "FJ", tail)
     state = _head(walk, np.arange(_CELLS))
     state.flags.writeable = False
     return _head_table(tail)[1], state
 
 
-def _walk_on(walk: _Walk, m: np.ndarray, flat: np.ndarray, state: np.ndarray):
-    """Walk a slice's points, numerators `m` and state `state`, past their
-    head until all have ended, and return the slice's group.  The points
-    the head left live (not `flat`) are walked apart, without compaction:
-    an ended one takes the plateau step, x1 and +0, so it stays ended.  On
-    a solver's few hundred points numpy's per-call cost outweighs the
-    arithmetic that compacting each level would save."""
-    live = np.flatnonzero(~flat)
-    live_m, live_state = m.take(live), state.take(live, axis=1)
-    kind, go = _goes_on(walk, live_m, live_state)
-    while go.any():
-        _step(walk, live_m, live_state, np.where(go, kind, 1))
-        kind, go = _goes_on(walk, live_m, live_state)
-    m[live], state[:, live] = live_m, live_state
-    end = flat.astype(np.intp)
-    end[live] = (kind == 1) + 2 * (live_m == _M34)
-    return _select(walk, slice(0, m.size), m, state, end)
-
-
-def _finish(walk: _Walk, m: np.ndarray, live: np.ndarray, state: np.ndarray):
-    """A slice's group where its head left only the few points `live` live:
-    all as if on the plateau (`_select`'s kind 1), then the live ones'
-    values and bounds, as arrays, from `_walk_from` after the head."""
-    head = np.ones((5, live.size))  # a row not carried walks on 1.0, and is dropped
-    head[walk.span] = state.take(live, axis=1)  # before `_select` rewrites the state
-    args = walk.anchors, walk.lim, walk.relative, walk.j_test
-    walked = np.reshape([_walk_from(num, _ONE, *col, _JUMP, *args)
-                       for num, col in zip(m.take(live).tolist(), head.T.tolist())], (-1, 4)).T
-    group = list(_select(walk, slice(0, m.size), m, state, 1))
-    for row in (1, 3):
-        if group[row] is not None:
-            group[row][live], group[row + 1] = walked[row - 1], np.zeros(m.size)
-            group[row + 1][live] = walked[row]
-    return tuple(group)
+def _finish(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
+    """`_descend_slice`'s group for a few pooled points, from `_walk_from`
+    after the head: the scalar loop costs less than numpy's calls per
+    level on so few."""
+    head = np.ones((5, idx.size))  # a row not carried walks on 1.0, and is dropped
+    head[walk.span] = state
+    args = walk.anchors, walk.lim, *walk.args[1:]
+    return walk.group(idx, [_walk_from(num, _ONE, *col, _JUMP, *args)
+                            for num, col in zip(m.tolist(), head.T.tolist())])
 
 
 def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
     """Walk the points with positions `idx`, numerators `m` and state
     columns `state`, past their head, until every one has ended, and
     return their group (positions, F, F bounds, J, J bounds), None for a
-    quantity not carried.  Each level sets aside the state of the points
-    that end there (`_goes_on`) and compacts the rest with `take`; one
-    select over the ended points by kind (an exact end wins over the stop
-    test, as in `_descend`) gives F, J and their bounds."""
+    quantity not carried.  An ended point (`_goes_on`) takes the plateau
+    step, x1 and +0, which keeps it ended, until at most half go on: then
+    the ended points are set aside and the rest compacted with `take`, as
+    numpy's calls per level outweigh the arithmetic that compacting at
+    every level would save.  One select over the ended points by kind (an
+    exact end wins over the stop test, as in `_descend`) gives F, J and
+    their bounds."""
     n = idx.size
-    # the points in the order they end: where they sit in the input, and
-    # their final numerator and state
+    # the points in the order they are set aside: where they sit in the
+    # input, and their final numerator and state
     at, ended_m = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
     ended = np.empty((len(walk.origin), n))
     done = 0
     while True:
         kind, go = _goes_on(walk, m, state)
-        keep = np.flatnonzero(go)
-        if keep.size < m.size:
-            end = np.flatnonzero(~go)
+        if 2 * np.count_nonzero(go) > m.size:
+            kind[~go] = 1
+        else:
+            end, keep = np.flatnonzero(~go), np.flatnonzero(go)
             k = slice(done, done + end.size)
             at[k], ended_m[k] = idx.take(end), m.take(end)
             ended[:, k] = state.take(end, axis=1)
@@ -661,7 +640,7 @@ def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarra
 
 
 def _many(params: PSingularParams, xs, tol: float, value, reads: str = "FJ",
-          relative: bool = False, tail: bool = False) -> np.ndarray:
+          tail: bool = False) -> np.ndarray:
     """`_descend_many`'s F and J (with `tail`, S' and K') at each point,
     turned into values by value(x, F, J) for each group in its order, so
     that a later group's values hold; xs may be a `_Plan`, as there."""
@@ -669,7 +648,7 @@ def _many(params: PSingularParams, xs, tol: float, value, reads: str = "FJ",
     xs = plan.x if plan else _points(xs)
     flat = xs.ravel()
     out = np.empty(flat.shape)
-    for at, f, _, j, _ in _descend_many(params, plan or flat, tol, reads, relative, tail):
+    for at, f, _, j, _ in _descend_many(params, plan or flat, tol, reads, tail):
         out[at] = value(flat[at], f, j)
     return out.reshape(xs.shape)
 

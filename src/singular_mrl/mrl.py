@@ -47,7 +47,7 @@ def mrl_at_one_third(params: PSingularParams) -> float:
 def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> MrlValue:
     """m(x) for x in [0, 1]: `mean` at x = 0 and exactly 0 at x = 1."""
     x = _check_unit_interval(x)
-    s, s_bound, k, k_bound = _descend(params, x, config.tolerance, "FJ", True, True)
+    s, s_bound, k, k_bound = _descend(params, x, config.tolerance, "FJ", True)
     if s <= 0.0:
         # the survival underflowed (or x = 1); m is bounded by 1 - x
         return MrlValue(0.0, x, params.p, 1.0 - x)
@@ -83,4 +83,4 @@ def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -
         # m = 0 where the survival underflowed, as in `mrl`
         return np.divide(k, s, out=np.zeros_like(s), where=s > 0.0)
 
-    return _many(params, xs, config.tolerance, value, "FJ", True, True)
+    return _many(params, xs, config.tolerance, value, "FJ", True)

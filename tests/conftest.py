@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from singular_mrl import PSingularParams, gap_intervals
+from singular_mrl import PSingularParams, gap_intervals, sample
 
 
 @pytest.fixture(scope="session")
@@ -23,9 +23,12 @@ def twin_points():
     walk reaches 3/4, the right step's fixed point, points that end on the
     plateau at each level 0-8 by left and by right steps, fl(1/3), 2^-11
     and their neighbours, subnormals, doubles below 2^-11 that are not
-    multiples of 2^-63, which the vector walk hands to the scalar one, and
-    the odd multiples of 2^-6, whose ratios n/d in the scalar walk have
-    small denominators where the vector walk's M = x 2^63 is large."""
+    multiples of 2^-63, which the vector walk hands to the scalar one, the
+    odd multiples of 2^-6, whose ratios n/d in the scalar walk have
+    small denominators where the vector walk's M = x 2^63 is large, and
+    draws at p = 1 and p = 100, points of the Cantor set, which never end
+    on a plateau and walk deepest, so that many levels of a pool's walk
+    hold both ended points and points that go on."""
     rng = np.random.default_rng(3)
     levels = 0.5 * 3.0 ** -np.arange(9)
     return np.concatenate((rng.random(200), 1.0 - rng.random(50) * 1e-6,
@@ -34,7 +37,8 @@ def twin_points():
                            np.nextafter(1 / 3, [0.0, 1.0]), np.nextafter(2.0 ** -11, [0.0, 1.0]),
                            [2.0 ** -11, 5e-324, 1e-310, 2.2250738585072014e-308, 3.0 ** -20,
                             2.0 ** -40, 1e-300, 1e-5], rng.random(8) * 2.0 ** -11,
-                           np.arange(1, 64, 2) / 64.0))
+                           np.arange(1, 64, 2) / 64.0, sample(PSingularParams(1.0), 3, 200),
+                           sample(PSingularParams(100.0), 3, 100)))
 
 
 @pytest.fixture(scope="session")

@@ -26,19 +26,18 @@ from singular_mrl.verify import check_dkw
 P1 = PSingularParams(1.0)
 P2 = PSingularParams(2.0)
 
-# stop requests (tol_f, tol_j, relative), inf where a bracket is not asked
-# for: F alone and J alone at 1e-10, both at 1e-10, F at 1e-6 with J at
-# 1e-12, and the relative test at 1e-10
-STOP_MODES = [(1e-10, math.inf, False), (math.inf, 1e-10, False), (1e-10, 1e-10, False),
-              (1e-6, 1e-12, False), (1e-10, 1e-10, True)]
+# stop requests (tol_f, tol_j), inf where a bracket is not asked for: F
+# alone and J alone at 1e-10, both at 1e-10, and F at 1e-6 with J at 1e-12
+STOP_MODES = [(1e-10, math.inf), (math.inf, 1e-10), (1e-10, 1e-10), (1e-6, 1e-12)]
 
 
-def descents(tol_f, tol_j, relative):
-    """The descents (tol, reads, relative, tail) that meet a request.
-    A descent stops on J's bracket where it reads J alone and on F's
-    otherwise, so a request runs one per finite tolerance, each as F's
-    walk and as the tail walk."""
-    return [(tol, reads, relative, tail)
+def descents(tol_f, tol_j):
+    """The descents (tol, reads, tail) that meet a request.  A descent
+    stops on J's bracket where it reads J alone and on F's otherwise, so a
+    request runs one per finite tolerance, each as F's walk and as the
+    tail walk; the tail walk that reads "FJ", the MRL's, stops on the
+    relative test."""
+    return [(tol, reads, tail)
             for tol, reads in ((tol_f, "FJ"), (tol_j, "J")) if tol < math.inf
             for tail in (False, True)]
 
@@ -53,16 +52,15 @@ def scalar_rows(params, xs, *args):
     return np.array([_descend(params, x, *args) for x in np.asarray(xs).tolist()]).T
 
 
-def gather(groups, params, xs, tail=False):
+def gather(groups, xs, tail=False):
     """The rows F, F bound, J and J bound of the groups of a vector descent
     of xs, put back in input order, a later group over an earlier one; a
     quantity the walk did not carry stays NaN.  Every position must come
     in a group, and in two only where the first ended the point early and
     the second holds its value: a tiny odd double, which the vector walk
-    ends on the plateau as a placeholder and the scalar loop walks, or,
-    where the input is longer than a slice, a point the jump table leaves
-    live, which the slice ends on the plateau and the pooled tail walks
-    on."""
+    ends on the plateau as a placeholder and the scalar loop walks, or a
+    point the head leaves live, which its slice ends on the plateau and
+    the pool walks on."""
     xs = np.asarray(xs, dtype=float)
     out, seen = np.full((4, xs.size), np.nan), np.zeros(xs.size, dtype=int)
     for at, *rows in groups:
@@ -75,8 +73,7 @@ def gather(groups, params, xs, tail=False):
     if again.size:
         assert (seen <= 2).all()
         ys = xs.take(again)
-        live = xs.size > distribution._CHUNK and live_after_jump(params, ys, tail)
-        assert (~carried(ys, tail) | live).all()
+        assert (~carried(ys, tail) | live_after_head(ys, tail)).all()
     return out
 
 
@@ -85,28 +82,26 @@ def carried(xs, tail=False):
     2^-63 and, in a tail walk, x > 3^-8, whose leading run ends within the
     head; it holds every other one as a placeholder, which ends at once:
     0 and 1 with their own values, the rest to be walked by the scalar
-    loop.  Of the points it carries, a short input's last few live after
-    the head finish in the scalar loop, from their state there, within the
-    vector walk's group."""
+    loop."""
     return np.array([0 < n < d <= 2 ** 63 and (not tail or n * 3 ** 8 > d)
                      for n, d in map(float.as_integer_ratio, xs.tolist())])
 
 
-def live_after_jump(params, xs, tail):
-    """Whether the jump table leaves each point live: a point that the
-    vector walk carries in a cell floor(3^8 x) whose multiplier is +-3^8."""
-    mult = _jump_table(params, tail)[0]
+def live_after_head(xs, tail):
+    """Whether the head leaves each point live: a point that the vector
+    walk carries in a cell floor(3^8 x) whose multiplier is +-3^8."""
+    mult = distribution._head_table(tail)[1]
     cells = [n * 3 ** 8 // d for n, d in map(float.as_integer_ratio, xs.tolist())]
     return carried(xs, tail) & (np.abs(mult.take(cells, mode="clip")) >= 3 ** 8)
 
 
-def twins(params, xs, tol_f, tol_j, relative):
+def twins(params, xs, tol_f, tol_j):
     """The rows that each descent of a request reads, from the vector and
     from the scalar loop, each stacked into one array."""
     vec, scalar = [], []
-    for args in descents(tol_f, tol_j, relative):
+    for args in descents(tol_f, tol_j):
         rows = read_rows(args[1])
-        vec.append(gather(_descend_many(params, xs, *args), params, xs, args[3])[rows])
+        vec.append(gather(_descend_many(params, xs, *args), xs, args[2])[rows])
         scalar.append(scalar_rows(params, xs, *args)[rows])
     return np.concatenate(vec), np.concatenate(scalar)
 
@@ -134,9 +129,9 @@ EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, 
 # 2^-63, which the scalar loop walks
 ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
 
-# the most live points a short input's head may leave for the scalar loop
-# to finish: none, one, the default and every point, so that the twin
-# points go through `_walk_on` and through `_walk_from`
+# the most pooled points that the scalar loop walks: none, one, the default
+# and every point, so that the twin points' pools go through
+# `_descend_slice` and through `_walk_from`
 FEW_LIVE = [0, 1, distribution._FEW, _CHUNK]
 
 # the ends and both sides of 1/3, where the reflected evaluators switch
@@ -339,6 +334,13 @@ def cloud_sizes(draw, max_points=2 ** 16):
     return n_initial, draw(st.integers(0, most))
 
 
+# exact reals just past 1 and just below 0, which round to 1.0 and to -0.0:
+# a Fraction, a Decimal and the nearest long double (1 + 2^-63 and
+# -2^-16445 where long double has 64 bits of mantissa)
+JUST_OUTSIDE = [Fraction(10 ** 30 + 1, 10 ** 30), Decimal("1.0000000000000000000001"),
+                np.nextafter(np.longdouble(1.0), np.longdouble(2.0)), Fraction(-1, 10 ** 400),
+                Decimal("-1E-400"), -np.finfo(np.longdouble).smallest_subnormal]
+
 # reals past the doubles, named by their short form rather than 401 digits
 HUGE = [pytest.param(10 ** 400, id="10**400"), pytest.param(-10 ** 400, id="-10**400")]
 HUGE_ARRAYS = [pytest.param([10 ** 400], id="[10**400]"),
@@ -432,48 +434,48 @@ class TestCdf:
 
 class TestDescent:
     @pytest.mark.parametrize("few", FEW_LIVE)
-    @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
+    @pytest.mark.parametrize("tol_f,tol_j", STOP_MODES)
     def test_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points, tol_f, tol_j,
-                                     relative, few):
+                                     few):
         # F, J and both error bounds, from the scalar and the vector loop,
-        # whose live points after the head walk on in `_walk_on` or, where
-        # at most `few` are left, in the scalar loop
+        # whose pool of live points after the head walks on in
+        # `_descend_slice` or, where it holds at most `few`, in the scalar
+        # loop
         monkeypatch.setattr(distribution, "_FEW", few)
         for params in twin_params:
-            vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
+            vec, scalar = twins(params, twin_points, tol_f, tol_j)
             np.testing.assert_array_equal(vec, scalar)
 
     @given(x=st.floats(min_value=0.0, max_value=1.0),
-           p=st.sampled_from([0.01, 0.5, 1.0, 2.0, 100.0]), relative=st.booleans(),
-           tail=st.booleans())
+           p=st.sampled_from([0.01, 0.5, 1.0, 2.0, 100.0]), tail=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_twins_agree_on_any_double(self, x, p, relative, tail):
+    def test_twins_agree_on_any_double(self, x, p, tail):
         params = PSingularParams(p)
         # the last group holds the value: a point the vector walk does not
-        # carry comes again in the scalar loop's group
-        *_, (_, *vec) = _descend_many(params, [x], 1e-10, relative=relative, tail=tail)
-        assert [v[0] for v in vec] == list(_descend(params, x, 1e-10, relative=relative, tail=tail))
+        # carry comes again in the scalar loop's group, one live after the
+        # head in the pool's
+        vec = gather(_descend_many(params, [x], 1e-10, tail=tail), [x], tail)
+        assert vec[:, 0].tolist() == list(_descend(params, x, 1e-10, tail=tail))
 
     @given(data=st.data(), xs=st.lists(st.floats(min_value=0.0, max_value=1.0),
                                        min_size=1, max_size=64),
            p=st.sampled_from([0.01, 0.5, 1.0, 7.0, 100.0]),
-           reads=st.sampled_from(["F", "J", "FJ"]), relative=st.booleans(),
-           chunk=st.sampled_from([4, 16, _CHUNK]))
+           reads=st.sampled_from(["F", "J", "FJ"]), chunk=st.sampled_from([4, 16, _CHUNK]))
     @settings(max_examples=200, deadline=None)
     @pytest.mark.parametrize("few", FEW_LIVE)
-    def test_twins_agree_with_per_point_relative(self, data, xs, p, reads, relative, chunk, few):
+    def test_twins_agree_with_per_point_relative(self, data, xs, p, reads, chunk, few):
         # F's walk and the tail walk, whose head leaves each point in its
-        # leading run, on the plateau or in F's walk, at any tolerance;
-        # small slices send the points through the jump table and the
-        # pooled tail, a `_CHUNK` slice steps through the head and walks
-        # on in `_walk_on` or, with at most `few` points live, in the
-        # scalar loop
+        # leading run, on the plateau or in F's walk, at any tolerance,
+        # the MRL's walk on its relative test; small slices send the points
+        # through the jump table, a `_CHUNK` slice steps through the head,
+        # and the pool walks on in `_descend_slice` or, where it holds at
+        # most `few` points, in the scalar loop
         params = PSingularParams(p)
         tol = data.draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]))
-        args, rows = (tol, reads, relative, data.draw(st.booleans())), read_rows(reads)
+        args, rows = (tol, reads, data.draw(st.booleans())), read_rows(reads)
         with mock.patch.object(distribution, "_CHUNK", chunk), \
                 mock.patch.object(distribution, "_FEW", few):
-            vec = gather(_descend_many(params, xs, *args), params, xs, args[3])[rows]
+            vec = gather(_descend_many(params, xs, *args), xs, args[2])[rows]
         np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, xs, *args)[rows]))
 
     def test_twins_share_one_signature(self):
@@ -483,7 +485,7 @@ class TestDescent:
             return list(inspect.signature(fn).parameters.values())[2:]
 
         assert tail(_descend) == tail(_descend_many)
-        assert [arg.name for arg in tail(_descend)] == ["tol", "reads", "relative", "tail"]
+        assert [arg.name for arg in tail(_descend)] == ["tol", "reads", "tail"]
 
     @pytest.mark.parametrize("tail", [False, True])
     def test_half_ends_on_the_plateau(self, twin_params, tail):
@@ -495,7 +497,7 @@ class TestDescent:
             q = params.left_mass
             plateau = (q, 0.0, i1_closed_form(params) + (0.5 - ONE_THIRD) * q, 0.0)
             for reads in ("F", "J", "FJ"):
-                assert _descend(params, 0.5, 1e-10, reads, False, tail) == plateau
+                assert _descend(params, 0.5, 1e-10, reads, tail) == plateau
 
     @pytest.mark.parametrize("x", [0.25, 0.75])
     @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e4, 1e6])
@@ -548,12 +550,12 @@ class TestDescent:
                             bits([scalar(params, x, config) for x in xs.tolist()]))
 
     @given(x=st.floats(min_value=0.0, max_value=1.0), p=st.sampled_from([0.01, 1.0, 7.0, 100.0]),
-           reads=st.sampled_from(["F", "J", "FJ"]), relative=st.booleans())
+           reads=st.sampled_from(["F", "J", "FJ"]), tail=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_j_bound_within_f_bound(self, x, p, reads, relative):
+    def test_j_bound_within_f_bound(self, x, p, reads, tail):
         # every step scales J's bracket by at most F's factor, and y <= 1,
         # so a test on F's bracket alone bounds J as well
-        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, reads, relative)
+        _, f_bound, _, j_bound = _descend(PSingularParams(p), x, 1e-10, reads, tail)
         assert j_bound <= f_bound
 
     @pytest.mark.parametrize("p,x,values", [
@@ -599,76 +601,71 @@ class TestDescent:
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
         groups = list(_descend_many(P2, xs, 1e-10))
         assert len(groups) == 4
-        f = gather(groups, P2, xs)[0]
+        f = gather(groups, xs)[0]
         np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
 
     @pytest.mark.parametrize("chunk", [1, 7, 8, 9, 100_000])
-    @pytest.mark.parametrize("tol_f,tol_j,relative", STOP_MODES)
+    @pytest.mark.parametrize("tol_f,tol_j", STOP_MODES)
     def test_pooled_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points,
-                                            tol_f, tol_j, relative, chunk):
+                                            tol_f, tol_j, chunk):
         # slices of `chunk` points: an input longer than one slice jumps
         # every slice's head through the table and walks the pool whenever
         # it fills, and these pooled tails are compared with the scalar
         # loop; slices of 100,000 points hold the whole input, which steps
-        # through its head and walks on in one short walk, without a table
-        # or a pooled tail
-        tails, shorts = [], []
+        # through its head, without a table, and walks its pool once.  A
+        # pool of at most `_FEW` points walks in the scalar loop, a larger
+        # one in numpy
+        pools = []
 
-        def logged(walk, idx, m, state):
-            tails.append(idx.size)
-            return descend_slice(walk, idx, m, state)
-
-        def logged_short(walk, m, flat, state):
-            shorts.append(m.size)
-            return walk_on(walk, m, flat, state)
+        def logged(walker):
+            def walk(*args):
+                pools.append((args[1].size, walker))
+                return walker(*args)
+            return walk
 
         def no_table(params, tail):
             raise AssertionError("an input of one slice built a jump table")
 
-        descend_slice, walk_on = distribution._descend_slice, distribution._walk_on
+        finish, descend_slice = distribution._finish, distribution._descend_slice
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
-        monkeypatch.setattr(distribution, "_descend_slice", logged)
-        monkeypatch.setattr(distribution, "_walk_on", logged_short)
+        monkeypatch.setattr(distribution, "_finish", logged(finish))
+        monkeypatch.setattr(distribution, "_descend_slice", logged(descend_slice))
         if chunk == 100_000:
             monkeypatch.setattr(distribution, "_jump_table", no_table)
         for params in twin_params:
-            tails.clear()
-            shorts.clear()
-            vec, scalar = twins(params, twin_points, tol_f, tol_j, relative)
+            pools.clear()
+            vec, scalar = twins(params, twin_points, tol_f, tol_j)
             np.testing.assert_array_equal(bits(vec), bits(scalar))
-            walks = len(descents(tol_f, tol_j, relative))
+            walks = len(descents(tol_f, tol_j))
+            assert all((size <= distribution._FEW) == (walker is finish) for size, walker in pools)
             if chunk == 100_000:
-                assert shorts == [twin_points.size] * walks and not tails
+                assert len(pools) == walks
             else:
                 # the pool is walked once it holds `chunk` points, and once
                 # more after the last slice of each descent
-                assert not shorts
-                assert len(tails) >= 2 * walks
-                assert sum(size < chunk for size in tails) <= walks
+                assert len(pools) >= 2 * walks
+                assert sum(size < chunk for size, _ in pools) <= walks
 
     @pytest.mark.parametrize("chunk", [32, _CHUNK])
     @pytest.mark.parametrize("size", [1, 8, 100_000])
-    @pytest.mark.parametrize("tail,relative", [(False, False), (True, False), (False, True),
-                                               (True, True)])
+    @pytest.mark.parametrize("tail", [False, True])
     def test_walks_carry_only_what_they_read(self, monkeypatch, twin_params, twin_points,
-                                             tail, relative, size, chunk):
-        # a walk carries what it reads, plus F where its stop test is
-        # relative, in F's walk and in the tail walk alike, and gives the
-        # scalar loop's rows for what it carries; a quantity
-        # it does not carry is None.  The input is the first `size` twin
-        # points, so with slices of 32 points the whole set jumps through
-        # the table, and every other input of one slice steps through its
-        # head
+                                             tail, size, chunk):
+        # a walk carries what it reads, in F's walk and in the tail walk
+        # alike, and gives the scalar loop's rows for what it carries; a
+        # quantity it does not carry is None.  The input is the first
+        # `size` twin points, so with slices of 32 points the whole set
+        # jumps through the table, and every other input of one slice
+        # steps through its head
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
         xs = twin_points[:size]
         for params in twin_params:
             for reads in ("F", "J", "FJ"):
-                args = (1e-10, reads, relative, tail)
+                args = (1e-10, reads, tail)
                 groups = list(_descend_many(params, xs, *args))
-                one, scalar = gather(groups, params, xs, tail), scalar_rows(params, xs, *args)
-                carried = set(reads) | ({"F"} if relative else set())
+                one, scalar = gather(groups, xs, tail), scalar_rows(params, xs, *args)
                 for name, rows in (("F", slice(0, 2)), ("J", slice(2, 4))):
-                    if name in carried:
+                    if name in reads:
                         np.testing.assert_array_equal(bits(one[rows]), bits(scalar[rows]))
                     else:
                         assert all(g[rows.start + 1] is None for g in groups)
@@ -741,7 +738,7 @@ class TestDescent:
         groups = list(_descend_many(P2, xs, 1e-10))
         assert [at for at, *_ in groups if isinstance(at, slice)] == [
             slice(start, min(start + _CHUNK, xs.size)) for start in range(0, xs.size, _CHUNK)]
-        gather(groups, P2, xs)
+        gather(groups, xs)
         at = np.union1d(np.flatnonzero(~carried(xs)), np.arange(0, xs.size, 61))
         assert np.isin(ODD_POINTS, xs[at]).all()
         for p in (1e-6, 0.01, 1.0, 100.0, 1e6):
@@ -752,11 +749,12 @@ class TestDescent:
 
     def test_odd_points_alone_skip_the_vector_walk(self, monkeypatch):
         # a short input of the tiny odd doubles only, which the scalar loop
-        # walks, has nothing for the vector walk
+        # walks, leaves no pool to walk
         def refuse(*args):
-            raise AssertionError("_walk_on called")
+            raise AssertionError("a pool was walked")
 
-        monkeypatch.setattr(distribution, "_walk_on", refuse)
+        monkeypatch.setattr(distribution, "_finish", refuse)
+        monkeypatch.setattr(distribution, "_descend_slice", refuse)
         tiny = ODD_POINTS[2:]
         assert not carried(np.array(tiny)).any()
         for vector, scalar in EVALUATORS:
@@ -784,20 +782,20 @@ class TestDescent:
         # the payoff curve's 200 prices, and 200 `mrl_many` points whose
         # last, 1 - 2^-53, reflects to 2^-53 and walks some 33 levels past
         # the head, leave only a few points live after it: the scalar loop
-        # finishes them from their head state, in the slice's own group,
-        # which equals the scalar twins row for row
+        # walks their pool from its head state, in a group which equals the
+        # scalar twins row for row
         def refuse(*args):
-            raise AssertionError("_walk_on called")
+            raise AssertionError("_descend_slice called")
 
-        monkeypatch.setattr(distribution, "_walk_on", refuse)
+        monkeypatch.setattr(distribution, "_descend_slice", refuse)
         params = PSingularParams(p)
         plan = distribution._curve_plan(200)
         deep = np.linspace(0.0, 1.0, 200)
         deep[-1] = 1.0 - 2.0 ** -53
-        for xs, args in ((plan, (1e-10, "J", False, True)), (deep, (1e-10, "FJ", True, True))):
+        for xs, args in ((plan, (1e-10, "J", True)), (deep, (1e-10, "FJ", True))):
             points = plan.x if xs is plan else xs
             rows = read_rows(args[1])
-            vec = gather(_descend_many(params, xs, *args), params, points, True)[rows]
+            vec = gather(_descend_many(params, xs, *args), points, True)[rows]
             np.testing.assert_array_equal(bits(vec), bits(scalar_rows(params, points, *args)[rows]))
         np.testing.assert_array_equal(bits(payoff_curve(params, plan)),
                                       bits([expected_payoff(params, x) for x in plan.x.tolist()]))
@@ -824,10 +822,9 @@ class TestDescent:
            log_p=st.floats(min_value=math.log(1e-6), max_value=math.log(1e6)))
     @settings(max_examples=100, deadline=None)
     def test_short_inputs_equal_their_scalars(self, xs, log_p):
-        # a short input walks its head through the head table and its tail
-        # without compaction or, with few points live, in the scalar loop,
-        # with 0 and 1 ended in the vector walk: every evaluator equals its
-        # scalar twin bit for bit
+        # a short input walks its head through the head table and its pool
+        # in the scalar loop or in numpy, with 0 and 1 ended in the vector
+        # walk: every evaluator equals its scalar twin bit for bit
         params = PSingularParams(math.exp(log_p))
         for vector, scalar in EVALUATORS:
             np.testing.assert_array_equal(bits(vector(params, xs)),
@@ -846,7 +843,7 @@ class TestDescent:
         assert kinds.shape == (8, 3 ** 8) and kinds.dtype == np.int8 and mult.shape == (3 ** 8,)
         for p in (0.01, 100.0):
             params = PSingularParams(p)
-            walk = distribution._Walk(params, 1.0, "FJ", False, tail)
+            walk = distribution._Walk(params, 1.0, "FJ", tail)
             m = ((np.arange(3 ** 8) + 0.5) * (2.0 ** 63 / 3 ** 8)).astype(np.int64)
             state, levels = np.repeat(walk.origin, m.size, axis=1), []
             run = np.full(m.size, tail)
@@ -930,6 +927,18 @@ class TestDescent:
         # rather than numpy's ValueError on its truth value
         with pytest.raises(DomainError):
             fn(P1, points)
+
+    @pytest.mark.parametrize("fn,scalar", EVALUATORS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", JUST_OUTSIDE, ids=repr)
+    def test_exact_points_just_outside(self, fn, scalar, bad):
+        # a real just past either end of [0, 1] whose double is 0.0 or 1.0
+        # is no point, for the scalar and the vector evaluators alike, in an
+        # object and in a long-double array
+        assert float(bad) in (0.0, 1.0)
+        with pytest.raises(DomainError):
+            scalar(P1, bad)
+        with pytest.raises(DomainError):
+            fn(P1, [0.5, bad])
 
     @pytest.mark.parametrize("fn,scalar", EVALUATORS[:4], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("exact", [Fraction(1, 2), Decimal("0.25")], ids=repr)
