@@ -286,16 +286,21 @@ def _descend(params: PSingularParams, x: float, tol: float, reads: str = "FJ",
         a += b
         b = -b
         n = d - n
-    return _walk_from(n, d, af, bf, a, b, bj, level, k, 2.0 * tol, reads, tail)
+    return _walk_from(n, d, af, bf, a, b, bj, level, k, 2.0 * tol, *_stop_test(reads, tail))
+
+
+def _stop_test(reads: str, tail: bool) -> tuple[bool, bool]:
+    """Which bracket `_descend`'s stop test reads, (J's, relative): J's where
+    `reads` is "J", else F's, relative in the MRL's walk (tail, "FJ")."""
+    return reads == "J", tail and reads == "FJ"
 
 
 def _walk_from(n: int, d: int, af: float, bf: float, a: float, b: float, bj: float, level: int,
-               k: _Anchors, lim: float, reads: str, tail: bool) -> tuple[float, ...]:
+               k: _Anchors, lim: float, j_test: bool, relative: bool) -> tuple[float, ...]:
     """`_descend`'s walk in F's steps, from y = n/d, 0 < n < d, and its state
     at `level` to its end, with p's `_anchors` k, the limit 2 tol of its
-    stop test, and the walk's `reads` and mode, which pick that test."""
+    stop test and that test's `_stop_test` flags."""
     q, shrink, r, r3, c = k.q, k.shrink, k.r, k.r3, k.c
-    relative, j_test = tail and reads == "FJ", reads == "J"
     lo, hi, m34 = d // 3 + 1, 2 * d // 3, 3 * d // 4
     while not lo <= n <= hi:
         if level >= _JUMP and (n == m34 or (bj * (n / d) if j_test else abs(bf)) <= (
@@ -424,17 +429,16 @@ class _Walk:
 
     A point carries its numerator M = y 2^63 as an int64 and one column of
     state: a_F and b_F where F is carried, then A, B and b_J where J is,
-    each where `reads` names it.  The stop test is on J's bracket where
-    `reads` is "J", else on F's, relative in the MRL's walk (see
-    `_descend`).  A step of each of `_STEP_M`'s six kinds takes its column
-    of `_factors`; the last three, a tail walk's leading run and its
-    reflection, occur only in the head (`_plan` hands a point whose run
-    outlasts the head to the scalar loop)."""
+    each where `reads` names it.  The stop test reads the bracket that
+    `_stop_test` picks.  A step of each of `_STEP_M`'s six kinds takes its
+    column of `_factors`; the last three, a tail walk's leading run and
+    its reflection, occur only in the head (`_plan` hands a point whose
+    run outlasts the head to the scalar loop)."""
 
     def __init__(self, params: PSingularParams, tol: float, reads: str, tail: bool):
         self.params, self.args = params, (tol, reads, tail)
-        self.tail, self.j_test, self.lim = tail, reads == "J", 2.0 * tol
-        self.relative = tail and reads == "FJ"
+        self.tail, self.lim = tail, 2.0 * tol
+        self.j_test, self.relative = _stop_test(reads, tail)
         k = self.anchors = _anchors(params)
         self.factors, self.ends = _factors(params)
         carry_f, carry_j = "F" in reads, "J" in reads
@@ -562,7 +566,7 @@ def _finish(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
     level on so few."""
     head = np.ones((5, idx.size))  # a row not carried walks on 1.0, and is dropped
     head[walk.span] = state
-    args = walk.anchors, walk.lim, *walk.args[1:]
+    args = walk.anchors, walk.lim, walk.j_test, walk.relative
     return walk.group(idx, [_walk_from(num, _ONE, *col, _JUMP, *args)
                             for num, col in zip(m.tolist(), head.T.tolist())])
 
@@ -571,25 +575,21 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
     """Walk the points with positions `idx`, numerators `m` and state
     columns `state`, past their head, until every one has ended, and
     return their group (positions, F, F bounds, J, J bounds), None for a
-    quantity not carried.  An ended point (`_goes_on`) takes the plateau
-    step, x1 and +0, which keeps it ended, until at most half go on: then
-    the ended points are set aside and the rest compacted with `take`, as
-    numpy's calls per level outweigh the arithmetic that compacting at
-    every level would save.  One select over the ended points by kind (an
-    exact end wins over the stop test, as in `_descend`) gives F, J and
-    their bounds."""
+    quantity not carried.  Each level sets aside the state of the points
+    that end there (`_goes_on`) and compacts the rest with `take`; one
+    select over the ended points by kind (an exact end wins over the stop
+    test, as in `_descend`) gives F, J and their bounds."""
     n = idx.size
-    # the points in the order they are set aside: where they sit in the
-    # input, and their final numerator and state
+    # the points in the order they end: where they sit in the input, and
+    # their final numerator and state
     at, ended_m = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
     ended = np.empty((len(walk.origin), n))
     done = 0
     while True:
         kind, go = _goes_on(walk, m, state)
-        if 2 * np.count_nonzero(go) > m.size:
-            kind[~go] = 1
-        else:
-            end, keep = np.flatnonzero(~go), np.flatnonzero(go)
+        keep = np.flatnonzero(go)
+        if keep.size < m.size:
+            end = np.flatnonzero(~go)
             k = slice(done, done + end.size)
             at[k], ended_m[k] = idx.take(end), m.take(end)
             ended[:, k] = state.take(end, axis=1)

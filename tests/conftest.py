@@ -27,8 +27,8 @@ def twin_points():
     odd multiples of 2^-6, whose ratios n/d in the scalar walk have
     small denominators where the vector walk's M = x 2^63 is large, and
     draws at p = 1 and p = 100, points of the Cantor set, which never end
-    on a plateau and walk deepest, so that many levels of a pool's walk
-    hold both ended points and points that go on."""
+    on a plateau and walk deepest, so that a pool's walk sets points
+    aside over many levels."""
     rng = np.random.default_rng(3)
     levels = 0.5 * 3.0 ** -np.arange(9)
     return np.concatenate((rng.random(200), 1.0 - rng.random(50) * 1e-6,
