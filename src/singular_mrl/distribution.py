@@ -29,12 +29,12 @@ carries only the rows its caller reads (F for `cdf_many`, J for
 `cdf_integral_many` and the payoff, both for the MRL); a point's kind of
 step is picked by integer division, not by selects.  Every input ends
 each slice on the plateau in place after the head, and pools the few the
-head leaves live across slices into one tail walk, in the scalar loop
-where they are few, so the deep, nearly empty levels are paid once per
-call.  0 and 1 ride as placeholders on the plateau with a state that
-ends them exactly; a point with no int64 numerator rides as one too, as
-does, in tail mode, a point whose leading run outlasts the head, and the
-scalar loop walks it.
+head leaves live across slices into one tail walk, so the deep, nearly
+empty levels are paid once per call: in numpy while many points are
+live, then in the scalar loop.  0 and 1 ride as placeholders on the
+plateau with a state that ends them exactly; a point with no int64
+numerator rides as one too, as does, in tail mode, a point whose leading
+run outlasts the head, and the scalar loop walks it.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ GAP_LEVEL = 8  # the deepest Cantor gaps whose rounded endpoints `gap_grid` adds
 # points per slice of the vector descent: bounds its working set, and is
 # large enough that per-iteration overhead stays amortised
 _CHUNK = 16_384
-# the most pooled points that `_finish` walks in the scalar loop: on the
-# package's own inputs it wins at 30 or fewer, and loses at 58 or more
+# at most this many live points of a pool go to the scalar loop: on the
+# package's own inputs it beats numpy at 30 or fewer, and loses at 58 or more
 _FEW = 32
 # The numerator M = y 2^63 of the descent's point y in [0, 1): the plateau
 # [1/3, 2/3] is _LO <= M <= _HI (ceil(2^63/3) and floor(2^64/3)), the right
@@ -351,15 +351,14 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
     input is longer than one slice, and from the shared `_head_table`
     otherwise, as building the jump table would cost more than the walk.
     It ends all its points on the plateau in place, in one group; the few
-    still live join a pool that walks the remaining levels, in a later
-    group, whenever it holds `_CHUNK` points and once more after the last
-    slice, so the near-empty deep levels are paid about once per call and
-    the working set stays a few slices wide.  The scalar loop walks a pool
-    of at most `_FEW` points (`_finish`), numpy a larger one
-    (`_descend_slice`).  0, 1 and the odd points ride as placeholders
-    (`_plan`): 0 and 1 with a state that ends them exactly, the others to
-    walk in `_descend`, whose group comes later.  xs may be a read-only
-    `_Plan` of one slice for `tail`, not checked again.
+    still live join a pool that `_descend_slice` walks through the
+    remaining levels, in later groups, whenever it holds `_CHUNK` points
+    and once more after the last slice, so the near-empty deep levels are
+    paid about once per call and the working set stays a few slices wide.
+    0, 1 and the odd points ride as placeholders (`_plan`): 0 and 1 with a
+    state that ends them exactly, the others to walk in `_descend`, whose
+    group comes later.  xs may be a read-only `_Plan` of one slice for
+    `tail`, not checked again.
     """
     plan = xs if isinstance(xs, _Plan) else None
     xs = plan.x if plan else np.asarray(xs, dtype=float).ravel()
@@ -390,7 +389,7 @@ def _descend_many(params: PSingularParams, xs, tol: float, reads: str = "FJ",
             parts = pool[0] if len(pool) == 1 else [np.concatenate(part, axis=-1)
                                                     for part in zip(*pool)]
             pool, pooled = [], 0
-            yield (_finish if parts[0].size <= _FEW else _descend_slice)(walk, *parts)
+            yield from _descend_slice(walk, *parts)
 
 
 # the start of a slice's walk that p does not change (`_plan`)
@@ -458,7 +457,7 @@ class _Walk:
     def group(self, at: np.ndarray, values: list) -> tuple:
         """The group of the points at positions `at` from their values, one
         (F, F bound, J, J bound) each, None for a quantity not carried."""
-        f, f_bound, j, j_bound = np.reshape(values, (-1, 4)).T
+        f, f_bound, j, j_bound = np.array(values).T
         return (at, *((f, f_bound) if self.f is not None else (None, None)),
                 *((j, j_bound) if self.j is not None else (None, None)))
 
@@ -544,48 +543,40 @@ def _head(walk: _Walk, cell: np.ndarray, table=None) -> np.ndarray:
         for level in range(_JUMP):
             _advance(walk, state, factors[:, level])
     else:
-        table[1][walk.span].take(cell, axis=1, out=state, mode="clip")
+        table[walk.span].take(cell, axis=1, out=state, mode="clip")
     return state
 
 
 @functools.lru_cache(maxsize=8)
-def _jump_table(params: PSingularParams, tail: bool) -> tuple[np.ndarray, np.ndarray]:
+def _jump_table(params: PSingularParams, tail: bool) -> np.ndarray:
     """The head at p of every ternary cell, in F's walk or the tail walk,
-    from `_head`: (the multipliers of `_head_table`, the state rows a_F,
-    b_F, A, B and b_J after it), one column per cell.  About 260 kB, built
-    once per p and mode, read-only."""
+    from `_head`: the state rows a_F, b_F, A, B and b_J after it, one
+    column per cell (`_head_table` holds the multipliers of its
+    numerators).  About 260 kB, built once per p and mode, read-only."""
     walk = _Walk(params, 1.0, "FJ", tail)
     state = _head(walk, np.arange(_CELLS))
     state.flags.writeable = False
-    return _head_table(tail)[1], state
-
-
-def _finish(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
-    """`_descend_slice`'s group for a few pooled points, from `_walk_from`
-    after the head: the scalar loop costs less than numpy's calls per
-    level on so few."""
-    head = np.ones((5, idx.size))  # a row not carried walks on 1.0, and is dropped
-    head[walk.span] = state
-    args = walk.anchors, walk.lim, walk.j_test, walk.relative
-    return walk.group(idx, [_walk_from(num, _ONE, *col, _JUMP, *args)
-                            for num, col in zip(m.tolist(), head.T.tolist())])
+    return state
 
 
 def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarray):
     """Walk the points with positions `idx`, numerators `m` and state
-    columns `state`, past their head, until every one has ended, and
-    return their group (positions, F, F bounds, J, J bounds), None for a
-    quantity not carried.  Each level sets aside the state of the points
-    that end there (`_goes_on`) and compacts the rest with `take`; one
-    select over the ended points by kind (an exact end wins over the stop
-    test, as in `_descend`) gives F, J and their bounds."""
+    columns `state`, past their head, until every one has ended, and yield
+    their groups (positions, F, F bounds, J, J bounds), None for a quantity
+    not carried.  While more than `_FEW` points are live, each level sets
+    aside the state of the points that end there (`_goes_on`) and compacts
+    the rest with `take`; one select over the ended points by kind (an
+    exact end wins over the stop test, as in `_descend`) gives F, J and
+    their bounds.  The scalar loop (`_walk_from`) walks the few still live
+    from their state, in a group of its own: it costs less than numpy's
+    calls per level on so few."""
     n = idx.size
     # the points in the order they end: where they sit in the input, and
     # their final numerator and state
     at, ended_m = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
     ended = np.empty((len(walk.origin), n))
     done = 0
-    while True:
+    while m.size > _FEW:
         kind, go = _goes_on(walk, m, state)
         keep = np.flatnonzero(go)
         if keep.size < m.size:
@@ -594,12 +585,19 @@ def _descend_slice(walk: _Walk, idx: np.ndarray, m: np.ndarray, state: np.ndarra
             at[k], ended_m[k] = idx.take(end), m.take(end)
             ended[:, k] = state.take(end, axis=1)
             done += end.size
-            if not keep.size:
-                break
             idx, m, kind, state = idx.take(keep), m.take(keep), kind.take(keep), state.take(keep, axis=1)
-        _step(walk, m, state, kind)
-    kind = ((ended_m >= _LO) & (ended_m <= _HI)) + 2 * (ended_m == _M34)
-    return _select(walk, at, ended_m, ended, kind)
+        if m.size > _FEW:  # else the scalar loop takes the step
+            _step(walk, m, state, kind)
+    if m.size:
+        head = np.ones((5, m.size))  # a row not carried walks on 1.0, and is dropped
+        head[walk.span] = state
+        args = walk.anchors, walk.lim, walk.j_test, walk.relative
+        yield walk.group(idx, [_walk_from(num, _ONE, *col, _JUMP, *args)
+                               for num, col in zip(m.tolist(), head.T.tolist())])
+    if done:
+        ended_m = ended_m[:done]
+        kind = ((ended_m >= _LO) & (ended_m <= _HI)) + 2 * (ended_m == _M34)
+        yield _select(walk, at[:done], ended_m, ended[:, :done], kind)
 
 
 def _select(walk: _Walk, at: np.ndarray | slice, m: np.ndarray, ended: np.ndarray, kind):

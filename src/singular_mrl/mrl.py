@@ -63,9 +63,9 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
 
 def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
     """e(x) = m(x)/x for 0 < x <= 1; diverges at 0, hence a domain error."""
-    x = _check_unit_interval(x)
-    _check_positive(x)
-    return mrl(params, x, config).value / x
+    v = mrl(params, x, config)
+    _check_positive(v.x)
+    return v.value / v.x
 
 
 def _check_positive(x: float) -> None:

@@ -129,9 +129,10 @@ EVALUATORS = [(cdf_many, cdf), (cdf_integral_many, lambda P, x: cdf_integral(P, 
 # 2^-63, which the scalar loop walks
 ODD_POINTS = [0.0, 1.0, 3e-300, 2.0 ** -30 + 2.0 ** -80, 1 / 3 ** 8]
 
-# the most pooled points that the scalar loop walks: none, one, the default
-# and every point, so that the twin points' pools go through
-# `_descend_slice` and through `_walk_from`
+# the most live points of a pool that the scalar loop walks: none, one,
+# the default and every point, so that the twin points' pools walk in
+# numpy to their end, hand their last few points to `_walk_from` mid-walk,
+# or walk in the scalar loop alone
 FEW_LIVE = [0, 1, distribution._FEW, _CHUNK]
 
 # the ends and both sides of 1/3, where the reflected evaluators switch
@@ -438,9 +439,8 @@ class TestDescent:
     def test_twins_agree_bit_for_bit(self, monkeypatch, twin_params, twin_points, tol_f, tol_j,
                                      few):
         # F, J and both error bounds, from the scalar and the vector loop,
-        # whose pool of live points after the head walks on in
-        # `_descend_slice` or, where it holds at most `few`, in the scalar
-        # loop
+        # whose pool of live points after the head walks on in numpy while
+        # it holds more than `few` points, then in the scalar loop
         monkeypatch.setattr(distribution, "_FEW", few)
         for params in twin_params:
             vec, scalar = twins(params, twin_points, tol_f, tol_j)
@@ -468,8 +468,8 @@ class TestDescent:
         # leading run, on the plateau or in F's walk, at any tolerance,
         # the MRL's walk on its relative test; small slices send the points
         # through the jump table, a `_CHUNK` slice steps through the head,
-        # and the pool walks on in `_descend_slice` or, where it holds at
-        # most `few` points, in the scalar loop
+        # and the pool walks on in numpy while it holds more than `few`
+        # points, then in the scalar loop
         params = PSingularParams(p)
         tol = data.draw(st.sampled_from([1e-6, 1e-10, 1e-12, 1e-10 * 100 / 101, 1e-13]))
         args, rows = (tol, reads, data.draw(st.booleans())), read_rows(reads)
@@ -597,10 +597,11 @@ class TestDescent:
                                       bits(pay[:1200].reshape(40, 30)))
 
     def test_twins_agree_across_chunks(self):
-        # three slices: one group per slice, then the pooled tail
+        # three slices: one group per slice, then the pooled tail's two,
+        # the scalar loop's for its last few points and numpy's
         xs = np.random.default_rng(5).random(2 * _CHUNK + 1000)
         groups = list(_descend_many(P2, xs, 1e-10))
-        assert len(groups) == 4
+        assert [isinstance(at, slice) for at, *_ in groups] == [True] * 3 + [False] * 2
         f = gather(groups, xs)[0]
         np.testing.assert_array_equal(f[::997], [cdf(P2, x) for x in xs[::997]])
 
@@ -612,24 +613,25 @@ class TestDescent:
         # every slice's head through the table and walks the pool whenever
         # it fills, and these pooled tails are compared with the scalar
         # loop; slices of 100,000 points hold the whole input, which steps
-        # through its head, without a table, and walks its pool once.  A
-        # pool of at most `_FEW` points walks in the scalar loop, a larger
-        # one in numpy
-        pools = []
+        # through its head, without a table, and walks its pool once.
+        # numpy walks a level only while more than `_FEW` points are live
+        pools, levels = [], []
+        descend_slice, goes_on = distribution._descend_slice, distribution._goes_on
 
-        def logged(walker):
-            def walk(*args):
-                pools.append((args[1].size, walker))
-                return walker(*args)
-            return walk
+        def logged_pool(walk, idx, m, state):
+            pools.append(idx.size)
+            yield from descend_slice(walk, idx, m, state)
+
+        def logged_level(walk, m, state):
+            levels.append(m.size)
+            return goes_on(walk, m, state)
 
         def no_table(params, tail):
             raise AssertionError("an input of one slice built a jump table")
 
-        finish, descend_slice = distribution._finish, distribution._descend_slice
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
-        monkeypatch.setattr(distribution, "_finish", logged(finish))
-        monkeypatch.setattr(distribution, "_descend_slice", logged(descend_slice))
+        monkeypatch.setattr(distribution, "_descend_slice", logged_pool)
+        monkeypatch.setattr(distribution, "_goes_on", logged_level)
         if chunk == 100_000:
             monkeypatch.setattr(distribution, "_jump_table", no_table)
         for params in twin_params:
@@ -637,14 +639,14 @@ class TestDescent:
             vec, scalar = twins(params, twin_points, tol_f, tol_j)
             np.testing.assert_array_equal(bits(vec), bits(scalar))
             walks = len(descents(tol_f, tol_j))
-            assert all((size <= distribution._FEW) == (walker is finish) for size, walker in pools)
             if chunk == 100_000:
                 assert len(pools) == walks
             else:
                 # the pool is walked once it holds `chunk` points, and once
                 # more after the last slice of each descent
                 assert len(pools) >= 2 * walks
-                assert sum(size < chunk for size, _ in pools) <= walks
+                assert sum(size < chunk for size in pools) <= walks
+        assert all(size > distribution._FEW for size in levels)
 
     @pytest.mark.parametrize("chunk", [32, _CHUNK])
     @pytest.mark.parametrize("size", [1, 8, 100_000])
@@ -708,8 +710,8 @@ class TestDescent:
         table = _jump_table(P2, tail)
         assert _jump_table(PSingularParams(2.0), tail) is table
         assert _jump_table(P2, not tail) is not table
-        assert not any(arr.flags.writeable for arr in table)
-        assert [arr.shape for arr in table] == [(3 ** 8,), (5, 3 ** 8)]
+        assert not table.flags.writeable
+        assert table.shape == (5, 3 ** 8)
 
     @pytest.mark.parametrize("fn,bound", POOL_BOUNDS)
     def test_pool_memory_is_bounded(self, fn, bound):
@@ -753,7 +755,6 @@ class TestDescent:
         def refuse(*args):
             raise AssertionError("a pool was walked")
 
-        monkeypatch.setattr(distribution, "_finish", refuse)
         monkeypatch.setattr(distribution, "_descend_slice", refuse)
         tiny = ODD_POINTS[2:]
         assert not carried(np.array(tiny)).any()
@@ -782,12 +783,12 @@ class TestDescent:
         # the payoff curve's 200 prices, and 200 `mrl_many` points whose
         # last, 1 - 2^-53, reflects to 2^-53 and walks some 33 levels past
         # the head, leave only a few points live after it: the scalar loop
-        # walks their pool from its head state, in a group which equals the
-        # scalar twins row for row
+        # walks their pool from its head state, with no numpy level, in a
+        # group which equals the scalar twins row for row
         def refuse(*args):
-            raise AssertionError("_descend_slice called")
+            raise AssertionError("a numpy level was walked")
 
-        monkeypatch.setattr(distribution, "_descend_slice", refuse)
+        monkeypatch.setattr(distribution, "_goes_on", refuse)
         params = PSingularParams(p)
         plan = distribution._curve_plan(200)
         deep = np.linspace(0.0, 1.0, 200)
@@ -801,6 +802,36 @@ class TestDescent:
                                       bits([expected_payoff(params, x) for x in plan.x.tolist()]))
         np.testing.assert_array_equal(bits(mrl_many(params, deep)),
                                       bits([mrl(params, x).value for x in deep.tolist()]))
+
+    def test_pool_hands_its_last_few_points_to_the_scalar_loop(self, monkeypatch):
+        # `mrl_many`'s walk on `gap_grid(1000)` at p = 0.01 leaves 306
+        # points live after the head: numpy walks their pool while more
+        # than `_FEW` are live, and the scalar loop walks the rest from
+        # their state, in a group of its own.  0, 1 and the odd points,
+        # which the scalar loop walks from the start, are left out, so that
+        # every `_walk_from` call is the hand-off's
+        params, args = PSingularParams(0.01), (1e-10, "FJ", True)
+        xs = gap_grid(1000)
+        xs = xs[carried(xs, tail=True)]
+        assert live_after_head(xs, True).sum() == 306
+        scalar = scalar_rows(params, xs, *args)
+        levels, handed = [], []
+        goes_on, walk_from = distribution._goes_on, distribution._walk_from
+
+        def logged_level(walk, m, state):
+            levels.append(m.size)
+            return goes_on(walk, m, state)
+
+        def logged_point(*args):
+            handed.append(args[0])
+            return walk_from(*args)
+
+        monkeypatch.setattr(distribution, "_goes_on", logged_level)
+        monkeypatch.setattr(distribution, "_walk_from", logged_point)
+        vec = gather(_descend_many(params, xs, *args), xs, True)
+        assert levels[0] == 306 and min(levels) > distribution._FEW
+        assert 0 < len(handed) <= distribution._FEW
+        np.testing.assert_array_equal(bits(vec), bits(scalar))
 
     @pytest.mark.parametrize("name,p", list(VECTOR_DIGESTS))
     def test_vector_bytes_are_pinned(self, name, p):
@@ -833,7 +864,7 @@ class TestDescent:
     @pytest.mark.parametrize("tail", [False, True])
     def test_head_table_is_shared_by_the_jump_tables(self, tail):
         # each head table is built once, read-only, and holds each cell's
-        # kinds of step, which reproduce `_jump_table`'s multipliers and
+        # kinds of step, which reproduce its multipliers and `_jump_table`'s
         # state columns when its representative numerators step through
         # the head one level at a time: a tail walk's in its leading run
         # (kinds 3-5) until its first reflection, in F's walk after it
@@ -851,8 +882,7 @@ class TestDescent:
                 levels.append(distribution._kinds(m) + 3 * run)
                 run &= levels[-1] == 3
                 distribution._step(walk, m, state, levels[-1])
-            jump_mult, columns = _jump_table(params, tail)
-            assert jump_mult is mult
+            columns = _jump_table(params, tail)
             np.testing.assert_array_equal(kinds, levels)
             np.testing.assert_array_equal(bits(columns), bits(state))
             exponent = (~np.isin(levels, [1, 4])).sum(axis=0)
