@@ -766,15 +766,16 @@ class TestDescent:
     def test_ends_skip_the_scalar_loop(self, monkeypatch, chunk):
         # 0 and 1 end in the vector walk with their own values, in a short
         # input and, in 8-point slices, a long one: among carried points
-        # they give the scalar loop nothing to walk, and equal their twins
+        # they give `_descend` nothing to walk, and equal their twins,
+        # which are computed before it is refused
         def refuse(*args):
-            raise AssertionError("_Walk.scalar called")
+            raise AssertionError("_descend called")
 
         xs = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 0.25, 1.0, 0.0, 0.9, 0.0, 1.0, 0.1] * 2)
         assert carried(xs[(xs > 0.0) & (xs < 1.0)], tail=True).all()
         expected = [[scalar(P2, x) for x in xs.tolist()] for _, scalar in EVALUATORS]
         monkeypatch.setattr(distribution, "_CHUNK", chunk)
-        monkeypatch.setattr(distribution._Walk, "scalar", refuse)
+        monkeypatch.setattr(distribution, "_descend", refuse)
         for (vector, _), values in zip(EVALUATORS, expected):
             np.testing.assert_array_equal(bits(vector(P2, xs)), bits(values))
 
@@ -860,6 +861,19 @@ class TestDescent:
         for vector, scalar in EVALUATORS:
             np.testing.assert_array_equal(bits(vector(params, xs)),
                                           bits([scalar(params, x) for x in xs]))
+
+    @pytest.mark.parametrize("p", [0.01, 1.0, 100.0])
+    def test_anchors_are_one_read_only_record_per_p(self, p):
+        # an equal p finds the same record, whose vector factors are
+        # read-only views that the walk cannot write through; the divisor
+        # row of the steps is the numerators' multiplier by kind of step
+        k = distribution._anchors(PSingularParams(p))
+        assert distribution._anchors(PSingularParams(p)) is k
+        assert k.steps.shape == (7, 6) and k.ends.shape == (4, 3)
+        assert not k.steps.flags.writeable and not k.ends.flags.writeable
+        with pytest.raises(ValueError):
+            k.steps[0, 0] = 1.0
+        np.testing.assert_array_equal(k.steps[-1], distribution._STEP_M)
 
     @pytest.mark.parametrize("tail", [False, True])
     def test_head_table_is_shared_by_the_jump_tables(self, tail):
@@ -1119,7 +1133,8 @@ class TestSample:
     def test_draws_in_blocks(self):
         # the first block's draws do not depend on how many blocks follow,
         # and the working set is the result plus a fixed number of blocks
-        # (about 10), not a multiple of n
+        # (about 6.5, as each block's raw outputs go before the next block
+        # draws its own), not a multiple of n
         n = 16 * _SAMPLE_BLOCK
         head = sample(P1, 3, _SAMPLE_BLOCK)
         tracemalloc.start()
@@ -1129,7 +1144,7 @@ class TestSample:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(draws[:_SAMPLE_BLOCK], head)
-        assert peak <= draws.nbytes + 16 * 8 * _SAMPLE_BLOCK
+        assert peak <= draws.nbytes + 8 * 8 * _SAMPLE_BLOCK
 
     @pytest.mark.parametrize("p,n,seed", list(SAMPLE_DIGESTS))
     def test_bytes_are_pinned(self, p, n, seed):
