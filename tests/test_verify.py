@@ -76,6 +76,36 @@ def test_fixed_point_bounds_checks_the_solver(monkeypatch):
     assert not verify.check_fixed_point_bounds(CONFIG).passed
 
 
+@pytest.mark.parametrize("owner, name, fake, check", [
+    (verify.integ, "cdf_integral", lambda params, x, config: SimpleNamespace(value=math.nan),
+     lambda: verify.check_mean_identity(CONFIG)),
+    (verify, "mrl", lambda params, x, config: SimpleNamespace(value=math.nan),
+     lambda: verify.check_mrl_anchor(CONFIG)),
+    (verify, "fixed_point_solve",
+     lambda params, config: SimpleNamespace(x_star=math.nan, closed_form=0.4),
+     lambda: verify.check_solver_agreement(CONFIG)),
+    (verify, "expected_payoff", lambda params, price, config: math.nan,
+     lambda: verify.check_pricing_mc(PSingularParams(1.0), CONFIG, 554, n=10 ** 4,
+                                     prices=[0.3, 0.6])),
+], ids=["mean_identity", "mrl_anchor", "solver_agreement", "pricing_mc"])
+def test_worst_case_fails_on_nan(monkeypatch, owner, name, fake, check):
+    # Python's max(0.0, nan) is 0.0: a running max would pass when every
+    # deviation is NaN
+    monkeypatch.setattr(owner, name, fake)
+    result = check()
+    assert not result.passed
+    assert "nan" in result.detail
+
+
+def test_mean_identity_reads_j_below_one(monkeypatch):
+    # J(1) is 1 - mean by construction, so a J exact at 1 but 1e-9 low
+    # below it must fail the check
+    exact = verify.integ.cdf_integral
+    monkeypatch.setattr(verify.integ, "cdf_integral", lambda params, x, config: SimpleNamespace(
+        value=exact(params, x, config).value - (1e-9 if x < 1.0 else 0.0)))
+    assert not verify.check_mean_identity(CONFIG).passed
+
+
 def test_run_all_rejects_negative_seed():
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         verify.run_all(p_values=(1.0,), seed=-1)
