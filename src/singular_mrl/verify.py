@@ -208,15 +208,16 @@ def check_pricing(params, config, grid_n=1000):
 
 
 def check_pricing_mc(params, config, seed, n=1_000_000, prices=None):
-    if prices is None:
-        prices = seeded_rng(seed).random(10)
+    prices = list(seeded_rng(seed).random(10) if prices is None else prices)
+    if not prices:
+        raise ParameterError("prices must be nonempty")
     draws = dist.sample(params, seed + 1, n)
     excess = []
     for price in prices:
         payoff = price * np.maximum(draws - price, 0.0)
         se = float(payoff.std(ddof=1)) / math.sqrt(n)
         excess.append(abs(float(payoff.mean()) - expected_payoff(params, price, config)) - 4.0 * se)
-    worst = float(np.max(excess, initial=-math.inf))
+    worst = float(np.max(excess))
     ok = worst <= 0.0
     return _result(f"pricing Monte Carlo (p={params.p})", ok,
                    f"max (dev - 4 SE) {worst:.3e}")

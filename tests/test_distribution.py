@@ -1245,6 +1245,27 @@ class TestPointCloud:
             tracemalloc.stop()
         assert peak <= 1.1 * cloud.F.nbytes
 
+    @pytest.mark.parametrize("n_initial,iterations", [(2, 16), (3, 12), (40, 7), (1000, 10)])
+    def test_cached_plan_memory_per_shape(self, n_initial, iterations):
+        # F and one height per block of n_initial points, each built in
+        # place: the blocks' heights are an n_initial-th of F's bytes
+        point_cloud(P1, n_initial, iterations)
+        tracemalloc.start()
+        try:
+            cloud = point_cloud(PSingularParams(7.3), n_initial, iterations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + 1 / n_initial) * cloud.F.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("n_initial,iterations", CLOUD_SIZES)
+    @pytest.mark.parametrize("p", [0.01, 1.0, 100.0, 1e-300, 1e300])
+    def test_one_height_per_block(self, p, n_initial, iterations):
+        # each run of n_initial interior points lies on one sub-plateau
+        F = point_cloud(PSingularParams(p), n_initial, iterations).F
+        blocks = F[1:-1].reshape(2 ** (iterations + 1) - 1, n_initial)
+        assert np.all(blocks == blocks[:, :1])
+
     def test_plans_across_shapes_and_refusals(self):
         # two shapes alternate, each p between a refused call at a lower cap
         # and its own: every cloud is the sorting oracle's, byte for byte

@@ -119,6 +119,15 @@ def test_run_all_rejects_no_p(p_values):
         verify.run_all(p_values=p_values)
 
 
+@pytest.mark.parametrize("prices", [(), [], iter(()), np.array([])])
+def test_pricing_mc_rejects_no_price(monkeypatch, prices):
+    # no price would pass with a worst excess of -inf, a Monte Carlo check of
+    # nothing; it is refused before anything is drawn
+    monkeypatch.setattr(verify.dist, "sample", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ParameterError, match="prices must be nonempty"):
+        verify.check_pricing_mc(PSingularParams(1.0), CONFIG, 554, n=10 ** 4, prices=prices)
+
+
 @pytest.mark.parametrize("name, args", [
     ("check_mc_mean", ("P", "config", 12345)),
     ("check_gap_slope", ("P", "config")),
