@@ -22,7 +22,7 @@ from .distribution import (DEFAULT_CONFIG, EvalConfig, PSingularParams,
                            cdf_with_bound, gap_grid, point_cloud)
 from .errors import DomainError, ParameterError, SingularMrlError
 from .fixedpoint import fixed_point_solve
-from .mrl import _check_positive, mrl, mrl_many
+from .mrl import _generalized, mrl, mrl_many
 from .pricing import comparative_statics, optimal_price
 from .verify import run_all
 
@@ -154,10 +154,8 @@ def _cmd_point(args, config):
     else:
         v = mrl(params, args.x, config)
         label, value, bound = "m", v.value, v.error_bound
-        if args.command == "gmrl":
-            # e = m/x as `gmrl` computes it, from the same descent of m
-            _check_positive(v.x)
-            label, value, bound = "e", value / v.x, bound / v.x
+        if args.command == "gmrl":  # e = m/x as `gmrl` computes it, from the same descent of m
+            label, (value, bound) = "e", _generalized(v)
     return _render(args, {"p": args.p, "x": args.x, "value": value, "error_bound": bound},
                    f"{label}({_fmt(args.x)}) = {_fmt(value)} (error bound {_fmt(bound)})\n",
                    "x,value,error_bound", [[args.x], [value], [bound]])

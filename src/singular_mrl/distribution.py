@@ -469,29 +469,34 @@ def _goes_on(walk: _Walk, m: np.ndarray, state: np.ndarray):
 
 
 def _advance(walk: _Walk, state: np.ndarray, factors: np.ndarray) -> None:
-    """The float part of one step of every point, in place: `_descend`'s
-    operations in its order, with each point's column of `_anchors`' steps
-    in `factors`: a_F += b_F R, t = B + b_J G, A += b_J H, A += t E and
-    B = t / divisor; a zero factor and a zero term are exact no-ops."""
+    """The float part of a block of steps of every point, in place:
+    `_descend`'s operations in its order, with each point's column of
+    `_anchors`' steps in `factors`, shaped (7, levels, points): a_F += b_F R,
+    t = B + b_J G, A += b_J H, A += t E and B = t / divisor; a zero factor
+    and a zero term are exact no-ops.  F's rows never read J's, so they
+    take all the levels before J's rows do."""
     r_f, step_f, g, h, e, step_j, div = factors
+    levels = range(len(r_f))
     if walk.f is not None:
         af, bf = state[walk.f], state[walk.f + 1]
-        af += bf * r_f
-        bf *= step_f
+        for i in levels:
+            af += bf * r_f[i]
+            bf *= step_f[i]
     if walk.j is not None:
         a, b, bj = state[walk.j], state[walk.j + 1], state[walk.j + 2]
-        t = bj * g
-        t += b
-        a += bj * h
-        a += t * e
-        np.divide(t, div, out=b)
-        bj *= step_j
+        for i in levels:
+            t = bj * g[i]
+            t += b
+            a += bj * h[i]
+            a += t * e[i]
+            np.divide(t, div[i], out=b)
+            bj *= step_j[i]
 
 
 def _step(walk: _Walk, m: np.ndarray, state: np.ndarray, kind: np.ndarray) -> None:
     """One step of every point, in place, by kind (0 left, 1 on the
-    plateau, 2 right): `_advance`, and the numerators times 3, 1 or -3."""
-    _advance(walk, state, walk.anchors.steps.take(kind, axis=1))
+    plateau, 2 right): `_advance` of one level, numerators times 3, 1 or -3."""
+    _advance(walk, state, walk.anchors.steps.take(kind[None], axis=1))
     m *= _STEP_M.take(kind)
     m &= _MASK
 
@@ -521,12 +526,11 @@ def _head_table(tail: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def _head(walk: _Walk, cell: np.ndarray) -> np.ndarray:
     """The state after the head of points in the ternary cells `cell`, from
-    the start of a walk, by `_advance` with the factors of their cells'
-    kinds of step in `_head_table`, all levels in one lookup."""
+    the start of a walk, by one `_advance` over the `_JUMP` levels, with
+    the factors of their cells' kinds of step in `_head_table`."""
     factors = walk.anchors.steps.take(_head_table(walk.tail)[0].take(cell, axis=1), axis=1)
     state = np.repeat(walk.origin, cell.size, axis=1)
-    for level in range(_JUMP):
-        _advance(walk, state, factors[:, level])
+    _advance(walk, state, factors)
     return state
 
 

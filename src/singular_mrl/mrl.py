@@ -62,15 +62,21 @@ def mrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) 
 
 
 def gmrl(params: PSingularParams, x: float, config: EvalConfig = DEFAULT_CONFIG) -> float:
-    """e(x) = m(x)/x for 0 < x <= 1; diverges at 0, hence a domain error."""
-    v = mrl(params, x, config)
-    _check_positive(v.x)
-    return v.value / v.x
+    """e(x) = m(x)/x for 0 < x <= 1; diverges at 0, hence a domain error,
+    as is a subnormal x where the quotient overflows."""
+    return _generalized(mrl(params, x, config))[0]
 
 
-def _check_positive(x: float) -> None:
-    if x == 0:
+def _generalized(v: MrlValue) -> tuple[float, float]:
+    """(e, its error bound) = (m/x, m's bound/x) from `mrl`'s value v;
+    DomainError wherever e is not a finite double: at x = 0, and below
+    about 2^-1024 m, where the quotient overflows."""
+    if v.x == 0:
         raise DomainError("gmrl is undefined at x = 0 (m(x)/x diverges)")
+    e = v.value / v.x
+    if not math.isfinite(e):
+        raise DomainError(f"gmrl overflows at x = {v.x!r} (m(x)/x exceeds the largest double)")
+    return e, v.error_bound / v.x
 
 
 def mrl_many(params: PSingularParams, xs, config: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:

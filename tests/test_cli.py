@@ -151,6 +151,14 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and err == "domain error: gmrl is undefined at x = 0 (m(x)/x diverges)\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_gmrl_overflow(self, capsys, fmt):
+        # m(x)/x is no finite double at x = 1e-309: no Infinity in any output
+        code, out, err = run(capsys, "gmrl", "--x", "1e-309", "--format", fmt)
+        assert code == 3
+        assert out == "" and err == ("domain error: gmrl overflows at x = 1e-309 "
+                                     "(m(x)/x exceeds the largest double)\n")
+
     @pytest.mark.parametrize("command", ["verify", "statics"])
     @pytest.mark.parametrize("p_list", [",", ""])
     def test_empty_p_list(self, capsys, command, p_list):

@@ -875,34 +875,39 @@ class TestDescent:
             k.steps[0, 0] = 1.0
         np.testing.assert_array_equal(k.steps[-1], distribution._STEP_M)
 
+    @pytest.mark.parametrize("reads", ["F", "J", "FJ"])
+    @pytest.mark.parametrize("p", [1e-300, 0.01, 1.0, 100.0, 1e300])
     @pytest.mark.parametrize("tail", [False, True])
-    def test_head_table_is_shared_by_the_jump_tables(self, tail):
+    def test_head_table_is_shared_by_the_jump_tables(self, tail, p, reads):
         # each head table is built once, read-only, and holds each cell's
-        # kinds of step, which reproduce its multipliers and `_jump_table`'s
-        # state columns when its representative numerators step through
-        # the head one level at a time: a tail walk's in its leading run
-        # (kinds 3-5) until its first reflection, in F's walk after it
+        # kinds of step, which reproduce its multipliers when its
+        # representative numerators step through the head one level at a
+        # time: a tail walk's in its leading run (kinds 3-5) until its first
+        # reflection, in F's walk after it.  `_head`, one `_advance` over
+        # all the levels, gives those single steps' state bit for bit on
+        # every cell and on the payoff curve's, and `_jump_table` holds it
         kinds, mult = table = distribution._head_table(tail)
         assert distribution._head_table(tail) is table
         assert not any(arr.flags.writeable for arr in table)
         assert kinds.shape == (8, 3 ** 8) and kinds.dtype == np.int8 and mult.shape == (3 ** 8,)
-        for p in (0.01, 100.0):
-            params = PSingularParams(p)
-            walk = distribution._Walk(params, 1.0, "FJ", tail)
-            m = ((np.arange(3 ** 8) + 0.5) * (2.0 ** 63 / 3 ** 8)).astype(np.int64)
-            state, levels = np.repeat(walk.origin, m.size, axis=1), []
-            run = np.full(m.size, tail)
-            for _ in range(8):
-                levels.append(distribution._kinds(m) + 3 * run)
-                run &= levels[-1] == 3
-                distribution._step(walk, m, state, levels[-1])
-            columns = _jump_table(params, tail)
-            np.testing.assert_array_equal(kinds, levels)
-            np.testing.assert_array_equal(bits(columns), bits(state))
-            exponent = (~np.isin(levels, [1, 4])).sum(axis=0)
-            np.testing.assert_array_equal(np.abs(mult), 3 ** exponent)
-            # only the cell 0 is still in its leading run after the head
-            assert np.flatnonzero(np.array(levels[-1]) == 3).tolist() == ([0] if tail else [])
+        params = PSingularParams(p)
+        walk = distribution._Walk(params, 1.0, reads, tail)
+        m = ((np.arange(3 ** 8) + 0.5) * (2.0 ** 63 / 3 ** 8)).astype(np.int64)
+        state, levels = np.repeat(walk.origin, m.size, axis=1), []
+        run = np.full(m.size, tail)
+        for _ in range(8):
+            levels.append(distribution._kinds(m) + 3 * run)
+            run &= levels[-1] == 3
+            distribution._step(walk, m, state, levels[-1])
+        np.testing.assert_array_equal(kinds, levels)
+        exponent = (~np.isin(levels, [1, 4])).sum(axis=0)
+        np.testing.assert_array_equal(np.abs(mult), 3 ** exponent)
+        # only the cell 0 is still in its leading run after the head
+        assert np.flatnonzero(np.array(levels[-1]) == 3).tolist() == ([0] if tail else [])
+        np.testing.assert_array_equal(bits(distribution._head(walk, np.arange(3 ** 8))), bits(state))
+        cell = distribution._curve_plan(200).cell
+        np.testing.assert_array_equal(bits(distribution._head(walk, cell)), bits(state[:, cell]))
+        np.testing.assert_array_equal(bits(_jump_table(params, tail)[walk.span]), bits(state))
 
     @pytest.mark.parametrize("size", [len(BRANCH_EDGES), 2 * _CHUNK + len(BRANCH_EDGES)])
     @pytest.mark.parametrize("p", [1e-300, 1e-6, 1.0, 1e6, 1e300])

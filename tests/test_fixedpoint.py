@@ -110,6 +110,21 @@ class TestSolver:
         # x* to the root
         self.check_bracket(p, ulps=7)
 
+    @pytest.mark.parametrize("low,high,ulps", [(LEAST_CERTIFIED_P, 1.0, 3), (1.0, 2.0 ** 1022, 2),
+                                               (2.0 ** 1022, LARGEST, 6)])
+    def test_x_star_accuracy_by_range_of_p(self, low, high, ulps):
+        # the ranges of fixed_point_solve's docstring: at 1,000 log-uniform p
+        # of each, x* lies within `ulps` of the correctly rounded root
+        # (3p+2)/(4(2p+1)), and the bracket holds the exact root
+        rng = np.random.default_rng(25)
+        for p in np.exp(rng.uniform(math.log(low), math.log(high), 1000)).clip(low, high).tolist():
+            fp = fixed_point_solve(PSingularParams(p))
+            n, d = p.as_integer_ratio()
+            root = (3 * n + 2 * d) / (4 * (2 * n + d))
+            assert abs(fp.x_star - root) <= ulps * math.ulp(min(fp.x_star, root)), p
+            exact = Fraction(3 * n + 2 * d, 4 * (2 * n + d))
+            assert Fraction(fp.bracket[0]) <= exact <= Fraction(fp.bracket[1]), p
+
     @pytest.mark.parametrize("p,x_star,residual,bracket", [
         (0.01, 0.49754901960784315, -1.1102230246251565e-16,
          (0.4975490196078431, 0.49754901960784315)),

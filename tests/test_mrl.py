@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,18 @@ class TestGmrl:
     def test_undefined_at_zero(self):
         with pytest.raises(DomainError):
             gmrl(P1, 0.0)
+
+    @pytest.mark.parametrize("x", [1e-309, 1e-310, 5e-324])
+    def test_overflow_is_a_domain_error(self, x):
+        # m(x) = 0.5 - 2^-53 at p = 1, so m/x overflows below about 2.8e-309
+        with pytest.raises(DomainError, match="overflows"):
+            gmrl(P1, x)
+
+    def test_largest_finite_quotients(self):
+        # the least normal double and the last finite quotients stay values
+        for x in (2.2250738585072014e-308, 2.9e-309):
+            e = gmrl(P1, x)
+            assert math.isfinite(e) and e == mrl(P1, x).value / x
 
     def test_crosses_one_at_fixed_point(self):
         from singular_mrl import fixed_point_closed_form
