@@ -9,17 +9,17 @@ Uniqueness is certified.  m(x) + x = E[X | X > x] is non-decreasing, so
 m(x) - x >= m(a) + a - 2b on a cell [a, b], and cells with
 m(a) + a - bound(a) > 2b that cover [0, 1/3] prove m(x) - x > 0 there.
 On [1/3, 2/3] m(x) - x is linear with slope -2, and on (1/2, 1] it is at
-most 1 - 2x < 0, so x* is its only root on [0, 1].  The cells halve
-[j/2^L, (j+1)/2^L], L <= 53, the last one cut at the real 1/3.  m is
-evaluated at their left ends, doubles whose descent never rounds, and
-the sign of each margin is decided exactly, from a sum of doubles.
+most 1 - 2x < 0, so x* is its only root on [0, 1].  The cells form one
+chain from a = 0: each ends at the double b just below
+(m(a) + a - bound(a))/2, where the next begins, and the last ends at the
+real 1/3.  The sign of each margin is decided exactly, by `math.fsum`
+over doubles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .distribution import (DEFAULT_CONFIG, ONE_THIRD, TWO_THIRDS, EvalConfig,
                            PSingularParams, _integer, gap_grid)
 from .errors import ConvergenceError, ParameterError
 from .mrl import mrl, mrl_at_one_third, mrl_many
-
-CELL_LEVEL = 53  # the finest cells: j/2^53 below 1/3 is still a double
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,10 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
     lies up to 6 ulps off, more than 2 from about p = 8.7e307.  The
     bracket held the root at every sampled p.  `residual` is m(x*) - x*.
     Fills `closed_form` for comparison.  Every call certifies that x* is
-    the only root (see the module docstring), so `sign_changes` is 1, or
-    raises ConvergenceError naming the cell that fails.  A nonzero
-    `scan_grid_n` also reports the count of
+    the only root (see the module docstring; 1 to 5 cells at every sampled
+    p), so `sign_changes` is 1, or raises ConvergenceError naming the x past
+    which no cell is certified, just below 1/3 at p <= 2^-53, where 1 + p
+    rounds to 1.  A nonzero `scan_grid_n` also reports the count of
     `verify_uniqueness(params, scan_grid_n)`: ConvergenceError unless it is 1.
     """
     scan_grid_n = _integer("scan_grid_n", scan_grid_n)
@@ -90,32 +89,19 @@ def fixed_point_solve(params: PSingularParams, config: EvalConfig = DEFAULT_CONF
 
 
 def _certify(params: PSingularParams, config: EvalConfig) -> None:
-    """Cover [0, 1/3] by certified cells, leftmost first, halving each that
-    fails; ConvergenceError names a cell that fails at CELL_LEVEL."""
-    # (j, L, m(a)) for the cell [a, b] = [j/2^L, min((j+1)/2^L, 1/3)]
-    cells = [(0, 1, mrl(params, 0.0, config))]
-    while cells:
-        j, level, m = cells.pop()
-        if _certified(m.value, m.error_bound, j, level):
-            continue
-        if level == CELL_LEVEL:
-            a, b = Fraction(j, 1 << level), min(Fraction(j + 1, 1 << level), Fraction(1, 3))
-            margin = Fraction(m.value) + a - Fraction(m.error_bound) - 2 * b
-            raise ConvergenceError(f"uniqueness is not certified on the cell [{a}, {b}]: "
-                                   f"m(a) + a - bound(a) - 2b = {float(margin):.3e}")
-        j, level = 2 * j, level + 1
-        if 3 * (j + 1) < 1 << level:
-            cells.append((j + 1, level, mrl(params, math.ldexp(j + 1, -level), config)))
-        cells.append((j, level, m))
-
-
-def _certified(value: float, bound: float, j: int, level: int) -> bool:
-    """Whether m(a) + a - bound(a) - 2b > 0 on `_certify`'s cell (j, L), exactly:
-    fsum rounds a sum of doubles correctly, so never a nonzero one to 0."""
-    terms = (value, math.ldexp(j, -level), -bound)
-    if 3 * (j + 1) < 1 << level:  # b = (j+1)/2^L, a double
-        return math.fsum(terms + (math.ldexp(-(j + 1), 1 - level),)) > 0.0
-    return math.fsum(terms * 3 + (-2.0,)) > 0.0  # three times the margin at b = 1/3
+    """Cover [0, 1/3] by the chain of cells; ConvergenceError names the a past
+    which no cell is certified.  fsum never rounds a nonzero sum to 0."""
+    a = 0.0
+    while True:
+        m = mrl(params, a, config)
+        terms = (m.value, a, -m.error_bound)  # m(a) + a - bound(a)
+        if math.fsum(terms * 3 + (-2.0,)) > 0.0:  # three times the margin at b = 1/3
+            return
+        b = math.nextafter(0.5 * math.fsum(terms), 0.0)
+        if b <= a or not math.fsum(terms + (-2.0 * b,)) > 0.0:
+            raise ConvergenceError(f"uniqueness is not certified past x = {a!r}, where "
+                                   f"m(x) - x - bound(x) = {math.fsum(terms + (-2.0 * a,)):.3e}")
+        a = b
 
 
 def verify_uniqueness(params: PSingularParams, grid_n: int,

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -112,16 +113,25 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--p", p)
         assert code == 0 and err == "" and out
 
-    @pytest.mark.parametrize("p", ["1e-16", "1e-20", "1e-300"])
-    @pytest.mark.parametrize("argv", [("fixpoint",), ("fixpoint", "--grid", "0"), ("price",)])
+    @pytest.mark.parametrize("p", ["1.1102230246251568e-16", "1.2e-16"])
+    @pytest.mark.parametrize("argv", [("fixpoint", "--p"), ("price", "--p"), ("statics", "--p-list")])
+    def test_certified_tiny_p(self, capsys, argv, p):
+        # from the double after 2^-53 up, where q = 1/(p+1) < 1, the chain
+        # of cells reaches 1/3
+        code, out, err = run(capsys, *argv, p)
+        assert code == 0 and err == "" and out
+
+    @pytest.mark.parametrize("p", ["1.1102230246251565e-16", "1e-16", "1e-20", "1e-300"])
+    @pytest.mark.parametrize("argv", [("fixpoint", "--p"), ("fixpoint", "--grid", "0", "--p"),
+                                      ("price", "--p"), ("statics", "--p-list")])
     def test_uncertified_tiny_p(self, capsys, argv, p):
-        # below the least certified p, about 1.48e-16, m(0) = E[X] cannot
-        # clear the finest cell: one error line naming it, no rows
-        code, out, err = run(capsys, *argv, "--p", p)
+        # at p <= 2^-53, 1 + p rounds to 1 and the chain of cells stops just
+        # below 1/3: one error line naming where, no rows
+        code, out, err = run(capsys, *argv, p)
         assert code == 5
         assert out == ""
-        assert err.startswith("error: uniqueness is not certified on the cell "
-                              "[0, 1/9007199254740992]: ") and err.count("\n") == 1
+        assert re.fullmatch(r"error: uniqueness is not certified past x = 0\.333333333333333\d*, "
+                            r"where m\(x\) - x - bound\(x\) = \S+\n", err)
 
     def test_runtime_error(self, capsys):
         code, _, err = run(capsys, "plot-data", "--what", "cdf",
